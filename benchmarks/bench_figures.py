@@ -47,7 +47,7 @@ def test_figure4_calibration(benchmark, lidag):
     jt = JunctionTree.from_network(lidag)
 
     def calibrate():
-        jt._init_potentials()
+        jt.reset_propagation()
         jt.calibrate()
         return jt.marginal("9")
 

@@ -102,19 +102,11 @@ BENCH_SCHEMA_VERSION = 4
 
 
 def _extract_marginals(estimator, lines: List[str]) -> float:
-    """Seconds to read every line marginal from a calibrated tree.
-
-    Uses the batched :meth:`JunctionTree.marginals` sweep when the
-    engine provides it, falling back to per-line ``marginal`` calls so
-    the runner also works against pre-engine checkouts.
-    """
+    """Seconds to read every line marginal from a calibrated tree in
+    one :meth:`JunctionTree.marginals` sweep."""
     jt = estimator.junction_tree
     start = time.perf_counter()
-    if hasattr(jt, "marginals"):
-        jt.marginals(lines)
-    else:
-        for line in lines:
-            jt.marginal(line)
+    jt.marginals(lines)
     return time.perf_counter() - start
 
 

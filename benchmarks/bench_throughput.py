@@ -6,8 +6,9 @@ should cost one batched einsum pass, not K sequential propagations;
 this runner measures exactly that ratio:
 
 - ``looped_scenarios_per_sec``  -- sequential ``update_inputs()`` +
-  ``estimate()`` per scenario on a persistent compiled estimator (the
-  pre-batching fast path, dirty-clique tracking and all),
+  ``estimate()`` per scenario on a persistent compiled estimator: K
+  separate K=1 batches through the same engine, dirty-clique tracking
+  and all,
 - ``batched_scenarios_per_sec`` -- one ``estimate_many()`` call
   propagating all K scenarios through the engine's leading batch axis,
 - ``speedup``                   -- batched rate over looped rate,

@@ -14,8 +14,12 @@ This is the compilation + propagation machinery of the paper's Section 5:
 
 The *compile once, propagate per input-statistics* split the paper
 advertises maps to :meth:`JunctionTree.from_network` (steps 1-3, slow)
-versus :meth:`JunctionTree.update_cpds` + :meth:`JunctionTree.calibrate`
-(steps 4-5, fast).
+versus :meth:`JunctionTree.update_cpds_batch` +
+:meth:`JunctionTree.marginals_batch` (steps 4-5, fast).  Steps 4-5 run
+on one :class:`~repro.bayesian.propagation.PropagationEngine` per tree;
+the single-query surface (:meth:`~JunctionTree.update_cpds`,
+:meth:`~JunctionTree.calibrate`, :meth:`~JunctionTree.marginal`, ...)
+is a one-row view over the same install.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import networkx as nx
 import numpy as np
 
 from repro.bayesian.cpd import TabularCPD
-from repro.bayesian.factor import Factor, factor_product, plan_product
+from repro.bayesian.factor import Factor, plan_product
 from repro.bayesian.moral import moral_graph
 from repro.bayesian.network import BayesianNetwork
 from repro.bayesian.propagation import (
@@ -100,7 +104,6 @@ class JunctionTree:
         tree: nx.Graph,
         elimination_order: List[str],
         fill_ins: List[Tuple[str, str]],
-        engine: bool = True,
         kernel: str = "auto",
     ):
         if kernel not in ("auto", "dense", "sparse"):
@@ -136,18 +139,12 @@ class JunctionTree:
                 )
 
         self._evidence: Dict[str, int] = {}
-        self._potentials: List[Factor] = []
-        self._separators: Dict[frozenset, Factor] = {}
-        self._calibrated = False
-        #: cached per-clique product of assigned CPD factors (no
-        #: evidence); lets update_cpds re-multiply only touched cliques
-        self._cpd_products: Optional[List[Factor]] = None
-        #: compiled propagation engine (schedule + preallocated buffers);
-        #: built lazily on first calibration when ``engine`` is True.
-        #: ``engine=False`` keeps the Factor-based reference path, used
-        #: by tests and benchmarks as the slow oracle.
-        self._use_engine = engine
-        self._engine: Optional[PropagationEngine] = None
+        #: per-clique product of the network's assigned CPD factors (no
+        #: evidence), canonical axis order; ``None`` marks a clique whose
+        #: CPDs changed, rebuilt when next installed
+        self._cpd_products: List[Optional[Factor]] = [
+            self._clique_cpd_product(idx) for idx in range(len(cliques))
+        ]
         #: message-kernel mode handed to the schedule ("auto" | "dense"
         #: | "sparse"; see :class:`PropagationSchedule`)
         self._kernel = kernel
@@ -158,17 +155,19 @@ class JunctionTree:
         #: nodes whose CPDs once violated their recorded support; they
         #: never contribute masks again (treated as free tables).
         self._mask_exclude: Set[str] = set()
-        #: shared immutable message schedule (built on first engine use;
-        #: serves both the single-query and the batched engine)
+        #: immutable message schedule (built at compile time)
         self._schedule: Optional[PropagationSchedule] = None
-        #: batched engine for multi-scenario sweeps (built lazily by
-        #: update_cpds_batch; dropped whenever the shared potentials it
-        #: snapshot change, and excluded from pickles)
-        self._batch_engine: Optional[PropagationEngine] = None
+        #: the one propagation engine; built by the first install and
+        #: rebuilt when the installed row count or dtype changes
+        self._engine: Optional[PropagationEngine] = None
+        #: cliques whose network potential (CPDs, evidence) changed
+        #: since the last install
+        self._stale: Set[int] = set()
+        #: cliques holding per-scenario stacks in the engine
+        self._stacked: Set[int] = set()
         #: scenario -> engine row map of the installed batch (None when
         #: every scenario has its own row)
         self._batch_scatter: Optional[np.ndarray] = None
-        self._init_potentials()
 
     # ------------------------------------------------------------------
     # Construction
@@ -181,7 +180,6 @@ class JunctionTree:
         heuristic: str = "min_fill",
         elimination_order: Optional[Sequence[str]] = None,
         max_clique_states: Optional[int] = None,
-        engine: bool = True,
         kernel: str = "auto",
     ) -> "JunctionTree":
         """Compile a Bayesian network into a junction tree.
@@ -199,10 +197,6 @@ class JunctionTree:
             If given, raise :class:`CliqueBudgetExceeded` before
             materializing any table whose clique exceeds this many
             entries.
-        engine:
-            Use the compiled propagation engine
-            (:mod:`repro.bayesian.propagation`).  ``False`` selects the
-            Factor-based reference path (slower; kept as an oracle).
         kernel:
             Message-kernel mode for the compiled schedule: ``"auto"``
             (default) packs cliques whose deterministic-CPD support is
@@ -253,14 +247,11 @@ class JunctionTree:
             with tracer.span("compile.spanning_tree"):
                 tree = cls._build_tree(cliques)
             with tracer.span("compile.potentials"):
-                jt = cls(
-                    bn, cliques, tree, order, fills, engine=engine, kernel=kernel
-                )
-            if engine:
-                # Build the message schedule (and its support analysis)
-                # eagerly: it is part of the compile-once artifact, so
-                # pickled models and compile-cache hits skip both.
-                jt._ensure_schedule()
+                jt = cls(bn, cliques, tree, order, fills, kernel=kernel)
+            # Build the message schedule (and its support analysis)
+            # eagerly: it is part of the compile-once artifact, so
+            # pickled models and compile-cache hits skip both.
+            jt._ensure_schedule()
             return jt
 
     @staticmethod
@@ -283,26 +274,22 @@ class JunctionTree:
     def _clique_cpd_product(self, idx: int) -> Factor:
         """Product of the CPD factors assigned to clique ``idx``, over
         the clique's full scope in canonical (sorted) axis order."""
-        order = sorted(self.cliques[idx])
-        base = Factor.uniform(order, [self._cardinalities[v] for v in order])
-        members = [
-            self._bn.cpd(node).to_factor() for node in self._cpd_members[idx]
-        ]
-        return factor_product([base] + members).permute(order)
+        order = tuple(sorted(self.cliques[idx]))
+        return Factor._unsafe(order, self._clique_cpd_product_batch(idx, {}, 1)[0])
 
     def _clique_cpd_product_batch(
         self, idx: int, overrides: Mapping[str, Sequence[TabularCPD]], k: int
     ) -> np.ndarray:
         """Batched clique-``idx`` CPD product: a ``(K, *clique_shape)``
-        stack whose slice ``k`` is bitwise-identical to what
-        :meth:`_clique_cpd_product` would compute with scenario ``k``'s
-        CPDs swapped in.
+        stack whose slice ``k`` is the clique's CPD product with
+        scenario ``k``'s CPDs swapped in.
 
-        Bitwise equality holds because the fold order is planned with a
-        *per-scenario* size key (a stacked factor counts as its
-        unbatched size), so the batched fold multiplies the same factors
-        in the same order as any single scenario's fold, and every
-        multiply is elementwise over broadcast views.
+        Every slice is bitwise-identical to a one-scenario fold because
+        the fold order is planned with a *per-scenario* size key (a
+        stacked factor counts as its unbatched size), so the batched
+        fold multiplies the same factors in the same order as any single
+        scenario's fold, and every multiply is elementwise over
+        broadcast views.
         """
         order = tuple(sorted(self.cliques[idx]))
         shape = tuple(self._cardinalities[v] for v in order)
@@ -334,94 +321,90 @@ class JunctionTree:
         # identities); broadcast the shared table over the batch axis.
         return np.broadcast_to(result.permute(order).values, (k,) + shape)
 
+    def _evidence_mask(self, idx: int) -> Optional[np.ndarray]:
+        """0/1 indicator of the evidence homed at clique ``idx``, shaped
+        to broadcast over its canonical table (None without evidence)."""
+        order = sorted(self.cliques[idx])
+        mask = None
+        for var, state in self._evidence.items():
+            if self._home_clique[var] != idx:
+                continue
+            shape = [1] * len(order)
+            shape[order.index(var)] = self._cardinalities[var]
+            indicator = np.zeros(shape)
+            indicator.reshape(-1)[state] = 1.0
+            mask = indicator if mask is None else mask * indicator
+        return mask
+
     def _clique_potential(self, idx: int) -> Factor:
-        """Initial potential of clique ``idx``: its CPD product times
-        the evidence indicators of variables homed there."""
-        potential = self._cpd_products[idx]
-        for var, state in self._evidence.items():
-            if self._home_clique[var] == idx:
-                indicator = Factor.indicator(var, self._cardinalities[var], state)
-                potential = potential.product(indicator)
-        return potential
+        """The network's potential for clique ``idx``: its CPD product
+        times the evidence indicators of variables homed there."""
+        product = self._cpd_products[idx]
+        if product is None:
+            product = self._cpd_products[idx] = self._clique_cpd_product(idx)
+        mask = self._evidence_mask(idx)
+        if mask is None:
+            return product
+        return Factor._unsafe(product.variables, product.values * mask)
 
-    def _init_potentials(self) -> None:
-        """(Re)build clique potentials from cached CPD products plus the
-        current evidence, and reset all separators."""
-        if self._cpd_products is None:
-            self._cpd_products = [
-                self._clique_cpd_product(idx) for idx in range(len(self.cliques))
-            ]
-        self._potentials = list(self._cpd_products)
-        for var, state in self._evidence.items():
-            idx = self._home_clique[var]
-            indicator = Factor.indicator(var, self._cardinalities[var], state)
-            self._potentials[idx] = self._potentials[idx].product(indicator)
-        self._separators = {}
-        for u, v in self.tree.edges:
-            sep = self.cliques[u] & self.cliques[v]
-            self._separators[frozenset((u, v))] = Factor.uniform(
-                sorted(sep), [self._cardinalities[x] for x in sorted(sep)]
-            )
-        self._calibrated = False
-        # The batched engine snapshots the shared CPD products; any
-        # reset invalidates that snapshot.
-        self._batch_engine = None
-        if self._engine is not None:
-            # Full reset requested (new evidence set, bench reruns, ...):
-            # push every potential and mark everything dirty.
-            self._engine.mark_all_dirty()
-            for idx in range(len(self.cliques)):
-                self._engine.set_potential(idx, self._potentials[idx])
+    def _install(
+        self,
+        stacks: Mapping[int, np.ndarray],
+        rows: int,
+        dtype="float64",
+        scatter: Optional[np.ndarray] = None,
+    ) -> PropagationEngine:
+        """The one install path into the one engine.
 
-    def _mark_cliques_dirty(self, indices: Iterable[int]) -> None:
-        """Refresh the engine potentials of the given cliques only.
-
-        This is the dirty-clique fast path: the next calibration
-        re-propagates just the messages the changes can reach instead of
-        resetting every potential and separator.
+        Cliques in ``stacks`` get their ``(rows, *clique_shape)``
+        per-scenario tables, every other clique the network's own
+        potential broadcast over the rows; evidence indicators multiply
+        into both.  The engine is rebuilt (a full pass follows) when
+        ``rows`` or ``dtype`` differ from the installed ones; otherwise
+        only cliques whose potential may have changed are re-set, and
+        the engine's skip-if-unchanged rule keeps the rest of the tree
+        clean for dirty-path repropagation.
         """
-        for idx in set(indices):
-            potential = self._clique_potential(idx)
-            self._potentials[idx] = potential
-            self._engine.set_potential(idx, potential)
-        self._calibrated = False
-        self._batch_engine = None
+        schedule = self._ensure_schedule()
+        engine = self._engine
+        if engine is None or engine.batch_size != rows or engine.dtype != np.dtype(dtype):
+            engine = PropagationEngine(schedule, batch_size=rows, dtype=dtype)
+            self._engine = engine
+            touched: Iterable[int] = range(len(self.cliques))
+        else:
+            touched = self._stale | self._stacked | set(stacks)
+        for idx in touched:
+            stack = stacks.get(idx)
+            if stack is None:
+                engine.set_potential(idx, self._clique_potential(idx))
+                continue
+            mask = self._evidence_mask(idx)
+            engine.set_potential_batch(idx, stack if mask is None else stack * mask)
+        self._stale = set()
+        self._stacked = set(stacks)
+        self._batch_scatter = scatter
+        return engine
 
     # ------------------------------------------------------------------
     # Evidence & CPD updates
     # ------------------------------------------------------------------
 
     def set_evidence(self, evidence: Mapping[str, int]) -> None:
-        """Fix observed states; takes effect at the next calibration."""
+        """Fix observed states; takes effect at the next install."""
         for var, state in evidence.items():
             if var not in self._cardinalities:
                 raise KeyError(f"unknown variable {var!r}")
             if not 0 <= state < self._cardinalities[var]:
                 raise ValueError(f"state {state} out of range for {var!r}")
         self._evidence.update(evidence)
-        if self._engine is not None:
-            self._mark_cliques_dirty(
-                self._home_clique[var] for var in evidence
-            )
-        else:
-            self._init_potentials()
+        self._stale |= {self._home_clique[var] for var in evidence}
 
     def clear_evidence(self) -> None:
-        cleared = list(self._evidence)
+        self._stale |= {self._home_clique[var] for var in self._evidence}
         self._evidence = {}
-        if self._engine is not None:
-            self._mark_cliques_dirty(self._home_clique[var] for var in cleared)
-        else:
-            self._init_potentials()
 
-    def update_cpds(self, cpds: Iterable[TabularCPD]) -> None:
-        """Swap in new CPDs (same structure) without recompiling.
-
-        This is the paper's fast re-propagation path: changing the input
-        statistics of a compiled circuit only replaces root CPDs, then
-        recalibrates.
-        """
-        cpds = list(cpds)
+    def _check_cpds(self, cpds: Sequence[TabularCPD]) -> None:
+        """Replacement CPDs must keep their node's parents and cardinality."""
         for cpd in cpds:
             if cpd.variable not in self._cpd_assignment:
                 raise KeyError(f"unknown node {cpd.variable!r}")
@@ -433,24 +416,31 @@ class JunctionTree:
                 )
             if cpd.cardinality != old.cardinality:
                 raise ValueError(f"new CPD for {cpd.variable!r} changes cardinality")
+
+    def update_cpds(self, cpds: Iterable[TabularCPD]) -> None:
+        """Swap in new CPDs (same structure) without recompiling.
+
+        This is the paper's fast re-propagation path: changing the input
+        statistics of a compiled circuit only replaces root CPDs.  The
+        network keeps the new CPDs; the next :meth:`calibrate` installs
+        them as one row and re-propagates only what they reach.
+        """
+        cpds = list(cpds)
+        self._check_cpds(cpds)
+        for cpd in cpds:
             self._bn._cpds[cpd.variable] = cpd
-        # Re-multiply only the cliques whose assigned CPDs changed.
         affected = {self._cpd_assignment[c.variable] for c in cpds}
-        if self._cpd_products is not None:
-            for idx in affected:
-                self._cpd_products[idx] = self._clique_cpd_product(idx)
+        for idx in affected:
+            self._cpd_products[idx] = None
+        self._stale |= affected
         if self._mask_supports and self._supports_violated(cpds):
             # A replacement CPD put mass outside the support its old
             # deterministic table promised (e.g. a gate CPD swapped for
             # a noisy one).  The packed kernels compiled against the old
             # masks would silently drop that mass, so drop the compiled
-            # state; the next calibration re-analyzes without the
-            # offending node's mask.
+            # state; the next install re-analyzes without the offending
+            # node's mask.
             self._invalidate_compiled()
-        elif self._engine is not None and self._cpd_products is not None:
-            self._mark_cliques_dirty(affected)
-        else:
-            self._init_potentials()
 
     # ------------------------------------------------------------------
     # Batched multi-scenario propagation
@@ -464,11 +454,10 @@ class JunctionTree:
         ``cpd_sets[k]`` plays the role of :meth:`update_cpds`'s argument
         for scenario ``k``; every scenario must update the same
         variables (with unchanged parents and cardinality).  Unlike
-        :meth:`update_cpds` this mutates neither the underlying network
-        nor the single-query engine: scenarios live only in a lazily
-        built batched engine, whose dirty tracking is shared across the
-        batch (only the updated cliques' potentials differ per
-        scenario).  Returns K.  Query results with
+        :meth:`update_cpds` this does not mutate the underlying network:
+        scenarios live only in the engine, whose dirty tracking is
+        shared across the rows (only the updated cliques' potentials
+        differ per scenario).  Returns K.  Query results with
         :meth:`marginals_batch` / :meth:`joint_marginal_batch`.
 
         Scenarios whose CPD tables are bytewise equal share one engine
@@ -477,40 +466,20 @@ class JunctionTree:
         installed tables, so every duplicate gets exactly the row it
         would have computed alone.
 
-        ``dtype="float32"`` builds the batched engine with float32
-        buffers: half the ``U x`` memory and faster memory-bound sweeps,
-        at a ~``1e-6`` relative tolerance versus float64 (see
+        ``dtype="float32"`` builds the engine with float32 buffers: half
+        the ``U x`` memory and faster memory-bound sweeps, at a
+        ~``1e-6`` relative tolerance versus float64 (see
         :class:`~repro.bayesian.propagation.PropagationEngine`).
         """
         sets = [list(s) for s in cpd_sets]
         if not sets:
             raise ValueError("need at least one CPD set")
-        if not self._use_engine:
-            raise JunctionTreeError(
-                "batched propagation requires the compiled engine"
-            )
-        if self._evidence:
-            raise JunctionTreeError(
-                "batched propagation does not support evidence"
-            )
         k = len(sets)
         variables = [cpd.variable for cpd in sets[0]]
         # Deep-validate scenario 0 against the network, then hold the
         # other K-1 scenarios to scenario 0's structure (cheap tuple and
         # shape compares instead of K network lookups per variable).
-        for cpd in sets[0]:
-            if cpd.variable not in self._cpd_assignment:
-                raise KeyError(f"unknown node {cpd.variable!r}")
-            old = self._bn.cpd(cpd.variable)
-            if tuple(cpd.parents) != tuple(old.parents):
-                raise ValueError(
-                    f"new CPD for {cpd.variable!r} changes parents "
-                    f"{old.parents} -> {cpd.parents}; recompile instead"
-                )
-            if cpd.cardinality != old.cardinality:
-                raise ValueError(
-                    f"new CPD for {cpd.variable!r} changes cardinality"
-                )
+        self._check_cpds(sets[0])
         for cpds in sets[1:]:
             if [cpd.variable for cpd in cpds] != variables:
                 raise ValueError(
@@ -543,29 +512,16 @@ class JunctionTree:
         ):
             self._invalidate_compiled()
 
-        schedule = self._ensure_schedule()
-        if (
-            self._batch_engine is None
-            or self._batch_engine.batch_size != u
-            or self._batch_engine.dtype != np.dtype(dtype)
-        ):
-            engine = PropagationEngine(schedule, batch_size=u, dtype=dtype)
-            for idx in range(len(self.cliques)):
-                # Gate-clique tables are identical across scenarios and
-                # broadcast over the batch axis.
-                engine.set_potential(idx, self._cpd_products[idx])
-            self._batch_engine = engine
-        affected = {self._cpd_assignment[v] for v in variables}
-        for idx in sorted(affected):
+        stacks = {}
+        for idx in sorted({self._cpd_assignment[v] for v in variables}):
             overrides = {
                 node: by_var[node]
                 for node in self._cpd_members[idx]
                 if node in by_var
             }
-            stacked = self._clique_cpd_product_batch(idx, overrides, u)
-            self._batch_engine.set_potential_batch(idx, stacked)
-        self._batch_scatter = (
-            None if u == k else np.asarray(scatter, dtype=np.intp)
+            stacks[idx] = self._clique_cpd_product_batch(idx, overrides, u)
+        self._install(
+            stacks, u, dtype, None if u == k else np.asarray(scatter, dtype=np.intp)
         )
         return k
 
@@ -575,14 +531,13 @@ class JunctionTree:
         """Posterior marginals of the installed scenario batch.
 
         Returns ``{var: (K, card) array}``; row ``k`` is scenario
-        ``k``'s marginal, bitwise-identical to what K independent
-        single-query propagations would produce (see
-        :mod:`repro.bayesian.propagation`).  Requires a prior
-        :meth:`update_cpds_batch`.  ``skip_zero=True`` NaN-fills rows of
-        zero-mass scenarios instead of raising, isolating them from
-        their batch-mates.
+        ``k``'s marginal, bitwise-identical to what a one-scenario
+        install would produce (see :mod:`repro.bayesian.propagation`).
+        Requires a prior :meth:`update_cpds_batch`.  ``skip_zero=True``
+        NaN-fills rows of zero-mass scenarios instead of raising,
+        isolating them from their batch-mates.
         """
-        engine = self._require_batch_engine()
+        engine = self._require_engine()
         engine.propagate()
         try:
             rows = engine.marginals(variables, skip_zero=skip_zero)
@@ -598,7 +553,7 @@ class JunctionTree:
         """Batched joint posterior of variables sharing a clique: a
         ``(K, card_1, ..., card_m)`` array in the order of
         ``variables``.  See :meth:`joint_marginal`."""
-        engine = self._require_batch_engine()
+        engine = self._require_engine()
         engine.propagate()
         wanted = set(variables)
         for idx, clique in enumerate(self.cliques):
@@ -624,18 +579,29 @@ class JunctionTree:
                 f"{list(err.batch_indices)}",
             ) + err.args[1:]
 
-    def _require_batch_engine(self) -> PropagationEngine:
-        if self._batch_engine is None:
+    def _require_engine(self) -> PropagationEngine:
+        if self._engine is None:
             raise JunctionTreeError(
                 "no scenario batch installed; call update_cpds_batch first"
             )
-        return self._batch_engine
+        return self._engine
+
+    def reset_propagation(self) -> None:
+        """Mark every clique dirty so the next propagation is a full pass.
+
+        A full pass is a pure function of the installed potentials, so
+        two full passes over equal inputs agree bitwise; callers that
+        need history-independent results (oracles, benchmarks, serving
+        replicas) reset first.
+        """
+        if self._engine is not None:
+            self._engine.mark_all_dirty()
 
     def _ensure_schedule(self) -> PropagationSchedule:
-        """Build (once) the immutable message schedule shared by the
-        single-query and batched engines.  Non-dense kernel modes run
-        the support analysis here, so it is paid once per compile and
-        serializes with the tree (cache hits skip it entirely)."""
+        """Build (once) the immutable message schedule.  Non-dense
+        kernel modes run the support analysis here, so it is paid once
+        per compile and serializes with the tree (cache hits skip it
+        entirely)."""
         if self._schedule is None:
             with get_tracer().span(
                 "compile.schedule",
@@ -719,19 +685,11 @@ class JunctionTree:
         return violated
 
     def _invalidate_compiled(self) -> None:
-        """Drop the compiled schedule and engines (support masks went
-        stale) and restore initial potentials for a fresh calibration.
-
-        The potential rebuild is load-bearing: after a calibration
-        ``self._potentials`` are belief *views* over the dropped
-        engine's buffers, and seeding a new engine with beliefs instead
-        of initial potentials would square the evidence.
-        """
+        """Drop the compiled schedule and engine (support masks went
+        stale); the next install re-analyzes and propagates in full."""
         self._schedule = None
         self._engine = None
-        self._batch_engine = None
         self._mask_supports = {}
-        self._init_potentials()
 
     def _publish_support_gauges(self) -> None:
         """Export the schedule's support analysis to the metrics registry."""
@@ -750,22 +708,8 @@ class JunctionTree:
     def support_stats(self) -> Dict[str, object]:
         """Support-analysis summary: kernel mode, feasible states, density.
 
-        Builds the schedule on first call (engine mode only; the
-        Factor-based reference path reports dense full support).
+        Rebuilds the schedule if a support violation dropped it.
         """
-        if not self._use_engine:
-            total = sum(
-                int(np.prod([self._cardinalities[v] for v in c]))
-                for c in self.cliques
-            )
-            return {
-                "kernel": "dense",
-                "cliques": len(self.cliques),
-                "sparse_cliques": 0,
-                "total_states": total,
-                "feasible_states": total,
-                "support_density": 1.0,
-            }
         schedule = self._ensure_schedule()
         total = sum(schedule.sizes)
         feasible = sum(schedule.support_nnz)
@@ -779,124 +723,42 @@ class JunctionTree:
         }
 
     def __getstate__(self):
-        # The batched engine is a per-sweep cache keyed by batch size;
-        # rebuilding it is cheap and keeps artifacts K-independent.
+        # The engine is a propagation cache sized to the last install;
+        # rebuilding it is cheap and keeps artifacts K-independent (a
+        # loaded tree's first query is a full pass, like a fresh one's).
         state = dict(self.__dict__)
-        state["_batch_engine"] = None
-        state["_batch_scatter"] = None
+        state.update(_engine=None, _stale=set(), _stacked=set(), _batch_scatter=None)
         return state
 
     # ------------------------------------------------------------------
-    # Calibration (two-phase message passing)
+    # Single-query view: one row over the network's own CPDs
     # ------------------------------------------------------------------
 
     def calibrate(self) -> None:
-        """Run collect + distribute over every tree component.
+        """Install the network's CPDs and evidence as one row and run
+        collect + distribute over every tree component.
 
-        With the compiled engine (the default) this propagates over the
-        precomputed schedule, re-running only messages reachable from
-        dirty cliques; a calibrated tree with no pending changes is a
-        no-op.  With ``engine=False`` it runs the Factor-based reference
-        message passes.
+        Re-propagates only messages reachable from cliques whose
+        potentials changed; a calibrated tree with no pending changes
+        is a no-op.  An installed scenario batch is replaced.
         """
-        if self._use_engine:
-            self._calibrate_engine()
-            return
-        seen: Set[int] = set()
-        for root in self.tree.nodes:
-            if root in seen:
-                continue
-            component_order = self._dfs_order(root)
-            seen.update(node for node, _ in component_order)
-            # Collect: leaves toward root (reverse DFS order).
-            for node, parent in reversed(component_order):
-                if parent is not None:
-                    self._pass_message(node, parent)
-            # Distribute: root toward leaves.
-            for node, parent in component_order:
-                if parent is not None:
-                    self._pass_message(parent, node)
-        self._calibrated = True
-
-    def _calibrate_engine(self) -> None:
-        """Propagate via the compiled schedule (built on first use)."""
-        if self._engine is None:
-            schedule = self._ensure_schedule()
-            self._engine = PropagationEngine(schedule)
-            for idx in range(len(self.cliques)):
-                self._engine.set_potential(idx, self._potentials[idx])
-            registry = get_metrics()
-            if registry.enabled:
-                registry.gauge("engine.factor_bytes.peak").set_max(
-                    self._engine.factor_bytes
-                )
-        self._engine.propagate()
-        # Beliefs are views over the engine's preallocated buffers; the
-        # Factor wrappers are stable across propagations.
-        self._potentials = self._engine.belief_factors()
-        self._separators = {
-            frozenset((u, v)): self._engine.separator_factor(u, v)
-            for u, v in self.tree.edges
-        }
-        self._calibrated = True
-
-    def _dfs_order(self, root: int) -> List[Tuple[int, Optional[int]]]:
-        """(node, parent) pairs in DFS pre-order from ``root``."""
-        order: List[Tuple[int, Optional[int]]] = []
-        stack: List[Tuple[int, Optional[int]]] = [(root, None)]
-        visited: Set[int] = set()
-        while stack:
-            node, parent = stack.pop()
-            if node in visited:
-                continue
-            visited.add(node)
-            order.append((node, parent))
-            for neighbor in self.tree.neighbors(node):
-                if neighbor not in visited:
-                    stack.append((neighbor, node))
-        return order
-
-    def _pass_message(self, source: int, target: int) -> None:
-        """Hugin update: absorb ``source``'s separator marginal into ``target``."""
-        key = frozenset((source, target))
-        separator_vars = self._separators[key].variables
-        new_sep = self._potentials[source].marginal_onto(separator_vars)
-        ratio = new_sep.divide(self._separators[key])
-        self._potentials[target] = self._potentials[target].product(ratio)
-        self._separators[key] = new_sep
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def _require_calibration(self) -> None:
-        if not self._calibrated:
-            self.calibrate()
+        self._install({}, 1).propagate()
 
     def marginal(self, variable: str) -> np.ndarray:
         """Posterior marginal ``P(variable | evidence)`` as a vector."""
-        self._require_calibration()
-        if self._engine is not None:
-            return self._engine.marginals([variable])[variable]
-        idx = self._home_clique.get(variable)
-        if idx is None:
-            raise KeyError(f"unknown variable {variable!r}")
-        factor = self._potentials[idx].marginal_onto([variable])
-        return factor.normalize().values
+        return self.marginals([variable])[variable]
 
     def marginals(self, variables: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Posterior marginals of many variables in one batched sweep.
+        """Posterior marginals of many variables in one sweep.
 
-        Variables sharing a home clique are extracted together: the
-        clique belief is normalized once and swept with one einsum per
-        variable, instead of one ``marginal_onto`` + ``normalize`` pair
-        per variable.  Equivalent to ``{v: jt.marginal(v) for v in
-        variables}`` but substantially faster for full-circuit reads.
+        Variables sharing a home clique are extracted together (one
+        reduction per clique, then one small reduction per variable).
+        Equivalent to ``{v: jt.marginal(v) for v in variables}`` but
+        substantially faster for full-circuit reads.
         """
-        self._require_calibration()
-        if self._engine is not None:
-            return self._engine.marginals(variables)
-        return {v: self.marginal(v) for v in variables}
+        self.calibrate()
+        rows = self._engine.marginals(variables)
+        return {var: values[0] for var, values in rows.items()}
 
     def joint_marginal(self, variables: Sequence[str]) -> Factor:
         """Joint posterior of variables that share a clique.
@@ -905,28 +767,21 @@ class JunctionTree:
         them (an arbitrary joint would require out-of-clique inference;
         use :func:`repro.bayesian.elimination.variable_elimination`).
         """
-        self._require_calibration()
-        wanted = set(variables)
-        for idx, clique in enumerate(self.cliques):
-            if wanted <= clique:
-                factor = self._potentials[idx].marginal_onto(list(wanted))
-                return factor.normalize().permute(list(variables))
-        raise JunctionTreeError(f"no clique jointly contains {sorted(wanted)}")
+        self.calibrate()
+        return Factor._unsafe(
+            tuple(variables), self.joint_marginal_batch(variables)[0]
+        )
 
     def probability_of_evidence(self) -> float:
         """P(evidence); 1.0 when no evidence is set.
 
         With multiple tree components the per-component masses multiply.
         """
-        self._require_calibration()
-        seen: Set[int] = set()
+        self.calibrate()
         prob = 1.0
-        for root in self.tree.nodes:
-            if root in seen:
-                continue
-            seen.update(node for node, _ in self._dfs_order(root))
-            prob *= self._potentials[root].total()
-        return float(prob)
+        for root in self._schedule.roots:
+            prob *= float(self._engine.belief(root)[0].sum())
+        return prob
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -949,46 +804,46 @@ class JunctionTree:
 
     def check_calibration(self, atol: float = 1e-9) -> bool:
         """Verify neighbouring cliques agree on their separators."""
-        self._require_calibration()
+        self.calibrate()
+        schedule = self._schedule
+
+        def onto_separator(idx: int, sep_vars) -> np.ndarray:
+            drop = tuple(
+                1 + i for i, v in enumerate(schedule.orders[idx]) if v not in sep_vars
+            )
+            return self._engine.belief(idx).sum(axis=drop)
+
         for u, v in self.tree.edges:
-            sep_vars = self._separators[frozenset((u, v))].variables
-            mu = self._potentials[u].marginal_onto(sep_vars)
-            mv = self._potentials[v].marginal_onto(sep_vars)
-            if not mu.allclose(mv, atol=atol):
+            sep_vars = schedule.messages[(u, v)].sep_vars
+            if not np.allclose(
+                onto_separator(u, sep_vars), onto_separator(v, sep_vars), atol=atol
+            ):
                 return False
         return True
 
     def propagation_counters(self) -> PropagationCounters:
-        """Cumulative engine work counters (zeros before first calibration
-        or on the ``engine=False`` reference path).
-
-        With only one engine alive (the common case) this returns the
-        live counters object; with both a single-query and a batched
-        engine it returns a combined snapshot.
-        """
-        if self._batch_engine is None:
-            if self._engine is not None:
-                return self._engine.counters
-            return PropagationCounters()
+        """Cumulative work counters of the engine (the live object;
+        zeros before the first install).  A rebuilt engine -- new row
+        count or dtype -- starts from zero."""
         if self._engine is None:
-            return self._batch_engine.counters
-        combined = PropagationCounters()
-        combined.add(self._engine.counters)
-        combined.add(self._batch_engine.counters)
-        return combined
+            return PropagationCounters()
+        return self._engine.counters
 
     def engine_factor_bytes(self) -> int:
-        """Bytes held by the engines' preallocated belief/message/scratch
-        buffers (0 before first calibration or with ``engine=False``).
-        A batched engine contributes ``K x`` the single-query footprint."""
-        total = self._engine.factor_bytes if self._engine is not None else 0
-        if self._batch_engine is not None:
-            total += self._batch_engine.factor_bytes
-        return total
+        """Bytes held by the engine's preallocated belief/message/scratch
+        buffers (0 before the first install); ``K x`` the one-row
+        footprint for a K-row install."""
+        return self._engine.factor_bytes if self._engine is not None else 0
+
+    def _clique_sizes(self) -> List[int]:
+        return [
+            int(np.prod([self._cardinalities[v] for v in clique]))
+            for clique in self.cliques
+        ]
 
     def max_clique_size(self) -> int:
         """State-space size of the largest clique table."""
-        return max(p.size for p in self._potentials) if self._potentials else 0
+        return max(self._clique_sizes(), default=0)
 
     def stats(self) -> Dict[str, float]:
         """Structure statistics for reports."""
@@ -997,7 +852,7 @@ class JunctionTree:
             "max_clique_vars": max((len(c) for c in self.cliques), default=0),
             "max_clique_states": self.max_clique_size(),
             "fill_ins": len(self.fill_ins),
-            "total_table_entries": sum(p.size for p in self._potentials),
+            "total_table_entries": sum(self._clique_sizes()),
         }
 
     def __repr__(self) -> str:

@@ -9,28 +9,24 @@ half of that bargain real:
 - :class:`PropagationSchedule` is computed once per junction tree.  It
   fixes the collect/distribute message order, canonicalizes every
   clique's variable order, and precomputes, per directed message, the
-  einsum axis lists and broadcast shapes that the naive
-  :meth:`Factor._expand_to` path re-derives on every single message.
-  The axis metadata comes in two flavors -- plain and with a leading
-  batch label -- so one schedule serves both single-query and batched
-  engines.
+  reduction kernel and broadcast shape that a Factor-based
+  implementation would re-derive on every single message.
 
 - :class:`PropagationEngine` owns preallocated clique belief buffers
   and separator message buffers and runs the Hugin update with in-place
-  numpy kernels: ``np.einsum(..., out=)`` marginalizes into the
-  separator buffers, ``np.multiply(..., out=)`` absorbs ratios, and the
-  0/0 = 0 division mask is applied with ``np.divide(..., where=)`` on
+  numpy kernels: planned reductions marginalize into the separator
+  buffers, ``np.multiply(..., out=)`` absorbs ratios, and the 0/0 = 0
+  division mask is applied with ``np.divide(..., where=)`` on
   separator-sized arrays only (never on clique tables).
 
-- **Batched propagation**: an engine built with ``batch_size=K`` grows
-  every belief/message buffer by a leading ``K`` axis and propagates K
-  independent input-statistics scenarios in one vectorized
-  collect/distribute pass.  Clique potentials may be shared across the
-  batch (gate CPDs -- a plain ``(*clique_shape)`` array broadcast over
-  the batch axis) or per-scenario (:meth:`set_potential_batch` with a
-  ``(K, *clique_shape)`` stack).  Dirty tracking stays shared across
-  the batch: only input-clique potentials differ per scenario, so a
-  sweep repropagates exactly the input-reachable subtree, batched.
+- **One buffer layout**: every belief and message buffer carries a
+  leading scenario axis of length ``K`` (``batch_size``), and one
+  collect/distribute pass propagates K independent input-statistics
+  scenarios.  A single query is simply ``K = 1``.  Clique potentials
+  may be shared across the rows (gate CPDs -- a plain
+  ``(*clique_shape)`` array broadcast over the scenario axis) or
+  per-scenario (:meth:`~PropagationEngine.set_potential_batch` with a
+  ``(K, *clique_shape)`` stack).
 
 - **Dirty-clique repropagation**: callers mark cliques whose potentials
   changed (:meth:`PropagationEngine.set_potential`); the next
@@ -39,7 +35,9 @@ half of that bargain real:
   downward messages their changes invalidate.  Subtrees the update
   cannot reach are skipped entirely.  Setting a potential whose values
   are array-equal to the current one is a no-op (the clique stays
-  clean).
+  clean).  Dirty tracking is shared across the rows: only input-clique
+  potentials differ per scenario, so a re-query repropagates exactly
+  the input-reachable subtree.
 
 The message algebra is the classic Hugin scheme written with cached
 directed messages: during collect, each clique's *partial* belief
@@ -48,17 +46,14 @@ marginal becomes the upward message; during distribute, the downward
 message is ``marg(parent belief) / upward message`` (a separator-sized
 division), absorbed into the child belief in place.  After both passes
 every belief equals the exact joint marginal of its clique's scope
-times the probability of evidence -- identical, up to floating-point
-association order, to the Factor-based reference path in
-:mod:`repro.bayesian.junction`.
+times the probability of evidence.
 
-Every batched kernel is elementwise or a reduction over non-batch axes,
-so batch element ``k`` of a batched propagation goes through exactly
-the same arithmetic, in the same order, as a single-query propagation
-over scenario ``k``'s potentials -- the results agree *bitwise*, not
-just to tolerance, whenever the two runs take the same dirty paths
-(e.g. both are first propagations, or every sweep updates the same
-cliques).
+Every kernel is elementwise or a reduction over non-scenario axes, so
+row ``k`` of a K-row propagation goes through exactly the same
+arithmetic, in the same order, as a one-row propagation over scenario
+``k``'s potentials -- the results agree *bitwise*, not just to
+tolerance, whenever the two runs take the same dirty paths (e.g. both
+are full passes, or every re-query updates the same cliques).
 
 - **Determinism-aware sparse kernels**: gate CPDs are 0/1 indicator
   tables, so most entries of a wide clique potential are *structurally*
@@ -66,16 +61,17 @@ cliques).
   masks (:class:`PropagationSchedule` ``clique_masks``), the schedule
   runs one boolean collect/distribute pass to compute each clique's and
   separator's exact feasible support, then compiles *packed* kernels
-  for cliques below a density threshold: beliefs live in ``(nnz,)`` /
-  ``(K, nnz)`` buffers, messages absorb through precomputed gather
-  indices, and separator marginals use a grouped ``np.add.reduceat``
-  over index arrays instead of a dense einsum.  Separator buffers stay
-  dense (they are small), so sparse and dense cliques mix freely in one
-  tree.  The packed kernels keep the batched/single bitwise-parity
-  property above -- every gather is elementwise and every ``reduceat``
-  segment sums left-to-right per batch row -- but sparse results differ
-  from *dense* results in the last few ulps (different association
-  order), hence the ``<= 1e-12`` sparse-vs-dense verification bar.
+  for cliques below a density threshold: beliefs live in ``(K, nnz)``
+  buffers, messages absorb through precomputed gather indices, and
+  separator marginals use a grouped ``np.add.reduceat`` over index
+  arrays instead of a dense einsum.  Separator buffers stay dense (they
+  are small), so sparse and dense cliques mix freely in one tree.  The
+  packed kernels keep the row-parity property above -- every gather is
+  elementwise and every ``reduceat`` segment sums left-to-right per
+  row -- but sparse results differ from *dense* results in the last
+  few ulps (different association order), hence the ``<= 1e-12``
+  sparse-vs-dense verification bar.  :meth:`PropagationEngine.belief`
+  scatters a packed belief to a dense table on demand.
 """
 
 from __future__ import annotations
@@ -140,12 +136,11 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     - ``("einsum", mshape, in, out, oshape)``  the general interleaved
       case, einsum over the merged (coarser) axes.
 
-    Every kernel reduces batch slice ``k`` of a ``(K, *shape)`` buffer
-    with exactly the same arithmetic as an unbatched ``(*shape)``
-    reduction (the leading batch axis is always kept, so it merges into
-    -- or stacks ahead of -- the leading kept run), which is what keeps
-    batched and single-query propagation bitwise-identical.  Plans are
-    computed once per schedule and shared by both engine modes.
+    Every kernel reduces row ``k`` of a ``(K, *shape)`` buffer with
+    exactly the same arithmetic for every ``K`` (the leading scenario
+    axis is always kept, so it stacks ahead of the leading kept run),
+    which is what keeps K-row and one-row propagation bitwise-identical.
+    Plans are computed once per schedule and shared by every engine.
     """
     keep = set(keep_axes)
     runs: List[List[int]] = []  # [is_kept, merged size]
@@ -178,10 +173,9 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
 def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
     """Run a :func:`_reduction_plan` kernel: sum ``src`` into ``out``.
 
-    Batch-agnostic: ``src``/``out`` may carry a leading batch axis or
-    not; the ``-1`` reshape folds it into the row dimension (or a
-    length-1 stack), so slice ``k`` goes through the identical BLAS or
-    einsum call a single-query engine issues.  Both arrays must be
+    The ``-1`` reshape folds any leading scenario axis into the row
+    dimension, so row ``k`` goes through the identical BLAS or einsum
+    arithmetic whatever the row count.  Both arrays must be
     C-contiguous (all engine buffers are).
     """
     kind = plan[0]
@@ -210,6 +204,8 @@ def _cast_plan(plan, dtype):
     the product's would raise, so a non-float64 engine keeps
     dtype-matched copies of the shared plans' ``ones`` vectors.
     """
+    if dtype == np.float64:
+        return plan
     if plan[0] == "dot":
         return ("dot", plan[1], plan[2].astype(dtype))
     if plan[0] == "vecmat":
@@ -261,10 +257,10 @@ def _sparse_reduce(
 
     ``plan`` comes from :func:`_sparse_reduce_plan`.  Infeasible target
     entries are zero-filled (they receive no mass by construction).
-    Per-segment ``reduceat`` sums are sequential left-to-right per batch
-    row, so batch row ``k`` goes through exactly the arithmetic of an
-    unbatched reduce -- the engine's batched/single bitwise parity
-    survives the sparse path.  ``scratch`` (a ``lead + (nnz,)`` buffer)
+    Per-segment ``reduceat`` sums are sequential left-to-right per
+    row, so row ``k`` goes through the same arithmetic whatever the row
+    count -- the engine's row parity survives the sparse path.
+    ``scratch`` (a ``lead + (nnz,)`` buffer)
     avoids the gather temporary when a permutation is needed.
     """
     perm, seg_starts, out_index, covers_all = plan
@@ -329,8 +325,7 @@ class PropagationCounters:
     a breakdown) without the global metrics registry being enabled.
     ``flops`` is the standard table-touch estimate: one unit per entry
     of each clique table marginalized or multiplied, scaled by the
-    batch size for batched engines.  ``scenarios_propagated`` counts
-    one per propagation in single-query mode and ``K`` per batched
+    engine's row count.  ``scenarios_propagated`` counts ``K`` per
     propagation; ``potentials_unchanged`` counts ``set_potential``
     calls skipped because the new values equalled the installed ones.
     """
@@ -376,8 +371,8 @@ class _Message:
     """Precompiled metadata for one directed message u -> v.
 
     Holds no buffers: message storage lives on the engine so one
-    immutable schedule can be shared by a single-query engine and any
-    number of batched engines over the same tree.
+    immutable schedule can be shared by engines of any row count over
+    the same tree.
     """
 
     __slots__ = (
@@ -413,7 +408,7 @@ class _Message:
         #: transpose.
         self.keep_axes = [source_order.index(v) for v in sep_vars]
         #: compiled reduction kernel (merged axes, BLAS where the
-        #: pattern allows); shared by single-query and batched engines.
+        #: pattern allows); shared by every engine over the schedule.
         self.plan = _reduction_plan(source_shape, self.keep_axes)
         #: reshape that broadcasts a separator table against the target
         #: clique without any transpose (again: canonical orders).
@@ -448,9 +443,9 @@ class PropagationSchedule:
         The ``"auto"`` selection knobs.
 
     The schedule is immutable once built and is shared by every
-    :class:`PropagationEngine` propagation over the same tree,
-    single-query and batched alike.  Support analysis runs once here,
-    so engines of any batch size (and pickled artifacts) reuse it.
+    :class:`PropagationEngine` over the same tree.  Support analysis
+    runs once here, so engines of any row count (and pickled artifacts)
+    reuse it.
     """
 
     def __init__(
@@ -653,52 +648,40 @@ class PropagationEngine:
     schedule:
         The shared, immutable :class:`PropagationSchedule`.
     batch_size:
-        ``None`` (default) for the classic single-query engine.  An
-        integer ``K >= 1`` grows every belief and message buffer by a
-        leading batch axis of length ``K`` and propagates K scenarios
-        per :meth:`propagate` call.  In batched mode potentials may be
-        shared across the batch (:meth:`set_potential`, broadcast) or
-        per-scenario (:meth:`set_potential_batch`), and
+        Scenario rows ``K >= 1`` (default 1).  Every belief and message
+        buffer carries a leading axis of length ``K`` and one
+        :meth:`propagate` call propagates all K scenarios.  Potentials
+        may be shared across the rows (:meth:`set_potential`,
+        broadcast) or per-scenario (:meth:`set_potential_batch`), and
         :meth:`marginals` returns ``(K, card)`` arrays.
     dtype:
-        Buffer dtype, ``float64`` (default) or ``float32``.  Float32 is
-        an opt-in *batch-axis* mode -- it halves the ``K x`` buffer
-        footprint and speeds memory-bound sweeps at a documented
-        ~``1e-6`` relative tolerance -- and therefore requires a batched
-        engine; single-query engines stay float64.  Shared potentials
-        installed via :meth:`set_potential` remain float64 (ufunc
-        ``out=`` casting handles the mixed multiply), while per-scenario
-        stacks are cast on install.
+        Buffer dtype, ``float64`` (default) or ``float32``.  Float32
+        halves the ``K x`` buffer footprint and speeds memory-bound
+        sweeps at a documented ~``1e-6`` relative tolerance.  Shared
+        potentials installed via :meth:`set_potential` remain float64
+        (ufunc ``out=`` casting handles the mixed multiply), while
+        per-scenario stacks are cast on install.
 
     Cliques the schedule compiled as sparse keep their beliefs in
-    packed ``lead + (nnz,)`` buffers; separator messages stay dense.
-    A single-query engine additionally keeps a dense zero-padded mirror
-    of each packed belief (scattered after every propagation) so
-    :meth:`belief_factors` and the junction tree's Factor surface are
-    unchanged; a batched engine skips the mirrors entirely, which is
-    where the ``K x`` memory saving comes from.
+    packed ``(K, nnz)`` buffers; separator messages stay dense.
+    :meth:`belief` scatters a packed belief to a dense table on demand.
     """
 
     def __init__(
         self,
         schedule: PropagationSchedule,
-        batch_size: Optional[int] = None,
+        batch_size: int = 1,
         dtype=np.float64,
     ):
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"unsupported engine dtype {dtype}")
-        if dtype != np.float64 and batch_size is None:
-            raise ValueError(
-                "dtype='float32' is a batch-axis mode; single-query engines "
-                "are always float64"
-            )
         self.schedule = schedule
-        self.batch_size = batch_size
+        self.batch_size = int(batch_size)
         self.dtype = dtype
-        lead: Tuple[int, ...] = () if batch_size is None else (int(batch_size),)
+        lead = (self.batch_size,)
         n = schedule.n_cliques
         packed = schedule.sparse_cliques
         self._psi: List[Optional[np.ndarray]] = [None] * n
@@ -722,19 +705,11 @@ class PropagationEngine:
         self._sp_scratch: Dict[int, np.ndarray] = {
             i: np.empty(lead + (sp.nnz,), dtype=dtype) for i, sp in packed.items()
         }
-        #: dense zero-padded mirrors of packed beliefs (single-query
-        #: mode only); out-of-support entries are written exactly once,
-        #: here, and stay zero forever.
-        self._dense_beta: Dict[int, np.ndarray] = (
-            {i: np.zeros(schedule.shapes[i]) for i in packed}
-            if batch_size is None
-            else {}
-        )
-        #: per-edge reduction kernels (shared, batch-agnostic) and
-        #: broadcast shapes for this mode
-        self._plans = {k: m.plan for k, m in schedule.messages.items()}
-        if dtype != np.float64:
-            self._plans = {k: _cast_plan(p, dtype) for k, p in self._plans.items()}
+        #: per-edge reduction kernels (shared; re-typed for float32) and
+        #: broadcast shapes with the leading scenario axis
+        self._plans = {
+            k: _cast_plan(m.plan, dtype) for k, m in schedule.messages.items()
+        }
         self._expand = {
             k: lead + m.expand_shape for k, m in schedule.messages.items()
         }
@@ -751,28 +726,11 @@ class PropagationEngine:
         #: counter totals already mirrored into the global registry
         self._published: Dict[str, int] = {}
         #: bytes held by the preallocated belief/message/scratch buffers
-        #: (including packed scratch and dense mirrors, so the reported
-        #: footprint matches what is actually allocated)
         self.factor_bytes = (
             sum(beta.nbytes for beta in self._beta)
             + sum(buf.nbytes for buf in self._msg.values())
             + sum(buf.nbytes for buf in self._scratch.values())
             + sum(buf.nbytes for buf in self._sp_scratch.values())
-            + sum(buf.nbytes for buf in self._dense_beta.values())
-        )
-        #: Factor views over the belief buffers (stable identity; the
-        #: arrays mutate in place across propagations).  Single-query
-        #: mode only: a batched belief is not a factor over the clique.
-        #: Sparse cliques expose their dense mirrors.
-        self._belief_factors: List[Factor] = (
-            [
-                Factor._unsafe(order, self._dense_beta.get(i, beta))
-                for i, (order, beta) in enumerate(
-                    zip(schedule.orders, self._beta)
-                )
-            ]
-            if batch_size is None
-            else []
         )
 
     def __getstate__(self):
@@ -796,8 +754,8 @@ class PropagationEngine:
 
         ``potential`` must span exactly the clique's scope; any axis
         order is accepted and canonicalized here (a transpose view, no
-        copy).  In batched mode the table is shared by every batch
-        element (it broadcasts over the batch axis) -- use
+        copy).  The table is shared by every scenario row (it
+        broadcasts over the scenario axis) -- use
         :meth:`set_potential_batch` for per-scenario tables.
 
         Setting values array-equal to the currently installed potential
@@ -833,11 +791,9 @@ class PropagationEngine:
 
         ``values`` must be a ``(K, *clique_shape)`` stack in the
         clique's canonical (sorted) variable order; scenario ``k``'s
-        table is ``values[k]``.  Only valid on a batched engine.  The
-        same skip-if-unchanged rule as :meth:`set_potential` applies.
+        table is ``values[k]``.  The same skip-if-unchanged rule as
+        :meth:`set_potential` applies.
         """
-        if self.batch_size is None:
-            raise RuntimeError("set_potential_batch requires a batched engine")
         values = np.asarray(values, dtype=self.dtype)
         expected = (self.batch_size,) + self.schedule.shapes[idx]
         if values.shape != expected:
@@ -914,11 +870,19 @@ class PropagationEngine:
             np.take(msg, sp.gathers[child], axis=-1, out=scratch)
             np.multiply(beta, scratch, out=beta)
 
-    @_exclusive
     def propagate(self) -> None:
-        """Collect + distribute, touching only dirty-reachable messages."""
-        if not self._dirty and self._ever_propagated:
-            return
+        """Collect + distribute, touching only dirty-reachable messages.
+
+        A calibrated engine with nothing dirty returns without entering
+        the reentrancy guard, so several threads may read one calibrated
+        engine at once (the segment pipeline's level workers all query
+        their shared upstream providers).
+        """
+        if self._dirty or not self._ever_propagated:
+            self._propagate()
+
+    @_exclusive
+    def _propagate(self) -> None:
         schedule = self.schedule
         if any(psi is None for psi in self._psi):
             missing = [i for i, psi in enumerate(self._psi) if psi is None]
@@ -929,7 +893,7 @@ class PropagationEngine:
             else set(range(schedule.n_cliques))
         )
         counters = self.counters
-        scale = self.batch_size or 1
+        scale = self.batch_size
 
         # Which cliques rebuild during collect: a clique is up-dirty if
         # it is dirty itself or any child's upward message changed.
@@ -988,15 +952,6 @@ class PropagationEngine:
                     changed[node] = True
                     self._absorb_from_parent(node, parent, up[node])
 
-        # Single-query mode: scatter touched packed beliefs onto their
-        # dense mirrors so belief factors stay correct.  Out-of-support
-        # entries were zeroed at allocation and are never written.
-        for idx, dense in self._dense_beta.items():
-            if up[idx] or changed[idx]:
-                dense.reshape(-1)[
-                    schedule.sparse_cliques[idx].flat_idx
-                ] = self._beta[idx]
-
         self._dirty.clear()
         self._ever_propagated = True
         counters.propagations += 1
@@ -1031,7 +986,7 @@ class PropagationEngine:
             registry.counter(name).inc(total - published)
             self._published[name] = total
         registry.gauge("engine.factor_bytes.peak").set_max(self.factor_bytes)
-        registry.gauge("engine.batch_size.peak").set_max(self.batch_size or 1)
+        registry.gauge("engine.batch_size.peak").set_max(self.batch_size)
 
     def _absorb_from_parent(self, node: int, parent: int, rebuilt: bool) -> None:
         """Refresh the downward message parent -> node and absorb it."""
@@ -1042,7 +997,7 @@ class PropagationEngine:
         counters.messages_distribute += 1
         counters.flops += (
             schedule.work_sizes[parent] + schedule.work_sizes[node]
-        ) * (self.batch_size or 1)
+        ) * self.batch_size
 
         # marg(parent belief) onto the separator, then divide by the
         # upward message.  Wherever the upward message is zero the
@@ -1082,8 +1037,8 @@ class PropagationEngine:
             # A zero separator entry came back to life (e.g. an input
             # probability moved off 0): the belief's zero slice cannot
             # be rescaled, so rebuild it from psi and cached messages.
-            # In batched mode one resurrected element rebuilds the whole
-            # clique stack -- the rebuild is correct for every element.
+            # One resurrected row rebuilds the whole clique stack -- the
+            # rebuild is correct for every row.
             counters.zero_resurrections += 1
             down_values[...] = ratio
             self._seed_belief(node)
@@ -1144,42 +1099,49 @@ class PropagationEngine:
     # Results
     # ------------------------------------------------------------------
 
-    def belief_factors(self) -> List[Factor]:
-        """Calibrated clique beliefs as factors (views, not copies)."""
-        if self.batch_size is not None:
-            raise RuntimeError("belief factors are only available in single-query mode")
-        return list(self._belief_factors)
+    def _dense_belief(self, idx: int) -> np.ndarray:
+        """Clique ``idx``'s belief as a dense ``(K, *clique_shape)`` array.
 
-    def separator_factor(self, u: int, v: int) -> Factor:
-        """Final separator marginal over edge ``{u, v}`` (fresh array)."""
-        if self.batch_size is not None:
-            raise RuntimeError(
-                "separator factors are only available in single-query mode"
-            )
-        sep_vars = self.schedule.messages[(u, v)].sep_vars
-        return Factor._unsafe(sep_vars, self._msg[(u, v)] * self._msg[(v, u)])
+        Dense cliques return the belief buffer itself; a packed belief
+        is scattered onto a fresh zero table (out-of-support entries are
+        structurally zero).
+        """
+        beta = self._beta[idx]
+        sp = self.schedule.sparse_cliques.get(idx)
+        if sp is None:
+            return beta
+        dense = np.zeros(
+            (self.batch_size,) + self.schedule.shapes[idx], dtype=self.dtype
+        )
+        dense.reshape(self.batch_size, -1)[:, sp.flat_idx] = beta
+        return dense
 
-    def clique_total(self, idx: int) -> float:
-        return float(self._beta[idx].sum())
+    def belief(self, idx: int) -> np.ndarray:
+        """Calibrated, unnormalized belief of clique ``idx``.
+
+        A ``(K, *clique_shape)`` array in the clique's canonical
+        (sorted) variable order -- a fresh copy, scattered from the
+        packed buffer on demand for sparse cliques.  Row ``k`` sums to
+        scenario ``k``'s probability of evidence.  A pure read, so it
+        needs no reentrancy guard.
+        """
+        dense = self._dense_belief(idx)
+        return dense.copy() if dense is self._beta[idx] else dense
 
     @_exclusive
     def marginals(
         self, variables: Sequence[str], skip_zero: bool = False
     ) -> Dict[str, np.ndarray]:
-        """Batched single-variable marginals.
+        """Normalized single-variable marginals, ``{var: (K, card)}``.
 
         Variables are grouped by home clique; each clique's belief is
-        reduced onto the requested axes with **one** einsum per clique
-        and the (tiny) reduced table is then swept per variable, instead
-        of one full-table einsum per variable.
-
-        In single-query mode the returned arrays have shape ``(card,)``.
-        On a batched engine they have shape ``(K, card)``, row ``k``
-        being scenario ``k``'s marginal.  Zero-mass beliefs raise
-        :class:`ZeroBeliefError`; on a batched engine the error carries
-        a ``batch_indices`` tuple naming the offending scenarios, and
-        ``skip_zero=True`` instead fills their rows with NaN so the
-        remaining scenarios are unaffected.
+        reduced onto the requested axes with **one** planned reduction
+        per clique and the (tiny) reduced table is then swept per
+        variable, instead of one full-table reduction per variable.
+        Row ``k`` is scenario ``k``'s marginal.  Zero-mass beliefs raise
+        :class:`ZeroBeliefError` carrying a ``batch_indices`` tuple that
+        names the offending rows; ``skip_zero=True`` instead fills their
+        rows with NaN so the remaining scenarios are unaffected.
         """
         schedule = self.schedule
         by_clique: Dict[int, List[str]] = {}
@@ -1188,56 +1150,42 @@ class PropagationEngine:
             if location is None:
                 raise KeyError(f"unknown variable {var!r}")
             by_clique.setdefault(location[0], []).append(var)
-        batched = self.batch_size is not None
+        k = self.batch_size
         out: Dict[str, np.ndarray] = {}
         for idx, group in by_clique.items():
             beta = self._beta[idx]
             ndim = len(schedule.shapes[idx])
+            totals = beta.reshape(k, -1).sum(axis=1)
+            zero = totals <= 0
             bad = None
-            if batched:
-                k = self.batch_size
-                totals = beta.reshape(k, -1).sum(axis=1)
-                zero = totals <= 0
-                if zero.any():
-                    if not skip_zero:
-                        indices = tuple(int(i) for i in np.nonzero(zero)[0])
-                        err = ZeroBeliefError(
-                            "cannot normalize a zero belief for batch "
-                            f"elements {list(indices)}"
-                        )
-                        err.batch_indices = indices
-                        raise err
-                    bad = zero
-                    totals = np.where(zero, 1.0, totals)
-            else:
-                total = beta.sum()
-                if total <= 0:
-                    raise ZeroBeliefError("cannot normalize a zero belief")
+            if zero.any():
+                if not skip_zero:
+                    raise _zero_belief_error(zero)
+                bad = zero
+                totals = np.where(zero, 1.0, totals)
 
             sp = schedule.sparse_cliques.get(idx)
-            lead = (self.batch_size,) if batched else ()
             keep = sorted({schedule.variable_axis[v][1] for v in group})
             joint_shape = tuple(schedule.shapes[idx][a] for a in keep)
             if sp is None and len(keep) == ndim:
                 joint = beta
             else:
                 # A packed belief always reduces through the sparse
-                # kernel (even onto the full clique scope), in both
-                # engine modes, so single-query and batched marginals
-                # keep their bitwise parity.
+                # kernel (even onto the full clique scope), so every row
+                # count takes the same arithmetic.
                 plan_key = (idx, tuple(keep))
                 plan = self._marginal_plans.get(plan_key)
                 if plan is None:
                     if sp is None:
-                        plan = _reduction_plan(schedule.shapes[idx], keep)
-                        if self.dtype != np.float64:
-                            plan = _cast_plan(plan, self.dtype)
+                        plan = _cast_plan(
+                            _reduction_plan(schedule.shapes[idx], keep), self.dtype
+                        )
                     else:
                         plan = _sparse_reduce_plan(
                             sp.flat_idx, schedule.shapes[idx], keep, joint_shape
                         )
                     self._marginal_plans[plan_key] = plan
-                joint = np.empty(lead + joint_shape, dtype=self.dtype)
+                joint = np.empty((k,) + joint_shape, dtype=self.dtype)
                 if sp is None:
                     _reduce_sum(beta, plan, joint)
                 else:
@@ -1247,67 +1195,48 @@ class PropagationEngine:
                 plan_key = (idx, tuple(keep), pos)
                 plan = self._marginal_plans.get(plan_key)
                 if plan is None:
-                    plan = _reduction_plan(joint_shape, [pos])
-                    if self.dtype != np.float64:
-                        plan = _cast_plan(plan, self.dtype)
+                    plan = _cast_plan(_reduction_plan(joint_shape, [pos]), self.dtype)
                     self._marginal_plans[plan_key] = plan
-                card = joint_shape[pos]
-                if batched:
-                    result = np.empty((self.batch_size, card), dtype=self.dtype)
-                    _reduce_sum(joint, plan, result)
-                    result /= totals[:, None]
-                    if bad is not None:
-                        result[bad] = np.nan
-                else:
-                    result = np.empty(card)
-                    _reduce_sum(joint, plan, result)
-                    result /= total
+                result = np.empty((k, joint_shape[pos]), dtype=self.dtype)
+                _reduce_sum(joint, plan, result)
+                result /= totals[:, None]
+                if bad is not None:
+                    result[bad] = np.nan
                 out[var] = result
         return out
 
-    @_exclusive
     def joint_marginal(self, idx: int, variables: Sequence[str]) -> np.ndarray:
-        """Normalized joint over ``variables`` from clique ``idx``, batched.
+        """Normalized joint over ``variables`` from clique ``idx``.
 
-        Returns a ``(K, card_1, ..., card_m)`` array whose slice ``k``
-        mirrors, bitwise, what the single-query reference path
-        (``Factor.marginal_onto(...).normalize().permute(variables)``)
-        computes for scenario ``k``: the reduction uses ``ndarray.sum``
-        over the dropped axes and a broadcast division by per-scenario
-        totals, both elementwise-identical per batch element.
+        Returns a ``(K, card_1, ..., card_m)`` array in the order of
+        ``variables``: the dense belief (:meth:`belief`'s scatter) is
+        reduced with ``ndarray.sum`` over the dropped axes and divided
+        by per-row totals, both elementwise-identical per row.  Like
+        :meth:`belief` a pure read: concurrent readers are safe.
         """
-        if self.batch_size is None:
-            raise RuntimeError("joint_marginal requires a batched engine")
         order = self.schedule.orders[idx]
         wanted = set(variables)
         missing = wanted - set(order)
         if missing:
             raise KeyError(f"clique {idx} does not contain {sorted(missing)}")
-        beta = self._beta[idx]
-        sp = self.schedule.sparse_cliques.get(idx)
-        if sp is not None:
-            # Scatter the packed belief to a dense stack, then reduce
-            # with the same ``ndarray.sum`` the dense path uses -- this
-            # is the slow Factor-compatible surface (segment boundary
-            # extraction), so bitwise parity with the reference path
-            # outranks avoiding one dense temporary.
-            dense = np.zeros(
-                (self.batch_size,) + self.schedule.shapes[idx], dtype=self.dtype
-            )
-            dense.reshape(self.batch_size, -1)[:, sp.flat_idx] = beta
-            beta = dense
+        beta = self._dense_belief(idx)
         drop = tuple(1 + i for i, v in enumerate(order) if v not in wanted)
         reduced = beta.sum(axis=drop) if drop else beta
         kept = [v for v in order if v in wanted]
         k = self.batch_size
         totals = reduced.reshape(k, -1).sum(axis=1)
         if (totals <= 0).any():
-            indices = tuple(int(i) for i in np.nonzero(totals <= 0)[0])
-            err = ZeroBeliefError(
-                f"cannot normalize a zero belief for batch elements {list(indices)}"
-            )
-            err.batch_indices = indices
-            raise err
+            raise _zero_belief_error(totals <= 0)
         normalized = reduced / totals.reshape((k,) + (1,) * len(kept))
         perm = tuple(1 + kept.index(v) for v in variables)
         return normalized.transpose((0,) + perm)
+
+
+def _zero_belief_error(zero: np.ndarray) -> ZeroBeliefError:
+    """A :class:`ZeroBeliefError` naming the zero-mass rows."""
+    indices = tuple(int(i) for i in np.nonzero(zero)[0])
+    err = ZeroBeliefError(
+        f"cannot normalize a zero belief for batch elements {list(indices)}"
+    )
+    err.batch_indices = indices
+    return err

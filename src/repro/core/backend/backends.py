@@ -81,7 +81,7 @@ class EstimatorCompiledModel(CompiledModel):
         segmented estimators propagate the whole chunk in one engine
         pass; enumeration loops internally).  ``batch_size`` caps the
         scenarios per pass -- batched propagation memory is
-        ``batch_size x`` the single-query engine footprint.
+        ``batch_size x`` the one-row engine footprint.
         ``dtype="float32"`` runs propagating estimators' batch buffers
         in float32 (ignored by estimators without a dtype knob).
         Propagating estimators collapse duplicate scenarios within each

@@ -49,7 +49,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: records with glue-edge plans) and the boundary refiner's compiled
 #: glue-cone estimators instead of the flat segment/boundary-tree
 #: lists.
-ARTIFACT_SCHEMA_VERSION = 4
+#: v5: junction trees hold one engine slot and the install bookkeeping
+#: (stale and stacked cliques) instead of Factor potentials, separators
+#: and a second batch engine.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

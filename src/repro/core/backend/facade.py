@@ -341,7 +341,7 @@ def estimate_many(
     Every scenario must induce the same input-to-input edge structure
     as the first one (the structure is baked into the compile).
     ``batch_size`` chunks the sweep to bound propagation memory
-    (``batch_size x`` the single-query engine footprint); ``None``
+    (``batch_size x`` the one-row engine footprint); ``None``
     propagates all K scenarios in one batch.  ``dtype="float32"``
     requests float32 batch buffers from propagating backends (half the
     batch memory, ~1e-6 relative tolerance; other backends ignore it).

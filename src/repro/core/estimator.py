@@ -185,29 +185,17 @@ class SwitchingActivityEstimator:
         """Calibrate and return every line's transition distribution.
 
         ``lines`` restricts which marginals are extracted (default: all
-        circuit lines).  The segmented pipeline passes each segment's
-        published lines, so marginals the caller would discard are never
-        computed.
+        circuit lines).  A single query is a one-scenario batch: the
+        result is row 0 of :meth:`estimate_many_stacked` on
+        ``[self.input_model]``, so it is bitwise-identical to
+        ``estimate_many([self.input_model])[0]``.
         """
-        self.compile()
-        tracer = get_tracer()
         wanted = list(self.circuit.lines) if lines is None else list(lines)
-        with tracer.span(
-            "estimator.propagate",
-            circuit=self.circuit.name,
-            backend="junction-tree",
-        ) as span:
-            with tracer.span("propagate.calibrate"):
-                self._jt.calibrate()
-            # One batched sweep reads every line's marginal, grouped by
-            # home clique, instead of one marginalization per line.
-            with tracer.span("propagate.marginals", lines=len(wanted)):
-                batched = self._jt.marginals(wanted)
-                distributions = {line: batched[line] for line in wanted}
+        batched, seconds = self.estimate_many_stacked([self.input_model], wanted)
         return SwitchingEstimate(
-            distributions=distributions,
+            distributions={line: batched[line][0] for line in wanted},
             compile_seconds=self.compile_seconds,
-            propagate_seconds=span.duration,
+            propagate_seconds=seconds,
             method=Method.SINGLE_BN.value,
         )
 
@@ -228,9 +216,9 @@ class SwitchingActivityEstimator:
         scenario ``k``'s model.
 
         Every model must induce the same input-to-input edge structure
-        as the compiled one (same rule as :meth:`update_inputs`).  This
-        does not touch the single-query state: ``self.input_model`` and
-        a subsequent :meth:`estimate` are unaffected.
+        as the compiled one (same rule as :meth:`update_inputs`).
+        ``self.input_model`` is not modified, so a later :meth:`estimate`
+        still answers for it.
         ``propagate_seconds`` on each result is the amortized per-
         scenario share of the sweep.
         """
@@ -287,16 +275,9 @@ class SwitchingActivityEstimator:
         passes over equal inputs agree bitwise); ``repro.serve`` resets
         checked-out replicas before every batch for the same reason --
         responses must not depend on what the replica served before.
-        Covers the batched engine too: a reused batch engine's cached
-        clean-subtree messages would otherwise make the next sweep a
-        dirty-path pass.
         """
-        if self._jt is None:
-            return
-        if self._jt._engine is not None:
-            self._jt._engine.mark_all_dirty()
-        if self._jt._batch_engine is not None:
-            self._jt._batch_engine.mark_all_dirty()
+        if self._jt is not None:
+            self._jt.reset_propagation()
 
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""

@@ -359,8 +359,8 @@ class SegmentedEstimator:
 
         The *structure* (which input-to-input CPD edges exist) is baked
         into the segment's LIDAG here; numbers are refreshed at every
-        :meth:`_propagate_segment`.  Primary inputs take their CPDs from
-        the user model, boundary lines start uniform.  With
+        :meth:`_propagate_segment_batch`.  Primary inputs take their
+        CPDs from the user model, boundary lines start uniform.  With
         ``refine > 0`` the boundary forest additionally carries glue
         edges (returned as ``glue_children`` plus their cone plans).
         """
@@ -484,69 +484,12 @@ class SegmentedEstimator:
     def estimate(self) -> SwitchingEstimate:
         """Propagate marginals segment by segment in topological order.
 
-        With ``parallelism >= 2`` the segments propagate level-by-level
-        over the ownership DAG: all segments of a level run
-        concurrently (their inputs are fully published by lower
-        levels), and the published marginals merge between levels.
-        Each segment's computation sees exactly the inputs it would see
-        serially, so the results are identical.
-
-        With ``refine > 0`` the one-pass sweep is followed by the
-        iterative boundary-refinement loop, which re-propagates dirty
-        segments until the boundary beliefs converge (see
-        :mod:`repro.core.segments.refine`).
+        A single query is a one-scenario batch: the result is row 0 of
+        :meth:`estimate_many` on ``[self.input_model]``, level pipeline
+        (``parallelism >= 2``) and boundary refinement (``refine > 0``)
+        included.
         """
-        self.compile()
-        tracer = get_tracer()
-        with tracer.span(
-            "segmented.propagate",
-            circuit=self.circuit.name,
-            segments=len(self.graph),
-            backend="segmented",
-        ) as span:
-            known: Dict[str, np.ndarray] = {
-                name: self.input_model.marginal_distribution(name)
-                for name in self.circuit.inputs
-            }
-            if self.parallelism > 1 and len(self.graph) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                levels = self.graph.levels()
-                with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                    for level in range(max(levels) + 1):
-                        members = [
-                            i for i, lv in enumerate(levels) if lv == level
-                        ]
-                        with tracer.span(
-                            "segmented.propagate.level",
-                            level=level,
-                            segments=len(members),
-                        ) as level_span:
-                            published = pool.map(
-                                lambda index: self._propagate_segment(
-                                    index, known, parent_span=level_span
-                                ),
-                                members,
-                            )
-                            for result in published:
-                                known.update(result)
-            else:
-                for index in range(len(self.graph)):
-                    known.update(self._propagate_segment(index, known))
-            self.last_refine = run_refinement(self, known)
-        return SwitchingEstimate(
-            distributions=known,
-            compile_seconds=self.compile_seconds,
-            propagate_seconds=span.duration,
-            method=(
-                Method.SEGMENTED.value
-                if len(self.graph) > 1
-                else Method.SINGLE_BN.value
-            ),
-            segments=len(self.graph),
-            refine_iterations=self.last_refine[0],
-            refine_delta=self.last_refine[1],
-        )
+        return self.estimate_many([self.input_model])[0]
 
     def estimate_many(
         self, input_models, dtype: str = "float64"
@@ -558,13 +501,17 @@ class SegmentedEstimator:
         estimate_many`); enumeration segments loop their (already
         vectorized) support pass per scenario, caching the pair joints
         downstream boundary trees will need.  The published boundary
-        marginals flow between segments as ``(K, 4)`` stacks, composing
-        with the ``parallelism`` level pipeline exactly like the
-        single-scenario path.  Result ``k`` is bitwise-identical to an
-        independent :meth:`estimate` with scenario ``k``'s model (same
-        caveat as the engine: identical dirty paths, e.g. fresh
-        compiles or sweeps updating every input).  ``self.input_model``
-        is not modified.
+        marginals flow between segments as ``(K, 4)`` stacks, level by
+        level over the ownership DAG when ``parallelism >= 2``: all
+        segments of a level run concurrently (their inputs are fully
+        published by lower levels), so every segment sees exactly its
+        serial inputs and the results are identical.  With
+        ``refine > 0`` the forward pass is followed by the boundary-
+        refinement loop (:mod:`repro.core.segments.refine`).  Result
+        ``k`` is bitwise-identical to an independent :meth:`estimate`
+        with scenario ``k``'s model (same caveat as the engine:
+        identical dirty paths, e.g. fresh compiles or sweeps updating
+        every input).  ``self.input_model`` is not modified.
 
         Duplicates collapse per segment: a junction-tree segment
         propagates one row per distinct set of input tables it
@@ -688,12 +635,16 @@ class SegmentedEstimator:
         dtype: str = "float64",
         glue_tables: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
-        """Batched counterpart of :meth:`_propagate_segment`.
+        """Refresh one segment's boundary inputs for K scenarios,
+        propagate it, and return the ``(K, 4)`` stacks of the lines it
+        owns.
 
-        ``known`` maps each published line to a ``(K, 4)`` stack; the
-        returned dict adds this segment's owned lines in the same
-        layout.  ``enum_joints`` collects per-scenario pair joints while
-        an enumeration segment's scenario loop runs, because
+        ``known`` maps each published line to a ``(K, 4)`` stack and is
+        only read (the caller merges the return value), so concurrent
+        calls for independent segments are safe; ``parent_span`` nests
+        this segment's span under the level span on a worker thread.
+        ``enum_joints`` collects per-scenario pair joints while an
+        enumeration segment's scenario loop runs, because
         :meth:`EnumerationSegment.pair_joint` only reflects the last
         scenario afterwards.  ``glue_tables`` maps glue children to
         ``(K, 4, 4)`` conditional stacks during refinement; in the base
@@ -762,10 +713,9 @@ class SegmentedEstimator:
                 }
             # Junction-tree segment: the stacked API returns (K, 4)
             # stacks directly, skipping K per-scenario dicts that would
-            # be re-stacked here anyway.  The extraction set matches the
-            # single path's restricted ``estimate(lines=published)``
-            # exactly -- a different variable set would regroup the per-
-            # clique joint reductions and perturb the last float bit.
+            # be re-stacked here anyway.  Only the owned lines are
+            # extracted: duplicated lookback gates exist solely to
+            # rebuild local correlation.
             stacks, _ = estimator.estimate_many_stacked(
                 scenario_models, published, dtype=dtype
             )
@@ -778,10 +728,9 @@ class SegmentedEstimator:
         child_priors: np.ndarray,
         enum_joints: Dict[Tuple[int, str, str], np.ndarray],
     ) -> np.ndarray:
-        """Batched ``P(child | parent)``: a ``(K, 4, 4)`` stack whose
-        slice ``k`` mirrors :meth:`_boundary_conditional` for scenario
-        ``k`` bitwise (same division, same near-zero-row fallback to
-        the child's prior)."""
+        """``P(child | parent)`` from the provider segment, as a
+        ``(K, 4, 4)`` stack; rows with (near-)zero parent probability
+        fall back to the child's marginal."""
         from repro.core.enumeration import EnumerationSegment
 
         provider_index = self.graph.owner[child]
@@ -801,89 +750,6 @@ class SegmentedEstimator:
         :meth:`SwitchingActivityEstimator.reset_propagation`)."""
         for node in self.graph.nodes if self.graph is not None else []:
             node.estimator.reset_propagation()
-
-    def _propagate_segment(
-        self,
-        index: int,
-        known: Dict[str, np.ndarray],
-        parent_span=None,
-        glue_tables: Optional[Dict[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Refresh one segment's boundary inputs, propagate it, and
-        return the distributions of the lines it owns.
-
-        ``known`` is only read (the caller merges the return value), so
-        concurrent calls for independent segments are safe.
-        ``parent_span`` nests this segment's span under the level span
-        when running on a worker thread.  ``glue_tables`` supplies
-        refreshed ``P(child | parent)`` tables for glue children during
-        refinement; in the base pass (and at ``refine=0``, where no
-        glue children exist) they fall back to the independent
-        placeholder baked into the LIDAG structure.
-        """
-        node = self.graph[index]
-        segment, estimator, owned = node.segment, node.estimator, node.owned
-        with get_tracer().span(
-            "segment.propagate", parent=parent_span, segment=segment.name
-        ):
-            primary, boundary_lines = self._split_segment_inputs(segment)
-            priors = {name: known[name] for name in boundary_lines}
-            parent_of = node.parent_of
-            if parent_of:
-                conditionals: Dict[str, np.ndarray] = {}
-                for child, parent in parent_of.items():
-                    if child in node.glue_children:
-                        if glue_tables is not None and child in glue_tables:
-                            conditionals[child] = glue_tables[child]
-                        continue
-                    conditionals[child] = self._boundary_conditional(
-                        child, parent, priors[child]
-                    )
-                boundary: InputModel = TreeBoundaryInputs(
-                    priors, parent_of, conditionals
-                )
-            else:
-                boundary = FixedMarginalInputs(priors)
-            from repro.core.enumeration import EnumerationSegment
-
-            estimator.update_inputs(
-                SegmentInputs(self.input_model, primary, boundary)
-            )
-            # Only the owned chunk publishes estimates; duplicated
-            # lookback gates exist solely to rebuild local correlation.
-            # Junction-tree segments extract marginals for exactly the
-            # published lines -- anything else would be discarded below.
-            published = [
-                line for line in segment.internal_lines if line in owned
-            ]
-            if isinstance(estimator, EnumerationSegment):
-                result = estimator.estimate()
-            else:
-                result = estimator.estimate(lines=published)
-        return {line: result.distributions[line] for line in published}
-
-    def _segment_levels(self) -> List[int]:
-        """Dependency level per compiled segment (see
-        :meth:`SegmentGraph.levels`)."""
-        return self.graph.levels()
-
-    def _boundary_conditional(
-        self, child: str, parent: str, child_prior: np.ndarray
-    ) -> np.ndarray:
-        """``P(child | parent)`` from the provider segment; rows with
-        (near-)zero parent probability fall back to the child's marginal."""
-        from repro.core.enumeration import EnumerationSegment
-
-        provider = self.graph[self.graph.owner[child]].estimator
-        if isinstance(provider, EnumerationSegment):
-            joint = provider.pair_joint(parent, child)
-        else:
-            joint = provider.junction_tree.joint_marginal([parent, child]).values
-        rows = np.empty((N_STATES, N_STATES))
-        for state in range(N_STATES):
-            mass = joint[state].sum()
-            rows[state] = joint[state] / mass if mass > 1e-15 else child_prior
-        return rows
 
     # ------------------------------------------------------------------
 

@@ -317,22 +317,6 @@ class BoundaryRefiner:
 
     # ------------------------------------------------------------------
 
-    def conditional(
-        self,
-        edge: GlueEdge,
-        known: Dict[str, np.ndarray],
-        user_model: InputModel,
-    ) -> np.ndarray:
-        """``P(child | parent)`` from the glue cone at current beliefs."""
-        priors = {ln: known[ln] for ln in edge.internal}
-        edge.estimator.update_inputs(
-            SegmentInputs(user_model, edge.primary, FixedMarginalInputs(priors))
-        )
-        edge.estimator.estimate()
-        joint = edge.estimator.pair_joint(edge.parent, edge.child)
-        joint = calibrate_joint(joint, known[edge.parent], known[edge.child])
-        return _rows_to_conditional(joint, known[edge.child])
-
     def conditional_batch(
         self,
         edge: GlueEdge,
@@ -375,17 +359,16 @@ def _rows_to_conditional(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarr
 def run_refinement(
     estimator,
     known: Dict[str, np.ndarray],
-    models: Optional[List[InputModel]] = None,
-    needed: Optional[Dict[int, List[Tuple[str, str]]]] = None,
-    enum_joints: Optional[Dict[Tuple[int, str, str], np.ndarray]] = None,
+    models: List[InputModel],
+    needed: Dict[int, List[Tuple[str, str]]],
+    enum_joints: Dict[Tuple[int, str, str], np.ndarray],
     dtype: str = "float64",
 ) -> Tuple[int, float]:
     """Refine ``known`` in place; returns ``(iterations, last_delta)``.
 
-    Handles both the single-scenario layout (``models is None``,
-    ``known`` maps line -> ``(4,)``) and the batched layout (``known``
-    maps line -> ``(K, 4)``); the batched path threads the enumeration
-    pair-joint cache exactly like the base pass.  With
+    ``known`` maps each line to a ``(K, 4)`` stack over the K scenarios
+    in ``models``; the enumeration pair-joint cache is threaded exactly
+    like the forward pass.  With
     ``parallelism >= 2`` glue cones evaluate concurrently and dirty
     segments re-propagate level-by-level over the segment DAG --
     bitwise identical to the serial sweep, since a level's members
@@ -395,7 +378,6 @@ def run_refinement(
     max_iters = estimator.effective_refine_iters()
     if refiner is None or not refiner.edges or max_iters <= 0:
         return 0, 0.0
-    batched = models is not None
     tracer = get_tracer()
     metrics = get_metrics()
     tol = estimator.refine_tol
@@ -458,12 +440,8 @@ def _evaluate_glue(
 ):
     """Evaluate every glue cone; return (tables by consumer, max table
     delta, dirty consumer indices)."""
-    if models is None:
-        def evaluate(edge):
-            return refiner.conditional(edge, known, estimator.input_model)
-    else:
-        def evaluate(edge):
-            return refiner.conditional_batch(edge, known, models)
+    def evaluate(edge):
+        return refiner.conditional_batch(edge, known, models)
 
     if pool is not None:
         new_tables = list(pool.map(evaluate, refiner.edges))
@@ -480,10 +458,7 @@ def _evaluate_glue(
             # The base pass baked the independent placeholder: the
             # child's prior tiled over parent states.
             child_prior = np.asarray(known[edge.child], dtype=np.float64)
-            if models is None:
-                prev = np.tile(child_prior, (N_STATES, 1))
-            else:
-                prev = np.repeat(child_prior[:, None, :], N_STATES, axis=1)
+            prev = np.repeat(child_prior[:, None, :], N_STATES, axis=1)
         table_delta = float(np.abs(table - prev).max())
         delta_glue = max(delta_glue, table_delta)
         prev_tables[key] = table
@@ -513,10 +488,6 @@ def _repropagate(
     delta_lines = 0.0
 
     def propagate(index):
-        if models is None:
-            return estimator._propagate_segment(
-                index, known, glue_tables=glue_tables.get(index)
-            )
         return estimator._propagate_segment_batch(
             index, known, models, needed, enum_joints,
             glue_tables=glue_tables.get(index), dtype=dtype,
@@ -538,7 +509,7 @@ def _repropagate(
             delta_lines = max(delta_lines, line_delta)
 
     if pool is not None:
-        levels = estimator._segment_levels()
+        levels = estimator.graph.levels()
         for level in range(max(levels) + 1):
             members = [
                 i for i, lv in enumerate(levels)

@@ -1,13 +1,13 @@
-"""Tests for the batched (leading-K-axis) propagation engine.
+"""Tests for K-row propagation against one-row engines.
 
-The batched engine's contract is *bitwise* agreement with K
-independent single-query propagations over the same potentials: every
-kernel (einsum collect, masked-divide distribute, marginal reduction,
-normalization) operates elementwise or reduces each batch slice with
-the same pairwise order numpy uses on an unbatched array.  These tests
-pin that contract at the engine level, plus the batch-aware failure
-modes (per-scenario zero beliefs) and the skip-unchanged-potential
-fast path.
+The engine's contract is *bitwise* agreement between row ``k`` of a
+K-row propagation and a one-row (K=1) propagation over scenario
+``k``'s potentials: every kernel (planned collect reduction,
+masked-divide distribute, marginal reduction, normalization) operates
+elementwise or reduces each row with the same arithmetic whatever the
+row count.  These tests pin that contract at the engine level, plus the
+per-row failure modes (per-scenario zero beliefs) and the
+skip-unchanged-potential fast path.
 """
 
 import numpy as np
@@ -21,12 +21,11 @@ from tests.bayesian.util import random_bn, sprinkler_bn
 
 
 def _batched_engine_for(jt: JunctionTree, stacks, k=None):
-    """A batched engine over ``jt``'s schedule with per-clique stacks."""
+    """A K-row engine over ``jt``'s schedule with per-clique stacks."""
     schedule = jt._ensure_schedule()
     if k is None:
         k = len(next(iter(stacks.values())))
     engine = PropagationEngine(schedule, batch_size=k)
-    jt.calibrate()  # materialize _cpd_products
     for idx in range(len(jt.cliques)):
         if idx in stacks:
             engine.set_potential_batch(idx, stacks[idx])
@@ -39,15 +38,15 @@ def _batched_engine_for(jt: JunctionTree, stacks, k=None):
 
 
 def _single_run(jt: JunctionTree, overrides):
-    """Fresh single engine over the same schedule with ``overrides``."""
+    """Fresh one-row engine over the same schedule with ``overrides``."""
     schedule = jt._ensure_schedule()
-    engine = PropagationEngine(schedule)
+    engine = PropagationEngine(schedule, batch_size=1)
     for idx in range(len(jt.cliques)):
         if idx in overrides:
             values = overrides[idx]
         else:
             values = jt._cpd_products[idx].permute(schedule.orders[idx]).values
-        engine._install_psi(idx, np.array(values, dtype=np.float64))
+        engine.set_potential_batch(idx, np.array(values, dtype=np.float64)[None])
     engine.propagate()
     return engine
 
@@ -81,7 +80,7 @@ class TestBatchedBitwise:
             single = _single_run(jt, {idx: tables[i]})
             expect = single.marginals(nodes)
             for node in nodes:
-                assert np.array_equal(batched[node][i], expect[node]), (
+                assert np.array_equal(batched[node][i], expect[node][0]), (
                     f"scenario {i}, node {node}"
                 )
 
@@ -96,8 +95,8 @@ class TestBatchedBitwise:
         single = _single_run(jt, {})
         expect = single.marginals(nodes)
         for node in nodes:
-            assert batched[node].shape == (1,) + expect[node].shape
-            assert np.array_equal(batched[node][0], expect[node])
+            assert batched[node].shape == expect[node].shape
+            assert np.array_equal(batched[node], expect[node])
 
     def test_scenarios_propagated_counter_scales_with_batch(self):
         bn = sprinkler_bn()
@@ -140,8 +139,8 @@ class TestZeroBeliefIsolation:
         for i, table in ((0, base), (2, base * 0.5)):
             single = _single_run(jt, {idx: table})
             expect = single.marginals(["cloudy", "wet"])
-            assert np.array_equal(out["cloudy"][i], expect["cloudy"])
-            assert np.array_equal(out["wet"][i], expect["wet"])
+            assert np.array_equal(out["cloudy"][i], expect["cloudy"][0])
+            assert np.array_equal(out["wet"][i], expect["wet"][0])
 
 
 class TestSkipUnchangedPotential:

@@ -9,6 +9,7 @@ layer's engine pool is the sanctioned way to run concurrent queries
 """
 
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -65,6 +66,37 @@ class TestGuard:
         assert not failures
         # The guard is released afterwards: serial re-entry works.
         engine.marginals(["cloudy"])
+
+    def test_concurrent_reads_of_calibrated_tree(self):
+        """Reads of a calibrated tree take no guard: the segment
+        pipeline's level workers query shared upstream providers at
+        once, and every reader must see the same joint."""
+        jt = JunctionTree.from_network(sprinkler_bn())
+        jt.calibrate()
+        expected = jt.joint_marginal_batch(["rain", "wet"])
+        results, failures = [], []
+
+        def reader():
+            try:
+                for _ in range(200):
+                    results.append(jt.joint_marginal_batch(["rain", "wet"]))
+            except BaseException as exc:  # pragma: no cover - diagnostic
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(results) == 8 * 200
+        assert all(np.array_equal(got, expected) for got in results)
 
     def test_error_is_a_propagation_error(self):
         assert issubclass(ConcurrentPropagationError, PropagationError)

@@ -1,7 +1,7 @@
 """Tests for the compiled propagation engine.
 
-The engine must be numerically indistinguishable from the Factor-based
-reference path (``engine=False``) and from fresh recompilation after
+The engine must agree with variable elimination, the independent exact
+engine (evidence included), and with fresh recompilation after
 dirty-clique updates.
 """
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bayesian import BayesianNetwork, JunctionTree, TabularCPD
+from repro.bayesian.elimination import posterior_marginals, variable_elimination
 from repro.bayesian.propagation import PropagationSchedule
 
 from tests.bayesian.util import random_bn, sprinkler_bn
@@ -51,15 +52,14 @@ class TestScheduleStructure:
 class TestEngineMatchesReference:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 400))
-    def test_marginals_match_legacy_path(self, seed):
+    def test_marginals_match_elimination(self, seed):
         bn = random_bn(9, seed=seed, max_parents=3)
-        fast = JunctionTree.from_network(bn, engine=True)
-        slow = JunctionTree.from_network(bn, engine=False)
-        fast.calibrate()
-        slow.calibrate()
+        jt = JunctionTree.from_network(bn)
+        jt.calibrate()
+        expected = posterior_marginals(bn)
         for node in bn.nodes:
             assert np.allclose(
-                fast.marginal(node), slow.marginal(node), atol=1e-12
+                jt.marginal(node), expected[node].values, atol=1e-12
             )
 
     def test_batched_marginals_match_single_reads(self):
@@ -69,18 +69,17 @@ class TestEngineMatchesReference:
         for node in bn.nodes:
             assert np.allclose(batched[node], jt.marginal(node), atol=1e-15)
 
-    def test_evidence_matches_legacy_path(self):
+    def test_evidence_matches_elimination(self):
         bn = sprinkler_bn()
-        fast = JunctionTree.from_network(bn, engine=True)
-        slow = JunctionTree.from_network(bn, engine=False)
-        for tree in (fast, slow):
-            tree.set_evidence({"wet": 1})
+        jt = JunctionTree.from_network(bn)
+        evidence = {"wet": 1}
+        jt.set_evidence(evidence)
         for node in ("cloudy", "rain", "sprinkler"):
-            assert np.allclose(
-                fast.marginal(node), slow.marginal(node), atol=1e-12
-            )
-        assert fast.probability_of_evidence() == pytest.approx(
-            slow.probability_of_evidence(), abs=1e-12
+            expected = variable_elimination(bn, [node], evidence).values
+            assert np.allclose(jt.marginal(node), expected, atol=1e-12)
+        joint = bn.joint_factor().marginal_onto(["wet"])
+        assert jt.probability_of_evidence() == pytest.approx(
+            float(joint.values[1]), abs=1e-12
         )
 
     def test_separators_agree_after_calibration(self):

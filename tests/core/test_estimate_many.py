@@ -13,7 +13,9 @@ chunking, and single-query-path isolation.
 import numpy as np
 import pytest
 
+from repro.circuits import suite
 from repro.circuits.examples import c17
+from repro.core import SegmentedEstimator, SwitchingActivityEstimator
 from repro.core.backend import compile_model
 from repro.core.backend.facade import estimate_many
 from repro.core.inputs import IndependentInputs, TemporalInputs
@@ -107,9 +109,12 @@ class TestSingleQueryPathIsolation:
         single-query path computes afterwards."""
         circuit = c17()
         model = IndependentInputs(0.3)
-        # Identical single-query histories; only the batch sweep differs.
+        # The tree has one engine, so the query after a sweep re-sizes
+        # it and runs a full pass; the oracle's second query is a full
+        # pass too, which keeps the comparison bitwise.
         reference = compile_model(circuit, model, backend="junction-tree")
         reference.query(model)
+        reference.estimator.reset_propagation()
         expected = reference.query(IndependentInputs(0.7))
 
         compiled = compile_model(circuit, model, backend="junction-tree")
@@ -125,6 +130,41 @@ class TestSingleQueryPathIsolation:
         compiled = compile_model(circuit, model, backend="junction-tree")
         compiled.query_many(_models(4))
         assert compiled.estimator.input_model is model
+
+
+class TestSingleQueryIsOneRowBatch:
+    """``estimate()`` is row 0 of a one-scenario ``estimate_many`` (the
+    junction-tree case is ``test_query_many_matches_fresh_compiles_bitwise``
+    at k=1)."""
+
+    @pytest.mark.parametrize("refine", [0, 2])
+    def test_segmented_estimate_is_row_zero(self, refine):
+        circuit = suite.load_circuit("refineB")
+        model = IndependentInputs(0.4)
+
+        def build():
+            return SegmentedEstimator(
+                circuit, model, max_gates_per_segment=10, lookback=0, refine=refine
+            )
+
+        single = build().estimate()
+        batched = build().estimate_many([model])
+        _assert_bitwise([single], batched, context=f"refine={refine}")
+        assert single.refine_iterations == batched[0].refine_iterations
+
+    def test_one_engine_per_tree(self):
+        """A sweep followed by a single query leaves exactly one engine,
+        sized for the single query."""
+        circuit = c17()
+        model = IndependentInputs(0.3)
+        swept = SwitchingActivityEstimator(circuit, model)
+        swept.estimate_many(_models(8))
+        swept.estimate()
+        fresh = SwitchingActivityEstimator(circuit, model)
+        fresh.estimate()
+        assert swept.factor_bytes() == fresh.factor_bytes() > 0
+        engine = swept.junction_tree._engine
+        assert swept.propagation_counters() is engine.counters
 
 
 class TestChunkingAndEdges:

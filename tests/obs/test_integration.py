@@ -142,7 +142,7 @@ class TestSegmentedAggregation:
             child for level in levels for child in level.children
         ]
         assert segment_spans
-        assert all(s.name == "segment.propagate" for s in segment_spans)
+        assert all(s.name == "segment.propagate_many" for s in segment_spans)
 
 
 class TestSegmentationShrinksCliques:

@@ -62,13 +62,13 @@ class TestSupportSoundness:
             circuit, model, kernel="dense"
         ).compile()
         dense.estimate()
-        beliefs = dense._jt._engine.belief_factors()
+        engine = dense._jt._engine
         assert schedule.orders == dense._jt._schedule.orders
         checked = 0
         for idx, mask in enumerate(schedule.supports):
             if mask is None:
                 continue
-            outside = beliefs[idx].values[~mask]
+            outside = engine.belief(idx)[0][~mask]
             # Structural zeros are exact: every outside entry is a
             # product/sum chain through at least one exact 0.0.
             assert float(np.abs(outside).max(initial=0.0)) == 0.0
