@@ -1,9 +1,11 @@
 """Segment-graph scaling benchmark: error and time vs refine iterations.
 
-Emits ``BENCH_segmentation.json`` -- the scaling-tier perf datapoint.
-DESIGN.md section 14's claim is that iterative boundary refinement buys
-back cut-induced error at a bounded propagation cost; this runner
-records both sides of that trade per ``(circuit, refine)`` point:
+Emits ``BENCH_segmentation.json``, a ``repro.perf/v2`` document (kind
+``segmentation``) -- the scaling-tier perf datapoint.  DESIGN.md
+section 14's claim is that iterative boundary refinement buys back
+cut-induced error at a bounded propagation cost; this runner records
+both sides of that trade per ``(circuit, refine)`` point, one row per
+metric keyed by ``refine``:
 
 - ``compile_seconds``              -- partition + per-segment compile
   (at ``refine > 0`` this includes glue-cone compilation),
@@ -28,32 +30,20 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_segmentation.py \
         [--quick | --full] [--repeats 3] [--parallelism 4] \
-        [--output BENCH_segmentation.json] [--store .repro-perf]
-
-``--store DIR`` additionally records the run into the perf profile
-store (see ``repro perf``), one measurement block per
-``(circuit, refine)`` point, so the scaling trajectory joins the
-version history and ``repro perf diff`` gates it like any other metric.
+        [--output BENCH_segmentation.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from typing import Dict, List, Optional
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
-    from benchmarks.common import add_store_argument, repeat_cycles, store_report
+    from benchmarks.common import stage_rows, write_document
 except ImportError:  # direct execution
-    import os
-
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    )
-    from common import add_store_argument, repeat_cycles, store_report
+    from common import stage_rows, write_document
 
 import numpy as np
 
@@ -61,8 +51,20 @@ from repro.circuits import suite
 from repro.core.estimator import exact_switching_by_enumeration
 from repro.core.inputs import IndependentInputs
 from repro.core.segments import SegmentedEstimator
+from repro.perf.collect import repeat_cycles
 
-BENCH_SCHEMA_VERSION = 1
+#: Pipeline stage of every per-point field, in emission order.
+STAGES = {
+    "gates": "circuit",
+    "segments": "compile",
+    "glue_edges": "compile",
+    "compile_seconds": "compile",
+    "repeat_estimate_min_seconds": "repeat",
+    "refine_iterations": "refine",
+    "refine_delta": "refine",
+    "mean_activity": "accuracy",
+    "max_abs_error": "accuracy",
+}
 
 #: Oracle input probability for the error measurement.
 P_ONE = 0.4
@@ -121,7 +123,7 @@ def bench_point(
     repeats: int,
     parallelism: int,
     oracle: Optional[Dict],
-) -> Dict[str, object]:
+) -> List[Dict[str, object]]:
     estimator = SegmentedEstimator(
         circuit,
         input_model=IndependentInputs(P_ONE),
@@ -134,10 +136,8 @@ def bench_point(
     compile_seconds = time.perf_counter() - start
 
     result = estimator.estimate()
-    row: Dict[str, object] = {
-        "circuit": circuit.name,
+    point: Dict[str, object] = {
         "gates": circuit.num_gates,
-        "refine": refine,
         "segments": estimator.num_segments,
         "glue_edges": (
             len(estimator._refiner.edges) if estimator._refiner else 0
@@ -148,11 +148,26 @@ def bench_point(
         "refine_delta": result.refine_delta,
     }
     if oracle is not None:
-        row["max_abs_error"] = _oracle_error(result, oracle)
+        point["max_abs_error"] = _oracle_error(result, oracle)
 
     cycle_seconds = repeat_cycles(estimator, repeats)
-    row["repeat_estimate_min_seconds"] = min(cycle_seconds)
-    return row
+    point["repeat_estimate_min_seconds"] = min(cycle_seconds)
+    err = (
+        f"  err {point['max_abs_error']:.3e}" if "max_abs_error" in point else ""
+    )
+    print(
+        f"{circuit.name:>10s}  refine={refine}  "
+        f"segs {point['segments']:4d}  glue {point['glue_edges']:3d}  "
+        f"compile {compile_seconds:7.2f}s  "
+        f"repeat(min) {point['repeat_estimate_min_seconds']:7.3f}s  "
+        f"it {point['refine_iterations']}  "
+        f"delta {point['refine_delta']:.2e}{err}"
+    )
+    return stage_rows(
+        circuit.name, point, STAGES,
+        samples={"repeat_estimate_min_seconds": cycle_seconds},
+        refine=refine,
+    )
 
 
 def main(argv=None) -> int:
@@ -174,7 +189,6 @@ def main(argv=None) -> int:
         help="worker threads for segment compile/propagate (0 = serial)",
     )
     parser.add_argument("--output", default="BENCH_segmentation.json")
-    add_store_argument(parser)
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -197,7 +211,7 @@ def main(argv=None) -> int:
             else None
         )
         for refine in config["refine_levels"]:
-            row = bench_point(
+            point_rows = bench_point(
                 circuit,
                 refine,
                 config["kwargs"],
@@ -205,24 +219,10 @@ def main(argv=None) -> int:
                 args.parallelism,
                 oracle,
             )
-            rows.append(row)
-            if "max_abs_error" in row:
-                errors.setdefault(circuit.name, {})[refine] = row[
-                    "max_abs_error"
-                ]
-            err = (
-                f"  err {row['max_abs_error']:.3e}"
-                if "max_abs_error" in row
-                else ""
-            )
-            print(
-                f"{circuit.name:>10s}  refine={refine}  "
-                f"segs {row['segments']:4d}  glue {row['glue_edges']:3d}  "
-                f"compile {row['compile_seconds']:7.2f}s  "
-                f"repeat(min) {row['repeat_estimate_min_seconds']:7.3f}s  "
-                f"it {row['refine_iterations']}  "
-                f"delta {row['refine_delta']:.2e}{err}"
-            )
+            rows += point_rows
+            for entry in point_rows:
+                if entry["metric"] == "max_abs_error":
+                    errors.setdefault(circuit.name, {})[refine] = entry["value"]
 
     # The refinement contract, asserted where the oracle is feasible:
     # refinement must at least halve the unrefined cut error.
@@ -240,21 +240,9 @@ def main(argv=None) -> int:
                 f"refine=0 {base:.3e} ({base / max(refined, 1e-300):.1f}x) -- ok"
             )
 
-    report = {
-        "benchmark": "segmentation",
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "repeats": args.repeats,
-        "p_one": P_ONE,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "results": rows,
-    }
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    if args.store:
-        store_report(args.store, "segmentation", report)
+    run_config = {"repeats": args.repeats, "parallelism": args.parallelism,
+                  "p_one": P_ONE, "quick": args.quick, "full": args.full}
+    write_document(args.output, "segmentation", rows, run_config)
     return 0
 
 

@@ -1,6 +1,8 @@
 """Serving throughput: dynamic batching vs. request-at-a-time vs. cached.
 
-Emits ``BENCH_serving.json`` (schema version 2).  The resident server
+Emits ``BENCH_serving.json``, a ``repro.perf/v2`` document (kind
+``serving``) with one row per metric keyed by ``mode`` and
+``concurrency`` (plus ``workload`` on cached rows).  The resident server
 (``repro.serve``) only earns its keep if concurrent clients' single
 scenarios coalesce into one batched propagation; this runner measures
 that end to end -- HTTP parsing, the batcher's linger window, engine
@@ -12,9 +14,9 @@ closed-loop clients:
   behind an HTTP endpoint).
 - ``batched`` rows -- the same server configured with the default
   ``max_batch``/linger; concurrent requests merge into ``query_many``
-  sweeps.  The result cache is *off* in both legacy modes so the rows
-  keep measuring exactly what they did at schema version 1.
-- ``cached`` rows (schema 2) -- the batched configuration plus the
+  sweeps.  The result cache is *off* in both modes so the rows measure
+  batching alone.
+- ``cached`` rows -- the batched configuration plus the
   fingerprint-keyed result cache, driven with a *skewed* scenario
   stream (``--cached-workload``, default ``zipf:1.1``): the
   synthesis-loop traffic shape where most requests revisit a small
@@ -40,25 +42,22 @@ Usage::
         [--circuits c17,comp,voter,alu] [--concurrency 1,4,16] \
         [--requests-per-client 20] [--max-batch 16] [--linger-ms 5] \
         [--cached-workload zipf:1.1] [--result-cache-entries 4096] \
-        [--quick] [--output BENCH_serving.json] [--store .repro-perf]
+        [--quick] [--output BENCH_serving.json]
 
 ``--quick`` shrinks the run to the CI smoke configuration (c17 only,
-concurrency {1, 4}, 8 requests per client).  ``--store DIR`` records
-the run into the perf profile store (see ``repro perf``).
+concurrency {1, 4}, 8 requests per client).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 from typing import Dict, List, Optional, Tuple
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
-    from benchmarks.common import add_store_argument, parse_csv_names, store_report
+    from benchmarks.common import parse_csv_names, stage_rows, write_document
 except ImportError:  # direct execution: python benchmarks/bench_serving.py
-    from common import add_store_argument, parse_csv_names, store_report
+    from common import parse_csv_names, stage_rows, write_document
 
 from repro.serve import EstimationServer, ServerConfig, run_load
 from repro.serve.client import ServeClient, scenario_spec
@@ -68,10 +67,23 @@ from repro.serve.client import ServeClient, scenario_spec
 DEFAULT_CIRCUITS = ["c17", "comp", "voter", "alu"]
 DEFAULT_CONCURRENCY = [1, 4, 16]
 
-BENCH_SCHEMA_VERSION = 2
-
-#: the three server configurations a schema-2 report covers
+#: the three server configurations a report covers
 MODES = ("unbatched", "batched", "cached")
+
+#: Pipeline stage of every per-cell field, in emission order.
+STAGES = {
+    "requests": "load",
+    "errors": "load",
+    "scenarios_per_sec": "serve",
+    "p50_latency_seconds": "serve",
+    "p99_latency_seconds": "serve",
+    "speedup": "serve",
+    "cached_speedup": "serve",
+    "mean_batch_size": "batcher",
+    "deduped_requests": "batcher",
+    "cache_hit_rate": "cache",
+    "bitwise_equal": "accuracy",
+}
 
 
 def _cache_counts(server: EstimationServer) -> Tuple[int, int]:
@@ -294,7 +306,6 @@ def main(argv=None) -> int:
              "8 requests per client, 1 repeat",
     )
     parser.add_argument("--output", default="BENCH_serving.json")
-    add_store_argument(parser)
     args = parser.parse_args(argv)
     if args.quick:
         circuits = ["c17"]
@@ -316,22 +327,28 @@ def main(argv=None) -> int:
         parser.error("--concurrency entries must be >= 1")
     if args.result_cache_entries < 1:
         parser.error("--result-cache-entries must be >= 1 (cached mode "
-                     "is the point of schema 2)")
+                     "needs a result cache)")
 
-    rows: List[Dict[str, object]] = []
+    cells: List[Dict[str, object]] = []
     for mode in MODES:
-        rows.extend(
+        cells.extend(
             bench_mode(
                 mode, circuits, concurrency_levels, requests_per_client,
                 args.max_batch, args.linger_ms, args.workers, repeats,
                 args.cached_workload, args.result_cache_entries,
             )
         )
-    annotate_speedups(rows)
+    annotate_speedups(cells)
 
-    report = {
-        "benchmark": "serving",
-        "schema_version": BENCH_SCHEMA_VERSION,
+    rows = []
+    for cell in cells:
+        key = {"mode": cell["mode"], "concurrency": cell["concurrency"]}
+        if cell.get("workload"):
+            key["workload"] = cell["workload"]
+        rows += stage_rows(cell["circuit"], cell, STAGES, **key)
+    config = {
+        "circuits": circuits,
+        "concurrency": concurrency_levels,
         "requests_per_client": requests_per_client,
         "repeats": repeats,
         "max_batch": args.max_batch,
@@ -339,16 +356,8 @@ def main(argv=None) -> int:
         "workers": args.workers,
         "cached_workload": args.cached_workload,
         "result_cache_entries": args.result_cache_entries,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "results": rows,
     }
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    if args.store:
-        store_report(args.store, "serving", report)
+    write_document(args.output, "serving", rows, config)
     return 0
 
 

@@ -1,9 +1,10 @@
 """Multi-scenario sweep throughput: batched vs. looped, distinct vs. repeated.
 
-Emits ``BENCH_throughput.json`` (schema version 4).  PR 5's tentpole
-claim is that K input-statistics queries against one compiled model
-should cost one batched einsum pass, not K sequential propagations;
-this runner measures exactly that ratio:
+Emits ``BENCH_throughput.json``, a ``repro.perf/v2`` document (kind
+``throughput``).  The claim under test is that K input-statistics
+queries against one compiled model should cost one batched einsum
+pass, not K sequential propagations; this runner measures exactly that
+ratio, one row per metric keyed by ``K``:
 
 - ``looped_scenarios_per_sec``  -- sequential ``update_inputs()`` +
   ``estimate()`` per scenario on a persistent compiled estimator: K
@@ -18,18 +19,18 @@ this runner measures exactly that ratio:
   a pure function of the potentials, so equality is exact, not
   approximate).
 
-Each circuit also gets one repeat-heavy row at K=64 (or the largest
-configured K), tagged ``"sweep": "delta"`` so ``repro perf diff`` keeps
-matching it against rows recorded before duplicate collapse existed: a
+Each circuit also gets one repeat-heavy point at K=64 (or the largest
+configured K), keyed ``sweep=delta`` next to ``K`` (the tag predates
+duplicate collapse and is kept so the trajectory stays continuous): a
 *low-Hamming sorted* sweep (every request perturbs only the first
 primary input's statistics, and each of the K/4 operating points is
 re-evaluated four times -- the synthesis-loop what-if shape) through
 the default ``query_many``, which propagates each distinct scenario
-once.  Repeat rows carry:
+once.  Repeat points carry:
 
-- ``batched_scenarios_per_sec`` -- the row's canonical rate metric
-  (scenarios/sec answered; the ``sweep`` tag in the row key keeps it
-  from colliding with plain batched rows),
+- ``batched_scenarios_per_sec`` -- the point's canonical rate metric
+  (scenarios/sec answered; the ``sweep`` key keeps it from colliding
+  with plain batched rows),
 - ``distinct_batched_scenarios_per_sec`` / ``dedup_speedup`` -- the
   plain batched row's rate at the same K (all scenarios distinct) and
   the ratio,
@@ -45,64 +46,56 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_throughput.py \
         [--circuits c17,alu,comp,voter,pcler8,c432s] \
         [--batch-sizes 1,8,64,256] [--repeats 3] [--quick] \
-        [--output BENCH_throughput.json] [--store .repro-perf]
+        [--kernel auto|dense|sparse] [--output BENCH_throughput.json]
 
 ``--quick`` shrinks the run to the CI smoke configuration (c17 only,
-K in {1, 64}, 2 repeats).  ``--store DIR`` additionally records the
-run into the perf profile store (see ``repro perf``), so the datapoint
-joins the version trajectory without a separate ``repro perf record``
-pass.
-
-Since schema version 2 compiles are kernel-aware (``--kernel``, default
-``auto`` -- the sparse message-kernel path) and every row records the
-``kernel`` mode plus the compile-time ``support_density`` and
-``sparse_cliques`` of the model it timed.
+K in {1, 64}, 2 repeats).  Compiles use ``--kernel`` (default ``auto``,
+the sparse message-kernel path); each circuit also records the
+compile-time ``support_density`` and ``sparse_cliques`` of the model
+it timed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 from typing import Dict, List
 
 import numpy as np
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
-    from benchmarks.common import (
-        DEFAULT_CIRCUITS,
-        add_store_argument,
-        compile_or_fallback,
-        parse_csv_names,
-        salted_scenarios,
-        store_report,
-        timed,
-    )
+    from benchmarks.common import parse_csv_names, stage_rows, write_document
 except ImportError:  # direct execution: python benchmarks/bench_throughput.py
-    from common import (
-        DEFAULT_CIRCUITS,
-        add_store_argument,
-        compile_or_fallback,
-        parse_csv_names,
-        salted_scenarios,
-        store_report,
-        timed,
-    )
+    from common import parse_csv_names, stage_rows, write_document
 
 from repro.bayesian.junction import group_scenarios
 from repro.circuits import suite
 from repro.core.inputs import IndependentInputs
+from repro.perf.collect import (
+    DEFAULT_CIRCUITS,
+    compile_or_fallback,
+    salted_scenarios,
+    timed,
+)
 
 DEFAULT_BATCH_SIZES = [1, 8, 64, 256]
 
-#: Bump when the emitted JSON shape changes (v2: kernel-aware
-#: compiles; rows carry ``kernel``, ``support_density`` and
-#: ``sparse_cliques`` from the compile-time support analysis.
-#: v3: low-Hamming ``"sweep": "delta"`` rows with ``delta_speedup``.
-#: v4: those rows time the default ``query_many`` and carry
-#: ``dedup_speedup`` against the distinct-scenario rate).
-BENCH_SCHEMA_VERSION = 4
+#: Pipeline stage of every per-point field, in emission order.
+STAGES = {
+    "gates": "circuit",
+    "support_density": "compile",
+    "sparse_cliques": "compile",
+    "looped_seconds": "looped",
+    "looped_scenarios_per_sec": "looped",
+    "distinct_scenarios": "batched",
+    "batched_seconds": "batched",
+    "batched_scenarios_per_sec": "batched",
+    "speedup": "batched",
+    "distinct_batched_scenarios_per_sec": "batched",
+    "dedup_speedup": "batched",
+    "bitwise_equal": "accuracy",
+    "max_abs_diff": "accuracy",
+}
 
 
 def _loop_sweep(estimator, models) -> None:
@@ -176,14 +169,13 @@ def bench_circuit(
     kernel: str = "auto",
 ) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
-    model, method = compile_or_fallback(circuit, parallelism, kernel)
+    model, _ = compile_or_fallback(circuit, parallelism, kernel)
     estimator = model.estimator
-    stats = (
-        estimator.support_stats()
-        if hasattr(estimator, "support_stats")
-        else {"support_density": 1.0, "sparse_cliques": 0}
+    rows = stage_rows(
+        name,
+        {"gates": circuit.num_gates, **estimator.support_stats()},
+        STAGES,
     )
-    rows: List[Dict[str, object]] = []
     for k in batch_sizes:
         # Warm both paths once (outside timing) so one-time costs --
         # the batch engine allocation in particular -- are excluded.
@@ -198,28 +190,21 @@ def bench_circuit(
             timed(model.query_many, salted_scenarios(k, salt=r))
             for r in range(repeats)
         )
-        row: Dict[str, object] = {
-            "circuit": name,
-            "gates": circuit.num_gates,
-            "method": method,
-            "kernel": kernel,
-            "support_density": stats["support_density"],
-            "sparse_cliques": stats["sparse_cliques"],
-            "batch_size": k,
+        point: Dict[str, object] = {
             "looped_seconds": looped,
             "batched_seconds": batched,
             "looped_scenarios_per_sec": k / looped,
             "batched_scenarios_per_sec": k / batched,
             "speedup": looped / batched,
         }
-        row.update(_bitwise_check(circuit, parallelism, k, kernel))
-        rows.append(row)
+        point.update(_bitwise_check(circuit, parallelism, k, kernel))
+        rows += stage_rows(name, point, STAGES, K=k)
         print(
             f"{name:>10s}  K={k:<4d} "
-            f"looped {row['looped_scenarios_per_sec']:9.1f}/s  "
-            f"batched {row['batched_scenarios_per_sec']:9.1f}/s  "
-            f"speedup {row['speedup']:6.2f}x  "
-            f"bitwise={'yes' if row['bitwise_equal'] else 'NO'}"
+            f"looped {point['looped_scenarios_per_sec']:9.1f}/s  "
+            f"batched {point['batched_scenarios_per_sec']:9.1f}/s  "
+            f"speedup {point['speedup']:6.2f}x  "
+            f"bitwise={'yes' if point['bitwise_equal'] else 'NO'}"
         )
     return rows
 
@@ -261,11 +246,11 @@ def bench_repeat_circuit(
     parallelism: int,
     kernel: str,
     distinct_rate: float,
-) -> Dict[str, object]:
-    """One repeat-heavy row: 4 copies of each of K/4 low-Hamming
+) -> List[Dict[str, object]]:
+    """One repeat-heavy point: 4 copies of each of K/4 low-Hamming
     scenarios through the default ``query_many``."""
     circuit = suite.load_circuit(name)
-    model, method = compile_or_fallback(circuit, parallelism, kernel)
+    model, _ = compile_or_fallback(circuit, parallelism, kernel)
 
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(delta_scenarios(circuit, k, salt=repeats + 1))
@@ -275,27 +260,21 @@ def bench_repeat_circuit(
         for r in range(repeats)
     )
     rate = k / batched
-    row: Dict[str, object] = {
-        "circuit": name,
-        "gates": circuit.num_gates,
-        "method": method,
-        "kernel": kernel,
-        "batch_size": k,
-        "sweep": "delta",
+    point: Dict[str, object] = {
         "distinct_scenarios": max(1, k // 4),
         "batched_seconds": batched,
         "batched_scenarios_per_sec": rate,
         "distinct_batched_scenarios_per_sec": distinct_rate,
         "dedup_speedup": rate / distinct_rate,
     }
-    row.update(_repeat_bitwise_check(circuit, parallelism, k, kernel))
+    point.update(_repeat_bitwise_check(circuit, parallelism, k, kernel))
     print(
         f"{name:>10s}  K={k:<4d} "
         f"repeat  {rate:9.1f}/s  "
         f"vs distinct {distinct_rate:9.1f}/s  "
-        f"bitwise={'yes' if row['bitwise_equal'] else 'NO'}"
+        f"bitwise={'yes' if point['bitwise_equal'] else 'NO'}"
     )
-    return row
+    return stage_rows(name, point, STAGES, K=k, sweep="delta")
 
 
 def main(argv=None) -> int:
@@ -322,7 +301,6 @@ def main(argv=None) -> int:
         help="CI smoke configuration: c17 only, K in {1, 64}, 2 repeats",
     )
     parser.add_argument("--output", default="BENCH_throughput.json")
-    add_store_argument(parser)
     args = parser.parse_args(argv)
     if args.quick:
         circuits = ["c17"]
@@ -349,34 +327,25 @@ def main(argv=None) -> int:
         plain = bench_circuit(
             name, batch_sizes, repeats, args.parallelism, args.kernel
         )
-        rows.extend(plain)
+        rows += plain
         if repeat_k > 1:
             distinct_rate = next(
-                r["batched_scenarios_per_sec"]
+                r["value"]
                 for r in plain
-                if r["batch_size"] == repeat_k
+                if r["metric"] == "batched_scenarios_per_sec"
+                and r["key"] == {"K": repeat_k}
             )
-            rows.append(
-                bench_repeat_circuit(
-                    name, repeat_k, repeats, args.parallelism, args.kernel,
-                    distinct_rate,
-                )
+            rows += bench_repeat_circuit(
+                name, repeat_k, repeats, args.parallelism, args.kernel,
+                distinct_rate,
             )
-
-    report = {
-        "benchmark": "throughput",
-        "schema_version": BENCH_SCHEMA_VERSION,
+    config = {
+        "batch_sizes": batch_sizes,
         "repeats": repeats,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "results": rows,
+        "parallelism": args.parallelism,
+        "kernel": args.kernel,
     }
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    if args.store:
-        store_report(args.store, "throughput", report)
+    write_document(args.output, "throughput", rows, config)
     return 0
 
 

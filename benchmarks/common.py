@@ -1,30 +1,19 @@
 """Helpers shared by the benchmark runners.
 
-``bench_propagation.py`` and ``bench_throughput.py`` used to carry
-private copies of the compile rule, the scenario salting, and the
-timing loop; those now live in :mod:`repro.perf.collect` (the perf
-subsystem records profiles with the *same* methodology, so the two can
-never drift apart) and are re-exported here for the runners.
-
-This module also provides the runners' ``--store`` mode: after
-emitting the usual ``BENCH_*.json`` report, the report is ingested
-into the append-only perf profile store so the datapoint lands in the
-version trajectory without a separate ``repro perf record`` run.
+The measurement methodology (compile rule, scenario salting, timing
+loop) lives in :mod:`repro.perf.collect`, so ``repro perf record`` and
+the runners can never drift apart.  Every runner writes its report as
+one ``repro.perf/v2`` document (:func:`write_document`): the same shape
+``repro perf record --from`` stores and ``repro perf diff`` gates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import json
+from typing import Any, Dict, List, Optional
 
-from repro.perf.collect import (  # noqa: F401  (re-exported for runners)
-    DEFAULT_CIRCUITS,
-    PHI,
-    SWEEP,
-    compile_or_fallback,
-    repeat_cycles,
-    salted_scenarios,
-    timed,
-)
+from repro.perf.collect import compile_or_fallback, new_document
+from repro.perf.store import row
 
 
 def compile_estimator(circuit, parallelism: int, kernel: str):
@@ -34,34 +23,43 @@ def compile_estimator(circuit, parallelism: int, kernel: str):
 
 
 def engine_counters(estimator) -> Dict[str, int]:
-    """Cumulative engine counters, tolerant of pre-engine checkouts."""
-    if hasattr(estimator, "propagation_counters"):
-        return estimator.propagation_counters().as_dict()
-    return {}
-
-
-def store_report(store_dir: str, kind: str, report: Dict, note: str = "") -> None:
-    """Ingest a just-emitted benchmark report into the profile store."""
-    from repro.perf import PerfStore, ingest_bench_documents
-
-    documents = {kind: report}
-    profile = ingest_bench_documents(note=note, **documents)
-    path = PerfStore(store_dir).append(profile)
-    print(
-        f"recorded perf profile for {profile['git']['short']} "
-        f"({len(profile['measurements'])} circuit(s)) into {path}"
-    )
-
-
-def add_store_argument(parser) -> None:
-    """The shared ``--store`` flag (both runners emit into the store)."""
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="also record this run as a perf profile in the given "
-             "profile store directory (see `repro perf`)",
-    )
+    """Cumulative engine work counters of a compiled estimator."""
+    return estimator.propagation_counters().as_dict()
 
 
 def parse_csv_names(spec: str) -> List[str]:
     """``"a, b,c"`` -> ``["a", "b", "c"]`` (empty entries dropped)."""
     return [name.strip() for name in spec.split(",") if name.strip()]
+
+
+def stage_rows(
+    circuit: str,
+    fields: Dict[str, Any],
+    stages: Dict[str, str],
+    samples: Optional[Dict[str, List[float]]] = None,
+    **key: Any,
+) -> List[Dict[str, Any]]:
+    """One row per measured field of a runner's per-point record, in
+    ``stages`` order (metric name -> pipeline stage); ``None`` and
+    absent fields are skipped."""
+    samples = samples or {}
+    return [
+        row(circuit, stage, metric, fields[metric],
+            samples=samples.get(metric), **key)
+        for metric, stage in stages.items()
+        if fields.get(metric) is not None
+    ]
+
+
+def write_document(
+    path: str,
+    benchmark: str,
+    rows: List[Dict[str, Any]],
+    config: Dict[str, Any],
+) -> None:
+    """Validate and write one runner's ``repro.perf/v2`` report."""
+    document = new_document(benchmark, rows, config=config)
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path} ({len(rows)} rows)")

@@ -53,7 +53,7 @@ from repro.bayesian.triangulate import elimination_cliques, triangulate
 # CliqueBudgetExceeded's canonical home is the backend layer (its
 # import-light ``errors`` module), because that is where the budget
 # fallback policy lives; this module is its raising site.
-from repro.core.backend.errors import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 from repro.errors import ZeroBeliefError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer

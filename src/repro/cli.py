@@ -11,9 +11,9 @@ Usage::
     python -m repro.cli stats --circuit c432s [--json out.json]
     python -m repro.cli cache ls|clear [--dir DIR]
     python -m repro.cli fuzz [--seeds N] [--max-gates N] [--out DIR]
-    python -m repro.cli perf record [--quick] [--store DIR] [--baseline FILE]
+    python -m repro.cli perf record [--quick | --from FILE] [--baseline FILE]
     python -m repro.cli perf log [--metric M] [--circuit C] [--all-machines]
-    python -m repro.cli perf diff OLD NEW [--noise-band B] [--force]
+    python -m repro.cli perf diff OLD NEW [--noise-band B] [--subset] [--force]
 
 ``estimate`` goes through the backend facade and the on-disk compile
 cache (``--no-cache`` disables it, ``--cache-dir`` relocates it); a
@@ -31,11 +31,13 @@ observability layer enabled and prints the span tree and metrics
 FILE`` on the experiment subcommands writes the same report for a
 table run.  ``fuzz`` runs the cross-backend differential harness and
 exits non-zero if any backend disagrees with the enumeration oracle.
-``perf`` tracks performance over time: ``record`` measures (or ingests
-``BENCH_*.json`` reports) into the append-only profile store,
-``log`` renders each metric's trajectory across recorded versions, and
-``diff`` statistically compares two profiles -- exit 0 no change, 1
-perf regression beyond the noise band, 2 accuracy drift or profiles
+``perf`` tracks performance over time.  Every measurement is one
+``repro.perf/v2`` document (a recorded profile or any
+``BENCH_*.json``): ``record`` measures a profile, or validates a
+document with ``--from``, into the append-only store; ``log`` renders
+each row's per-stage trajectory across recorded versions; and ``diff``
+compares two documents of one kind row by row -- exit 0 no change, 1
+perf regression beyond the noise band, 2 accuracy drift or documents
 that are not comparable at all.
 
 Every anticipated failure (unknown circuit, malformed netlist, unknown
@@ -516,93 +518,69 @@ def _cmd_client(args) -> int:
     return 0
 
 
-def _load_bench_json(path: str, kind: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ReproError(f"cannot read {kind} report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"malformed JSON in {path}: {exc}") from exc
-
-
 def _cmd_perf_record(args) -> None:
-    """Record one perf profile: measure live, or ingest bench reports."""
+    """Record perf documents: measure a profile live, or validate and
+    store an already-emitted document (a ``BENCH_*.json`` or history)."""
     from repro.perf import (
         PerfStore,
         collect_profile,
-        ingest_bench_documents,
         load_profiles_file,
         write_history,
     )
 
-    if (
-        args.from_propagation
-        or args.from_throughput
-        or args.from_segmentation
-        or args.from_serving
-    ):
-        profile = ingest_bench_documents(
-            propagation=(
-                _load_bench_json(args.from_propagation, "propagation")
-                if args.from_propagation
-                else None
-            ),
-            throughput=(
-                _load_bench_json(args.from_throughput, "throughput")
-                if args.from_throughput
-                else None
-            ),
-            segmentation=(
-                _load_bench_json(args.from_segmentation, "segmentation")
-                if args.from_segmentation
-                else None
-            ),
-            serving=(
-                _load_bench_json(args.from_serving, "serving")
-                if args.from_serving
-                else None
-            ),
-            note=args.note,
-        )
+    if args.from_file:
+        documents = load_profiles_file(args.from_file, strict=True)
+        if not documents:
+            raise ReproError(f"{args.from_file}: no perf documents")
+        if args.note:
+            for document in documents:
+                document["note"] = args.note
     else:
         circuits = (
             [c.strip() for c in args.circuits.split(",") if c.strip()]
             if args.circuits
             else None
         )
-        profile = collect_profile(
-            circuits=circuits,
-            repeats=args.repeats,
-            batch_sizes=[
-                int(k) for k in args.batch_sizes.split(",") if k.strip()
-            ],
-            parallelism=args.parallelism,
-            kernel=args.kernel,
-            note=args.note,
-            quick=args.quick,
-            progress=lambda name, block: print(
+
+        def progress(name, rows):
+            values = {r["metric"]: r["value"] for r in rows if not r["key"]}
+            print(
                 f"{name:>10s}  repeat(min) "
-                f"{block['repeat_estimate_min_seconds'] * 1e3:8.3f}ms"
+                f"{values['repeat_estimate_min_seconds'] * 1e3:8.3f}ms"
                 + (
-                    f"  max_abs_error {block['max_abs_error']:.2e}"
-                    if "max_abs_error" in block
+                    f"  max_abs_error {values['max_abs_error']:.2e}"
+                    if "max_abs_error" in values
                     else ""
                 )
-            ),
-        )
+            )
+
+        documents = [
+            collect_profile(
+                circuits=circuits,
+                repeats=args.repeats,
+                batch_sizes=[
+                    int(k) for k in args.batch_sizes.split(",") if k.strip()
+                ],
+                parallelism=args.parallelism,
+                kernel=args.kernel,
+                note=args.note,
+                quick=args.quick,
+                progress=progress,
+            )
+        ]
     store = PerfStore(args.store)
-    path = store.append(profile)
-    git = profile["git"]
-    print(
-        f"recorded profile {git['short']}{'*' if git['dirty'] else ''} "
-        f"({len(profile['measurements'])} circuit(s), machine "
-        f"{profile['fingerprint']['digest']}) into {path}"
-    )
+    for document in documents:
+        path = store.append(document)
+        git = document["git"]
+        print(
+            f"recorded profile {git['short']}{'*' if git['dirty'] else ''} "
+            f"({document['benchmark']}, {len(document['rows'])} row(s), machine "
+            f"{document['fingerprint']['digest']}) into {path}"
+        )
     if args.baseline:
         baseline = Path(args.baseline)
         history = load_profiles_file(baseline) if baseline.is_file() else []
-        history.append(profile)
+        history.extend(documents)
         write_history(baseline, history)
         print(f"appended to baseline {baseline} ({len(history)} profile(s))")
 
@@ -644,6 +622,7 @@ def _cmd_perf_diff(args) -> int:
             floor_seconds=args.floor_seconds,
             accuracy_atol=args.accuracy_atol,
             force=args.force,
+            subset=args.subset,
         )
     except (PerfDiffError, PerfProfileError) as exc:
         # Not-comparable is contractually exit 2 (CI distinguishes it
@@ -936,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     pr = perf_sub.add_parser(
-        "record", help="measure (or ingest bench reports) into the store"
+        "record", help="measure a profile (or store a document) into the store"
     )
     _add_store(pr)
     pr.add_argument(
@@ -961,20 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI smoke configuration: c17 only, 2 repeats, K=64",
     )
     pr.add_argument(
-        "--from-propagation", default=None, metavar="FILE",
-        help="ingest a BENCH_propagation.json instead of measuring",
-    )
-    pr.add_argument(
-        "--from-throughput", default=None, metavar="FILE",
-        help="ingest a BENCH_throughput.json instead of measuring",
-    )
-    pr.add_argument(
-        "--from-segmentation", default=None, metavar="FILE",
-        help="ingest a BENCH_segmentation.json instead of measuring",
-    )
-    pr.add_argument(
-        "--from-serving", default=None, metavar="FILE",
-        help="ingest a BENCH_serving.json instead of measuring",
+        "--from", dest="from_file", default=None, metavar="FILE",
+        help="validate and store a repro.perf/v2 document of any kind "
+             "(a BENCH_*.json, a profile, or a history) instead of measuring",
     )
     pr.add_argument(
         "--note", default="", metavar="TEXT",
@@ -1007,19 +975,19 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=_cmd_perf_log)
 
     pd = perf_sub.add_parser(
-        "diff", help="compare two profiles (exit 1 perf / 2 accuracy)"
+        "diff", help="compare two documents (exit 1 perf / 2 accuracy)"
     )
     _add_store(pd)
     pd.add_argument(
         "old",
-        help="baseline profile: a file (profile JSON, PERF_HISTORY.json, "
-             ".jsonl log), 'latest', or a git SHA prefix",
+        help="baseline document: a file (a BENCH_*.json, a profile, "
+             "PERF_HISTORY.json, a .jsonl log), 'latest', or a git SHA prefix",
     )
     pd.add_argument("new", help="candidate profile (same reference forms)")
     pd.add_argument(
         "--noise-band", type=float, default=0.25,
-        help="fractional tolerance before a timing delta counts as a "
-             "regression; auto-widened by the runs' own dispersion",
+        help="fractional tolerance before a time or rate delta counts "
+             "as a regression (a rate regresses below old / (1 + band))",
     )
     pd.add_argument(
         "--floor-seconds", type=float, default=0.001,
@@ -1032,6 +1000,11 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument(
         "--force", action="store_true",
         help="compare across different machine fingerprints anyway",
+    )
+    pd.add_argument(
+        "--subset", action="store_true",
+        help="tolerate baseline rows absent from the new document "
+             "(a quick run vs. a fuller committed baseline)",
     )
     pd.set_defaults(func=_cmd_perf_diff)
 

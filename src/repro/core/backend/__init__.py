@@ -13,9 +13,9 @@ each line switch?":
 - the facade (:func:`estimate`, :func:`compile_model`) everything else
   in the repo calls.
 
-The light modules (:mod:`errors <repro.core.backend.errors>`,
-:mod:`base <repro.core.backend.base>`) import eagerly so the engine
-layers can depend on them; the heavy ones (backends, registry, cache,
+The light module (:mod:`base <repro.core.backend.base>`) and the
+errors it re-exports from :mod:`repro.errors` import eagerly so the
+engine layers can depend on them; the heavy ones (backends, registry, cache,
 facade) load lazily on first attribute access to keep
 ``repro.bayesian`` / ``repro.core`` imports cycle-free.
 """
@@ -29,7 +29,7 @@ from repro.core.backend.base import (
     CompiledModel,
     Method,
 )
-from repro.core.backend.errors import (
+from repro.errors import (
     ArtifactSchemaError,
     CliqueBudgetExceeded,
     UnknownBackendError,

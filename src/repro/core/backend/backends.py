@@ -2,7 +2,7 @@
 
 Seven entry points used to be scattered across the codebase --
 :class:`~repro.core.estimator.SwitchingActivityEstimator`,
-:class:`~repro.core.segmentation.SegmentedEstimator`,
+:class:`~repro.core.segments.SegmentedEstimator`,
 :func:`~repro.core.estimator.exact_switching_by_enumeration`, and the
 four :mod:`repro.baselines` estimators.  They are all query strategies
 over the same LIDAG switching model (Tucci: even BDD-style evaluation
@@ -29,11 +29,11 @@ import numpy as np
 
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Backend, CompiledModel, Method
-from repro.core.backend.errors import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.errors import ZeroBeliefError
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 from repro.obs.trace import get_tracer
 
 __all__ = [

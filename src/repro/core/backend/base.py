@@ -15,8 +15,8 @@ process-independent artifact:
   :class:`~repro.core.estimator.SwitchingEstimate` reports in its
   ``method`` field.
 
-Like :mod:`repro.core.backend.errors`, this module stays import-light
-(stdlib only) so the engine layers can depend on it without cycles.
+This module stays import-light (stdlib and :mod:`repro.errors` only)
+so the engine layers can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.core.backend.errors import ArtifactSchemaError
+from repro.errors import ArtifactSchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuits.netlist import Circuit

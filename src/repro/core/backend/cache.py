@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import ARTIFACT_SCHEMA, CompiledModel
-from repro.core.backend.errors import ArtifactSchemaError
+from repro.errors import ArtifactSchemaError
 from repro.core.inputs import InputModel
 from repro.obs.metrics import get_metrics
 

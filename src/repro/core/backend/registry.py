@@ -18,7 +18,7 @@ from repro.core.backend.backends import (
     SegmentedBackend,
 )
 from repro.core.backend.base import Backend
-from repro.core.backend.errors import UnknownBackendError
+from repro.errors import UnknownBackendError
 
 __all__ = ["available_backends", "get_backend", "register_backend"]
 

@@ -19,7 +19,6 @@ to prove exactness on small circuits.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -34,22 +33,6 @@ from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.lidag import build_lidag
 from repro.core.states import N_STATES, switching_probability
 from repro.obs.trace import get_tracer
-
-
-def __getattr__(name: str):
-    # Deprecated alias: CliqueBudgetExceeded used to be re-exported
-    # here; its home is now the backend layer.
-    if name == "CliqueBudgetExceeded":
-        warnings.warn(
-            "importing CliqueBudgetExceeded from repro.core.estimator is "
-            "deprecated; import it from repro.core.backend (or repro)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.backend.errors import CliqueBudgetExceeded
-
-        return CliqueBudgetExceeded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 from repro.bayesian.propagation import PropagationCounters
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
-from repro.core.backend.errors import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.states import N_STATES

@@ -38,10 +38,10 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.circuits.netlist import Circuit
-from repro.core.backend.errors import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.segmentation import (
+from repro.core.segments import (
     FixedMarginalInputs,
     SegmentedEstimator,
     TreeBoundaryInputs,

@@ -22,11 +22,10 @@ stages:
 
 Each class multiply-inherits the builtin its pre-consolidation
 ancestor subclassed (``ValueError``, ``RuntimeError``, ``KeyError``),
-so existing ``except`` clauses keep working.  The historical import
-locations (``repro.circuits.bench.BenchFormatError``,
-``repro.core.backend.errors.CliqueBudgetExceeded``, ...) re-export
-these classes; ``repro.core.estimator.CliqueBudgetExceeded`` keeps its
-``DeprecationWarning`` alias.
+so existing ``except`` clauses keep working.  The modules that raise
+them (``repro.circuits.bench.BenchFormatError``,
+``repro.core.backend.CliqueBudgetExceeded``, ...) re-export these
+classes.
 
 This module is import-light on purpose: it must not import anything
 from the package so every layer (circuits, bayesian, core, cli) can
@@ -103,7 +102,7 @@ class SegmentBoundaryError(ValidationError):
     """A segment boundary model is misconfigured: an unknown
     ``boundary=`` mode, a boundary forest with a cycle, or a boundary
     distribution with the wrong shape or mass.  Pre-consolidation these
-    were bare ``ValueError``\\ s out of ``repro.core.segmentation``; the
+    were bare ``ValueError``\\ s out of the segmentation module; the
     message texts are preserved."""
 
 

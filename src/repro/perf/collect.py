@@ -1,9 +1,7 @@
-"""Collect a perf profile: run the measurements or ingest bench JSON.
+"""Collect a perf profile, and build the document every runner emits.
 
 This module is the single home of the measurement methodology that
-``benchmarks/bench_propagation.py`` and ``benchmarks/bench_throughput.py``
-previously each reimplemented (``benchmarks/common.py`` now re-exports
-from here):
+``repro perf record`` and the ``benchmarks/bench_*.py`` runners share:
 
 - the junction-tree-first / segmented-fallback compile rule the CLI
   uses,
@@ -19,9 +17,8 @@ from here):
 :func:`collect_profile` runs the measurements live (with the obs
 metrics registry enabled, so the profile carries FLOP estimates,
 ``factor_bytes``, support density and cache counters next to the
-timings); :func:`ingest_bench_documents` builds the same profile shape
-from already-emitted ``BENCH_propagation.json`` /
-``BENCH_throughput.json`` reports.  Accuracy is part of the profile,
+timings); :func:`new_document` wraps any runner's rows in the one
+``repro.perf/v2`` document shape.  Accuracy is part of the profile,
 not an afterthought: where the enumeration oracle is feasible the
 worst per-line distribution error is recorded (``max_abs_error``), so
 the regression gate catches a kernel that got *fast but wrong*.
@@ -42,7 +39,12 @@ from repro.core.states import N_STATES
 from repro.errors import PerfProfileError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.perf.fingerprint import machine_fingerprint
-from repro.perf.store import PROFILE_SCHEMA, PROFILE_SCHEMA_VERSION
+from repro.perf.store import (
+    PROFILE_SCHEMA,
+    PROFILE_SCHEMA_VERSION,
+    row,
+    validate_profile,
+)
 
 __all__ = [
     "DEFAULT_CIRCUITS",
@@ -51,8 +53,8 @@ __all__ = [
     "collect_profile",
     "compile_or_fallback",
     "git_revision",
-    "ingest_bench_documents",
     "measure_circuit",
+    "new_document",
     "repeat_cycles",
     "salted_scenarios",
     "timed",
@@ -156,8 +158,8 @@ def measure_circuit(
     parallelism: int = 0,
     kernel: str = "auto",
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-) -> Dict[str, Any]:
-    """One circuit's measurement block (see the store's profile shape).
+) -> List[Dict[str, Any]]:
+    """One circuit's measurement rows (see the store's document shape).
 
     Times the compile, the repeat-propagation fast path (min over
     ``repeats`` fresh-statistics cycles), and the batched sweep rate at
@@ -166,27 +168,30 @@ def measure_circuit(
     oracle when ``4^inputs`` fits ``oracle_budget``).
     """
     circuit = suite.load_circuit(name)
-    measurements: Dict[str, Any] = {"gates": circuit.num_gates}
+    rows = [row(name, "circuit", "gates", circuit.num_gates)]
 
     start = time.perf_counter()
-    model, method = compile_or_fallback(circuit, parallelism, kernel)
-    measurements["compile_seconds"] = time.perf_counter() - start
-    measurements["method"] = method
-    measurements["kernel"] = kernel
+    model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    rows.append(
+        row(name, "compile", "compile_seconds", time.perf_counter() - start)
+    )
     estimator = model.estimator
+    stats = estimator.support_stats()
+    rows.append(
+        row(name, "compile", "support_density", stats["support_density"])
+    )
+    rows.append(row(name, "compile", "sparse_cliques", stats["sparse_cliques"]))
 
-    measurements["first_estimate_seconds"] = timed(estimator.estimate)
-
+    rows.append(
+        row(name, "first_estimate", "first_estimate_seconds",
+            timed(estimator.estimate))
+    )
     cycles = repeat_cycles(estimator, repeats)
-    measurements["repeat_estimate_min_seconds"] = min(cycles)
-    measurements["repeat_estimate_seconds_samples"] = cycles
+    rows.append(
+        row(name, "repeat", "repeat_estimate_min_seconds", min(cycles),
+            samples=cycles)
+    )
 
-    if hasattr(estimator, "support_stats"):
-        stats = estimator.support_stats()
-        measurements["support_density"] = stats["support_density"]
-        measurements["sparse_cliques"] = stats["sparse_cliques"]
-
-    rates: Dict[str, float] = {}
     for k in batch_sizes:
         # Warm once outside timing so the one-time batch-engine
         # allocation is excluded (same protocol as bench_throughput).
@@ -195,14 +200,14 @@ def measure_circuit(
             timed(model.query_many, salted_scenarios(k, r))
             for r in range(repeats)
         )
-        rates[str(k)] = k / best
-    if rates:
-        measurements["batched_scenarios_per_sec"] = rates
+        rows.append(
+            row(name, "batched", "batched_scenarios_per_sec", k / best, K=k)
+        )
 
     fair = IndependentInputs(0.5)
     estimator.update_inputs(fair)
     estimate = estimator.estimate()
-    measurements["mean_activity"] = estimate.mean_activity()
+    rows.append(row(name, "accuracy", "mean_activity", estimate.mean_activity()))
 
     if N_STATES ** len(circuit.inputs) <= oracle_budget:
         oracle = facade_estimate(
@@ -213,32 +218,38 @@ def measure_circuit(
             delta = float(abs(dist - estimate.distributions[line]).max())
             if delta > worst:
                 worst = delta
-        measurements["max_abs_error"] = worst
+        rows.append(row(name, "accuracy", "max_abs_error", worst))
 
-    return measurements
+    return rows
 
 
-def _assemble_profile(
-    measurements: Dict[str, Dict[str, Any]],
+def new_document(
+    benchmark: str,
+    rows: List[Dict[str, Any]],
+    config: Optional[Dict[str, Any]] = None,
     obs: Optional[Dict[str, Any]] = None,
     note: str = "",
 ) -> Dict[str, Any]:
-    if not measurements:
+    """Wrap measurement rows in a validated ``repro.perf/v2`` document
+    stamped with the git revision and machine fingerprint."""
+    if not rows:
         raise PerfProfileError("no measurements collected")
-    profile: Dict[str, Any] = {
+    document: Dict[str, Any] = {
         "schema": PROFILE_SCHEMA,
         "schema_version": PROFILE_SCHEMA_VERSION,
+        "benchmark": benchmark,
         "recorded_at": datetime.now(timezone.utc)
         .isoformat(timespec="seconds")
         .replace("+00:00", "Z"),
         "note": note,
         "git": git_revision(),
         "fingerprint": machine_fingerprint(),
-        "measurements": measurements,
+        "config": dict(config or {}),
+        "rows": rows,
     }
     if obs is not None:
-        profile["obs"] = obs
-    return profile
+        document["obs"] = obs
+    return validate_profile(document)
 
 
 def collect_profile(
@@ -252,27 +263,29 @@ def collect_profile(
     quick: bool = False,
     progress=None,
 ) -> Dict[str, Any]:
-    """Run the measurement suite and assemble one profile.
+    """Run the measurement suite and assemble one ``profile`` document.
 
     ``quick`` shrinks to the CI configuration (c17 only, 2 repeats,
     K=64) -- wide error bars, but enough for the wide-band CI gate.
     Measurements run under a private *enabled* metrics registry, so the
     profile's ``obs`` block carries the work counters (FLOP estimates,
     ``factor_bytes``, support density, cache hits) that explain the
-    timings; the caller's registry is untouched.
+    timings; the caller's registry is untouched.  ``progress`` is
+    called with each circuit's name and rows as they complete.
     """
     if quick:
         circuits = ["c17"]
         repeats = min(repeats, 2)
         batch_sizes = (64,)
     names = list(circuits) if circuits else list(DEFAULT_CIRCUITS)
+    batch_sizes = list(batch_sizes)
     registry = MetricsRegistry(enabled=True)
     previous = set_metrics(registry)
     try:
         cycle_histogram = registry.histogram("perf.repeat_cycle_seconds")
-        measurements: Dict[str, Dict[str, Any]] = {}
+        rows: List[Dict[str, Any]] = []
         for name in names:
-            measurements[name] = measure_circuit(
+            circuit_rows = measure_circuit(
                 name,
                 repeats=repeats,
                 batch_sizes=batch_sizes,
@@ -280,127 +293,21 @@ def collect_profile(
                 kernel=kernel,
                 oracle_budget=oracle_budget,
             )
-            for seconds in measurements[name]["repeat_estimate_seconds_samples"]:
-                cycle_histogram.observe(seconds)
+            for entry in circuit_rows:
+                for seconds in entry.get("samples", ()):
+                    cycle_histogram.observe(seconds)
+            rows.extend(circuit_rows)
             if progress is not None:
-                progress(name, measurements[name])
+                progress(name, circuit_rows)
     finally:
         set_metrics(previous)
-    return _assemble_profile(measurements, obs=registry.snapshot(), note=note)
-
-
-#: bench-report row fields copied verbatim into a measurement block.
-_PROPAGATION_ROW_FIELDS = (
-    "gates",
-    "method",
-    "kernel",
-    "compile_seconds",
-    "first_estimate_seconds",
-    "repeat_estimate_seconds",
-    "repeat_estimate_min_seconds",
-    "support_density",
-    "sparse_cliques",
-    "mean_activity",
-    "max_abs_diff_vs_dense",
-    "sparse_speedup",
-)
-
-#: segmentation-report row fields copied into a measurement block; the
-#: names deliberately reuse the propagation vocabulary so the existing
-#: gate rules (min-time band, mean-activity drift, max_abs_error
-#: growth) apply without new metric plumbing.
-_SEGMENTATION_ROW_FIELDS = (
-    "gates",
-    "segments",
-    "glue_edges",
-    "compile_seconds",
-    "repeat_estimate_min_seconds",
-    "mean_activity",
-    "max_abs_error",
-    "refine_iterations",
-    "refine_delta",
-)
-
-
-def ingest_bench_documents(
-    propagation: Optional[Dict[str, Any]] = None,
-    throughput: Optional[Dict[str, Any]] = None,
-    segmentation: Optional[Dict[str, Any]] = None,
-    serving: Optional[Dict[str, Any]] = None,
-    note: str = "",
-) -> Dict[str, Any]:
-    """Build a profile from already-emitted benchmark reports.
-
-    This is the ``repro perf record --from-propagation/--from-throughput``
-    path and the benchmark runners' ``--store`` mode: the numbers were
-    just measured by the runner, so they are harvested instead of
-    re-measured.
-    """
-    measurements: Dict[str, Dict[str, Any]] = {}
-    if propagation is not None:
-        if propagation.get("benchmark") != "propagation":
-            raise PerfProfileError(
-                f"expected a propagation report, got "
-                f"{propagation.get('benchmark')!r}"
-            )
-        for row in propagation.get("results", []):
-            block = measurements.setdefault(row["circuit"], {})
-            for field in _PROPAGATION_ROW_FIELDS:
-                if field in row:
-                    block[field] = row[field]
-    if throughput is not None:
-        if throughput.get("benchmark") != "throughput":
-            raise PerfProfileError(
-                f"expected a throughput report, got "
-                f"{throughput.get('benchmark')!r}"
-            )
-        for row in throughput.get("results", []):
-            block = measurements.setdefault(row["circuit"], {})
-            rates = block.setdefault("batched_scenarios_per_sec", {})
-            # Repeat-heavy rows share the batched rows' metric but carry
-            # a "sweep" tag; suffix the key so both gate independently.
-            rate_key = str(row["batch_size"])
-            if row.get("sweep"):
-                rate_key = f"{rate_key}[{row['sweep']}]"
-            rates[rate_key] = row["batched_scenarios_per_sec"]
-    if segmentation is not None:
-        if segmentation.get("benchmark") != "segmentation":
-            raise PerfProfileError(
-                f"expected a segmentation report, got "
-                f"{segmentation.get('benchmark')!r}"
-            )
-        # One block per (circuit, refine) point: each refine level has
-        # its own timing/accuracy trajectory to gate.
-        for row in segmentation.get("results", []):
-            key = f"{row['circuit']}[refine={row['refine']}]"
-            block = measurements.setdefault(key, {})
-            for field in _SEGMENTATION_ROW_FIELDS:
-                if field in row and row[field] is not None:
-                    block[field] = row[field]
-    if serving is not None:
-        if serving.get("benchmark") != "serving":
-            raise PerfProfileError(
-                f"expected a serving report, got "
-                f"{serving.get('benchmark')!r}"
-            )
-        # Mirrors the throughput shape: a rate dict per circuit, keyed
-        # by the serving configuration so batched and unbatched rates
-        # at each concurrency gate independently.
-        for row in serving.get("results", []):
-            block = measurements.setdefault(row["circuit"], {})
-            rates = block.setdefault("serving_scenarios_per_sec", {})
-            rate_key = f"{row['mode']}@c{row['concurrency']}"
-            # Skewed-stream rows (the cached-serving benchmark) carry a
-            # workload tag and, when the server reported it, the result
-            # cache's hit rate for the run.
-            if row.get("workload"):
-                rate_key = f"{rate_key}[{row['workload']}]"
-            rates[rate_key] = row["scenarios_per_sec"]
-            if row.get("cache_hit_rate") is not None:
-                hit_rates = block.setdefault("serving_cache_hit_rate", {})
-                hit_rates[rate_key] = row["cache_hit_rate"]
-    if not measurements:
-        raise PerfProfileError(
-            "nothing to ingest: no benchmark rows in the given report(s)"
-        )
-    return _assemble_profile(measurements, note=note)
+    config = {
+        "circuits": names,
+        "repeats": repeats,
+        "batch_sizes": batch_sizes,
+        "parallelism": parallelism,
+        "kernel": kernel,
+    }
+    return new_document(
+        "profile", rows, config=config, obs=registry.snapshot(), note=note
+    )

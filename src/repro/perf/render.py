@@ -1,28 +1,22 @@
 """Human rendering of perf history: trajectory tables and diff lines.
 
-``render_log`` is the `repro perf log` view: one column per recorded
-version (newest last), one row per (circuit, metric), so a metric's
+``render_log`` is the `repro perf log` view.  It renders the rows of
+any ``repro.perf/v2`` document generically: one section per benchmark
+kind (only documents of one kind measure the same thing), one table
+per stage inside it, one line per ``(circuit, metric[key])`` row and
+one column per recorded version (newest last), so a metric's
 trajectory across SHAs reads left to right.  ``render_diff`` is the
-one-line-per-record view shared by ``repro perf diff`` and
-``benchmarks/bench_diff.py``.
+one-line-per-record view of ``repro perf diff``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import format_table
+from repro.perf.store import key_suffix, row_id
 
 __all__ = ["render_diff", "render_log", "version_label"]
-
-#: metrics shown by the log view, in order; rate tables expand to one
-#: row per batch size.
-_LOG_METRICS = (
-    "repeat_estimate_min_seconds",
-    "batched_scenarios_per_sec",
-    "max_abs_error",
-    "mean_activity",
-)
 
 _STATUS_FLAGS = {
     "ok": " ",
@@ -41,44 +35,39 @@ def version_label(profile: Dict[str, Any]) -> str:
     return f"{label}*" if git.get("dirty") else label
 
 
-def _metric_rows(
+def _kind_section(
     profiles: List[Dict[str, Any]],
-    metric_filter: Optional[str],
-    circuit_filter: Optional[str],
-) -> List[Tuple[str, str]]:
-    """Ordered union of (circuit, metric-row) keys across versions."""
-    rows: List[Tuple[str, str]] = []
-    seen = set()
+    metric: Optional[str],
+    circuit: Optional[str],
+) -> List[str]:
+    """Per-stage trajectory tables for documents of one kind."""
+    stages: Dict[str, Dict[tuple, Dict[str, Any]]] = {}
     for profile in profiles:
-        for circuit, block in sorted(profile["measurements"].items()):
-            if circuit_filter is not None and circuit != circuit_filter:
+        for entry in profile["rows"]:
+            if metric is not None and entry["metric"] != metric:
                 continue
-            for metric in _LOG_METRICS:
-                if metric_filter is not None and metric != metric_filter:
-                    continue
-                value = block.get(metric)
-                if value is None:
-                    continue
-                if isinstance(value, dict):
-                    keys = [f"{metric}[K={k}]" for k in sorted(value, key=int)]
-                else:
-                    keys = [metric]
-                for key in keys:
-                    if (circuit, key) not in seen:
-                        seen.add((circuit, key))
-                        rows.append((circuit, key))
-    return rows
-
-
-def _cell(block: Dict[str, Any], metric_key: str) -> Any:
-    if "[K=" in metric_key:
-        metric, batch = metric_key[:-1].split("[K=")
-        table = block.get(metric)
-        if isinstance(table, dict) and batch in table:
-            return float(table[batch])
-        return float("nan")
-    value = block.get(metric_key)
-    return float(value) if value is not None else float("nan")
+            if circuit is not None and entry["circuit"] != circuit:
+                continue
+            stages.setdefault(entry["stage"], {}).setdefault(
+                row_id(entry), entry
+            )
+    if not stages:
+        return []
+    values = [
+        {row_id(entry): entry["value"] for entry in profile["rows"]}
+        for profile in profiles
+    ]
+    headers = ["circuit", "metric"] + [version_label(p) for p in profiles]
+    tables = []
+    for stage, entries in stages.items():
+        table_rows = [
+            [entry["circuit"], entry["metric"] + key_suffix(entry["key"])]
+            + [v.get(identity, "-") for v in values]
+            for identity, entry in entries.items()
+        ]
+        title = f"stage {stage}"
+        tables.append(format_table(headers, table_rows, precision=6, title=title))
+    return tables
 
 
 def render_log(
@@ -86,7 +75,8 @@ def render_log(
     metric: Optional[str] = None,
     circuit: Optional[str] = None,
 ) -> str:
-    """Trajectory table: rows are (circuit, metric), columns versions.
+    """Per-stage trajectory tables: rows are (circuit, metric), columns
+    versions.
 
     ``profiles`` is oldest-first (the store's order); absent cells
     render as ``-`` (a quick recording covers fewer circuits than a
@@ -94,37 +84,30 @@ def render_log(
     """
     if not profiles:
         return "perf log: no recorded profiles\n"
-    header_lines = []
-    for i, profile in enumerate(profiles):
-        fp = profile.get("fingerprint", {})
-        header_lines.append(
-            f"  {version_label(profile):>12s}  {profile.get('recorded_at', '?')}"
-            f"  machine {fp.get('digest', '?')}"
-            + (f"  ({profile['note']})" if profile.get("note") else "")
-        )
-    keys = _metric_rows(profiles, metric, circuit)
-    if not keys:
-        wanted = f"metric {metric!r}" if metric else "the log metrics"
-        return (
-            "\n".join(header_lines)
-            + f"\nperf log: no measurements matching {wanted}\n"
-        )
-    table_rows = []
-    for circuit_name, metric_key in keys:
-        cells: List[Any] = [circuit_name, metric_key]
-        for profile in profiles:
-            block = profile["measurements"].get(circuit_name)
-            cells.append(
-                _cell(block, metric_key) if block is not None else float("nan")
+    kinds: Dict[str, List[Dict[str, Any]]] = {}
+    for profile in profiles:
+        kinds.setdefault(profile["benchmark"], []).append(profile)
+    lines = []
+    matched = False
+    for kind, docs in kinds.items():
+        lines.append(f"== {kind} ({len(docs)} version(s))")
+        for profile in docs:
+            fp = profile.get("fingerprint", {})
+            lines.append(
+                f"  {version_label(profile):>12s}  "
+                f"{profile.get('recorded_at', '?')}"
+                f"  machine {fp.get('digest', '?')}"
+                + (f"  ({profile['note']})" if profile.get("note") else "")
             )
-        table_rows.append(cells)
-    headers = ["circuit", "metric"] + [version_label(p) for p in profiles]
-    return (
-        "\n".join(header_lines)
-        + "\n\n"
-        + format_table(headers, table_rows, precision=6)
-        + "\n"
-    )
+        tables = _kind_section(docs, metric, circuit)
+        matched = matched or bool(tables)
+        for table in tables:
+            lines.extend(["", table])
+        lines.append("")
+    if not matched:
+        wanted = f"metric {metric!r}" if metric else "the filters"
+        lines.append(f"perf log: no measurements matching {wanted}")
+    return "\n".join(lines) + "\n"
 
 
 def render_diff(records: List[Dict[str, Any]]) -> str:
@@ -135,15 +118,16 @@ def render_diff(records: List[Dict[str, Any]]) -> str:
     """
     lines = []
     for record in records:
-        key = record["key"]
-        if isinstance(key, tuple):
-            key = ",".join(str(part) for part in key)
         flag = _STATUS_FLAGS.get(record["status"], "?")
+        name = f"{record['stage']}/{record['metric']}"
         if record["status"] == "missing":
-            lines.append(f"{flag} {key:>16s}  (not in new profile)  missing")
+            lines.append(
+                f"{flag} {record['key']:>16s}  {name}  (not in new document)"
+                f"  missing"
+            )
             continue
         lines.append(
-            f"{flag} {key:>16s}  {record['metric']}  "
+            f"{flag} {record['key']:>16s}  {name}  "
             f"old {record['old']:12.6g}  new {record['new']:12.6g}  "
             f"x{record['ratio']:.3f}  {record['status']}"
         )

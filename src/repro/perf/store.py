@@ -9,28 +9,37 @@ baseline (:data:`BASELINE_FILE`, ``PERF_HISTORY.json``) carries the
 same profiles wrapped in a ``{"profiles": [...]}`` document so CI can
 diff a fresh recording against the last agreed-on numbers.
 
-Profile shape (``repro.perf/v1``)::
+Document shape (``repro.perf/v2``) -- one shape for every benchmark
+runner's ``BENCH_*.json``, every ``repro perf record`` profile and the
+committed history::
 
     {
-      "schema": "repro.perf/v1",
-      "schema_version": 1,
+      "schema": "repro.perf/v2",
+      "schema_version": 2,
+      "benchmark": "profile",                  # or propagation/throughput/
+                                               #    segmentation/serving
       "recorded_at": "2026-08-08T12:00:00Z",   # ISO-8601 UTC
       "note": "",                              # free-form provenance
       "git": {"sha": str, "short": str, "dirty": bool},
       "fingerprint": {..., "digest": str},     # see perf.fingerprint
-      "obs": {"counters": ..., "gauges": ..., "histograms": ...},
-      "measurements": {
-        "<circuit>": {
-          "repeat_estimate_min_seconds": float,        # primary (time)
-          "repeat_estimate_seconds_samples": [float],  # raw cycles
-          "batched_scenarios_per_sec": {"64": float},  # primary (rate)
-          "max_abs_error": float,        # vs enumeration oracle
-          "max_abs_diff_vs_dense": float,
-          "mean_activity": float,        # accuracy-gated
-          ...                            # context (compile_seconds, ...)
-        },
-      },
+      "config": {"repeats": 3, ...},           # the run's settings
+      "obs": {"counters": ..., "gauges": ..., "histograms": ...},  # optional
+      "rows": [
+        {"circuit": "c17", "stage": "repeat",
+         "metric": "repeat_estimate_min_seconds", "value": 0.0005,
+         "samples": [0.0006, 0.0005], "key": {}},
+        {"circuit": "c17", "stage": "batched",
+         "metric": "batched_scenarios_per_sec", "value": 26451.0,
+         "key": {"K": 64}},
+        ...
+      ],
     }
+
+A row is one measured number.  ``(circuit, stage, metric, key)``
+identifies it -- ``key`` holds the point's extra coordinates (batch
+size, serving mode, refine level), empty when the circuit alone
+identifies it -- and is unique within a document; ``samples`` carries
+the raw observations behind ``value`` when there are several.
 
 Corruption policy (mirrors the compile cache's corrupt-entry
 eviction): a truncated or garbage line -- a byte-chopped file after a
@@ -46,24 +55,35 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import PerfProfileError
 from repro.obs.metrics import get_metrics
 
 __all__ = [
     "BASELINE_FILE",
+    "BENCHMARK_KINDS",
     "DEFAULT_STORE_DIR",
     "PROFILE_SCHEMA",
     "PROFILE_SCHEMA_VERSION",
     "PerfStore",
+    "key_suffix",
     "load_profiles_file",
+    "row",
+    "row_id",
+    "row_label",
     "validate_profile",
     "write_history",
 ]
 
-PROFILE_SCHEMA = "repro.perf/v1"
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA = "repro.perf/v2"
+PROFILE_SCHEMA_VERSION = 2
+
+#: What produced a document: a ``repro perf record`` profile or one of
+#: the four benchmark runners.  Only documents of one kind compare.
+BENCHMARK_KINDS = ("profile", "propagation", "throughput", "segmentation", "serving")
+
+_ROW_FIELDS = frozenset(("circuit", "stage", "metric", "value", "samples", "key"))
 
 #: Environment variable overriding the default store directory.
 STORE_DIR_ENV = "REPRO_PERF_DIR"
@@ -76,15 +96,86 @@ DEFAULT_STORE_DIR = ".repro-perf"
 BASELINE_FILE = "PERF_HISTORY.json"
 
 
+def row(
+    circuit: str,
+    stage: str,
+    metric: str,
+    value: Any,
+    samples: Optional[List[float]] = None,
+    **key: Any,
+) -> Dict[str, Any]:
+    """One measurement row; keyword arguments become its ``key``."""
+    entry = {
+        "circuit": circuit,
+        "stage": stage,
+        "metric": metric,
+        "value": value,
+        "key": key,
+    }
+    if samples is not None:
+        entry["samples"] = list(samples)
+    return entry
+
+
+def row_id(entry: Dict[str, Any]) -> Tuple:
+    """The identity rows are matched on across documents."""
+    return (
+        entry["circuit"],
+        entry["stage"],
+        entry["metric"],
+        tuple(sorted(entry["key"].items())),
+    )
+
+
+def key_suffix(key: Dict[str, Any]) -> str:
+    """``""`` for an empty key, else ``"[k=v,...]"``."""
+    if not key:
+        return ""
+    return "[" + ",".join(f"{k}={v}" for k, v in sorted(key.items())) + "]"
+
+
+def row_label(entry: Dict[str, Any]) -> str:
+    """``circuit`` or ``circuit[k=v,...]`` -- the human row name."""
+    return entry["circuit"] + key_suffix(entry["key"])
+
+
 def _fail(message: str) -> None:
     raise PerfProfileError(f"invalid perf profile: {message}")
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _validate_row(i: int, entry: Any) -> None:
+    if not isinstance(entry, dict):
+        _fail(f"rows[{i}] is not an object")
+    unknown = set(entry) - _ROW_FIELDS
+    if unknown:
+        _fail(f"rows[{i}] has unknown fields {sorted(unknown)}")
+    for field in ("circuit", "stage", "metric"):
+        if not isinstance(entry.get(field), str) or not entry[field]:
+            _fail(f"rows[{i}].{field} is missing or not a string")
+    # bool is an int subclass: pass/fail flags are numbers to the gate.
+    if not isinstance(entry.get("value"), (int, float)):
+        _fail(f"rows[{i}].value is neither a number nor a bool")
+    samples = entry.get("samples")
+    if samples is not None and not (
+        isinstance(samples, list) and all(_is_number(v) for v in samples)
+    ):
+        _fail(f"rows[{i}].samples is not a list of numbers")
+    key = entry.get("key")
+    if not isinstance(key, dict) or not all(
+        isinstance(v, str) or _is_number(v) for v in key.values()
+    ):
+        _fail(f"rows[{i}].key is not a flat object of strings and numbers")
+
+
 def validate_profile(profile: Any) -> Dict[str, Any]:
-    """Validate a profile against the ``repro.perf/v1`` schema.
+    """Validate a document against the ``repro.perf/v2`` schema.
 
     Raises :class:`~repro.errors.PerfProfileError` on drift; returns
-    the profile unchanged on success so calls can be inlined.
+    the document unchanged on success so calls can be inlined.
     """
     if not isinstance(profile, dict):
         _fail("top level is not an object")
@@ -97,6 +188,11 @@ def validate_profile(profile: Any) -> Dict[str, Any]:
             f"schema_version is {profile.get('schema_version')!r}, "
             f"expected {PROFILE_SCHEMA_VERSION}"
         )
+    if profile.get("benchmark") not in BENCHMARK_KINDS:
+        _fail(
+            f"benchmark is {profile.get('benchmark')!r}, expected one of "
+            f"{list(BENCHMARK_KINDS)}"
+        )
     git = profile.get("git")
     if not isinstance(git, dict) or not isinstance(git.get("sha"), str):
         _fail("git.sha is missing or not a string")
@@ -107,31 +203,21 @@ def validate_profile(profile: Any) -> Dict[str, Any]:
         fingerprint.get("digest"), str
     ):
         _fail("fingerprint.digest is missing or not a string")
-    measurements = profile.get("measurements")
-    if not isinstance(measurements, dict) or not measurements:
-        _fail("measurements is missing or empty")
-    for circuit, metrics in measurements.items():
-        if not isinstance(circuit, str):
-            _fail("measurements has a non-string circuit key")
-        if not isinstance(metrics, dict):
-            _fail(f"measurements[{circuit!r}] is not an object")
-        for name, value in metrics.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                continue
-            if isinstance(value, str):
-                continue
-            if isinstance(value, dict) and all(
-                isinstance(v, (int, float)) for v in value.values()
-            ):
-                continue
-            if isinstance(value, list) and all(
-                isinstance(v, (int, float)) for v in value
-            ):
-                continue
+    if not isinstance(profile.get("config"), dict):
+        _fail("config is missing or not an object")
+    rows = profile.get("rows")
+    if not isinstance(rows, list) or not rows:
+        _fail("rows is missing or empty (no measurements)")
+    seen = set()
+    for i, entry in enumerate(rows):
+        _validate_row(i, entry)
+        identity = row_id(entry)
+        if identity in seen:
             _fail(
-                f"measurements[{circuit!r}][{name!r}] is neither a number, "
-                f"a string, a numeric list, nor a flat numeric object"
+                f"rows[{i}] repeats {row_label(entry)} "
+                f"{entry['stage']}/{entry['metric']}"
             )
+        seen.add(identity)
     if "obs" in profile and not isinstance(profile["obs"], dict):
         _fail("obs is present but not an object")
     return profile
@@ -259,12 +345,16 @@ class PerfStore:
         return matches[-1]
 
 
-def load_profiles_file(path: os.PathLike) -> List[Dict[str, Any]]:
+def load_profiles_file(
+    path: os.PathLike, strict: bool = False
+) -> List[Dict[str, Any]]:
     """Read profiles from a file of any supported shape, oldest first.
 
-    Accepts a single-profile JSON document, a ``{"profiles": [...]}``
-    history document, a bare JSON list, or a ``.jsonl`` append log.
-    Corrupt entries are skipped with a warning (never a crash).
+    Accepts a single document (a ``BENCH_*.json`` or one profile), a
+    ``{"profiles": [...]}`` history document, a bare JSON list, or a
+    ``.jsonl`` append log.  Corrupt entries are skipped with a warning
+    (never a crash) unless ``strict``, which raises
+    :class:`~repro.errors.PerfProfileError` on the first one instead.
     """
     path = Path(path)
     try:
@@ -284,6 +374,8 @@ def load_profiles_file(path: os.PathLike) -> List[Dict[str, Any]]:
             try:
                 candidates.append(json.loads(line))
             except json.JSONDecodeError as exc:
+                if strict:
+                    raise PerfProfileError(f"{path}:{lineno}: {exc}") from exc
                 _count_corrupt(f"{path}:{lineno}: {exc}")
     else:
         if isinstance(document, dict) and "profiles" in document:
@@ -299,6 +391,8 @@ def load_profiles_file(path: os.PathLike) -> List[Dict[str, Any]]:
         try:
             found.append(validate_profile(candidate))
         except PerfProfileError as exc:
+            if strict:
+                raise PerfProfileError(f"{path}[{i}]: {exc}") from exc
             _count_corrupt(f"{path}[{i}]: {exc}")
     return found
 

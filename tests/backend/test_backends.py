@@ -19,7 +19,7 @@ from repro.core.backend import (
 from repro.core.backend.backends import EstimatorCompiledModel
 from repro.core.estimator import SwitchingActivityEstimator
 from repro.core.inputs import IndependentInputs
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 
 BUILTIN_BACKENDS = [
     "auto",
@@ -153,12 +153,6 @@ def test_register_backend_rejects_duplicates_and_accepts_custom():
         from repro.core.backend import registry
 
         registry._REGISTRY.pop("constant-test", None)
-
-
-def test_deprecated_estimator_alias_still_imports():
-    with pytest.warns(DeprecationWarning):
-        from repro.core.estimator import CliqueBudgetExceeded as aliased
-    assert aliased is CliqueBudgetExceeded
 
 
 def test_backend_name_threaded_into_spans():

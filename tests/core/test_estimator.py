@@ -11,7 +11,7 @@ from repro.core import (
     CorrelatedGroupInputs,
     exact_switching_by_enumeration,
 )
-from repro.core.estimator import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 
 
 def assert_matches_enumeration(circuit, model=None, atol=1e-10):

@@ -13,7 +13,7 @@ from repro.core.estimator import (
     exact_switching_by_enumeration,
 )
 from repro.core.inputs import IndependentInputs, TemporalInputs
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 
 SMALL_CIRCUITS = [
     examples.c17,

@@ -9,7 +9,7 @@ from repro.core import (
     SegmentedEstimator,
     SwitchingActivityEstimator,
 )
-from repro.core.segmentation import FixedMarginalInputs
+from repro.core.segments import FixedMarginalInputs
 from repro.core.states import N_STATES
 
 

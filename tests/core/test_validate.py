@@ -8,7 +8,7 @@ from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit, Gate
 from repro.core.backend import compile_model
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.segmentation import FixedMarginalInputs
+from repro.core.segments import FixedMarginalInputs
 from repro.core.validate import validate, validate_circuit, validate_input_model
 from repro.errors import (
     CombinationalCycleError,

@@ -11,7 +11,9 @@ import pytest
 from repro.cli import main
 from repro.perf.fingerprint import machine_fingerprint
 
-from .conftest import make_profile
+from repro.perf.store import row
+
+from .conftest import make_document, make_profile
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -144,21 +146,15 @@ class TestDiffExitCodes:
 
 class TestIngestion:
     def _propagation_report(self):
-        return {
-            "benchmark": "propagation",
-            "schema_version": 4,
-            "results": [
-                {
-                    "circuit": "c17",
-                    "gates": 6,
-                    "method": "single-bn",
-                    "kernel": "auto",
-                    "repeat_estimate_min_seconds": 0.0006,
-                    "mean_activity": 0.470170,
-                    "max_abs_diff_vs_dense": 0.0,
-                }
+        return make_document(
+            "propagation",
+            [
+                row("c17", "circuit", "gates", 6),
+                row("c17", "repeat", "repeat_estimate_min_seconds", 0.0006),
+                row("c17", "accuracy", "mean_activity", 0.470170),
+                row("c17", "accuracy", "max_abs_diff_vs_dense", 0.0),
             ],
-        }
+        )
 
     def test_record_from_propagation_report(self, capsys, tmp_path, store):
         report = tmp_path / "BENCH_propagation.json"
@@ -166,7 +162,7 @@ class TestIngestion:
         assert main(
             [
                 "perf", "record", "--store", store,
-                "--from-propagation", str(report), "--note", "ingested",
+                "--from", str(report), "--note", "ingested",
             ]
         ) == 0
         assert "recorded profile" in capsys.readouterr().out
@@ -175,8 +171,8 @@ class TestIngestion:
 
         (profile,) = PerfStore(store).profiles()
         assert profile["note"] == "ingested"
-        block = profile["measurements"]["c17"]
-        assert block["repeat_estimate_min_seconds"] == 0.0006
+        assert profile["benchmark"] == "propagation"
+        assert profile["rows"] == self._propagation_report()["rows"]
 
     def test_baseline_document_written_and_appended(
         self, capsys, tmp_path, store
@@ -188,19 +184,19 @@ class TestIngestion:
             assert main(
                 [
                     "perf", "record", "--store", store,
-                    "--from-propagation", str(report),
+                    "--from", str(report),
                     "--baseline", str(baseline),
                 ]
             ) == 0
         document = json.loads(baseline.read_text())
-        assert document["schema"] == "repro.perf/v1"
+        assert document["schema"] == "repro.perf/v2"
         assert len(document["profiles"]) == 2
 
     def test_unreadable_report_exits_one(self, capsys, store):
         assert main(
             [
                 "perf", "record", "--store", store,
-                "--from-propagation", "/nonexistent/report.json",
+                "--from", "/nonexistent/report.json",
             ]
         ) == 1
         assert "repro: error:" in capsys.readouterr().err

@@ -1,11 +1,12 @@
-"""The statistical gate: noise band, floor, dispersion, exit codes."""
+"""The statistical gate: noise band, floor, coverage, exit codes."""
 
 import pytest
 
 from repro.errors import PerfDiffError
-from repro.perf.diff import compare_bench_documents, compare_profiles, exit_code
+from repro.perf.diff import compare_profiles, exit_code
+from repro.perf.store import row
 
-from .conftest import make_profile
+from .conftest import block_rows, make_document, make_profile
 
 
 def _statuses(records):
@@ -46,9 +47,9 @@ class TestTimeGate:
         )
         assert exit_code(compare_profiles(old, new)) == 0
 
-    def test_dispersion_widens_the_band(self):
-        # A noisy recording (median 60% above min) must tolerate a
-        # delta the configured band alone would flag.
+    def test_dispersion_does_not_widen_the_band(self):
+        # One band rule for every document: a noisy recording (median
+        # 60% above min) gets no extra tolerance.
         old = make_profile(
             sha="a" * 40,
             repeat_estimate_min_seconds=0.010,
@@ -56,16 +57,16 @@ class TestTimeGate:
         )
         new = make_profile(
             sha="b" * 40,
-            repeat_estimate_min_seconds=0.014,  # +40%: band 0.25 + disp 0.6
+            repeat_estimate_min_seconds=0.014,  # +40% > band 0.25
             repeat_estimate_seconds_samples=[0.014, 0.015, 0.015],
         )
         records = compare_profiles(old, new)
         status = _statuses(records)[("c17", "repeat_estimate_min_seconds")]
-        assert status == "ok"
+        assert status == "regression"
         (time_record,) = [
             r for r in records if r["metric"] == "repeat_estimate_min_seconds"
         ]
-        assert time_record["band"] == pytest.approx(0.85)
+        assert time_record["band"] == pytest.approx(0.25)
 
     def test_sub_floor_rows_are_skipped(self):
         old = make_profile(
@@ -96,6 +97,20 @@ class TestRateGate:
             "regression"
         )
         assert exit_code(records) == 1
+
+    def test_rate_judged_on_the_inverted_ratio(self):
+        # At the CI band of 1.0 a rate regresses below old / 2: a 20x
+        # drop must fire (``old * (1 - band)`` would be 0 and never
+        # fire), a 1.9x drop must not.
+        old = make_profile(sha="a" * 40)
+        crash = make_profile(
+            sha="b" * 40, batched_scenarios_per_sec={"64": 1000.0}
+        )
+        assert exit_code(compare_profiles(old, crash, noise_band=1.0)) == 1
+        dip = make_profile(
+            sha="b" * 40, batched_scenarios_per_sec={"64": 20000.0 / 1.9}
+        )
+        assert exit_code(compare_profiles(old, dip, noise_band=1.0)) == 0
 
     def test_rate_gain_is_ok(self):
         old = make_profile(sha="a" * 40)
@@ -142,64 +157,89 @@ class TestAccuracyGate:
 class TestCoverage:
     def test_missing_circuit_is_nonfailing(self):
         old = make_profile(sha="a" * 40)
-        old["measurements"]["alu"] = {"repeat_estimate_min_seconds": 0.004}
+        old["rows"] += block_rows("alu", {"repeat_estimate_min_seconds": 0.004})
         new = make_profile(sha="b" * 40)  # c17 only (a quick recording)
-        records = compare_profiles(old, new)
-        assert _statuses(records)[("alu", "*")] == "missing"
+        records = compare_profiles(old, new, subset=True)
+        assert _statuses(records)[("alu", "repeat_estimate_min_seconds")] == (
+            "missing"
+        )
         assert exit_code(records) == 0
+
+    def test_ungated_rows_are_not_coverage(self):
+        # Context rows (no gate rule) neither compare nor go missing.
+        old = make_profile(sha="a" * 40)
+        old["rows"] += block_rows("alu", {"gates": 74})
+        records = compare_profiles(old, make_profile(sha="b" * 40))
+        assert {r["key"] for r in records} == {"c17", "c17[K=64]"}
 
     def test_no_common_measurements_raises(self):
         old = make_profile(sha="a" * 40)
-        old["measurements"] = {"alu": {"gates": 74}}
+        old["rows"] = block_rows("alu", {"gates": 74})
         new = make_profile(sha="b" * 40)
         with pytest.raises(PerfDiffError, match="no comparable"):
             compare_profiles(old, new)
 
 
+def _propagation(*circuits, seconds=0.5):
+    return make_document(
+        "propagation",
+        [
+            row(name, "repeat", "repeat_estimate_min_seconds", seconds)
+            for name in circuits
+        ],
+    )
+
+
+def _throughput(rate):
+    return make_document(
+        "throughput",
+        [row("c17", "batched", "batched_scenarios_per_sec", rate, K=64)],
+    )
+
+
 class TestBenchDocumentCompare:
+    """``BENCH_*.json`` reports gate through the same comparison."""
+
     def test_mismatched_kinds_raise(self):
         with pytest.raises(PerfDiffError, match="kinds differ"):
-            compare_bench_documents(
-                {"benchmark": "propagation", "results": []},
-                {"benchmark": "throughput", "results": []},
-            )
+            compare_profiles(_propagation("c17"), _throughput(1000.0))
 
     def test_missing_rows_raise(self):
-        old = {
-            "benchmark": "propagation",
-            "results": [
-                {"circuit": "c17", "repeat_estimate_min_seconds": 0.5},
-                {"circuit": "alu", "repeat_estimate_min_seconds": 0.5},
-            ],
-        }
-        new = {
-            "benchmark": "propagation",
-            "results": [{"circuit": "c17", "repeat_estimate_min_seconds": 0.5}],
-        }
+        old = _propagation("c17", "alu")
+        new = _propagation("c17")
         with pytest.raises(PerfDiffError, match="missing"):
-            compare_bench_documents(old, new)
+            compare_profiles(old, new)
+        records = compare_profiles(old, new, subset=True)
+        assert _statuses(records)[("alu", "repeat_estimate_min_seconds")] == (
+            "missing"
+        )
 
     def test_tuple_keys_and_regression(self):
-        old = {
-            "benchmark": "throughput",
-            "results": [
-                {
-                    "circuit": "c17",
-                    "batch_size": 64,
-                    "batched_scenarios_per_sec": 1000.0,
-                }
-            ],
-        }
-        new = {
-            "benchmark": "throughput",
-            "results": [
-                {
-                    "circuit": "c17",
-                    "batch_size": 64,
-                    "batched_scenarios_per_sec": 400.0,
-                }
-            ],
-        }
-        (record,) = compare_bench_documents(old, new)
-        assert record["key"] == ("c17", 64)
+        (record,) = compare_profiles(_throughput(1000.0), _throughput(400.0))
+        assert record["key"] == "c17[K=64]"
+        assert record["stage"] == "batched"
         assert record["status"] == "regression"
+
+    def test_keys_distinguish_rows(self):
+        # A sweep-tagged row is a different point than the plain one.
+        old = _throughput(1000.0)
+        old["rows"].append(
+            row("c17", "batched", "batched_scenarios_per_sec", 50.0,
+                K=64, sweep="delta")
+        )
+        new = _throughput(1000.0)
+        new["rows"].append(
+            row("c17", "batched", "batched_scenarios_per_sec", 2.5,
+                K=64, sweep="delta")
+        )
+        records = compare_profiles(old, new, noise_band=1.0)
+        assert _statuses(records)[("c17[K=64,sweep=delta]",
+                                   "batched_scenarios_per_sec")] == "regression"
+        assert exit_code(records) == 1
+
+    def test_flag_flip_is_accuracy(self):
+        def flag(value):
+            entry = row("c17", "accuracy", "bitwise_equal", value, K=64)
+            return make_document("throughput", [entry])
+
+        assert exit_code(compare_profiles(flag(True), flag(False))) == 2

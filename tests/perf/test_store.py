@@ -145,7 +145,7 @@ class TestHistoryDocument:
         path = tmp_path / "PERF_HISTORY.json"
         write_history(path, [make_profile(sha="a" * 40)])
         document = json.loads(path.read_text())
-        assert document["schema"] == "repro.perf/v1"
+        assert document["schema"] == "repro.perf/v2"
         loaded = load_profiles_file(path)
         assert len(loaded) == 1 and loaded[0]["git"]["sha"] == "a" * 40
 
@@ -165,6 +165,16 @@ class TestHistoryDocument:
         with pytest.raises(PerfProfileError, match="cannot read"):
             load_profiles_file(tmp_path / "nope.json")
 
+    def test_strict_load_raises_on_an_invalid_entry(self, tmp_path):
+        path = tmp_path / "old.json"
+        stale = make_profile()
+        stale["schema"] = "repro.perf/v1"
+        path.write_text(json.dumps(stale))
+        with pytest.warns(UserWarning):
+            assert load_profiles_file(path) == []
+        with pytest.raises(PerfProfileError, match="schema"):
+            load_profiles_file(path, strict=True)
+
 
 class TestValidateProfile:
     @pytest.mark.parametrize(
@@ -175,12 +185,15 @@ class TestValidateProfile:
             (lambda p: p["git"].pop("sha"), "git.sha"),
             (lambda p: p["git"].update(dirty="yes"), "git.dirty"),
             (lambda p: p["fingerprint"].pop("digest"), "fingerprint"),
-            (lambda p: p.update(measurements={}), "measurements"),
-            (
-                lambda p: p["measurements"]["c17"].update(bad=[1, "x"]),
-                "neither",
-            ),
+            (lambda p: p.update(rows=[]), "measurements"),
+            (lambda p: p["rows"][0].update(value="x"), "neither"),
             (lambda p: p.update(obs="not a dict"), "obs"),
+            (lambda p: p.update(benchmark="bench"), "benchmark"),
+            (lambda p: p.pop("config"), "config"),
+            (lambda p: p["rows"].append(dict(p["rows"][0])), "repeats"),
+            (lambda p: p["rows"][0].update(extra=1), "unknown fields"),
+            (lambda p: p["rows"][0].update(key={"K": [64]}), "flat object"),
+            (lambda p: p["rows"][0].update(samples=[0.1, "x"]), "samples"),
         ],
     )
     def test_rejections(self, mutate, match):

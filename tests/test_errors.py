@@ -1,6 +1,4 @@
-"""The consolidated ``repro.errors`` hierarchy and its compat shims."""
-
-import warnings
+"""The consolidated ``repro.errors`` hierarchy and its re-exports."""
 
 import pytest
 
@@ -68,13 +66,6 @@ class TestHistoricalLocations:
 
         assert enumeration.SegmentTooWide is errors.SegmentTooWide
 
-    def test_backend_errors_module_reexports(self):
-        from repro.core.backend import errors as backend_errors
-
-        assert backend_errors.CliqueBudgetExceeded is errors.CliqueBudgetExceeded
-        assert backend_errors.ArtifactSchemaError is errors.ArtifactSchemaError
-        assert backend_errors.UnknownBackendError is errors.UnknownBackendError
-
     def test_junction_module_reexports(self):
         from repro.bayesian import junction
 
@@ -91,23 +82,6 @@ class TestHistoricalLocations:
 
 
 class TestDeprecatedAliases:
-    def test_estimator_alias_warns_and_is_identical(self):
-        import repro.core.estimator as estimator
-
-        with pytest.warns(DeprecationWarning, match="repro.core.estimator"):
-            alias = estimator.CliqueBudgetExceeded
-        assert alias is errors.CliqueBudgetExceeded
-
-    def test_estimator_alias_still_catches(self):
-        """An except clause on the alias catches the canonical raise."""
-        import repro.core.estimator as estimator
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            alias = estimator.CliqueBudgetExceeded
-        with pytest.raises(alias):
-            raise errors.CliqueBudgetExceeded("budget")
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.estimator as estimator
 

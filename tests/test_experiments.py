@@ -30,7 +30,7 @@ class TestTable1:
 
     def test_make_estimator_picks_segmented_for_large(self):
         from repro.circuits import suite
-        from repro.core.segmentation import SegmentedEstimator
+        from repro.core.segments import SegmentedEstimator
 
         circuit = suite.load_circuit("c432s")
         estimator = make_estimator(circuit)

@@ -15,15 +15,11 @@ Three guarantees ride on the compile-time support analysis:
    silently truncating it.
 
 Plus the observability/CI satellites: ``support_stats`` /
-``jt.feasible_states`` gauges, and the ``bench_diff.py`` regression
-gate's exit codes.
+``jt.feasible_states`` gauges, and the ``repro perf diff`` regression
+gate's exit codes on benchmark documents.
 """
 
-import importlib.util
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +30,12 @@ from repro.bayesian.junction import JunctionTree
 from repro.circuits import suite
 from repro.core import IndependentInputs, SwitchingActivityEstimator
 from repro.core.backend import estimate_many
+from repro.cli import main as cli_main
 from repro.core.estimator import exact_switching_by_enumeration
+from repro.errors import PerfDiffError
+from repro.perf import compare_profiles, new_document, row
 from repro.testing import input_model_from_json, input_model_to_json, make_case
 
-BENCH_DIFF = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_diff.py"
 
 
 def _fuzz_case(seed, max_gates=20, max_inputs=5):
@@ -196,85 +194,66 @@ class TestDiagnostics:
         assert gauges["jt.feasible_states"] < gauges["jt.total_states"]
 
 
-def _load_bench_diff():
-    spec = importlib.util.spec_from_file_location("bench_diff", BENCH_DIFF)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _prop_doc(seconds_by_circuit):
-    return {
-        "benchmark": "propagation",
-        "schema_version": 4,
-        "results": [
-            {"circuit": name, "repeat_estimate_min_seconds": value}
+    return new_document(
+        "propagation",
+        [
+            row(name, "repeat", "repeat_estimate_min_seconds", value)
             for name, value in seconds_by_circuit.items()
         ],
-    }
+    )
 
 
 def _thr_doc(rate_by_key):
-    return {
-        "benchmark": "throughput",
-        "schema_version": 2,
-        "results": [
-            {
-                "circuit": name,
-                "batch_size": k,
-                "batched_scenarios_per_sec": value,
-            }
+    return new_document(
+        "throughput",
+        [
+            row(name, "batched", "batched_scenarios_per_sec", value, K=k)
             for (name, k), value in rate_by_key.items()
         ],
-    }
+    )
 
 
 class TestBenchDiff:
     def test_ok_within_band(self):
-        mod = _load_bench_diff()
-        records = mod.compare(
+        records = compare_profiles(
             _prop_doc({"c432s": 0.100}), _prop_doc({"c432s": 0.110}),
             noise_band=0.25,
         )
         assert [r["status"] for r in records] == ["ok"]
 
     def test_regression_detected_both_directions(self):
-        mod = _load_bench_diff()
-        slow = mod.compare(
+        slow = compare_profiles(
             _prop_doc({"c432s": 0.100}), _prop_doc({"c432s": 0.200}),
             noise_band=0.25,
         )
         assert slow[0]["status"] == "regression"
-        fewer = mod.compare(
+        fewer = compare_profiles(
             _thr_doc({("c17", 64): 1000.0}), _thr_doc({("c17", 64): 500.0}),
             noise_band=0.25,
         )
         assert fewer[0]["status"] == "regression"
 
     def test_sub_floor_timings_are_skipped(self):
-        mod = _load_bench_diff()
-        records = mod.compare(
+        records = compare_profiles(
             _prop_doc({"c17": 0.0002}), _prop_doc({"c17": 0.0009}),
             noise_band=0.25, floor_seconds=0.001,
         )
         assert records[0]["status"] == "skipped"
 
     def test_mismatched_kinds_raise(self):
-        mod = _load_bench_diff()
-        with pytest.raises(mod.BenchDiffError):
-            mod.compare(_prop_doc({"c17": 1.0}), _thr_doc({("c17", 1): 1.0}))
+        with pytest.raises(PerfDiffError):
+            compare_profiles(_prop_doc({"c17": 1.0}), _thr_doc({("c17", 1): 1.0}))
 
     def test_cli_exit_codes(self, tmp_path):
         old = tmp_path / "old.json"
         regressed = tmp_path / "new.json"
         old.write_text(json.dumps(_prop_doc({"c432s": 0.100})))
         regressed.write_text(json.dumps(_prop_doc({"c432s": 0.500})))
-        run = lambda a, b: subprocess.run(
-            [sys.executable, str(BENCH_DIFF), str(a), str(b)],
-            capture_output=True, text=True,
-        )
-        assert run(old, old).returncode == 0
-        assert run(old, regressed).returncode == 1
+        store = str(tmp_path / "store")
+        run = lambda a, b: cli_main(["perf", "diff", str(a), str(b), "--store", store])
+        assert run(old, old) == 0
+        assert run(old, regressed) == 1
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(_thr_doc({("c17", 1): 1.0})))
-        assert run(old, broken).returncode == 2
+        assert run(old, broken) == 2
