@@ -137,7 +137,7 @@ def _max_abs_diff(estimator_a, estimator_b) -> float:
 
 
 def bench_circuit(
-    name: str, repeats: int, parallelism: int, kernel: str = "auto"
+    name: str, repeats: int, kernel: str = "auto"
 ) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
     fields: Dict[str, object] = {
@@ -146,7 +146,7 @@ def bench_circuit(
     }
 
     start = time.perf_counter()
-    estimator, method = compile_estimator(circuit, parallelism, kernel)
+    estimator, method = compile_estimator(circuit, kernel)
     fields["compile_seconds"] = time.perf_counter() - start
     if method == "segmented":
         fields["segments"] = estimator.num_segments
@@ -166,7 +166,7 @@ def bench_circuit(
     # nothing (worst per-line delta, expected at float association-
     # order level).
     if kernel != "dense":
-        dense, _ = compile_estimator(circuit, parallelism, "dense")
+        dense, _ = compile_estimator(circuit, "dense")
         dense.estimate()  # first calibration outside the timed region
         dense_cycles = repeat_cycles(dense, repeats)
         fields["dense_repeat_estimate_min_seconds"] = min(dense_cycles)
@@ -225,10 +225,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--parallelism", type=int, default=0,
-        help="worker threads for segmented circuits (0 = serial)",
-    )
-    parser.add_argument(
         "--kernel", default="auto", choices=("auto", "dense", "sparse"),
         help="message-kernel mode for the primary run",
     )
@@ -239,12 +235,8 @@ def main(argv=None) -> int:
 
     rows = []
     for name in parse_csv_names(args.circuits):
-        rows += bench_circuit(name, args.repeats, args.parallelism, args.kernel)
-    config = {
-        "repeats": args.repeats,
-        "parallelism": args.parallelism,
-        "kernel": args.kernel,
-    }
+        rows += bench_circuit(name, args.repeats, args.kernel)
+    config = {"repeats": args.repeats, "kernel": args.kernel}
     write_document(args.output, "propagation", rows, config)
     return 0
 

@@ -29,7 +29,7 @@ half the unrefined error on every demo circuit.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_segmentation.py \
-        [--quick | --full] [--repeats 3] [--parallelism 4] \
+        [--quick | --full] [--repeats 3] \
         [--output BENCH_segmentation.json]
 """
 
@@ -121,14 +121,12 @@ def bench_point(
     refine: int,
     kwargs: Dict,
     repeats: int,
-    parallelism: int,
     oracle: Optional[Dict],
 ) -> List[Dict[str, object]]:
     estimator = SegmentedEstimator(
         circuit,
         input_model=IndependentInputs(P_ONE),
         refine=refine,
-        parallelism=parallelism,
         **kwargs,
     )
     start = time.perf_counter()
@@ -184,10 +182,6 @@ def main(argv=None) -> int:
         help="also run layered10k (several minutes of compile)",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--parallelism", type=int, default=0,
-        help="worker threads for segment compile/propagate (0 = serial)",
-    )
     parser.add_argument("--output", default="BENCH_segmentation.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -216,7 +210,6 @@ def main(argv=None) -> int:
                 refine,
                 config["kwargs"],
                 args.repeats,
-                args.parallelism,
                 oracle,
             )
             rows += point_rows
@@ -240,8 +233,8 @@ def main(argv=None) -> int:
                 f"refine=0 {base:.3e} ({base / max(refined, 1e-300):.1f}x) -- ok"
             )
 
-    run_config = {"repeats": args.repeats, "parallelism": args.parallelism,
-                  "p_one": P_ONE, "quick": args.quick, "full": args.full}
+    run_config = {"repeats": args.repeats, "p_one": P_ONE,
+                  "quick": args.quick, "full": args.full}
     write_document(args.output, "segmentation", rows, run_config)
     return 0
 

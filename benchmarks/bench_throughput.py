@@ -132,7 +132,7 @@ def delta_scenarios(circuit, k: int, salt: int, distinct: int = 0):
 
 
 def _bitwise_check(
-    circuit, parallelism: int, k: int, kernel: str
+    circuit, k: int, kernel: str
 ) -> Dict[str, object]:
     """Fresh-compile oracle: batched sweep vs. looped full propagations.
 
@@ -142,13 +142,13 @@ def _bitwise_check(
     any difference is a real kernel divergence, not float noise.
     """
     models = salted_scenarios(k, salt=0)
-    loop_model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    loop_model, _ = compile_or_fallback(circuit, kernel)
     oracle = []
     for model in models:
         loop_model.estimator.reset_propagation()
         loop_model.estimator.update_inputs(model)
         oracle.append(loop_model.estimator.estimate())
-    batch_model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    batch_model, _ = compile_or_fallback(circuit, kernel)
     batched = batch_model.query_many(models)
     worst = 0.0
     equal = True
@@ -165,11 +165,10 @@ def bench_circuit(
     name: str,
     batch_sizes: List[int],
     repeats: int,
-    parallelism: int,
     kernel: str = "auto",
 ) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    model, _ = compile_or_fallback(circuit, kernel)
     estimator = model.estimator
     rows = stage_rows(
         name,
@@ -197,7 +196,7 @@ def bench_circuit(
             "batched_scenarios_per_sec": k / batched,
             "speedup": looped / batched,
         }
-        point.update(_bitwise_check(circuit, parallelism, k, kernel))
+        point.update(_bitwise_check(circuit, k, kernel))
         rows += stage_rows(name, point, STAGES, K=k)
         print(
             f"{name:>10s}  K={k:<4d} "
@@ -210,7 +209,7 @@ def bench_circuit(
 
 
 def _repeat_bitwise_check(
-    circuit, parallelism: int, k: int, kernel: str
+    circuit, k: int, kernel: str
 ) -> Dict[str, object]:
     """Fresh-compile oracle for a repeated sweep: the distinct scenarios
     alone, scattered back to the sweep's order by hand.
@@ -223,10 +222,10 @@ def _repeat_bitwise_check(
     reps, scatter = group_scenarios(
         [tuple(model.p_one.items()) for model in models]
     )
-    oracle_model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    oracle_model, _ = compile_or_fallback(circuit, kernel)
     rows = oracle_model.query_many([models[r] for r in reps])
     oracle = [rows[row] for row in scatter]
-    fresh_model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    fresh_model, _ = compile_or_fallback(circuit, kernel)
     got = fresh_model.query_many(models)
     worst = 0.0
     equal = True
@@ -243,14 +242,13 @@ def bench_repeat_circuit(
     name: str,
     k: int,
     repeats: int,
-    parallelism: int,
     kernel: str,
     distinct_rate: float,
 ) -> List[Dict[str, object]]:
     """One repeat-heavy point: 4 copies of each of K/4 low-Hamming
     scenarios through the default ``query_many``."""
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    model, _ = compile_or_fallback(circuit, kernel)
 
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(delta_scenarios(circuit, k, salt=repeats + 1))
@@ -267,7 +265,7 @@ def bench_repeat_circuit(
         "distinct_batched_scenarios_per_sec": distinct_rate,
         "dedup_speedup": rate / distinct_rate,
     }
-    point.update(_repeat_bitwise_check(circuit, parallelism, k, kernel))
+    point.update(_repeat_bitwise_check(circuit, k, kernel))
     print(
         f"{name:>10s}  K={k:<4d} "
         f"repeat  {rate:9.1f}/s  "
@@ -288,10 +286,6 @@ def main(argv=None) -> int:
         help="comma-separated scenario counts K",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--parallelism", type=int, default=0,
-        help="worker threads for segmented circuits (0 = serial)",
-    )
     parser.add_argument(
         "--kernel", default="auto", choices=("auto", "dense", "sparse"),
         help="message-kernel mode for every compile",
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
     rows: List[Dict[str, object]] = []
     for name in circuits:
         plain = bench_circuit(
-            name, batch_sizes, repeats, args.parallelism, args.kernel
+            name, batch_sizes, repeats, args.kernel
         )
         rows += plain
         if repeat_k > 1:
@@ -336,13 +330,12 @@ def main(argv=None) -> int:
                 and r["key"] == {"K": repeat_k}
             )
             rows += bench_repeat_circuit(
-                name, repeat_k, repeats, args.parallelism, args.kernel,
+                name, repeat_k, repeats, args.kernel,
                 distinct_rate,
             )
     config = {
         "batch_sizes": batch_sizes,
         "repeats": repeats,
-        "parallelism": args.parallelism,
         "kernel": args.kernel,
     }
     write_document(args.output, "throughput", rows, config)

@@ -158,7 +158,7 @@ class JunctionTree:
         #: immutable message schedule (built at compile time)
         self._schedule: Optional[PropagationSchedule] = None
         #: the one propagation engine; built by the first install and
-        #: rebuilt when the installed row count or dtype changes
+        #: rebuilt when the installed row count changes
         self._engine: Optional[PropagationEngine] = None
         #: cliques whose network potential (CPDs, evidence) changed
         #: since the last install
@@ -351,7 +351,6 @@ class JunctionTree:
         self,
         stacks: Mapping[int, np.ndarray],
         rows: int,
-        dtype="float64",
         scatter: Optional[np.ndarray] = None,
     ) -> PropagationEngine:
         """The one install path into the one engine.
@@ -360,15 +359,15 @@ class JunctionTree:
         per-scenario tables, every other clique the network's own
         potential broadcast over the rows; evidence indicators multiply
         into both.  The engine is rebuilt (a full pass follows) when
-        ``rows`` or ``dtype`` differ from the installed ones; otherwise
+        ``rows`` differs from the installed count; otherwise
         only cliques whose potential may have changed are re-set, and
         the engine's skip-if-unchanged rule keeps the rest of the tree
         clean for dirty-path repropagation.
         """
         schedule = self._ensure_schedule()
         engine = self._engine
-        if engine is None or engine.batch_size != rows or engine.dtype != np.dtype(dtype):
-            engine = PropagationEngine(schedule, batch_size=rows, dtype=dtype)
+        if engine is None or engine.batch_size != rows:
+            engine = PropagationEngine(schedule, batch_size=rows)
             self._engine = engine
             touched: Iterable[int] = range(len(self.cliques))
         else:
@@ -447,7 +446,7 @@ class JunctionTree:
     # ------------------------------------------------------------------
 
     def update_cpds_batch(
-        self, cpd_sets: Sequence[Iterable[TabularCPD]], dtype: str = "float64"
+        self, cpd_sets: Sequence[Iterable[TabularCPD]]
     ) -> int:
         """Install K scenarios' CPDs for one batched propagation pass.
 
@@ -465,11 +464,6 @@ class JunctionTree:
         methods gather rows back to K.  A row depends only on its own
         installed tables, so every duplicate gets exactly the row it
         would have computed alone.
-
-        ``dtype="float32"`` builds the engine with float32 buffers: half
-        the ``U x`` memory and faster memory-bound sweeps, at a
-        ~``1e-6`` relative tolerance versus float64 (see
-        :class:`~repro.bayesian.propagation.PropagationEngine`).
         """
         sets = [list(s) for s in cpd_sets]
         if not sets:
@@ -521,7 +515,7 @@ class JunctionTree:
             }
             stacks[idx] = self._clique_cpd_product_batch(idx, overrides, u)
         self._install(
-            stacks, u, dtype, None if u == k else np.asarray(scatter, dtype=np.intp)
+            stacks, u, None if u == k else np.asarray(scatter, dtype=np.intp)
         )
         return k
 
@@ -824,7 +818,7 @@ class JunctionTree:
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative work counters of the engine (the live object;
         zeros before the first install).  A rebuilt engine -- new row
-        count or dtype -- starts from zero."""
+        count -- starts from zero."""
         if self._engine is None:
             return PropagationCounters()
         return self._engine.counters

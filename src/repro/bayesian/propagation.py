@@ -197,22 +197,6 @@ def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
         np.copyto(out, src)
 
 
-def _cast_plan(plan, dtype):
-    """Re-type the constant vectors of a reduction plan.
-
-    ``np.dot`` / ``np.matmul`` with an ``out=`` whose dtype differs from
-    the product's would raise, so a non-float64 engine keeps
-    dtype-matched copies of the shared plans' ``ones`` vectors.
-    """
-    if dtype == np.float64:
-        return plan
-    if plan[0] == "dot":
-        return ("dot", plan[1], plan[2].astype(dtype))
-    if plan[0] == "vecmat":
-        return ("vecmat", plan[1], plan[2], plan[3].astype(dtype))
-    return plan
-
-
 def _sep_flat_indices(
     flat_idx: np.ndarray,
     shape: Tuple[int, ...],
@@ -654,62 +638,41 @@ class PropagationEngine:
         may be shared across the rows (:meth:`set_potential`,
         broadcast) or per-scenario (:meth:`set_potential_batch`), and
         :meth:`marginals` returns ``(K, card)`` arrays.
-    dtype:
-        Buffer dtype, ``float64`` (default) or ``float32``.  Float32
-        halves the ``K x`` buffer footprint and speeds memory-bound
-        sweeps at a documented ~``1e-6`` relative tolerance.  Shared
-        potentials installed via :meth:`set_potential` remain float64
-        (ufunc ``out=`` casting handles the mixed multiply), while
-        per-scenario stacks are cast on install.
 
     Cliques the schedule compiled as sparse keep their beliefs in
     packed ``(K, nnz)`` buffers; separator messages stay dense.
     :meth:`belief` scatters a packed belief to a dense table on demand.
     """
 
-    def __init__(
-        self,
-        schedule: PropagationSchedule,
-        batch_size: int = 1,
-        dtype=np.float64,
-    ):
+    def __init__(self, schedule: PropagationSchedule, batch_size: int = 1):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"unsupported engine dtype {dtype}")
         self.schedule = schedule
         self.batch_size = int(batch_size)
-        self.dtype = dtype
         lead = (self.batch_size,)
         n = schedule.n_cliques
         packed = schedule.sparse_cliques
         self._psi: List[Optional[np.ndarray]] = [None] * n
         self._beta: List[np.ndarray] = [
             np.empty(
-                lead + ((packed[i].nnz,) if i in packed else schedule.shapes[i]),
-                dtype=dtype,
+                lead + ((packed[i].nnz,) if i in packed else schedule.shapes[i])
             )
             for i in range(n)
         ]
         #: message buffers and scratch separator buffers, per directed edge
         self._msg: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.empty(lead + msg.sep_shape, dtype=dtype)
+            key: np.empty(lead + msg.sep_shape)
             for key, msg in schedule.messages.items()
         }
         self._scratch: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.empty(lead + msg.sep_shape, dtype=dtype)
+            key: np.empty(lead + msg.sep_shape)
             for key, msg in schedule.messages.items()
         }
         #: packed gather scratch, one per sparse clique
         self._sp_scratch: Dict[int, np.ndarray] = {
-            i: np.empty(lead + (sp.nnz,), dtype=dtype) for i, sp in packed.items()
+            i: np.empty(lead + (sp.nnz,)) for i, sp in packed.items()
         }
-        #: per-edge reduction kernels (shared; re-typed for float32) and
-        #: broadcast shapes with the leading scenario axis
-        self._plans = {
-            k: _cast_plan(m.plan, dtype) for k, m in schedule.messages.items()
-        }
+        #: per-edge broadcast shapes with the leading scenario axis
         self._expand = {
             k: lead + m.expand_shape for k, m in schedule.messages.items()
         }
@@ -794,7 +757,7 @@ class PropagationEngine:
         table is ``values[k]``.  The same skip-if-unchanged rule as
         :meth:`set_potential` applies.
         """
-        values = np.asarray(values, dtype=self.dtype)
+        values = np.asarray(values, dtype=np.float64)
         expected = (self.batch_size,) + self.schedule.shapes[idx]
         if values.shape != expected:
             raise ValueError(
@@ -925,7 +888,11 @@ class PropagationEngine:
                     key = (node, parent)
                     sp = schedule.sparse_cliques.get(node)
                     if sp is None:
-                        _reduce_sum(self._beta[node], self._plans[key], self._msg[key])
+                        _reduce_sum(
+                            self._beta[node],
+                            schedule.messages[key].plan,
+                            self._msg[key],
+                        )
                     else:
                         _sparse_reduce(
                             self._beta[node],
@@ -1006,7 +973,9 @@ class PropagationEngine:
         new_sep = self._scratch[down_key]
         sp_parent = schedule.sparse_cliques.get(parent)
         if sp_parent is None:
-            _reduce_sum(self._beta[parent], self._plans[down_key], new_sep)
+            _reduce_sum(
+                self._beta[parent], schedule.messages[down_key].plan, new_sep
+            )
         else:
             _sparse_reduce(
                 self._beta[parent],
@@ -1110,9 +1079,7 @@ class PropagationEngine:
         sp = self.schedule.sparse_cliques.get(idx)
         if sp is None:
             return beta
-        dense = np.zeros(
-            (self.batch_size,) + self.schedule.shapes[idx], dtype=self.dtype
-        )
+        dense = np.zeros((self.batch_size,) + self.schedule.shapes[idx])
         dense.reshape(self.batch_size, -1)[:, sp.flat_idx] = beta
         return dense
 
@@ -1177,15 +1144,13 @@ class PropagationEngine:
                 plan = self._marginal_plans.get(plan_key)
                 if plan is None:
                     if sp is None:
-                        plan = _cast_plan(
-                            _reduction_plan(schedule.shapes[idx], keep), self.dtype
-                        )
+                        plan = _reduction_plan(schedule.shapes[idx], keep)
                     else:
                         plan = _sparse_reduce_plan(
                             sp.flat_idx, schedule.shapes[idx], keep, joint_shape
                         )
                     self._marginal_plans[plan_key] = plan
-                joint = np.empty((k,) + joint_shape, dtype=self.dtype)
+                joint = np.empty((k,) + joint_shape)
                 if sp is None:
                     _reduce_sum(beta, plan, joint)
                 else:
@@ -1195,9 +1160,9 @@ class PropagationEngine:
                 plan_key = (idx, tuple(keep), pos)
                 plan = self._marginal_plans.get(plan_key)
                 if plan is None:
-                    plan = _cast_plan(_reduction_plan(joint_shape, [pos]), self.dtype)
+                    plan = _reduction_plan(joint_shape, [pos])
                     self._marginal_plans[plan_key] = plan
-                result = np.empty((k, joint_shape[pos]), dtype=self.dtype)
+                result = np.empty((k, joint_shape[pos]))
                 _reduce_sum(joint, plan, result)
                 result /= totals[:, None]
                 if bad is not None:

@@ -198,10 +198,7 @@ def _refine_opts(args) -> dict:
     """
     if not getattr(args, "refine", 0):
         return {}
-    opts = {"refine": args.refine, "refine_tol": args.refine_tol}
-    if args.max_iters is not None:
-        opts["max_iters"] = args.max_iters
-    return opts
+    return {"refine": args.refine, "refine_tol": args.refine_tol}
 
 
 def _cmd_estimate(args) -> None:
@@ -295,7 +292,6 @@ def _cmd_sweep(args) -> None:
         backend=args.backend,
         cache=_resolve_cli_cache(args),
         batch_size=args.batch,
-        dtype=args.dtype,
         **kernel_opts,
         **_refine_opts(args),
     )
@@ -561,7 +557,6 @@ def _cmd_perf_record(args) -> None:
                 batch_sizes=[
                     int(k) for k in args.batch_sizes.split(",") if k.strip()
                 ],
-                parallelism=args.parallelism,
                 kernel=args.kernel,
                 note=args.note,
                 quick=args.quick,
@@ -709,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
              "delta (default: 1e-5)",
     )
     pe.add_argument(
-        "--max-iters", type=int, default=None, metavar="N",
-        help="hard cap on refinement iterations (default: the --refine value)",
-    )
-    pe.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="compile-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
@@ -751,11 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: the backend's own default, auto)",
     )
     pw.add_argument(
-        "--dtype", choices=["float64", "float32"], default="float64",
-        help="batch-buffer dtype; float32 halves sweep memory at ~1e-6 "
-             "relative tolerance",
-    )
-    pw.add_argument(
         "--refine", type=int, default=0, metavar="N",
         help="segmented backend: up to N iterative boundary-refinement "
              "passes over the segment graph (default: 0, off)",
@@ -764,10 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine-tol", type=float, default=1e-5, metavar="TOL",
         help="refinement convergence tolerance on the max boundary-belief "
              "delta (default: 1e-5)",
-    )
-    pw.add_argument(
-        "--max-iters", type=int, default=None, metavar="N",
-        help="hard cap on refinement iterations (default: the --refine value)",
     )
     pw.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -926,10 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--batch-sizes", default="64", metavar="K,...",
         help="comma-separated scenario-sweep batch sizes (default: 64)",
-    )
-    pr.add_argument(
-        "--parallelism", type=int, default=0,
-        help="worker threads for segmented circuits (0 = serial)",
     )
     pr.add_argument(
         "--kernel", choices=["auto", "dense", "sparse"], default="auto",

@@ -73,7 +73,6 @@ class EstimatorCompiledModel(CompiledModel):
         self,
         inputs_list: "list[InputModel]",
         batch_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> "list[SwitchingEstimate]":
         """Vectorized sweep: K scenarios through one batched propagation.
 
@@ -82,8 +81,6 @@ class EstimatorCompiledModel(CompiledModel):
         pass; enumeration loops internally).  ``batch_size`` caps the
         scenarios per pass -- batched propagation memory is
         ``batch_size x`` the one-row engine footprint.
-        ``dtype="float32"`` runs propagating estimators' batch buffers
-        in float32 (ignored by estimators without a dtype knob).
         Propagating estimators collapse duplicate scenarios within each
         chunk, so duplicates in different ``batch_size`` chunks are each
         propagated once per chunk.
@@ -100,14 +97,6 @@ class EstimatorCompiledModel(CompiledModel):
         estimate_many = getattr(self.estimator, "estimate_many", None)
         if estimate_many is None:
             return super().query_many(models, batch_size=batch_size)
-        # Only forward non-default knobs, and only to estimators that
-        # take them (EnumerationSegment.estimate_many takes neither).
-        kwargs = {}
-        if dtype is not None and dtype != "float64":
-            import inspect
-
-            if "dtype" in inspect.signature(estimate_many).parameters:
-                kwargs["dtype"] = dtype
         chunk = len(models) if not batch_size or batch_size < 1 else batch_size
         results: "list[SwitchingEstimate]" = []
         with get_tracer().span(
@@ -120,7 +109,7 @@ class EstimatorCompiledModel(CompiledModel):
             for start in range(0, len(models), chunk):
                 try:
                     results.extend(
-                        estimate_many(models[start : start + chunk], **kwargs)
+                        estimate_many(models[start : start + chunk])
                     )
                 except ZeroBeliefError as err:
                     local = getattr(err, "batch_indices", None)
@@ -183,11 +172,9 @@ class SegmentedBackend(Backend):
         boundary: str = "tree",
         enum_input_states: int = 4 ** 9,
         segment_backend: str = "auto",
-        parallelism: int = 0,
         kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
-        max_iters: "Optional[int]" = None,
     ) -> EstimatorCompiledModel:
         estimator = SegmentedEstimator(
             circuit,
@@ -199,11 +186,9 @@ class SegmentedBackend(Backend):
             boundary=boundary,
             enum_input_states=enum_input_states,
             backend=segment_backend,
-            parallelism=parallelism,
             kernel=kernel,
             refine=refine,
             refine_tol=refine_tol,
-            max_iters=max_iters,
         ).compile()
         return EstimatorCompiledModel(self.name, circuit, estimator)
 
@@ -253,11 +238,9 @@ class AutoBackend(Backend):
         max_clique_states: Optional[int] = None,
         boundary: str = "tree",
         heuristic: str = "min_fill",
-        parallelism: int = 0,
         kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
-        max_iters: "Optional[int]" = None,
     ) -> EstimatorCompiledModel:
         if max_clique_states is None:
             max_clique_states = 4 ** 9 if circuit.num_gates > 2000 else 4 ** 10
@@ -280,11 +263,9 @@ class AutoBackend(Backend):
             heuristic=heuristic,
             lookback=lookback,
             boundary=boundary,
-            parallelism=parallelism,
             kernel=kernel,
             refine=refine,
             refine_tol=refine_tol,
-            max_iters=max_iters,
         )
 
 

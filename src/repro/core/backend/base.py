@@ -52,7 +52,9 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v5: junction trees hold one engine slot and the install bookkeeping
 #: (stale and stacked cliques) instead of Factor potentials, separators
 #: and a second batch engine.
-ARTIFACT_SCHEMA_VERSION = 5
+#: v6: engines drop their buffer dtype and segmented estimators their
+#: thread-pool width and iteration cap (one serial float64 pipeline).
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"
@@ -126,7 +128,6 @@ class CompiledModel(ABC):
         self,
         inputs_list: "list[InputModel]",
         batch_size: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios against one compile.
 
@@ -135,11 +136,9 @@ class CompiledModel(ABC):
         segmented) override this with a vectorized pass.  ``batch_size``
         chunks the sweep (propagation memory scales as
         ``batch_size x factor_bytes``); ``None`` propagates all K
-        scenarios in one batch.  ``dtype="float32"`` asks for float32
-        batch buffers where the backend supports them (~1e-6 relative
-        tolerance).  Batched backends propagate duplicate scenarios
-        once (bitwise-equal to propagating each copy).  Loop-based
-        backends ignore both knobs.
+        scenarios in one batch.  Batched backends propagate duplicate
+        scenarios once (bitwise-equal to propagating each copy).
+        Loop-based backends ignore ``batch_size``.
         """
         return [self.query(model) for model in inputs_list]
 

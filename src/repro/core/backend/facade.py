@@ -325,7 +325,6 @@ def estimate_many(
     cache: CacheSpec = None,
     batch_size: Optional[int] = None,
     validate: bool = True,
-    dtype: Optional[str] = None,
     result_cache: ResultCacheSpec = None,
     **options: Any,
 ):
@@ -342,10 +341,8 @@ def estimate_many(
     as the first one (the structure is baked into the compile).
     ``batch_size`` chunks the sweep to bound propagation memory
     (``batch_size x`` the one-row engine footprint); ``None``
-    propagates all K scenarios in one batch.  ``dtype="float32"``
-    requests float32 batch buffers from propagating backends (half the
-    batch memory, ~1e-6 relative tolerance; other backends ignore it).
-    Duplicate scenarios within a batch are propagated once.
+    propagates all K scenarios in one batch.  Duplicate scenarios
+    within a batch are propagated once.
     ``result_cache`` replays exact repeats of previously answered
     scenarios (see :func:`estimate`) and propagates only the misses, in
     one batch.
@@ -389,7 +386,6 @@ def estimate_many(
     results = compiled.query_many(
         [models[i] for i in miss_indices],
         batch_size=batch_size,
-        dtype=dtype,
     )
     ordered = list(hits.get(i) for i in range(len(models)))
     for index, result in zip(miss_indices, results):

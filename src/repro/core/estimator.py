@@ -182,9 +182,7 @@ class SwitchingActivityEstimator:
             method=Method.SINGLE_BN.value,
         )
 
-    def estimate_many(
-        self, input_models, dtype: str = "float64"
-    ) -> "list[SwitchingEstimate]":
+    def estimate_many(self, input_models) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios in one batched pass.
 
         All scenarios propagate through the compiled junction tree
@@ -209,7 +207,7 @@ class SwitchingActivityEstimator:
         if not models:
             return []
         lines = list(self.circuit.lines)
-        batched, per_scenario = self.estimate_many_stacked(models, lines, dtype=dtype)
+        batched, per_scenario = self.estimate_many_stacked(models, lines)
         return [
             SwitchingEstimate(
                 distributions={line: batched[line][k] for line in lines},
@@ -220,7 +218,7 @@ class SwitchingActivityEstimator:
             for k in range(len(models))
         ]
 
-    def estimate_many_stacked(self, input_models, lines, dtype: str = "float64"):
+    def estimate_many_stacked(self, input_models, lines):
         """Batched sweep returning stacked ``{line: (K, 4)}`` marginals.
 
         The workhorse behind :meth:`estimate_many` and the segmented
@@ -228,9 +226,7 @@ class SwitchingActivityEstimator:
         internal lines) skips marginal extraction for everything else,
         and the stacked layout avoids building K per-scenario dicts
         that a segmented caller would immediately re-stack.  Returns
-        ``(stacks, per_scenario_seconds)``.  ``dtype="float32"`` runs
-        the batched engine in float32 (~1e-6 relative tolerance, half
-        the batch memory).
+        ``(stacks, per_scenario_seconds)``.
         """
         models = list(input_models)
         self.compile()
@@ -245,7 +241,7 @@ class SwitchingActivityEstimator:
                 cpd_sets = [
                     m.input_cpds_trusted(self.circuit.inputs) for m in models
                 ]
-                self._jt.update_cpds_batch(cpd_sets, dtype=dtype)
+                self._jt.update_cpds_batch(cpd_sets)
             with tracer.span("propagate.calibrate", scenarios=len(models)):
                 batched = self._jt.marginals_batch(list(lines))
         return batched, span.duration / len(models)

@@ -45,7 +45,6 @@ from repro.core.segments.partition import (
     SegmentGraph,
     SegmentRegistry,
     boundary_forest,
-    chunk_levels,
     cone_clustered_order,
     expand_with_lookback,
     partition_by_inputs,
@@ -100,12 +99,6 @@ class SegmentedEstimator:
         grows segments along the cone order until the *input-count*
         budget, which typically yields far fewer, larger, exact
         segments on high-treewidth circuits.
-    parallelism:
-        Worker threads for the segment pipeline.  ``0`` or ``1`` keeps
-        the serial path.  ``>= 2`` compiles independent chunks
-        concurrently and propagates level-by-level over the segment
-        ownership DAG; results are bitwise identical to the serial
-        path (each segment sees exactly the same upstream inputs).
     refine:
         Iterative boundary-refinement budget.  ``0`` (default) keeps
         the one-pass scheme bit-for-bit.  ``N >= 1`` augments each
@@ -117,9 +110,6 @@ class SegmentedEstimator:
     refine_tol:
         Convergence threshold: refinement stops once the largest
         boundary-belief change of an iteration drops below this.
-    max_iters:
-        Hard cap on refinement iterations (defaults to ``refine``).
-        The effective budget is ``min(refine, max_iters)``.
     glue_states:
         Support budget of one glue cone (``4^inputs`` rows); glue
         edges whose cone cannot fit are dropped from the forest.
@@ -136,11 +126,9 @@ class SegmentedEstimator:
         boundary: str = "tree",
         enum_input_states: int = 4 ** 9,
         backend: str = "auto",
-        parallelism: int = 0,
         kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
-        max_iters: Optional[int] = None,
         glue_states: int = 4 ** 7,
     ):
         if max_gates_per_segment < 1:
@@ -155,8 +143,6 @@ class SegmentedEstimator:
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "enum" and not enum_input_states:
             raise ValueError("backend='enum' requires enum_input_states > 0")
-        if parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
         if refine < 0:
             raise ValueError("refine must be >= 0")
         if refine and boundary != "tree":
@@ -165,8 +151,6 @@ class SegmentedEstimator:
             )
         if refine_tol <= 0:
             raise ValueError("refine_tol must be > 0")
-        if max_iters is not None and max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if glue_states < N_STATES ** 2:
             raise ValueError("glue_states must allow at least two inputs")
         self.circuit = circuit
@@ -178,11 +162,9 @@ class SegmentedEstimator:
         self.boundary = boundary
         self.enum_input_states = enum_input_states
         self.backend = backend
-        self.parallelism = parallelism
         self.kernel = kernel
         self.refine = refine
         self.refine_tol = refine_tol
-        self.max_iters = max_iters
         self.glue_states = glue_states
         #: the compiled segment DAG (None before :meth:`compile`)
         self.graph: Optional[SegmentGraph] = None
@@ -190,14 +172,6 @@ class SegmentedEstimator:
         self.compile_seconds = 0.0
         #: (iterations, delta) of the most recent refinement run
         self.last_refine: Tuple[int, float] = (0, 0.0)
-
-    def effective_refine_iters(self) -> int:
-        """The actual iteration budget: ``min(refine, max_iters)``."""
-        if not self.refine:
-            return 0
-        if self.max_iters is not None:
-            return min(self.refine, self.max_iters)
-        return self.refine
 
     # ------------------------------------------------------------------
 
@@ -208,7 +182,6 @@ class SegmentedEstimator:
         with get_tracer().span(
             "segmented.compile",
             circuit=self.circuit.name,
-            parallelism=self.parallelism,
             backend="segmented",
         ) as span:
             internal = cone_clustered_order(self.circuit)
@@ -216,27 +189,21 @@ class SegmentedEstimator:
                 ln: i for i, ln in enumerate(self.circuit.topological_order())
             }
             self._cone_cache: Dict[str, frozenset] = {}
+            registry = SegmentRegistry()
             if self.backend == "enum":
                 chunks = partition_by_inputs(
                     self.circuit, internal, self.enum_input_states
                 )
-                compile_fn = self._compile_enum_chunk
-            else:
-                chunks = [
-                    internal[i : i + self.max_gates_per_segment]
-                    for i in range(0, len(internal), self.max_gates_per_segment)
-                ]
-                compile_fn = lambda chunk, label, registry: self._compile_chunk(  # noqa: E731
-                    chunk, label, self.lookback, registry
-                )
-            registry = SegmentRegistry()
-            if self.parallelism > 1 and len(chunks) > 1:
-                records = self._compile_chunks_parallel(chunks, compile_fn, registry)
-            else:
                 for index, chunk in enumerate(chunks):
-                    compile_fn(chunk, f"{index}", registry)
-                records = registry.records
-            self.graph = SegmentGraph(records)
+                    self._compile_enum_chunk(chunk, f"{index}", registry)
+            else:
+                step = self.max_gates_per_segment
+                for index, start in enumerate(range(0, len(internal), step)):
+                    self._compile_chunk(
+                        internal[start : start + step], f"{index}",
+                        self.lookback, registry,
+                    )
+            self.graph = SegmentGraph(registry.records)
             if self.refine:
                 self._refiner = BoundaryRefiner.build(self)
                 span.annotate(glue_edges=len(self._refiner))
@@ -246,53 +213,6 @@ class SegmentedEstimator:
                 metrics.gauge("segmented.segments").set(len(self.graph))
         self.compile_seconds = span.duration
         return self
-
-    def _compile_chunks_parallel(self, chunks, compile_fn, registry):
-        """Compile chunks level-by-level with a thread pool.
-
-        Each worker stages its chunk's segments (including any budget
-        splits) into a private registry chained to the shared one, so
-        sub-chunks of the same chunk see each other exactly as in the
-        serial pass.  Staged records merge into the shared registry
-        after every level; the final record list is rebuilt in chunk
-        order, which reproduces the serial registration order exactly.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        tracer = get_tracer()
-        levels = chunk_levels(self.circuit, chunks, self.lookback)
-        staged: List[Optional[SegmentRegistry]] = [None] * len(chunks)
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            for level in range(max(levels) + 1):
-                members = [i for i, lv in enumerate(levels) if lv == level]
-                with tracer.span(
-                    "segmented.compile.level", level=level, chunks=len(members)
-                ) as level_span:
-                    futures = []
-                    for index in members:
-                        staged[index] = SegmentRegistry(base=registry)
-                        futures.append(
-                            pool.submit(
-                                self._compile_chunk_traced,
-                                compile_fn,
-                                chunks[index],
-                                f"{index}",
-                                staged[index],
-                                level_span,
-                            )
-                        )
-                    for future in futures:
-                        future.result()
-                    for index in members:
-                        for node in staged[index].records:
-                            registry.add_node(node)
-        return [node for reg in staged for node in reg.records]
-
-    def _compile_chunk_traced(self, compile_fn, chunk, label, registry, parent):
-        """Run one chunk compile on a worker thread, nesting its spans
-        under the level span owned by the coordinating thread."""
-        with get_tracer().span("segment.compile", parent=parent, chunk=label):
-            compile_fn(chunk, label, registry)
 
     def _compile_enum_chunk(
         self, chunk: List[str], label: str, registry: SegmentRegistry
@@ -485,15 +405,12 @@ class SegmentedEstimator:
         """Propagate marginals segment by segment in topological order.
 
         A single query is a one-scenario batch: the result is row 0 of
-        :meth:`estimate_many` on ``[self.input_model]``, level pipeline
-        (``parallelism >= 2``) and boundary refinement (``refine > 0``)
-        included.
+        :meth:`estimate_many` on ``[self.input_model]``, boundary
+        refinement (``refine > 0``) included.
         """
         return self.estimate_many([self.input_model])[0]
 
-    def estimate_many(
-        self, input_models, dtype: str = "float64"
-    ) -> List[SwitchingEstimate]:
+    def estimate_many(self, input_models) -> List[SwitchingEstimate]:
         """Estimate K input-statistics scenarios in one batched sweep.
 
         Each junction-tree segment propagates all K scenarios in a
@@ -501,13 +418,11 @@ class SegmentedEstimator:
         estimate_many`); enumeration segments loop their (already
         vectorized) support pass per scenario, caching the pair joints
         downstream boundary trees will need.  The published boundary
-        marginals flow between segments as ``(K, 4)`` stacks, level by
-        level over the ownership DAG when ``parallelism >= 2``: all
-        segments of a level run concurrently (their inputs are fully
-        published by lower levels), so every segment sees exactly its
-        serial inputs and the results are identical.  With
-        ``refine > 0`` the forward pass is followed by the boundary-
-        refinement loop (:mod:`repro.core.segments.refine`).  Result
+        marginals flow between segments as ``(K, 4)`` stacks in segment
+        order, which is topological: every input a segment reads is
+        published by a lower-index segment.  With ``refine > 0`` the
+        forward pass is followed by the boundary-refinement loop
+        (:mod:`repro.core.segments.refine`).  Result
         ``k`` is bitwise-identical to an independent :meth:`estimate`
         with scenario ``k``'s model (same caveat as the engine:
         identical dirty paths, e.g. fresh compiles or sweeps updating
@@ -541,44 +456,15 @@ class SegmentedEstimator:
             #: captured during enumeration segments' per-scenario loops
             enum_joints: Dict[Tuple[int, str, str], np.ndarray] = {}
             needed = self._needed_enum_joints()
-            if self.parallelism > 1 and len(self.graph) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                levels = self.graph.levels()
-                with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                    for level in range(max(levels) + 1):
-                        members = [
-                            i for i, lv in enumerate(levels) if lv == level
-                        ]
-                        with tracer.span(
-                            "segmented.propagate.level",
-                            level=level,
-                            segments=len(members),
-                        ) as level_span:
-                            published = pool.map(
-                                lambda index: self._propagate_segment_batch(
-                                    index,
-                                    known,
-                                    models,
-                                    needed,
-                                    enum_joints,
-                                    parent_span=level_span,
-                                    dtype=dtype,
-                                ),
-                                members,
-                            )
-                            for result in published:
-                                known.update(result)
-            else:
-                for index in range(len(self.graph)):
-                    known.update(
-                        self._propagate_segment_batch(
-                            index, known, models, needed, enum_joints, dtype=dtype
-                        )
+            for index in range(len(self.graph)):
+                known.update(
+                    self._propagate_segment_batch(
+                        index, known, models, needed, enum_joints
                     )
+                )
             self.last_refine = run_refinement(
                 self, known, models=models, needed=needed,
-                enum_joints=enum_joints, dtype=dtype,
+                enum_joints=enum_joints,
             )
         per_scenario = span.duration / k
         method = (
@@ -631,8 +517,6 @@ class SegmentedEstimator:
         models: List[InputModel],
         needed: Dict[int, List[Tuple[str, str]]],
         enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-        parent_span=None,
-        dtype: str = "float64",
         glue_tables: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
         """Refresh one segment's boundary inputs for K scenarios,
@@ -640,9 +524,7 @@ class SegmentedEstimator:
         owns.
 
         ``known`` maps each published line to a ``(K, 4)`` stack and is
-        only read (the caller merges the return value), so concurrent
-        calls for independent segments are safe; ``parent_span`` nests
-        this segment's span under the level span on a worker thread.
+        only read (the caller merges the return value).
         ``enum_joints`` collects per-scenario pair joints while an
         enumeration segment's scenario loop runs, because
         :meth:`EnumerationSegment.pair_joint` only reflects the last
@@ -657,7 +539,6 @@ class SegmentedEstimator:
         k = len(models)
         with get_tracer().span(
             "segment.propagate_many",
-            parent=parent_span,
             segment=segment.name,
             scenarios=k,
         ):
@@ -717,7 +598,7 @@ class SegmentedEstimator:
             # extracted: duplicated lookback gates exist solely to
             # rebuild local correlation.
             stacks, _ = estimator.estimate_many_stacked(
-                scenario_models, published, dtype=dtype
+                scenario_models, published
             )
             return {line: stacks[line] for line in published}
 

@@ -13,9 +13,8 @@ it -- and lives here as free functions over a :class:`Circuit`:
    which resolves boundary *providers* (who publishes a line) for the
    spanning-forest construction in :func:`boundary_forest`;
 4. the finished registry freezes into a :class:`SegmentGraph` -- the
-   explicit segment DAG (nodes, line ownership, dependency levels,
-   downstream adjacency) that propagation and iterative refinement
-   walk.
+   explicit segment DAG (nodes and line ownership) that propagation and
+   iterative refinement walk in registration order.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "SegmentNode",
     "SegmentRegistry",
     "boundary_forest",
-    "chunk_levels",
     "cone_clustered_order",
     "cone_overlap",
     "expand_with_lookback",
@@ -132,36 +130,6 @@ def partition_by_inputs(
     return chunks
 
 
-def chunk_levels(
-    circuit: Circuit, chunks: List[List[str]], lookback: int
-) -> List[int]:
-    """Dependency level per chunk over the chunk-ownership DAG.
-
-    Chunk ``j`` is a dependency of chunk ``i`` when any line of
-    ``i``'s lookback-expanded segment (gates or their sources) is
-    owned by ``j``.  The expansion with the *maximum* lookback is
-    used, so levels stay conservative even when a budget miss later
-    sheds lookback or splits the chunk (sub-chunks only shrink the
-    expansion).
-    """
-    owner_chunk = {
-        line: index for index, chunk in enumerate(chunks) for line in chunk
-    }
-    levels: List[int] = []
-    for index, chunk in enumerate(chunks):
-        expanded = expand_with_lookback(circuit, chunk, lookback)
-        needed = set(expanded)
-        for line in expanded:
-            needed.update(circuit.driver(line).inputs)
-        deps = {
-            owner_chunk[line]
-            for line in needed
-            if line in owner_chunk and owner_chunk[line] != index
-        }
-        levels.append(1 + max((levels[d] for d in deps), default=-1))
-    return levels
-
-
 # ----------------------------------------------------------------------
 # Structural correlation proxies
 # ----------------------------------------------------------------------
@@ -258,7 +226,9 @@ def boundary_forest(
     forest = nx.Graph()
     forest.add_edges_from(nx.maximum_spanning_edges(graph, data=False))
     for component in nx.connected_components(forest):
-        root = next(iter(component))
+        # A fixed root keeps the forest's orientation independent of
+        # set iteration order (hash seed).
+        root = min(component)
         for parent, child in nx.bfs_edges(forest, root):
             parent_of[child] = parent
     return parent_of
@@ -290,35 +260,25 @@ class SegmentNode:
     #: the cone's enumeration estimator is built once at finalize)
     glue_plans: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
-    def as_record(self) -> Tuple[Circuit, object, set, Dict[str, str]]:
-        return (self.segment, self.estimator, self.owned, self.parent_of)
-
 
 class SegmentRegistry:
     """Staging area for compiled segments.
 
-    Registration order is the (deterministic) serial compile order.  A
-    registry can chain to a frozen ``base``: parallel compile workers
-    stage their own chunk's segments locally while resolving boundary
-    providers through the base, which holds every lower-level segment.
-    Same-level chunks never provide each other's inputs, so a worker's
-    view is identical to what the serial pass would have seen.
+    Registration order is the (deterministic) compile order, which is
+    topological: a segment registers only after every segment that
+    provides its inputs.
     """
 
-    __slots__ = ("base", "records", "_provider")
+    __slots__ = ("records", "_provider")
 
-    def __init__(self, base: Optional["SegmentRegistry"] = None):
-        self.base = base
+    def __init__(self):
         #: :class:`SegmentNode` entries in registration order
         self.records: List[SegmentNode] = []
         self._provider: Dict[str, object] = {}
 
     def provider_of(self, line: str):
         """The estimator that publishes ``line``, or None."""
-        provider = self._provider.get(line)
-        if provider is None and self.base is not None:
-            return self.base.provider_of(line)
-        return provider
+        return self._provider.get(line)
 
     def add(
         self,
@@ -329,27 +289,23 @@ class SegmentRegistry:
         glue_children: frozenset = frozenset(),
         glue_plans: Optional[Dict[str, Tuple[str, ...]]] = None,
     ) -> None:
-        self.add_node(
+        self.records.append(
             SegmentNode(
                 segment, estimator, owned, parent_of, glue_children,
                 glue_plans or {},
             )
         )
-
-    def add_node(self, node: SegmentNode) -> None:
-        self.records.append(node)
-        for line in node.owned:
-            self._provider[line] = node.estimator
+        for line in owned:
+            self._provider[line] = estimator
 
 
 class SegmentGraph:
-    """The explicit segment DAG: nodes, ownership, levels, adjacency.
+    """The explicit segment DAG: nodes and line ownership.
 
     Edges run from the owner of a boundary line to every segment that
-    consumes it.  Propagation walks the nodes in registration order (a
-    topological order of this DAG by construction); the level pipeline
-    and the refinement loop use :meth:`levels` and :meth:`dependents`
-    to parallelize and to cascade dirtiness.
+    consumes it.  Propagation and the refinement loop walk the nodes in
+    registration order, a topological order of this DAG by construction:
+    every input line owned by another segment is owned by a lower index.
     """
 
     def __init__(self, nodes: List[SegmentNode]):
@@ -367,39 +323,3 @@ class SegmentGraph:
 
     def __getitem__(self, index: int) -> SegmentNode:
         return self.nodes[index]
-
-    def dependencies(self, index: int) -> set:
-        """Indices of segments owning this segment's input lines."""
-        node = self.nodes[index]
-        return {
-            self.owner[line]
-            for line in node.segment.inputs
-            if line in self.owner and self.owner[line] != index
-        }
-
-    def dependents(self) -> Dict[int, List[int]]:
-        """Downstream adjacency: owner index -> consumer indices."""
-        out: Dict[int, List[int]] = {i: [] for i in range(len(self.nodes))}
-        for index in range(len(self.nodes)):
-            for dep in self.dependencies(index):
-                out[dep].append(index)
-        return out
-
-    def levels(self) -> List[int]:
-        """Dependency level per segment: a segment depends on the
-        owners of its boundary input lines."""
-        levels: List[int] = []
-        for index in range(len(self.nodes)):
-            deps = self.dependencies(index)
-            levels.append(1 + max((levels[d] for d in deps), default=-1))
-        return levels
-
-    def boundary_edges(self) -> List[Tuple[int, int, str]]:
-        """Cut edges as ``(owner_index, consumer_index, line)`` triples."""
-        edges: List[Tuple[int, int, str]] = []
-        for index, node in enumerate(self.nodes):
-            for line in node.segment.inputs:
-                owner = self.owner.get(line)
-                if owner is not None and owner != index:
-                    edges.append((owner, index, line))
-        return edges

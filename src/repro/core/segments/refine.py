@@ -24,13 +24,13 @@ time, after the ordinary forward pass, the refinement loop:
    so the PR 1 dirty-clique machinery repropagates a fraction of each
    junction tree -- cascading dirtiness down the segment DAG;
 3. repeats until the maximum boundary-belief delta drops below
-   ``refine_tol`` or ``max_iters`` is reached.
+   ``refine_tol`` or the ``refine`` iteration budget is reached.
 
 A fixed point exists because the circuit DAG is feed-forward: glue
 frontier marginals converge as their owners converge, so deltas
 attenuate monotonically in practice (oscillation is possible only
-through the marginal-calibration feedback, and is bounded by
-``max_iters``; see DESIGN.md section 14).  Per-iteration progress is
+through the marginal-calibration feedback, and is bounded by the
+``refine`` budget; see DESIGN.md section 14).  Per-iteration progress is
 observable through the ``segmented.refine`` /
 ``segmented.refine.iteration`` spans and the ``seg.refine.iterations``
 / ``seg.refine.delta`` gauges.
@@ -201,7 +201,9 @@ def augment_boundary_forest(
     glue_children: set = set()
     glue_plans: Dict[str, Tuple[str, ...]] = {}
     for members in nx.connected_components(forest):
-        root = next(iter(members))
+        # A fixed root keeps the forest's orientation -- and with it the
+        # estimate -- independent of set iteration order (hash seed).
+        root = min(members)
         for parent, child in nx.bfs_edges(forest, root):
             parent_of[child] = parent
             plan = glue_pairs.get(frozenset((parent, child)))
@@ -362,96 +364,66 @@ def run_refinement(
     models: List[InputModel],
     needed: Dict[int, List[Tuple[str, str]]],
     enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-    dtype: str = "float64",
 ) -> Tuple[int, float]:
     """Refine ``known`` in place; returns ``(iterations, last_delta)``.
 
     ``known`` maps each line to a ``(K, 4)`` stack over the K scenarios
     in ``models``; the enumeration pair-joint cache is threaded exactly
-    like the forward pass.  With
-    ``parallelism >= 2`` glue cones evaluate concurrently and dirty
-    segments re-propagate level-by-level over the segment DAG --
-    bitwise identical to the serial sweep, since a level's members
-    never consume each other's lines.
+    like the forward pass.
     """
     refiner: Optional[BoundaryRefiner] = estimator._refiner
-    max_iters = estimator.effective_refine_iters()
-    if refiner is None or not refiner.edges or max_iters <= 0:
+    budget = estimator.refine
+    if refiner is None or not refiner.edges or budget <= 0:
         return 0, 0.0
     tracer = get_tracer()
     metrics = get_metrics()
     tol = estimator.refine_tol
     #: belief changes below this neither cascade nor count as progress
     prune = max(tol * 1e-2, 1e-13)
-    pool = None
-    if estimator.parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=estimator.parallelism)
     prev_tables: Dict[Tuple[int, str], np.ndarray] = {}
     iterations = 0
     delta = float("inf")
-    try:
-        with tracer.span(
-            "segmented.refine",
-            circuit=estimator.circuit.name,
-            glue_edges=len(refiner.edges),
-            max_iters=max_iters,
-            backend="segmented",
-        ) as span:
-            for iteration in range(max_iters):
-                with tracer.span(
-                    "segmented.refine.iteration", iteration=iteration
-                ) as it_span:
-                    glue_tables, delta_glue, dirty = _evaluate_glue(
-                        refiner, estimator, known, models, prev_tables,
-                        prune, pool,
-                    )
-                    delta_lines = _repropagate(
-                        estimator, known, dirty, glue_tables, prune, pool,
-                        models, needed, enum_joints, dtype,
-                    )
-                    delta = max(delta_glue, delta_lines)
-                    iterations += 1
-                    it_span.annotate(
-                        delta=delta, dirty_segments=len(dirty)
-                    )
-                    if metrics.enabled:
-                        metrics.gauge("seg.refine.delta").set(delta)
-                    if delta <= tol:
-                        break
-            span.annotate(iterations=iterations, delta=delta)
-        if metrics.enabled:
-            metrics.gauge("seg.refine.iterations").set(iterations)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    with tracer.span(
+        "segmented.refine",
+        circuit=estimator.circuit.name,
+        glue_edges=len(refiner.edges),
+        refine=budget,
+        backend="segmented",
+    ) as span:
+        for iteration in range(budget):
+            with tracer.span(
+                "segmented.refine.iteration", iteration=iteration
+            ) as it_span:
+                glue_tables, delta_glue, dirty = _evaluate_glue(
+                    refiner, known, models, prev_tables, prune
+                )
+                delta_lines = _repropagate(
+                    estimator, known, dirty, glue_tables, prune,
+                    models, needed, enum_joints,
+                )
+                delta = max(delta_glue, delta_lines)
+                iterations += 1
+                it_span.annotate(delta=delta, dirty_segments=len(dirty))
+                if metrics.enabled:
+                    metrics.gauge("seg.refine.delta").set(delta)
+                if delta <= tol:
+                    break
+        span.annotate(iterations=iterations, delta=delta)
+    if metrics.enabled:
+        metrics.gauge("seg.refine.iterations").set(iterations)
     return iterations, delta
 
 
 def _evaluate_glue(
-    refiner: BoundaryRefiner,
-    estimator,
-    known,
-    models,
-    prev_tables,
-    prune,
-    pool,
+    refiner: BoundaryRefiner, known, models, prev_tables, prune
 ):
     """Evaluate every glue cone; return (tables by consumer, max table
     delta, dirty consumer indices)."""
-    def evaluate(edge):
-        return refiner.conditional_batch(edge, known, models)
-
-    if pool is not None:
-        new_tables = list(pool.map(evaluate, refiner.edges))
-    else:
-        new_tables = [evaluate(edge) for edge in refiner.edges]
-
     glue_tables: Dict[int, Dict[str, np.ndarray]] = {}
     delta_glue = 0.0
     dirty: set = set()
-    for edge, table in zip(refiner.edges, new_tables):
+    for edge in refiner.edges:
+        table = refiner.conditional_batch(edge, known, models)
         key = (edge.index, edge.child)
         prev = prev_tables.get(key)
         if prev is None:
@@ -474,11 +446,9 @@ def _repropagate(
     dirty,
     glue_tables,
     prune,
-    pool,
     models,
     needed,
     enum_joints,
-    dtype,
 ):
     """One topological sweep re-propagating dirty segments; returns the
     max published-belief delta.  Dirtiness cascades: a segment is dirty
@@ -486,41 +456,19 @@ def _repropagate(
     more than the prune threshold."""
     changed: set = set()
     delta_lines = 0.0
-
-    def propagate(index):
-        return estimator._propagate_segment_batch(
+    for index in range(len(estimator.graph)):
+        if index not in dirty and not any(
+            line in changed for line in estimator.graph[index].segment.inputs
+        ):
+            continue
+        published = estimator._propagate_segment_batch(
             index, known, models, needed, enum_joints,
-            glue_tables=glue_tables.get(index), dtype=dtype,
+            glue_tables=glue_tables.get(index),
         )
-
-    def is_dirty(index):
-        if index in dirty:
-            return True
-        segment = estimator.graph[index].segment
-        return any(line in changed for line in segment.inputs)
-
-    def merge(published):
-        nonlocal delta_lines
         for line, value in published.items():
             line_delta = float(np.abs(value - known[line]).max())
             known[line] = value
             if line_delta > prune:
                 changed.add(line)
             delta_lines = max(delta_lines, line_delta)
-
-    if pool is not None:
-        levels = estimator.graph.levels()
-        for level in range(max(levels) + 1):
-            members = [
-                i for i, lv in enumerate(levels)
-                if lv == level and is_dirty(i)
-            ]
-            if not members:
-                continue
-            for published in pool.map(propagate, members):
-                merge(published)
-    else:
-        for index in range(len(estimator.graph)):
-            if is_dirty(index):
-                merge(propagate(index))
     return delta_lines

@@ -140,9 +140,9 @@ def check_span_containment(report: Dict[str, Any], slack: float = 1e-6) -> None:
     """Assert every child span's interval lies inside its parent's.
 
     This is the cross-thread-safe consistency invariant: children may
-    overlap each other (parallel segments), but a parent never closes
-    before its children do, so child intervals are contained in the
-    parent interval up to clock ``slack``.  Raises :class:`ValueError`
+    overlap each other (spans on different threads), but a parent never
+    closes before its children do, so child intervals are contained in
+    the parent interval up to clock ``slack``.  Raises :class:`ValueError`
     on violation.
     """
 

@@ -18,8 +18,7 @@ Design invariants (see DESIGN.md section 8):
   ``threading.local`` storage; finished root spans append to the
   tracer's shared list under a lock.  A span started on a worker
   thread can be parented under a span owned by another thread by
-  passing ``parent=`` explicitly (the segmented estimator does this so
-  per-segment spans nest under their level span).
+  passing ``parent=`` explicitly.
 - **Exception safety.**  A span always closes, records its duration,
   and is annotated with ``error=<ExceptionType>`` when its body raises;
   the exception propagates unchanged.

@@ -91,7 +91,7 @@ def salted_scenarios(k: int, salt: int) -> List[IndependentInputs]:
     ]
 
 
-def compile_or_fallback(circuit, parallelism: int = 0, kernel: str = "auto"):
+def compile_or_fallback(circuit, kernel: str = "auto"):
     """Junction tree first, segmented past the clique budget (CLI rule).
 
     Returns ``(compiled_model, method)`` with ``method`` one of
@@ -106,9 +106,7 @@ def compile_or_fallback(circuit, parallelism: int = 0, kernel: str = "auto"):
         )
         return model, "single-bn"
     except CliqueBudgetExceeded:
-        model = compile_model(
-            circuit, backend="segmented", parallelism=parallelism, kernel=kernel
-        )
+        model = compile_model(circuit, backend="segmented", kernel=kernel)
         return model, "segmented"
 
 
@@ -155,7 +153,6 @@ def measure_circuit(
     name: str,
     repeats: int = 3,
     batch_sizes: Iterable[int] = (64,),
-    parallelism: int = 0,
     kernel: str = "auto",
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> List[Dict[str, Any]]:
@@ -171,7 +168,7 @@ def measure_circuit(
     rows = [row(name, "circuit", "gates", circuit.num_gates)]
 
     start = time.perf_counter()
-    model, _ = compile_or_fallback(circuit, parallelism, kernel)
+    model, _ = compile_or_fallback(circuit, kernel)
     rows.append(
         row(name, "compile", "compile_seconds", time.perf_counter() - start)
     )
@@ -256,7 +253,6 @@ def collect_profile(
     circuits: Optional[Sequence[str]] = None,
     repeats: int = 3,
     batch_sizes: Iterable[int] = (64,),
-    parallelism: int = 0,
     kernel: str = "auto",
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
     note: str = "",
@@ -289,7 +285,6 @@ def collect_profile(
                 name,
                 repeats=repeats,
                 batch_sizes=batch_sizes,
-                parallelism=parallelism,
                 kernel=kernel,
                 oracle_budget=oracle_budget,
             )
@@ -305,7 +300,6 @@ def collect_profile(
         "circuits": names,
         "repeats": repeats,
         "batch_sizes": batch_sizes,
-        "parallelism": parallelism,
         "kernel": kernel,
     }
     return new_document(

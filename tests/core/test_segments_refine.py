@@ -3,9 +3,14 @@
 Covers the `repro.core.segments` package surface: the explicit
 :class:`SegmentGraph`, the typed boundary errors, the refinement
 accuracy contract on the seeded demo circuits (DESIGN.md section 14),
-batched/parallel/serialized parity under refinement, and the compile
-options threading through the backend layer.
+batched/serialized parity under refinement, reproducibility across
+processes, and the compile options threading through the backend layer.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +89,6 @@ class TestBoundaryErrors:
             SegmentedEstimator(circuit, refine=1, boundary="independent")
         with pytest.raises(ValueError, match="refine_tol"):
             SegmentedEstimator(circuit, refine=1, refine_tol=0.0)
-        with pytest.raises(ValueError, match="max_iters"):
-            SegmentedEstimator(circuit, refine=1, max_iters=0)
 
 
 class TestSegmentGraph:
@@ -99,16 +102,17 @@ class TestSegmentGraph:
         # Every owned gate appears exactly once across the graph.
         owned = [g for node in graph for g in node.owned]
         assert sorted(owned) == sorted(circuit.gates)
-        # Dependencies respect the level schedule: a segment's inputs
-        # are produced by strictly earlier levels.
-        level_of = graph.levels()
-        for index in range(len(graph)):
-            for dep in graph.dependencies(index):
-                assert level_of[dep] < level_of[index]
-        # Boundary edges point from owner to consumer along cut lines.
-        for owner, consumer, line in graph.boundary_edges():
-            assert graph.owner[line] == owner
-            assert line in graph.nodes[consumer].segment.inputs
+        # Registration order is topological, which the one serial pass
+        # relies on: every segment input owned by another segment is
+        # owned by a lower index.
+        cut_lines = 0
+        for index, node in enumerate(graph):
+            for line in node.segment.inputs:
+                owner = graph.owner.get(line)
+                if owner is not None and owner != index:
+                    assert owner < index, (line, owner, index)
+                    cut_lines += 1
+        assert cut_lines > 0
 
 
 class TestRefinementAccuracy:
@@ -167,8 +171,8 @@ class TestRefinementAccuracy:
         assert result.refine_iterations < 10
         assert result.refine_delta <= est.refine_tol
 
-    def test_max_iters_caps_refinement(self):
-        _, est = _demo("refineA", refine=10, max_iters=1)
+    def test_refine_budget_caps_iterations(self):
+        _, est = _demo("refineA", refine=1)
         result = est.estimate()
         assert result.refine_iterations == 1
 
@@ -189,15 +193,38 @@ class TestRefinementParity:
                     atol=1e-9,
                 )
 
-    def test_parallel_matches_serial(self):
-        circuit, serial = _demo("refineB", refine=2)
-        circuit, parallel = _demo("refineB", refine=2, parallelism=2)
-        a = serial.estimate()
-        b = parallel.estimate()
-        for line in circuit.lines:
-            np.testing.assert_allclose(
-                a.distributions[line], b.distributions[line], atol=1e-12
+    def test_estimate_independent_of_hash_seed(self):
+        # Boundary forests must not depend on set iteration order, which
+        # the interpreter's hash seed decides.
+        script = (
+            "import hashlib\n"
+            "from repro.circuits import suite\n"
+            "from repro.core.inputs import IndependentInputs\n"
+            "from repro.core.segments import SegmentedEstimator\n"
+            "circuit = suite.load_circuit('refineB')\n"
+            "result = SegmentedEstimator(circuit, "
+            f"input_model=IndependentInputs({P}), max_gates_per_segment=10, "
+            "lookback=0, refine=1).estimate()\n"
+            "digest = hashlib.sha256()\n"
+            "for line in sorted(result.distributions):\n"
+            "    digest.update(line.encode())\n"
+            "    digest.update(result.distributions[line].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        digests = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
             )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=300,
+            )
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestBackendThreading:
@@ -231,7 +258,6 @@ class TestBackendThreading:
             lookback=0,
             refine=2,
             refine_tol=1e-6,
-            max_iters=2,
         )
         result = model.query(IndependentInputs(P))
         assert result.refine_iterations == 2
@@ -311,7 +337,7 @@ class TestScaleSuite:
         # clique budget, yet the segment graph compiles and estimates.
         circuit = suite.load_circuit("layered2k")
         est = SegmentedEstimator(
-            circuit, input_model=IndependentInputs(P), parallelism=4
+            circuit, input_model=IndependentInputs(P)
         )
         result = est.estimate()
         assert est.num_segments > 50

@@ -102,49 +102,6 @@ class TestInstrumentedPipeline:
         assert estimator.propagation_counters().messages > 0
 
 
-class TestSegmentedAggregation:
-    def test_parallel_counters_match_serial(self, enabled_obs):
-        circuit = generate.random_layered_circuit(8, 40, seed=7)
-
-        serial = SegmentedEstimator(circuit, max_gates_per_segment=10)
-        serial.compile()
-        serial.estimate()
-        serial_live = serial.propagation_counters().as_dict()
-        serial_published = dict(_counters())
-
-        obs.reset()
-        parallel = SegmentedEstimator(
-            circuit, max_gates_per_segment=10, parallelism=2
-        )
-        parallel.compile()
-        parallel.estimate()
-        parallel_live = parallel.propagation_counters().as_dict()
-        parallel_published = dict(_counters())
-
-        assert parallel.num_segments == serial.num_segments > 1
-        assert parallel_live == serial_live
-        # Worker threads publish into the shared registry without losing
-        # increments: the engine.* counter families agree exactly.
-        engine = lambda d: {k: v for k, v in d.items() if k.startswith("engine.")}
-        assert engine(parallel_published) == engine(serial_published)
-
-    def test_parallel_level_spans_parent_segment_spans(self, enabled_obs):
-        circuit = generate.random_layered_circuit(8, 40, seed=7)
-        estimator = SegmentedEstimator(
-            circuit, max_gates_per_segment=10, parallelism=2
-        )
-        estimator.compile()
-        estimator.estimate()
-        tracer = obs.get_tracer()
-        levels = tracer.find("segmented.propagate.level")
-        assert levels
-        segment_spans = [
-            child for level in levels for child in level.children
-        ]
-        assert segment_spans
-        assert all(s.name == "segment.propagate_many" for s in segment_spans)
-
-
 class TestSegmentationShrinksCliques:
     def test_max_clique_gauge_drops_under_segmentation(self, enabled_obs):
         # Wide reconvergent circuit: one monolithic BN needs big cliques.

@@ -112,18 +112,6 @@ class TestParity:
                 result.distributions[line], dist, atol=1e-10, rtol=0
             )
 
-    def test_float32_batch_mode_within_tolerance(self):
-        circuit = suite.load_circuit("c17")
-        models = [IndependentInputs(p) for p in (0.1, 0.5, 0.0, 0.93)]
-        est = SwitchingActivityEstimator(circuit, kernel="auto").compile()
-        exact = est.estimate_many(models)
-        approx = est.estimate_many(models, dtype="float32")
-        for a, b in zip(approx, exact):
-            for line, dist in b.distributions.items():
-                np.testing.assert_allclose(
-                    a.distributions[line], dist, atol=1e-5, rtol=0
-                )
-
 
 class TestInvalidation:
     """A CPD with mass outside the recorded support drops the compile."""
