@@ -18,19 +18,22 @@ stage, so regressions in any one of them are visible:
   observation of the fast path's true cost; every cycle is kept as the
   row's ``samples`` and the mean as ``repeat_estimate_seconds``), plus
   the engine work counters of the repeat phase alone,
-- ``dense`` -- the same repeat timing with ``kernel="dense"``
-  (``dense_repeat_estimate_min_seconds``) and ``sparse_speedup``
+- ``dense`` -- the same repeat timing on a dense twin, the same
+  estimator class and settings with ``kernel="dense"``
+  (``dense_repeat_estimate_min_seconds``), and ``sparse_speedup``
   (dense over primary),
 - ``extract`` -- ``marginal_extraction_seconds``: reading every line's
-  4-state marginal from an already calibrated tree (single-BN only),
+  4-state marginal from the engine right after an ``estimate()``, so
+  the install is calibrated and unchanged and only extraction runs
+  (single-BN only),
 - ``engine`` -- the always-on :class:`PropagationCounters` totals
   (messages passed, cliques skipped versus repropagated, FLOP
   estimate, scenarios, ``factor_bytes``), so timings can be
   *explained*, not just compared; the counters are plain integer adds
   inside the engine and do not perturb the timed phases,
 - ``accuracy`` -- ``mean_activity`` and ``max_abs_diff_vs_dense``
-  (worst per-line distribution delta between the primary and dense
-  kernels across the sweep -- the recorded exactness evidence,
+  (worst per-line distribution delta between the primary estimator and
+  its dense twin across the sweep -- the recorded exactness evidence,
   expected at the 1e-15 association-order level, hard-bounded by
   1e-12).
 
@@ -38,7 +41,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_propagation.py \
         [--circuits c17,alu,comp,voter,pcler8,c432s] [--repeats 5] \
-        [--kernel auto|dense|sparse] [--output BENCH_propagation.json]
+        [--output BENCH_propagation.json]
 
 Gate a fresh run against the committed baseline with ``repro perf
 diff BENCH_propagation.json NEW.json``; record it into the perf store
@@ -46,9 +49,11 @@ with ``repro perf record --from NEW.json``.
 
 Compilation goes through the backend facade: the ``"junction-tree"``
 backend first, falling back to ``"segmented"`` on
-:class:`CliqueBudgetExceeded` (the c432 class), exactly as the CLI
-does.  Phase timings run against the raw estimator under the artifact
-so the numbers measure the engine, not the facade.
+:class:`CliqueBudgetExceeded` (the c432 class).  That is *not* the
+CLI's ``auto`` rule, which segments every circuit of more than 60
+gates (alu, comp, voter); here they compile as one BN.  Phase timings
+run against the raw estimator under the artifact so the numbers
+measure the engine, not the facade.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ except ImportError:  # direct execution: python benchmarks/bench_propagation.py
     )
 
 from repro.circuits import suite
+from repro.core.estimator import SwitchingActivityEstimator
 from repro.core.inputs import IndependentInputs
 from repro.core.segments import SegmentedEstimator
 from repro.perf.collect import DEFAULT_CIRCUITS, SWEEP, repeat_cycles
@@ -112,12 +118,25 @@ COUNTERS = {
 
 
 def _extract_marginals(estimator, lines: List[str]) -> float:
-    """Seconds to read every line marginal from a calibrated tree in
-    one :meth:`JunctionTree.marginals` sweep."""
+    """Seconds to read every line marginal in one
+    :meth:`JunctionTree.marginals_batch` sweep right after an
+    ``estimate()``: the install is calibrated and unchanged, so only
+    extraction runs."""
+    estimator.estimate()
     jt = estimator.junction_tree
     start = time.perf_counter()
-    jt.marginals(lines)
+    jt.marginals_batch(lines)
     return time.perf_counter() - start
+
+
+def _dense_twin(circuit, method: str):
+    """The estimator :func:`compile_or_fallback` built for ``method``,
+    recompiled with ``kernel="dense"`` (same class, same settings)."""
+    if method == "segmented":
+        return SegmentedEstimator(circuit, kernel="dense").compile()
+    return SwitchingActivityEstimator(
+        circuit, max_clique_states=4 ** 10, kernel="dense"
+    ).compile()
 
 
 def _max_abs_diff(estimator_a, estimator_b) -> float:
@@ -136,9 +155,7 @@ def _max_abs_diff(estimator_a, estimator_b) -> float:
     return worst
 
 
-def bench_circuit(
-    name: str, repeats: int, kernel: str = "auto"
-) -> List[Dict[str, object]]:
+def bench_circuit(name: str, repeats: int) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
     fields: Dict[str, object] = {
         "gates": circuit.num_gates,
@@ -146,7 +163,7 @@ def bench_circuit(
     }
 
     start = time.perf_counter()
-    estimator, method = compile_estimator(circuit, kernel)
+    estimator, method = compile_estimator(circuit)
     fields["compile_seconds"] = time.perf_counter() - start
     if method == "segmented":
         fields["segments"] = estimator.num_segments
@@ -165,15 +182,11 @@ def bench_circuit(
     # packed kernels buy, and the recorded evidence that they change
     # nothing (worst per-line delta, expected at float association-
     # order level).
-    if kernel != "dense":
-        dense, _ = compile_estimator(circuit, "dense")
-        dense.estimate()  # first calibration outside the timed region
-        dense_cycles = repeat_cycles(dense, repeats)
-        fields["dense_repeat_estimate_min_seconds"] = min(dense_cycles)
-        fields["max_abs_diff_vs_dense"] = _max_abs_diff(estimator, dense)
-    else:
-        fields["dense_repeat_estimate_min_seconds"] = min(cycle_seconds)
-        fields["max_abs_diff_vs_dense"] = 0.0
+    dense = _dense_twin(circuit, method)
+    dense.estimate()  # first calibration outside the timed region
+    dense_cycles = repeat_cycles(dense, repeats)
+    fields["dense_repeat_estimate_min_seconds"] = min(dense_cycles)
+    fields["max_abs_diff_vs_dense"] = _max_abs_diff(estimator, dense)
     fields["sparse_speedup"] = (
         fields["dense_repeat_estimate_min_seconds"]
         / fields["repeat_estimate_min_seconds"]
@@ -224,10 +237,6 @@ def main(argv=None) -> int:
         help="comma-separated circuit names from the Table 1 suite",
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--kernel", default="auto", choices=("auto", "dense", "sparse"),
-        help="message-kernel mode for the primary run",
-    )
     parser.add_argument("--output", default="BENCH_propagation.json")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -235,8 +244,8 @@ def main(argv=None) -> int:
 
     rows = []
     for name in parse_csv_names(args.circuits):
-        rows += bench_circuit(name, args.repeats, args.kernel)
-    config = {"repeats": args.repeats, "kernel": args.kernel}
+        rows += bench_circuit(name, args.repeats)
+    config = {"repeats": args.repeats}
     write_document(args.output, "propagation", rows, config)
     return 0
 

@@ -46,13 +46,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_throughput.py \
         [--circuits c17,alu,comp,voter,pcler8,c432s] \
         [--batch-sizes 1,8,64,256] [--repeats 3] [--quick] \
-        [--kernel auto|dense|sparse] [--output BENCH_throughput.json]
+        [--output BENCH_throughput.json]
 
 ``--quick`` shrinks the run to the CI smoke configuration (c17 only,
-K in {1, 64}, 2 repeats).  Compiles use ``--kernel`` (default ``auto``,
-the sparse message-kernel path); each circuit also records the
-compile-time ``support_density`` and ``sparse_cliques`` of the model
-it timed.
+K in {1, 64}, 2 repeats).  Each circuit also records the compile-time
+``support_density`` and ``sparse_cliques`` of the model it timed.
 """
 
 from __future__ import annotations
@@ -131,9 +129,7 @@ def delta_scenarios(circuit, k: int, salt: int, distinct: int = 0):
     ]
 
 
-def _bitwise_check(
-    circuit, k: int, kernel: str
-) -> Dict[str, object]:
+def _bitwise_check(circuit, k: int) -> Dict[str, object]:
     """Fresh-compile oracle: batched sweep vs. looped full propagations.
 
     Both sides force complete propagations (``reset_propagation`` marks
@@ -142,13 +138,13 @@ def _bitwise_check(
     any difference is a real kernel divergence, not float noise.
     """
     models = salted_scenarios(k, salt=0)
-    loop_model, _ = compile_or_fallback(circuit, kernel)
+    loop_model, _ = compile_or_fallback(circuit)
     oracle = []
     for model in models:
         loop_model.estimator.reset_propagation()
         loop_model.estimator.update_inputs(model)
         oracle.append(loop_model.estimator.estimate())
-    batch_model, _ = compile_or_fallback(circuit, kernel)
+    batch_model, _ = compile_or_fallback(circuit)
     batched = batch_model.query_many(models)
     worst = 0.0
     equal = True
@@ -165,10 +161,9 @@ def bench_circuit(
     name: str,
     batch_sizes: List[int],
     repeats: int,
-    kernel: str = "auto",
 ) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit, kernel)
+    model, _ = compile_or_fallback(circuit)
     estimator = model.estimator
     rows = stage_rows(
         name,
@@ -196,7 +191,7 @@ def bench_circuit(
             "batched_scenarios_per_sec": k / batched,
             "speedup": looped / batched,
         }
-        point.update(_bitwise_check(circuit, k, kernel))
+        point.update(_bitwise_check(circuit, k))
         rows += stage_rows(name, point, STAGES, K=k)
         print(
             f"{name:>10s}  K={k:<4d} "
@@ -208,9 +203,7 @@ def bench_circuit(
     return rows
 
 
-def _repeat_bitwise_check(
-    circuit, k: int, kernel: str
-) -> Dict[str, object]:
+def _repeat_bitwise_check(circuit, k: int) -> Dict[str, object]:
     """Fresh-compile oracle for a repeated sweep: the distinct scenarios
     alone, scattered back to the sweep's order by hand.
 
@@ -222,10 +215,10 @@ def _repeat_bitwise_check(
     reps, scatter = group_scenarios(
         [tuple(model.p_one.items()) for model in models]
     )
-    oracle_model, _ = compile_or_fallback(circuit, kernel)
+    oracle_model, _ = compile_or_fallback(circuit)
     rows = oracle_model.query_many([models[r] for r in reps])
     oracle = [rows[row] for row in scatter]
-    fresh_model, _ = compile_or_fallback(circuit, kernel)
+    fresh_model, _ = compile_or_fallback(circuit)
     got = fresh_model.query_many(models)
     worst = 0.0
     equal = True
@@ -242,13 +235,12 @@ def bench_repeat_circuit(
     name: str,
     k: int,
     repeats: int,
-    kernel: str,
     distinct_rate: float,
 ) -> List[Dict[str, object]]:
     """One repeat-heavy point: 4 copies of each of K/4 low-Hamming
     scenarios through the default ``query_many``."""
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit, kernel)
+    model, _ = compile_or_fallback(circuit)
 
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(delta_scenarios(circuit, k, salt=repeats + 1))
@@ -265,7 +257,7 @@ def bench_repeat_circuit(
         "distinct_batched_scenarios_per_sec": distinct_rate,
         "dedup_speedup": rate / distinct_rate,
     }
-    point.update(_repeat_bitwise_check(circuit, k, kernel))
+    point.update(_repeat_bitwise_check(circuit, k))
     print(
         f"{name:>10s}  K={k:<4d} "
         f"repeat  {rate:9.1f}/s  "
@@ -286,10 +278,6 @@ def main(argv=None) -> int:
         help="comma-separated scenario counts K",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--kernel", default="auto", choices=("auto", "dense", "sparse"),
-        help="message-kernel mode for every compile",
-    )
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke configuration: c17 only, K in {1, 64}, 2 repeats",
@@ -318,9 +306,7 @@ def main(argv=None) -> int:
 
     rows: List[Dict[str, object]] = []
     for name in circuits:
-        plain = bench_circuit(
-            name, batch_sizes, repeats, args.kernel
-        )
+        plain = bench_circuit(name, batch_sizes, repeats)
         rows += plain
         if repeat_k > 1:
             distinct_rate = next(
@@ -329,15 +315,8 @@ def main(argv=None) -> int:
                 if r["metric"] == "batched_scenarios_per_sec"
                 and r["key"] == {"K": repeat_k}
             )
-            rows += bench_repeat_circuit(
-                name, repeat_k, repeats, args.kernel,
-                distinct_rate,
-            )
-    config = {
-        "batch_sizes": batch_sizes,
-        "repeats": repeats,
-        "kernel": args.kernel,
-    }
+            rows += bench_repeat_circuit(name, repeat_k, repeats, distinct_rate)
+    config = {"batch_sizes": batch_sizes, "repeats": repeats}
     write_document(args.output, "throughput", rows, config)
     return 0
 

@@ -16,9 +16,9 @@ from repro.perf.collect import compile_or_fallback, new_document
 from repro.perf.store import row
 
 
-def compile_estimator(circuit, kernel: str):
+def compile_estimator(circuit):
     """Estimator-level view of :func:`compile_or_fallback`."""
-    model, method = compile_or_fallback(circuit, kernel)
+    model, method = compile_or_fallback(circuit)
     return model.estimator, method
 
 

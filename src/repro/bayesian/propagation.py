@@ -88,6 +88,13 @@ from repro.obs.metrics import get_metrics
 
 __all__ = ["PropagationCounters", "PropagationSchedule", "PropagationEngine"]
 
+#: ``kernel="auto"`` packs a clique whose propagated support density
+#: (feasible / total entries) is at most this ...
+PACK_DENSITY = 0.25
+#: ... and whose table has at least this many entries (tiny tables are
+#: faster dense).
+PACK_MIN_STATES = 256
+
 
 def _exclusive(method):
     """Reentrancy tripwire for the buffer-mutating engine entry points.
@@ -420,11 +427,9 @@ class PropagationSchedule:
     kernel:
         ``"dense"`` (default) ignores the masks for kernel selection;
         ``"auto"`` packs cliques whose propagated support density is at
-        most ``density_threshold`` (and whose table has at least
-        ``min_sparse_states`` entries -- tiny tables are faster dense);
+        most :data:`PACK_DENSITY` (and whose table has at least
+        :data:`PACK_MIN_STATES` entries);
         ``"sparse"`` packs every clique with any infeasible entry.
-    density_threshold / min_sparse_states:
-        The ``"auto"`` selection knobs.
 
     The schedule is immutable once built and is shared by every
     :class:`PropagationEngine` over the same tree.  Support analysis
@@ -439,8 +444,6 @@ class PropagationSchedule:
         cardinalities: Dict[str, int],
         clique_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
         kernel: str = "dense",
-        density_threshold: float = 0.25,
-        min_sparse_states: int = 256,
     ):
         if kernel not in ("auto", "dense", "sparse"):
             raise ValueError(f"unknown kernel mode {kernel!r}")
@@ -533,16 +536,10 @@ class PropagationSchedule:
             and clique_masks is not None
             and any(mask is not None for mask in clique_masks)
         ):
-            self._analyze_support(
-                clique_masks, kernel, density_threshold, min_sparse_states
-            )
+            self._analyze_support(clique_masks, kernel)
 
     def _analyze_support(
-        self,
-        clique_masks: Sequence[Optional[np.ndarray]],
-        kernel: str,
-        density_threshold: float,
-        min_sparse_states: int,
+        self, clique_masks: Sequence[Optional[np.ndarray]], kernel: str
     ) -> None:
         """Propagate feasibility masks and pick per-clique kernels.
 
@@ -607,10 +604,7 @@ class PropagationSchedule:
             if kernel == "sparse":
                 pick = True
             else:
-                pick = (
-                    nnz / size <= density_threshold
-                    and size >= min_sparse_states
-                )
+                pick = nnz / size <= PACK_DENSITY and size >= PACK_MIN_STATES
             if pick:
                 self.sparse[idx] = True
                 self.work_sizes[idx] = nnz

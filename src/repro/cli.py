@@ -192,9 +192,9 @@ def _resolve_circuit(spec: str):
 def _refine_opts(args) -> dict:
     """Boundary-refinement options, forwarded only when requested.
 
-    Like ``--kernel``, ``--refine`` is a backend-specific knob: the
-    segmented (and auto) backends accept it and bake it into the compile
-    cache key; backends without the knob would reject the option.
+    ``--refine`` is a backend-specific knob: the segmented (and auto)
+    backends accept it and bake it into the compile cache key; backends
+    without the knob would reject the option.
     """
     if not getattr(args, "refine", 0):
         return {}
@@ -206,10 +206,6 @@ def _cmd_estimate(args) -> None:
 
     finish = _maybe_traced(args, "estimate")
     circuit = _resolve_circuit(args.circuit)
-    # --kernel is only forwarded when set: exact backends accept it and
-    # bake it into the compile (and its cache key); backends without the
-    # knob (enumeration, baselines) would reject the option.
-    kernel_opts = {"kernel": args.kernel} if args.kernel else {}
     result = estimate(
         circuit,
         IndependentInputs(args.p_one),
@@ -217,7 +213,6 @@ def _cmd_estimate(args) -> None:
         cache=_resolve_cli_cache(args),
         fallback=args.fallback or None,
         budget_seconds=args.budget_seconds,
-        **kernel_opts,
         **_refine_opts(args),
     )
     cache_note = {True: "hit", False: "miss", None: "off"}[result.cache_hit]
@@ -285,14 +280,12 @@ def _cmd_sweep(args) -> None:
     circuit = _resolve_circuit(args.circuit)
     models = _load_scenarios(args.scenarios)
     start = time.perf_counter()
-    kernel_opts = {"kernel": args.kernel} if args.kernel else {}
     results = estimate_many(
         circuit,
         models,
         backend=args.backend,
         cache=_resolve_cli_cache(args),
         batch_size=args.batch,
-        **kernel_opts,
         **_refine_opts(args),
     )
     elapsed = time.perf_counter() - start
@@ -339,11 +332,8 @@ def _cmd_stats(args) -> None:
     obs.enable()
     tracer = obs.get_tracer()
     circuit = _resolve_circuit(args.circuit)
-    kernel_opts = {"kernel": args.kernel} if args.kernel else {}
     with tracer.span("stats.run", circuit=args.circuit):
-        model = compile_model(
-            circuit, IndependentInputs(args.p_one), backend="auto", **kernel_opts
-        )
+        model = compile_model(circuit, IndependentInputs(args.p_one), backend="auto")
         result = model.query()
         repeat = model.query(IndependentInputs(args.repropagate_p_one))
     report = obs.build_report(
@@ -362,7 +352,7 @@ def _cmd_stats(args) -> None:
     if support is not None:
         st = support()
         print(
-            f"kernel {st['kernel']}: {st['feasible_states']}/"
+            f"support: {st['feasible_states']}/"
             f"{st['total_states']} feasible clique states "
             f"(density {st['support_density']:.3f}), "
             f"{st['sparse_cliques']}/{st['cliques']} packed cliques"
@@ -450,7 +440,6 @@ def _cmd_serve(args) -> None:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        options={"kernel": args.kernel} if args.kernel else {},
         cache=_resolve_cli_cache(args),
         max_models=args.max_models,
         engines_per_model=args.engines_per_model,
@@ -557,7 +546,6 @@ def _cmd_perf_record(args) -> None:
                 batch_sizes=[
                     int(k) for k in args.batch_sizes.split(",") if k.strip()
                 ],
-                kernel=args.kernel,
                 note=args.note,
                 quick=args.quick,
                 progress=progress,
@@ -689,11 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget; once exceeded, jump to the cheapest fallback",
     )
     pe.add_argument(
-        "--kernel", choices=["auto", "dense", "sparse"], default=None,
-        help="propagation message kernel for exact backends "
-             "(default: the backend's own default, auto)",
-    )
-    pe.add_argument(
         "--refine", type=int, default=0, metavar="N",
         help="segmented backend: up to N iterative boundary-refinement "
              "passes over the segment graph (default: 0, off)",
@@ -737,11 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inference backend (see `repro.core.backend`); default: auto",
     )
     pw.add_argument(
-        "--kernel", choices=["auto", "dense", "sparse"], default=None,
-        help="propagation message kernel for exact backends "
-             "(default: the backend's own default, auto)",
-    )
-    pw.add_argument(
         "--refine", type=int, default=0, metavar="N",
         help="segmented backend: up to N iterative boundary-refinement "
              "passes over the segment graph (default: 0, off)",
@@ -782,10 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--repropagate-p-one", type=float, default=0.3,
         help="input probability for the re-propagation pass",
-    )
-    ps.add_argument(
-        "--kernel", choices=["auto", "dense", "sparse"], default=None,
-        help="propagation message kernel (default: auto)",
     )
     ps.add_argument("--json", default=None, metavar="FILE",
                     help="also write the JSON report here")
@@ -829,8 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--port", type=int, default=8337)
     pv.add_argument("--backend", default="auto",
                     help="default backend for /estimate (default: auto)")
-    pv.add_argument("--kernel", choices=["auto", "dense", "sparse"],
-                    default=None, help="propagation kernel for every compile")
     pv.add_argument("--max-models", type=int, default=8,
                     help="LRU ceiling on resident compiled models (default: 8)")
     pv.add_argument("--engines-per-model", type=int, default=2,
@@ -908,10 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--batch-sizes", default="64", metavar="K,...",
         help="comma-separated scenario-sweep batch sizes (default: 64)",
-    )
-    pr.add_argument(
-        "--kernel", choices=["auto", "dense", "sparse"], default="auto",
-        help="propagation message kernel for every compile",
     )
     pr.add_argument(
         "--quick", action="store_true",

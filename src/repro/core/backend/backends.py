@@ -144,14 +144,12 @@ class JunctionTreeBackend(Backend):
         inputs: Optional[InputModel] = None,
         heuristic: str = "min_fill",
         max_clique_states: Optional[int] = 4 ** 10,
-        kernel: str = "auto",
     ) -> EstimatorCompiledModel:
         estimator = SwitchingActivityEstimator(
             circuit,
             input_model=inputs,
             heuristic=heuristic,
             max_clique_states=max_clique_states,
-            kernel=kernel,
         ).compile()
         return EstimatorCompiledModel(self.name, circuit, estimator)
 
@@ -170,9 +168,6 @@ class SegmentedBackend(Backend):
         heuristic: str = "min_fill",
         lookback: int = 3,
         boundary: str = "tree",
-        enum_input_states: int = 4 ** 9,
-        segment_backend: str = "auto",
-        kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
     ) -> EstimatorCompiledModel:
@@ -184,9 +179,6 @@ class SegmentedBackend(Backend):
             heuristic=heuristic,
             lookback=lookback,
             boundary=boundary,
-            enum_input_states=enum_input_states,
-            backend=segment_backend,
-            kernel=kernel,
             refine=refine,
             refine_tol=refine_tol,
         ).compile()
@@ -238,7 +230,6 @@ class AutoBackend(Backend):
         max_clique_states: Optional[int] = None,
         boundary: str = "tree",
         heuristic: str = "min_fill",
-        kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
     ) -> EstimatorCompiledModel:
@@ -251,7 +242,6 @@ class AutoBackend(Backend):
                     inputs,
                     heuristic=heuristic,
                     max_clique_states=max_clique_states,
-                    kernel=kernel,
                 )
             except CliqueBudgetExceeded:
                 pass
@@ -263,7 +253,6 @@ class AutoBackend(Backend):
             heuristic=heuristic,
             lookback=lookback,
             boundary=boundary,
-            kernel=kernel,
             refine=refine,
             refine_tol=refine_tol,
         )

@@ -54,7 +54,9 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: and a second batch engine.
 #: v6: engines drop their buffer dtype and segmented estimators their
 #: thread-pool width and iteration cap (one serial float64 pipeline).
-ARTIFACT_SCHEMA_VERSION = 6
+#: v7: segmented estimators drop their glue-cone support budget (now
+#: the module constant ``refine.GLUE_STATES``).
+ARTIFACT_SCHEMA_VERSION = 7
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

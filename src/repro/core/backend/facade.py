@@ -45,7 +45,12 @@ from repro.core.backend.registry import get_backend
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.rcache import ResultCache, scenario_digest
 from repro.core.validate import validate as validate_pass
-from repro.errors import CompileError, FallbackExhausted, PropagationError
+from repro.errors import (
+    CompileError,
+    FallbackExhausted,
+    PropagationError,
+    UnknownOptionError,
+)
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
@@ -150,6 +155,16 @@ def _record_fallback(backend_name: str, reason: str) -> None:
         registry.counter("estimate.fallback").inc(1)
 
 
+def _compile_options(backend_name: str) -> Optional[frozenset]:
+    """Option names a backend's ``compile`` accepts (None: any name)."""
+    sig = inspect.signature(get_backend(backend_name).compile)
+    if any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
+    ):
+        return None
+    return frozenset(sig.parameters) - {"circuit", "inputs"}
+
+
 def _supported_options(backend_name: str, options: dict) -> dict:
     """Restrict ``options`` to what a backend's ``compile`` accepts.
 
@@ -160,12 +175,32 @@ def _supported_options(backend_name: str, options: dict) -> dict:
     """
     if not options:
         return options
-    sig = inspect.signature(get_backend(backend_name).compile)
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-    ):
+    accepted = _compile_options(backend_name)
+    if accepted is None:
         return options
-    return {k: v for k, v in options.items() if k in sig.parameters}
+    return {k: v for k, v in options.items() if k in accepted}
+
+
+def check_options(backend_name: str, options: Any) -> dict:
+    """Validate untrusted compile ``options`` against one backend.
+
+    Raises :class:`~repro.errors.UnknownOptionError` when ``options`` is
+    not a mapping or names a parameter the backend's ``compile`` does
+    not take (a backend taking ``**options`` accepts any name).
+    """
+    if not isinstance(options, dict):
+        raise UnknownOptionError(
+            f"options must be an object, not {type(options).__name__}"
+        )
+    accepted = _compile_options(backend_name)
+    unknown = sorted(set(options) - accepted) if accepted is not None else []
+    if unknown:
+        raise UnknownOptionError(
+            f"backend {backend_name!r} does not accept option(s) "
+            f"{', '.join(map(repr, unknown))}; it takes "
+            f"{', '.join(sorted(accepted)) or 'none'}"
+        )
+    return options
 
 
 def compile_model(

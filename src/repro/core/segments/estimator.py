@@ -110,9 +110,6 @@ class SegmentedEstimator:
     refine_tol:
         Convergence threshold: refinement stops once the largest
         boundary-belief change of an iteration drops below this.
-    glue_states:
-        Support budget of one glue cone (``4^inputs`` rows); glue
-        edges whose cone cannot fit are dropped from the forest.
     """
 
     def __init__(
@@ -129,7 +126,6 @@ class SegmentedEstimator:
         kernel: str = "auto",
         refine: int = 0,
         refine_tol: float = 1e-5,
-        glue_states: int = 4 ** 7,
     ):
         if max_gates_per_segment < 1:
             raise ValueError("max_gates_per_segment must be >= 1")
@@ -151,8 +147,6 @@ class SegmentedEstimator:
             )
         if refine_tol <= 0:
             raise ValueError("refine_tol must be > 0")
-        if glue_states < N_STATES ** 2:
-            raise ValueError("glue_states must allow at least two inputs")
         self.circuit = circuit
         self.input_model = input_model if input_model is not None else IndependentInputs(0.5)
         self.max_gates_per_segment = max_gates_per_segment
@@ -165,7 +159,6 @@ class SegmentedEstimator:
         self.kernel = kernel
         self.refine = refine
         self.refine_tol = refine_tol
-        self.glue_states = glue_states
         #: the compiled segment DAG (None before :meth:`compile`)
         self.graph: Optional[SegmentGraph] = None
         self._refiner: Optional[BoundaryRefiner] = None
@@ -295,7 +288,6 @@ class SegmentedEstimator:
                     segment.inputs,
                     registry,
                     self._cone_cache,
-                    max_input_states=self.glue_states,
                 )
             else:
                 parent_of = boundary_forest(

@@ -67,6 +67,9 @@ __all__ = [
 
 #: Input budget of one glue cone: ``4^GLUE_MAX_INPUTS`` support rows.
 GLUE_MAX_INPUTS = 7
+#: Support budget of one glue cone's enumeration (``4 ** 7`` rows);
+#: glue edges whose cone cannot fit are dropped from the forest.
+GLUE_STATES = N_STATES ** GLUE_MAX_INPUTS
 #: Gate budget of one glue cone (enumeration cost is rows x gates).
 GLUE_MAX_GATES = 192
 #: Backward-expansion depth limit when growing a glue cone.
@@ -124,7 +127,6 @@ def augment_boundary_forest(
     inputs: Sequence[str],
     registry: SegmentRegistry,
     cone_cache: Dict[str, frozenset],
-    max_input_states: int = N_STATES ** GLUE_MAX_INPUTS,
 ) -> Tuple[Dict[str, str], frozenset, Dict[str, Tuple[str, ...]]]:
     """Boundary forest with cross-provider glue edges grafted on.
 
@@ -143,7 +145,6 @@ def augment_boundary_forest(
     """
     import networkx as nx
 
-    max_inputs = int(np.log(max_input_states) / np.log(N_STATES))
     provided: List[str] = []
     provider_of_line: Dict[str, object] = {}
     for line in inputs:
@@ -186,7 +187,7 @@ def augment_boundary_forest(
             break
         if component[a] == component[b]:
             continue
-        plan = plan_glue_cone(circuit, a, b, max_inputs=max_inputs)
+        plan = plan_glue_cone(circuit, a, b)
         if plan is None:
             continue
         forest.add_edge(a, b)
@@ -309,7 +310,7 @@ class BoundaryRefiner:
                     SegmentInputs(
                         estimator.input_model, primary, FixedMarginalInputs(uniform)
                     ),
-                    max_input_states=estimator.glue_states,
+                    max_input_states=GLUE_STATES,
                     keep_lines={parent, child},
                 )
                 edges.append(

@@ -54,6 +54,7 @@ __all__ = [
     "UndefinedLineError",
     "UnknownBackendError",
     "UnknownCircuitError",
+    "UnknownOptionError",
     "ValidationError",
     "ZeroBeliefError",
 ]
@@ -154,6 +155,11 @@ class UnknownBackendError(ReproError, KeyError):
 
     def __str__(self) -> str:  # KeyError quotes its repr; keep it readable.
         return str(self.args[0]) if self.args else ""
+
+
+class UnknownOptionError(ReproError, TypeError):
+    """Compile options are not a mapping, or name a parameter the
+    backend's ``compile`` does not take."""
 
 
 # ----------------------------------------------------------------------

@@ -91,9 +91,12 @@ def salted_scenarios(k: int, salt: int) -> List[IndependentInputs]:
     ]
 
 
-def compile_or_fallback(circuit, kernel: str = "auto"):
-    """Junction tree first, segmented past the clique budget (CLI rule).
+def compile_or_fallback(circuit):
+    """Junction tree first, segmented past the clique budget.
 
+    Unlike the CLI's ``auto`` backend, which segments every circuit of
+    more than 60 gates, this compiles alu, comp and voter as one BN:
+    only the ``4 ** 10`` clique budget sends a circuit to segmentation.
     Returns ``(compiled_model, method)`` with ``method`` one of
     ``"single-bn"`` / ``"segmented"``.
     """
@@ -102,11 +105,10 @@ def compile_or_fallback(circuit, kernel: str = "auto"):
             circuit,
             backend="junction-tree",
             max_clique_states=4 ** 10,
-            kernel=kernel,
         )
         return model, "single-bn"
     except CliqueBudgetExceeded:
-        model = compile_model(circuit, backend="segmented", kernel=kernel)
+        model = compile_model(circuit, backend="segmented")
         return model, "segmented"
 
 
@@ -153,7 +155,6 @@ def measure_circuit(
     name: str,
     repeats: int = 3,
     batch_sizes: Iterable[int] = (64,),
-    kernel: str = "auto",
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> List[Dict[str, Any]]:
     """One circuit's measurement rows (see the store's document shape).
@@ -168,7 +169,7 @@ def measure_circuit(
     rows = [row(name, "circuit", "gates", circuit.num_gates)]
 
     start = time.perf_counter()
-    model, _ = compile_or_fallback(circuit, kernel)
+    model, _ = compile_or_fallback(circuit)
     rows.append(
         row(name, "compile", "compile_seconds", time.perf_counter() - start)
     )
@@ -253,7 +254,6 @@ def collect_profile(
     circuits: Optional[Sequence[str]] = None,
     repeats: int = 3,
     batch_sizes: Iterable[int] = (64,),
-    kernel: str = "auto",
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
     note: str = "",
     quick: bool = False,
@@ -285,7 +285,6 @@ def collect_profile(
                 name,
                 repeats=repeats,
                 batch_sizes=batch_sizes,
-                kernel=kernel,
                 oracle_budget=oracle_budget,
             )
             for entry in circuit_rows:
@@ -300,7 +299,6 @@ def collect_profile(
         "circuits": names,
         "repeats": repeats,
         "batch_sizes": batch_sizes,
-        "kernel": kernel,
     }
     return new_document(
         "profile", rows, config=config, obs=registry.snapshot(), note=note

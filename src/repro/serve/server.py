@@ -42,7 +42,7 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.circuits import suite
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import CompiledModel
-from repro.core.backend.facade import resolve_cache
+from repro.core.backend.facade import check_options, resolve_cache
 from repro.core.estimator import SwitchingEstimate
 from repro.core.rcache import ResultCache, scenario_digest
 from repro.core.inputs import InputModel, input_model_from_spec
@@ -70,7 +70,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8337
     backend: str = "auto"
-    options: Dict[str, Any] = field(default_factory=dict)
     cache: Any = True
     max_models: int = 8
     engines_per_model: int = 2
@@ -362,8 +361,7 @@ class EstimationServer:
                 f"unknown detail {detail!r} ({'|'.join(self._DETAILS)})"
             )
         backend = payload.get("backend", self.config.backend)
-        options = dict(self.config.options)
-        options.update(payload.get("options") or {})
+        options = check_options(backend, payload.get("options", {}))
         entry = self.pool.get(
             circuit,
             backend=backend,

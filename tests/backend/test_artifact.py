@@ -105,12 +105,12 @@ def test_read_envelope_reports_without_unpickling_payload():
 
 
 def test_envelope_rejects_previous_schema_version():
-    # v5 artifacts pickle engines with a buffer dtype and segmented
-    # estimators with thread-pool and iteration-cap attributes; loading
-    # one must fail typed rather than unpickle a stale layout.
+    # v6 artifacts pickle segmented estimators with a glue-cone
+    # support budget attribute; loading one must fail typed rather
+    # than unpickle a stale layout.
     circuit = suite.load_circuit("c17")
     model = compile_model(circuit, backend="junction-tree")
     envelope = pickle.loads(model.to_bytes())
-    envelope["schema"] = "repro.compiled/v5"
-    with pytest.raises(ArtifactSchemaError, match="v5"):
+    envelope["schema"] = "repro.compiled/v6"
+    with pytest.raises(ArtifactSchemaError, match="v6"):
         CompiledModel.from_bytes(pickle.dumps(envelope))

@@ -43,6 +43,14 @@ def test_unknown_backend_raises():
         get_backend("does-not-exist")
 
 
+@pytest.mark.parametrize("backend", ["auto", "junction-tree", "segmented"])
+def test_no_backend_takes_a_kernel_option(backend):
+    # The pack rule picks kernels; only the library estimators keep
+    # ``kernel=`` (as the dense oracle), so no backend takes it.
+    with pytest.raises(TypeError, match="'kernel'"):
+        compile_model(c17(), backend=backend, kernel="dense")
+
+
 def test_junction_tree_matches_direct_estimator():
     circuit = c17()
     direct = SwitchingActivityEstimator(circuit).estimate()

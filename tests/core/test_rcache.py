@@ -169,9 +169,9 @@ class TestFacadeResultCache:
         cache = ResultCache()
         model = IndependentInputs(0.3)
         estimate(c17, model, backend="junction-tree", cache=None,
-                 result_cache=cache, kernel="dense")
+                 result_cache=cache, heuristic="min_fill")
         other = estimate(c17, model, backend="junction-tree", cache=None,
-                         result_cache=cache, kernel="sparse")
+                         result_cache=cache, heuristic="min_degree")
         # Same scenario, different compile options: distinct entries.
         assert other.result_cache_hit is False
         assert cache.stats()["entries"] == 2

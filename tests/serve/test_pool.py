@@ -89,10 +89,10 @@ class TestModelPool:
     def test_options_split_entries(self):
         pool = ModelPool(max_models=4)
         circuit = c17()
-        dense = pool.get(circuit, backend="junction-tree", kernel="dense")
-        sparse = pool.get(circuit, backend="junction-tree", kernel="sparse")
-        assert dense is not sparse
-        assert dense.key != sparse.key
+        fill = pool.get(circuit, backend="junction-tree", heuristic="min_fill")
+        degree = pool.get(circuit, backend="junction-tree", heuristic="min_degree")
+        assert fill is not degree
+        assert fill.key != degree.key
 
     def test_lru_eviction_counts(self):
         pool = ModelPool(max_models=2)

@@ -111,6 +111,28 @@ class TestErrors:
             client.estimate_many("c17", [])
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"bogus": 1}, "'bogus'"), ({"kernel": "dense"}, "'kernel'"),
+         ([1, 2], "must be an object")],
+    )
+    def test_bad_options_are_400(self, client, options, message):
+        # Unknown compile options and non-object options used to reach
+        # backend.compile(**options) and surface as a 500 TypeError.
+        with pytest.raises(ServeRequestError) as excinfo:
+            client._request(
+                "POST", "/estimate", {"circuit": "c17", "options": options}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "UnknownOptionError"
+        assert message in str(excinfo.value)
+
+    def test_known_options_are_honored(self, client):
+        response = client.estimate(
+            "c17", backend="junction-tree", options={"heuristic": "min_degree"}
+        )
+        assert response["backend"] == "junction-tree"
+
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServeRequestError) as excinfo:
             client._request("GET", "/nope")

@@ -29,7 +29,7 @@ from repro.bayesian.cpd import TabularCPD
 from repro.bayesian.junction import JunctionTree
 from repro.circuits import suite
 from repro.core import IndependentInputs, SwitchingActivityEstimator
-from repro.core.backend import estimate_many
+from repro.core.segments import SegmentedEstimator
 from repro.cli import main as cli_main
 from repro.core.estimator import exact_switching_by_enumeration
 from repro.errors import PerfDiffError
@@ -87,19 +87,40 @@ class TestSupportSoundness:
 class TestParity:
     """Packed kernels match the dense oracle and the enumeration oracle."""
 
-    @pytest.mark.parametrize("backend", ["junction-tree", "segmented"])
+    @pytest.mark.parametrize(
+        "estimator",
+        [
+            pytest.param(SwitchingActivityEstimator, id="junction-tree"),
+            pytest.param(SegmentedEstimator, id="segmented"),
+        ],
+    )
     @pytest.mark.parametrize("k", [1, 3, 17])
-    def test_sparse_matches_dense_across_batch_sizes(self, backend, k):
+    def test_sparse_matches_dense_across_batch_sizes(self, estimator, k):
         circuit = suite.load_circuit("c17")
         ps = [0.0, 1.0, 0.5] + [0.05 + 0.9 * (i / max(k, 2)) for i in range(k)]
         models = [IndependentInputs(p) for p in ps[:k]]
-        got = estimate_many(circuit, models, backend=backend, kernel="sparse")
-        ref = estimate_many(circuit, models, backend=backend, kernel="dense")
+        got = estimator(circuit, kernel="sparse").compile().estimate_many(models)
+        ref = estimator(circuit, kernel="dense").compile().estimate_many(models)
         for sparse_est, dense_est in zip(got, ref):
             for line, dist in dense_est.distributions.items():
                 np.testing.assert_allclose(
                     sparse_est.distributions[line], dist, atol=1e-12, rtol=0
                 )
+
+    def test_c17_auto_packs_nothing_and_equals_dense_bitwise(self):
+        # No c17 clique reaches the pack rule's size floor, so "auto"
+        # and "dense" run the same engine: any sparse_speedup away from
+        # 1.0 on c17 is timing noise.
+        circuit = suite.load_circuit("c17")
+        auto = SwitchingActivityEstimator(circuit).compile()
+        dense = SwitchingActivityEstimator(circuit, kernel="dense").compile()
+        assert auto.support_stats()["sparse_cliques"] == 0
+        for p in (0.5, 0.2, 0.9):
+            auto.update_inputs(IndependentInputs(p))
+            dense.update_inputs(IndependentInputs(p))
+            got, ref = auto.estimate(), dense.estimate()
+            for line, dist in ref.distributions.items():
+                assert np.array_equal(got.distributions[line], dist), line
 
     @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_sparse_matches_enumeration_oracle(self, seed):
