@@ -27,10 +27,10 @@ stage, so regressions in any one of them are visible:
   the install is calibrated and unchanged and only extraction runs
   (single-BN only),
 - ``engine`` -- the always-on :class:`PropagationCounters` totals
-  (messages passed, cliques skipped versus repropagated, FLOP
-  estimate, scenarios, ``factor_bytes``), so timings can be
-  *explained*, not just compared; the counters are plain integer adds
-  inside the engine and do not perturb the timed phases,
+  (messages passed, FLOP estimate, scenarios, ``factor_bytes``), so
+  timings can be *explained*, not just compared; the counters are
+  plain integer adds inside the engine and do not perturb the timed
+  phases,
 - ``accuracy`` -- ``mean_activity`` and ``max_abs_diff_vs_dense``
   (worst per-line distribution delta between the primary estimator and
   its dense twin across the sweep -- the recorded exactness evidence,
@@ -111,8 +111,6 @@ STAGES = {
 #: Engine-counter row names -> :class:`PropagationCounters` fields.
 COUNTERS = {
     "messages_passed": "messages",
-    "cliques_repropagated": "cliques_repropagated",
-    "cliques_skipped": "cliques_skipped",
     "flop_estimate": "flops",
 }
 
@@ -214,12 +212,10 @@ def bench_circuit(name: str, repeats: int) -> List[Dict[str, object]]:
     )
 
     # Cumulative totals, then repeat-phase deltas: the latter isolate
-    # the dirty-clique fast path (the skipped count is the work the
-    # engine *avoided* re-doing).
+    # the work of the re-propagation cycles.
     totals = engine_counters(estimator)
     engine = {metric: totals[field] for metric, field in COUNTERS.items()}
     engine["scenarios_propagated"] = totals["scenarios_propagated"]
-    engine["potentials_unchanged"] = totals["potentials_unchanged"]
     engine["factor_bytes"] = estimator.factor_bytes()
     repeat = {
         metric: totals[field] - after_first[field]

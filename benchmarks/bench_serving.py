@@ -30,11 +30,11 @@ closed-loop clients:
   scenarios/sec at the same concurrency: the reuse win on top of the
   batching win.
 
-At concurrency 1 the two legacy modes should be within noise of each
-other (a lone request never waits out the linger window); the batching
-win appears as concurrency grows, and the caching win grows with the
-stream's skew.  Latency percentiles are nearest-rank over every
-request in the cell.
+At concurrency 1 batched trails unbatched by about the linger window:
+a lone request waits until its linger deadline for batch-mates that
+never come.  The batching win appears as concurrency grows, and the
+caching win grows with the stream's skew.  Latency percentiles are
+nearest-rank over every request in the cell.
 
 Usage::
 
@@ -69,6 +69,12 @@ DEFAULT_CONCURRENCY = [1, 4, 16]
 
 #: the three server configurations a report covers
 MODES = ("unbatched", "batched", "cached")
+
+#: Per-run salt step (sqrt(2) - 1).  ``scenario_spec`` keeps only the
+#: fractional part of ``index * PHI + salt``, so a whole-number salt
+#: would replay the same scenarios; an irrational step independent of
+#: PHI gives every (circuit, concurrency, repeat) run its own set.
+SALT_STEP = 0.41421356237309515
 
 #: Pipeline stage of every per-cell field, in emission order.
 STAGES = {
@@ -163,22 +169,25 @@ def bench_mode(
                               result_cache_entries=result_cache_entries)
     workload = cached_workload if mode == "cached" else "uniform"
     rows: List[Dict[str, object]] = []
+    run = 0
     with EstimationServer(config) as server:
         for name in circuits:
             for concurrency in concurrency_levels:
                 # Best of ``repeats`` runs per cell (the repo-wide
                 # min-over-repeats idiom): closed-loop throughput on a
                 # shared box is one-sided noise -- interference only
-                # ever slows it down.  Each repeat's salt changes every
-                # scenario, so a cached repeat never rides the previous
-                # repeat's entries; its hit rate comes from the
+                # ever slows it down.  Each run's salt changes every
+                # scenario, so a cached run never rides an earlier
+                # run's entries; its hit rate comes from the
                 # hits/misses counter deltas it contributed itself, and
                 # its batcher rows likewise come from its own deltas.
                 best = None
                 best_hit_rate: Optional[float] = None
                 best_batcher = (0, 0, 0)
                 best_salt = 0.0
-                for r in range(repeats):
+                for _ in range(repeats):
+                    salt = (run * SALT_STEP) % 1.0
+                    run += 1
                     hits0, misses0 = _cache_counts(server)
                     batcher0 = _batcher_counts(server)
                     report = run_load(
@@ -187,12 +196,12 @@ def bench_mode(
                         mode="closed",
                         concurrency=concurrency,
                         requests=concurrency * requests_per_client,
-                        salt=float(r),
+                        salt=salt,
                         workload=workload,
                     )
                     if best is None or report.scenarios_per_sec > best.scenarios_per_sec:
                         best = report
-                        best_salt = float(r)
+                        best_salt = salt
                         best_batcher = tuple(
                             after - before
                             for after, before in zip(

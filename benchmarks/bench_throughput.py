@@ -8,8 +8,7 @@ ratio, one row per metric keyed by ``K``:
 
 - ``looped_scenarios_per_sec``  -- sequential ``update_inputs()`` +
   ``estimate()`` per scenario on a persistent compiled estimator: K
-  separate K=1 batches through the same engine, dirty-clique tracking
-  and all,
+  separate K=1 batches through the same engine,
 - ``batched_scenarios_per_sec`` -- one ``estimate_many()`` call
   propagating all K scenarios through the engine's leading batch axis,
 - ``speedup``                   -- batched rate over looped rate,
@@ -34,12 +33,12 @@ once.  Repeat points carry:
 - ``distinct_batched_scenarios_per_sec`` / ``dedup_speedup`` -- the
   plain batched row's rate at the same K (all scenarios distinct) and
   the ratio,
-- ``bitwise_equal`` -- results vs. a *fresh-compile* oracle given only
-  the distinct scenarios and scattered back, exact equality.
+- ``bitwise_equal`` -- results vs. an oracle given only the distinct
+  scenarios and scattered back, exact equality.
 
-Each timing repeat uses a *different* deterministic scenario set so
-the skip-unchanged-potential fast path never turns a repeat into a
-no-op; the minimum over repeats is reported (least noise).
+Each timing repeat uses a *different* deterministic scenario set, so
+no repeat times work an earlier one already did; the minimum over
+repeats is reported (least noise).
 
 Usage::
 
@@ -130,18 +129,16 @@ def delta_scenarios(circuit, k: int, salt: int, distinct: int = 0):
 
 
 def _bitwise_check(circuit, k: int) -> Dict[str, object]:
-    """Fresh-compile oracle: batched sweep vs. looped full propagations.
+    """Fresh-compile oracle: batched sweep vs. looped propagations.
 
-    Both sides force complete propagations (``reset_propagation`` marks
-    every clique dirty), making each result a pure function of the
-    installed potentials -- so the comparison is exact equality, and
-    any difference is a real kernel divergence, not float noise.
+    Every propagation is a full pass, a pure function of the installed
+    potentials -- so the comparison is exact equality, and any
+    difference is a real kernel divergence, not float noise.
     """
     models = salted_scenarios(k, salt=0)
     loop_model, _ = compile_or_fallback(circuit)
     oracle = []
     for model in models:
-        loop_model.estimator.reset_propagation()
         loop_model.estimator.update_inputs(model)
         oracle.append(loop_model.estimator.estimate())
     batch_model, _ = compile_or_fallback(circuit)
@@ -204,22 +201,16 @@ def bench_circuit(
 
 
 def _repeat_bitwise_check(circuit, k: int) -> Dict[str, object]:
-    """Fresh-compile oracle for a repeated sweep: the distinct scenarios
-    alone, scattered back to the sweep's order by hand.
-
-    Both sides are *fresh* estimators: a reused one carries the
-    documented 1-ULP dirty-path drift across sweeps, which would make
-    the comparison measure that noise instead of the collapse.
-    """
+    """Oracle for a repeated sweep: the distinct scenarios alone,
+    scattered back to the sweep's order by hand, compared bitwise."""
     models = delta_scenarios(circuit, k, salt=0)
     reps, scatter = group_scenarios(
         [tuple(model.p_one.items()) for model in models]
     )
-    oracle_model, _ = compile_or_fallback(circuit)
-    rows = oracle_model.query_many([models[r] for r in reps])
+    model, _ = compile_or_fallback(circuit)
+    rows = model.query_many([models[r] for r in reps])
     oracle = [rows[row] for row in scatter]
-    fresh_model, _ = compile_or_fallback(circuit)
-    got = fresh_model.query_many(models)
+    got = model.query_many(models)
     worst = 0.0
     equal = True
     for expect, actual in zip(oracle, got):

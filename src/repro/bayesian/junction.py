@@ -358,11 +358,10 @@ class JunctionTree:
         Cliques in ``stacks`` get their ``(rows, *clique_shape)``
         per-scenario tables, every other clique the network's own
         potential broadcast over the rows; evidence indicators multiply
-        into both.  The engine is rebuilt (a full pass follows) when
-        ``rows`` differs from the installed count; otherwise
-        only cliques whose potential may have changed are re-set, and
-        the engine's skip-if-unchanged rule keeps the rest of the tree
-        clean for dirty-path repropagation.
+        into both.  The engine is rebuilt when ``rows`` differs from the
+        installed count; otherwise only cliques whose potential may have
+        changed are re-set (the others keep their installed tables).
+        Either way the next propagation is a full pass.
         """
         schedule = self._ensure_schedule()
         engine = self._engine
@@ -422,7 +421,7 @@ class JunctionTree:
         This is the paper's fast re-propagation path: changing the input
         statistics of a compiled circuit only replaces root CPDs.  The
         network keeps the new CPDs; the next :meth:`calibrate` installs
-        them as one row and re-propagates only what they reach.
+        them as one row and re-propagates.
         """
         cpds = list(cpds)
         self._check_cpds(cpds)
@@ -454,9 +453,8 @@ class JunctionTree:
         for scenario ``k``; every scenario must update the same
         variables (with unchanged parents and cardinality).  Unlike
         :meth:`update_cpds` this does not mutate the underlying network:
-        scenarios live only in the engine, whose dirty tracking is
-        shared across the rows (only the updated cliques' potentials
-        differ per scenario).  Returns K.  Query results with
+        scenarios live only in the engine (only the updated cliques'
+        potentials differ per scenario).  Returns K.  Query results with
         :meth:`marginals_batch` / :meth:`joint_marginal_batch`.
 
         Scenarios whose CPD tables are bytewise equal share one engine
@@ -579,17 +577,6 @@ class JunctionTree:
                 "no scenario batch installed; call update_cpds_batch first"
             )
         return self._engine
-
-    def reset_propagation(self) -> None:
-        """Mark every clique dirty so the next propagation is a full pass.
-
-        A full pass is a pure function of the installed potentials, so
-        two full passes over equal inputs agree bitwise; callers that
-        need history-independent results (oracles, benchmarks, serving
-        replicas) reset first.
-        """
-        if self._engine is not None:
-            self._engine.mark_all_dirty()
 
     def _ensure_schedule(self) -> PropagationSchedule:
         """Build (once) the immutable message schedule.  Non-dense
@@ -732,9 +719,9 @@ class JunctionTree:
         """Install the network's CPDs and evidence as one row and run
         collect + distribute over every tree component.
 
-        Re-propagates only messages reachable from cliques whose
-        potentials changed; a calibrated tree with no pending changes
-        is a no-op.  An installed scenario batch is replaced.
+        The pass is a full one, so the beliefs depend only on the
+        installed CPDs and evidence; a calibrated tree with no pending
+        changes is a no-op.  An installed scenario batch is replaced.
         """
         self._install({}, 1).propagate()
 

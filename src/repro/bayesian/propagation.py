@@ -28,32 +28,25 @@ half of that bargain real:
   per-scenario (:meth:`~PropagationEngine.set_potential_batch` with a
   ``(K, *clique_shape)`` stack).
 
-- **Dirty-clique repropagation**: callers mark cliques whose potentials
-  changed (:meth:`PropagationEngine.set_potential`); the next
-  :meth:`~PropagationEngine.propagate` recomputes only the upward
-  messages whose source subtree contains a dirty clique and the
-  downward messages their changes invalidate.  Subtrees the update
-  cannot reach are skipped entirely.  Setting a potential whose values
-  are array-equal to the current one is a no-op (the clique stays
-  clean).  Dirty tracking is shared across the rows: only input-clique
-  potentials differ per scenario, so a re-query repropagates exactly
-  the input-reachable subtree.
+- **Every propagation is a full pass**: :meth:`PropagationEngine.propagate`
+  runs one complete collect + distribute whenever any potential was set
+  since the last pass, and is a no-op otherwise.  The calibrated
+  beliefs are therefore a pure function of the installed potentials --
+  never of which scenarios the engine propagated before.
 
-The message algebra is the classic Hugin scheme written with cached
-directed messages: during collect, each clique's *partial* belief
-``psi * prod(child messages)`` is built bottom-up and its separator
-marginal becomes the upward message; during distribute, the downward
-message is ``marg(parent belief) / upward message`` (a separator-sized
-division), absorbed into the child belief in place.  After both passes
-every belief equals the exact joint marginal of its clique's scope
-times the probability of evidence.
+The message algebra is the classic Hugin scheme: during collect, each
+clique's *partial* belief ``psi * prod(child messages)`` is built
+bottom-up and its separator marginal becomes the upward message; during
+distribute, the downward message is ``marg(parent belief) / upward
+message`` (a separator-sized division), absorbed into the child belief
+in place.  After both passes every belief equals the exact joint
+marginal of its clique's scope times the probability of evidence.
 
 Every kernel is elementwise or a reduction over non-scenario axes, so
 row ``k`` of a K-row propagation goes through exactly the same
 arithmetic, in the same order, as a one-row propagation over scenario
 ``k``'s potentials -- the results agree *bitwise*, not just to
-tolerance, whenever the two runs take the same dirty paths (e.g. both
-are full passes, or every re-query updates the same cliques).
+tolerance.
 
 - **Determinism-aware sparse kernels**: gate CPDs are 0/1 indicator
   tables, so most entries of a wide clique potential are *structurally*
@@ -317,20 +310,15 @@ class PropagationCounters:
     ``flops`` is the standard table-touch estimate: one unit per entry
     of each clique table marginalized or multiplied, scaled by the
     engine's row count.  ``scenarios_propagated`` counts ``K`` per
-    propagation; ``potentials_unchanged`` counts ``set_potential``
-    calls skipped because the new values equalled the installed ones.
+    propagation.
     """
 
     __slots__ = (
         "propagations",
         "messages_collect",
         "messages_distribute",
-        "cliques_repropagated",
-        "cliques_skipped",
-        "zero_resurrections",
         "flops",
         "scenarios_propagated",
-        "potentials_unchanged",
     )
 
     _FIELDS = __slots__
@@ -612,14 +600,13 @@ class PropagationSchedule:
 
 
 class PropagationEngine:
-    """Preallocated Hugin propagation with dirty-clique tracking.
+    """Preallocated Hugin propagation over one compiled schedule.
 
-    The engine caches, between propagations: the clique potentials
-    (``psi``), every directed separator message, and every calibrated
-    clique belief.  :meth:`set_potential` replaces one ``psi`` and marks
-    its clique dirty; :meth:`propagate` then recomputes only what the
-    change can reach.  With no dirty cliques, :meth:`propagate` is a
-    no-op.
+    The engine holds the clique potentials (``psi``), the upward
+    separator messages and the calibrated clique beliefs.
+    :meth:`set_potential` replaces one ``psi``; the next
+    :meth:`propagate` runs a full collect + distribute pass.  With no
+    potential set since the last pass, :meth:`propagate` is a no-op.
 
     Parameters
     ----------
@@ -653,11 +640,14 @@ class PropagationEngine:
             )
             for i in range(n)
         ]
-        #: message buffers and scratch separator buffers, per directed edge
+        #: upward (child -> parent) message buffers, read by the
+        #: parent's collect and by the child's distribute division
         self._msg: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.empty(lead + msg.sep_shape)
-            for key, msg in schedule.messages.items()
+            (node, parent): np.empty(lead + msg.sep_shape)
+            for (node, parent), msg in schedule.messages.items()
+            if schedule.parent[node] == parent
         }
+        #: scratch separator buffers, per directed edge
         self._scratch: Dict[Tuple[int, int], np.ndarray] = {
             key: np.empty(lead + msg.sep_shape)
             for key, msg in schedule.messages.items()
@@ -673,8 +663,8 @@ class PropagationEngine:
         #: lazily compiled reduction plans for marginal sweeps, keyed by
         #: (clique index, kept axes)
         self._marginal_plans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
-        self._dirty: Set[int] = set(range(n))
-        self._ever_propagated = False
+        #: a potential was set since the last pass
+        self._stale = True
         #: reentrancy tripwire (see :func:`_exclusive`); never held
         #: across calls, so pickling drops and recreates it.
         self._guard = threading.Lock()
@@ -707,18 +697,15 @@ class PropagationEngine:
 
     @_exclusive
     def set_potential(self, idx: int, potential: Factor) -> None:
-        """Install clique ``idx``'s potential and mark it dirty.
+        """Install clique ``idx``'s potential for the next pass.
 
         ``potential`` must span exactly the clique's scope; any axis
         order is accepted and canonicalized here (a transpose view, no
         copy).  The table is shared by every scenario row (it
         broadcasts over the scenario axis) -- use
-        :meth:`set_potential_batch` for per-scenario tables.
-
-        Setting values array-equal to the currently installed potential
-        is a no-op: the clique is left clean so sweeps with repeated
-        scenarios skip the unreached subtree.  Callers must therefore
-        never mutate an installed table in place.
+        :meth:`set_potential_batch` for per-scenario tables.  The table
+        is held by reference, so callers must never mutate an installed
+        table in place.
         """
         order = self.schedule.orders[idx]
         if potential.variables != order:
@@ -748,8 +735,7 @@ class PropagationEngine:
 
         ``values`` must be a ``(K, *clique_shape)`` stack in the
         clique's canonical (sorted) variable order; scenario ``k``'s
-        table is ``values[k]``.  The same skip-if-unchanged rule as
-        :meth:`set_potential` applies.
+        table is ``values[k]``.
         """
         values = np.asarray(values, dtype=np.float64)
         expected = (self.batch_size,) + self.schedule.shapes[idx]
@@ -766,19 +752,8 @@ class PropagationEngine:
         self._install_psi(idx, values)
 
     def _install_psi(self, idx: int, values: np.ndarray) -> None:
-        old = self._psi[idx]
-        if old is not None and old.shape == values.shape and np.array_equal(old, values):
-            self.counters.potentials_unchanged += 1
-            return
         self._psi[idx] = values
-        self._dirty.add(idx)
-
-    @property
-    def dirty(self) -> Set[int]:
-        return set(self._dirty)
-
-    def mark_all_dirty(self) -> None:
-        self._dirty = set(range(self.schedule.n_cliques))
+        self._stale = True
 
     # ------------------------------------------------------------------
     # Propagation
@@ -828,14 +803,15 @@ class PropagationEngine:
             np.multiply(beta, scratch, out=beta)
 
     def propagate(self) -> None:
-        """Collect + distribute, touching only dirty-reachable messages.
+        """One full collect + distribute pass, if any potential was set
+        since the last one.
 
-        A calibrated engine with nothing dirty returns without entering
-        the reentrancy guard, so several threads may read one calibrated
-        engine at once (the segment pipeline's level workers all query
-        their shared upstream providers).
+        With nothing set it returns at once, without taking the
+        reentrancy guard, so queries that read one install twice
+        (marginals, then boundary joints) propagate once and concurrent
+        readers of a calibrated engine are safe.
         """
-        if self._dirty or not self._ever_propagated:
+        if self._stale:
             self._propagate()
 
     @_exclusive
@@ -844,34 +820,13 @@ class PropagationEngine:
         if any(psi is None for psi in self._psi):
             missing = [i for i, psi in enumerate(self._psi) if psi is None]
             raise RuntimeError(f"cliques {missing} have no potential set")
-        dirty = (
-            self._dirty
-            if self._ever_propagated
-            else set(range(schedule.n_cliques))
-        )
         counters = self.counters
         scale = self.batch_size
 
-        # Which cliques rebuild during collect: a clique is up-dirty if
-        # it is dirty itself or any child's upward message changed.
-        up = [False] * schedule.n_cliques
+        # Collect: build partial beliefs bottom-up and their upward
+        # messages.
         for component in schedule.components:
             for node, parent in reversed(component):
-                if node in dirty:
-                    up[node] = True
-                if up[node] and parent is not None:
-                    up[parent] = True
-        repropagated = sum(up)
-        counters.cliques_repropagated += repropagated
-        counters.cliques_skipped += schedule.n_cliques - repropagated
-
-        # Collect: rebuild partial beliefs bottom-up, refresh upward
-        # messages.  Clean subtrees are skipped -- their cached messages
-        # feed the rebuild of their up-dirty ancestors.
-        for component in schedule.components:
-            for node, parent in reversed(component):
-                if not up[node]:
-                    continue
                 self._seed_belief(node)
                 children = schedule.children[node]
                 if children:
@@ -898,23 +853,13 @@ class PropagationEngine:
                     counters.flops += schedule.work_sizes[node] * scale
 
         # Distribute: parent beliefs are complete when visited in
-        # pre-order.  A changed parent belief refreshes the downward
-        # message (separator-sized division by the upward message, with
-        # the 0/0 = 0 mask) and absorbs it into the child.  A clean
-        # parent means the whole subtree below is untouched (up-dirt
-        # always propagates to the root, so up[node] implies
-        # changed[parent]) and is skipped.
-        changed = [False] * schedule.n_cliques
+        # pre-order; each sends its downward message to the child.
         for component in schedule.components:
             for node, parent in component:
-                if parent is None:
-                    changed[node] = up[node]
-                elif changed[parent]:
-                    changed[node] = True
-                    self._absorb_from_parent(node, parent, up[node])
+                if parent is not None:
+                    self._absorb_from_parent(node, parent)
 
-        self._dirty.clear()
-        self._ever_propagated = True
+        self._stale = False
         counters.propagations += 1
         counters.scenarios_propagated += scale
         self._publish_metrics()
@@ -935,12 +880,8 @@ class PropagationEngine:
             ("engine.messages", "messages"),
             ("engine.messages_collect", "messages_collect"),
             ("engine.messages_distribute", "messages_distribute"),
-            ("engine.cliques_repropagated", "cliques_repropagated"),
-            ("engine.cliques_skipped", "cliques_skipped"),
-            ("engine.zero_resurrections", "zero_resurrections"),
             ("engine.flops", "flops"),
             ("engine.scenarios_propagated", "scenarios_propagated"),
-            ("engine.potentials_unchanged", "potentials_unchanged"),
         ):
             total = getattr(counters, field)
             published = self._published.get(name, 0)
@@ -949,8 +890,9 @@ class PropagationEngine:
         registry.gauge("engine.factor_bytes.peak").set_max(self.factor_bytes)
         registry.gauge("engine.batch_size.peak").set_max(self.batch_size)
 
-    def _absorb_from_parent(self, node: int, parent: int, rebuilt: bool) -> None:
-        """Refresh the downward message parent -> node and absorb it."""
+    def _absorb_from_parent(self, node: int, parent: int) -> None:
+        """Send the downward message parent -> node and absorb it into
+        the child's partial belief."""
         schedule = self.schedule
         down_key = (parent, node)
         up_key = (node, parent)
@@ -982,81 +924,17 @@ class PropagationEngine:
         ratio.fill(0.0)
         np.divide(new_sep, up_values, out=ratio, where=up_values != 0)
 
+        beta = self._beta[node]
         sp = schedule.sparse_cliques.get(node)
-        if sp is not None:
-            self._absorb_sparse(node, parent, rebuilt, ratio, new_sep, sp)
+        if sp is None:
+            np.multiply(beta, ratio.reshape(self._expand[down_key]), out=beta)
             return
-
-        beta = self._beta[node]
-        down_values = self._msg[down_key]
-        expand = self._expand[down_key]
-        if rebuilt:
-            # Partial belief from collect lacks the parent message.
-            np.multiply(beta, ratio.reshape(expand), out=beta)
-            down_values[...] = ratio
-            return
-        old = down_values
-        if ((old == 0) & (ratio != 0)).any():
-            # A zero separator entry came back to life (e.g. an input
-            # probability moved off 0): the belief's zero slice cannot
-            # be rescaled, so rebuild it from psi and cached messages.
-            # One resurrected row rebuilds the whole clique stack -- the
-            # rebuild is correct for every row.
-            counters.zero_resurrections += 1
-            down_values[...] = ratio
-            self._seed_belief(node)
-            np.multiply(beta, ratio.reshape(expand), out=beta)
-            return
-        # Standard Hugin absorption: multiply by new/old on the
-        # separator (0/0 = 0; zero slices of the belief stay zero).
-        quotient = new_sep  # reuse the scratch buffer; new_sep is consumed
-        quotient.fill(0.0)
-        np.divide(ratio, old, out=quotient, where=old != 0)
-        np.multiply(beta, quotient.reshape(expand), out=beta)
-        down_values[...] = ratio
-
-    def _absorb_sparse(
-        self,
-        node: int,
-        parent: int,
-        rebuilt: bool,
-        ratio: np.ndarray,
-        quotient_buf: np.ndarray,
-        sp: _SparseClique,
-    ) -> None:
-        """Absorb a refreshed downward message into a packed belief.
-
-        Same three cases as the dense path; the separator-sized factor
-        (ratio or new/old quotient) is gathered at the packed entries'
-        separator indices and multiplied elementwise.
-        """
-        beta = self._beta[node]
-        down_values = self._msg[(parent, node)]
+        # Packed belief: gather the separator-sized ratio at the packed
+        # entries' separator indices and multiply elementwise.
         scratch = self._sp_scratch[node]
         lead = beta.shape[:-1]
-        gather = sp.gathers[parent]
-        if rebuilt:
-            # Partial belief from collect lacks the parent message.
-            np.take(ratio.reshape(lead + (-1,)), gather, axis=-1, out=scratch)
-            np.multiply(beta, scratch, out=beta)
-            down_values[...] = ratio
-            return
-        old = down_values
-        if ((old == 0) & (ratio != 0)).any():
-            # Zero-resurrection rebuild, packed flavor: reseed from psi
-            # and cached child messages, then apply the new ratio.
-            self.counters.zero_resurrections += 1
-            self._seed_belief(node)
-            np.take(ratio.reshape(lead + (-1,)), gather, axis=-1, out=scratch)
-            np.multiply(beta, scratch, out=beta)
-            down_values[...] = ratio
-            return
-        quotient = quotient_buf  # reuse; the caller's new_sep is consumed
-        quotient.fill(0.0)
-        np.divide(ratio, old, out=quotient, where=old != 0)
-        np.take(quotient.reshape(lead + (-1,)), gather, axis=-1, out=scratch)
+        np.take(ratio.reshape(lead + (-1,)), sp.gathers[parent], axis=-1, out=scratch)
         np.multiply(beta, scratch, out=beta)
-        down_values[...] = ratio
 
     # ------------------------------------------------------------------
     # Results

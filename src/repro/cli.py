@@ -24,8 +24,7 @@ path to a ``.bench`` netlist, which is validated before estimation;
 ``sweep`` compiles a circuit once and batch-propagates every
 input-statistics scenario from a JSON file through the compiled model
 in one vectorized pass per batch.  ``cache`` lists or clears the
-cached artifacts.  ``stats`` profiles
-one full compile + propagate + re-propagate cycle with the
+cached artifacts.  ``stats`` profiles one compile + propagate with the
 observability layer enabled and prints the span tree and metrics
 (optionally exporting the schema-versioned JSON report); ``--trace
 FILE`` on the experiment subcommands writes the same report for a
@@ -320,12 +319,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_stats(args) -> None:
-    """Profile one compile + propagate + re-propagate cycle.
-
-    The second estimate runs with fresh input statistics so the
-    dirty-clique fast path (skipped versus repropagated cliques) shows
-    up in the counters -- the paper's asymmetric cost claim, measured.
-    """
+    """Profile one compile + propagate: the paper's compile-once versus
+    propagate cost split, measured span by span."""
     from repro import obs
     from repro.core.backend import compile_model
 
@@ -335,14 +330,13 @@ def _cmd_stats(args) -> None:
     with tracer.span("stats.run", circuit=args.circuit):
         model = compile_model(circuit, IndependentInputs(args.p_one), backend="auto")
         result = model.query()
-        repeat = model.query(IndependentInputs(args.repropagate_p_one))
     report = obs.build_report(
         meta={
             "command": "stats",
             "circuit": args.circuit,
             "gates": circuit.num_gates,
-            "segments": repeat.segments,
-            "mean_activity": repeat.mean_activity(),
+            "segments": result.segments,
+            "mean_activity": result.mean_activity(),
         }
     )
     obs.validate_report(report)
@@ -359,8 +353,7 @@ def _cmd_stats(args) -> None:
         )
     print(
         f"compile {result.compile_seconds:.3f}s, "
-        f"first propagate {result.propagate_seconds:.3f}s, "
-        f"re-propagate {repeat.propagate_seconds:.3f}s"
+        f"propagate {result.propagate_seconds:.3f}s"
     )
     if args.json:
         with open(args.json, "w") as fh:
@@ -757,10 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite circuit name, or path to a .bench netlist",
     )
     ps.add_argument("--p-one", type=float, default=0.5)
-    ps.add_argument(
-        "--repropagate-p-one", type=float, default=0.3,
-        help="input probability for the re-propagation pass",
-    )
     ps.add_argument("--json", default=None, metavar="FILE",
                     help="also write the JSON report here")
     ps.set_defaults(func=_cmd_stats)

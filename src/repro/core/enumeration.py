@@ -155,9 +155,6 @@ class EnumerationSegment:
             results.append(self.estimate())
         return results
 
-    def reset_propagation(self) -> None:
-        """No-op: every estimate is already a full pass."""
-
     def __getstate__(self):
         # The grid and the per-query caches are rebuildable and can be
         # tens of megabytes on wide segments; drop them from artifacts.

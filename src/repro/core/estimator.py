@@ -246,18 +246,6 @@ class SwitchingActivityEstimator:
                 batched = self._jt.marginals_batch(list(lines))
         return batched, span.duration / len(models)
 
-    def reset_propagation(self) -> None:
-        """Mark every clique dirty so the next estimate is a full pass.
-
-        Benchmarks and oracles use this to force complete propagations
-        (a full pass is a pure function of the potentials, so two full
-        passes over equal inputs agree bitwise); ``repro.serve`` resets
-        checked-out replicas before every batch for the same reason --
-        responses must not depend on what the replica served before.
-        """
-        if self._jt is not None:
-            self._jt.reset_propagation()
-
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""
         if self._jt is None:

@@ -416,9 +416,8 @@ class SegmentedEstimator:
         forward pass is followed by the boundary-refinement loop
         (:mod:`repro.core.segments.refine`).  Result
         ``k`` is bitwise-identical to an independent :meth:`estimate`
-        with scenario ``k``'s model (same caveat as the engine:
-        identical dirty paths, e.g. fresh compiles or sweeps updating
-        every input).  ``self.input_model`` is not modified.
+        with scenario ``k``'s model, whatever either estimator
+        propagated before.  ``self.input_model`` is not modified.
 
         Duplicates collapse per segment: a junction-tree segment
         propagates one row per distinct set of input tables it
@@ -617,12 +616,6 @@ class SegmentedEstimator:
         safe = np.where(ok, mass, 1.0)
         rows = joint / safe[:, :, None]
         return np.where(ok[:, :, None], rows, child_priors[:, None, :])
-
-    def reset_propagation(self) -> None:
-        """Force every segment's next estimate to be a full pass (see
-        :meth:`SwitchingActivityEstimator.reset_propagation`)."""
-        for node in self.graph.nodes if self.graph is not None else []:
-            node.estimator.reset_propagation()
 
     # ------------------------------------------------------------------
 

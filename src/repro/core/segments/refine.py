@@ -20,9 +20,9 @@ time, after the ordinary forward pass, the refinement loop:
    iterative proportional fitting, and turns it into a
    ``P(child | parent)`` boundary conditional;
 2. re-propagates every segment whose boundary factors or boundary
-   input marginals changed -- cheap, because only input CPDs change,
-   so the PR 1 dirty-clique machinery repropagates a fraction of each
-   junction tree -- cascading dirtiness down the segment DAG;
+   input marginals changed (each one full pass over that segment's
+   compiled tree: only input CPDs change, so nothing recompiles),
+   cascading dirtiness down the segment DAG;
 3. repeats until the maximum boundary-belief delta drops below
    ``refine_tol`` or the ``refine`` iteration budget is reached.
 

@@ -1,9 +1,8 @@
 """Counters, gauges and histograms for the observability layer.
 
 Complements :mod:`repro.obs.trace`: spans say *where time went*,
-metrics say *how much work was done* -- messages passed, dirty cliques
-skipped versus repropagated, einsum FLOP estimates, per-clique
-state-space sizes, peak factor bytes.
+metrics say *how much work was done* -- messages passed, einsum FLOP
+estimates, per-clique state-space sizes, peak factor bytes.
 
 Same invariants as the tracer (DESIGN.md section 8):
 

@@ -7,8 +7,9 @@ This module is the single home of the measurement methodology that
   uses,
 - the fixed input-probability sweep cycled through repeat-propagation,
 - golden-ratio scenario salting (no two repeats install identical
-  potentials, so the skip-unchanged fast path never turns a repeat
-  into a no-op),
+  potentials, so every repeat times a propagation over statistics no
+  earlier repeat -- and no duplicate collapse or result cache -- has
+  seen),
 - **min over repeats** as the primary statistic: the minimum is the
   least noise-contaminated observation of a deterministic code path's
   true cost (noise on a busy machine is strictly additive), so it is

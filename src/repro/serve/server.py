@@ -15,9 +15,8 @@ Endpoints (all JSON):
   histograms with p50/p90/p99) with pool/batcher stats in ``meta``.
 - ``GET /healthz`` -- liveness plus uptime and resident-model count.
 
-Determinism contract: every checked-out replica is
-``reset_propagation()``-ed before it propagates, so each batch is a
-*full* pass -- a pure function of the scenario potentials.  Responses
+Determinism contract: every engine propagation is a *full* pass, so
+each batch is a pure function of its scenario potentials.  Responses
 are therefore bitwise-identical to a cold ``facade.estimate`` no
 matter how requests interleave, which batches they share, or what the
 replica served before (the concurrency stress test pins this).  A
@@ -49,7 +48,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits import suite
 from repro.circuits.netlist import Circuit
-from repro.core.backend.base import CompiledModel
 from repro.core.backend.facade import check_options, resolve_cache
 from repro.core.estimator import SwitchingEstimate
 from repro.core.rcache import ResultCache, scenario_digest
@@ -425,7 +423,6 @@ class EstimationServer:
         replica = entry.engines.checkout(timeout=self.config.request_timeout)
         try:
             try:
-                self._reset(replica)
                 return list(replica.query_many(models))
             except Exception:
                 if len(models) == 1:
@@ -438,7 +435,6 @@ class EstimationServer:
                 # so the survivors' results are unchanged.
                 results: List[Any] = []
                 for model in models:
-                    self._reset(replica)
                     try:
                         results.extend(replica.query_many([model]))
                     except ReproError as exc:
@@ -446,12 +442,6 @@ class EstimationServer:
                 return results
         finally:
             entry.engines.checkin(replica)
-
-    @staticmethod
-    def _reset(replica: CompiledModel) -> None:
-        reset = getattr(getattr(replica, "estimator", None), "reset_propagation", None)
-        if reset is not None:
-            reset()
 
     # ------------------------------------------------------------------
     # Introspection endpoints

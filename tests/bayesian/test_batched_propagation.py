@@ -6,14 +6,13 @@ K-row propagation and a one-row (K=1) propagation over scenario
 masked-divide distribute, marginal reduction, normalization) operates
 elementwise or reduces each row with the same arithmetic whatever the
 row count.  These tests pin that contract at the engine level, plus the
-per-row failure modes (per-scenario zero beliefs) and the
-skip-unchanged-potential fast path.
+per-row failure modes (per-scenario zero beliefs).
 """
 
 import numpy as np
 import pytest
 
-from repro.bayesian import BayesianNetwork, JunctionTree, TabularCPD
+from repro.bayesian import BayesianNetwork, JunctionTree
 from repro.bayesian.propagation import PropagationEngine
 from repro.errors import ZeroBeliefError
 
@@ -141,36 +140,3 @@ class TestZeroBeliefIsolation:
             expect = single.marginals(["cloudy", "wet"])
             assert np.array_equal(out["cloudy"][i], expect["cloudy"][0])
             assert np.array_equal(out["wet"][i], expect["wet"][0])
-
-
-class TestSkipUnchangedPotential:
-    def test_reinstalling_equal_potential_is_a_no_op(self):
-        bn = sprinkler_bn()
-        jt = JunctionTree.from_network(bn)
-        jt.calibrate()
-        engine = jt._engine
-        assert engine is not None and not engine.dirty
-        before = engine.counters.potentials_unchanged
-        # Re-push every clique's current potential: array-equal values
-        # must leave the engine clean and only bump the skip counter.
-        schedule = jt._ensure_schedule()
-        for idx in range(len(jt.cliques)):
-            engine.set_potential(idx, jt._cpd_products[idx].permute(schedule.orders[idx]))
-        assert engine.counters.potentials_unchanged == before + len(jt.cliques)
-        assert not engine.dirty
-        propagations = engine.counters.propagations
-        engine.propagate()
-        assert engine.counters.propagations == propagations  # early-out
-
-    def test_update_cpds_with_identical_values_skips_repropagation(self):
-        bn = sprinkler_bn()
-        jt = JunctionTree.from_network(bn)
-        jt.calibrate()
-        engine = jt._engine
-        skipped = engine.counters.cliques_skipped
-        reprop = engine.counters.cliques_repropagated
-        jt.update_cpds([TabularCPD.prior("cloudy", [0.5, 0.5])])  # same values
-        jt.calibrate()
-        assert engine.counters.cliques_repropagated == reprop
-        assert engine.counters.cliques_skipped == skipped
-        assert engine.counters.potentials_unchanged >= 1

@@ -2,7 +2,7 @@
 
 The engine must agree with variable elimination, the independent exact
 engine (evidence included), and with fresh recompilation after
-dirty-clique updates.
+potential updates.
 """
 
 import numpy as np
@@ -151,7 +151,7 @@ class TestDirtyRepropagation:
     def test_evidence_cycle_dirty_tracking(self):
         bn = sprinkler_bn()
         jt = JunctionTree.from_network(bn)
-        jt.calibrate()  # engine built; subsequent updates take the dirty path
+        jt.calibrate()  # engine built; subsequent updates re-install
         jt.set_evidence({"wet": 1})
         expected = bn.brute_force_marginal("rain", {"wet": 1})
         assert np.allclose(jt.marginal("rain"), expected, atol=1e-10)
@@ -166,6 +166,6 @@ class TestDirtyRepropagation:
         jt = JunctionTree.from_network(bn)
         jt.calibrate()
         first = {n: jt.marginal(n).copy() for n in bn.nodes}
-        jt.calibrate()  # nothing dirty: must not move any number
+        jt.calibrate()  # nothing changed: must not move any number
         for node in bn.nodes:
             assert np.array_equal(jt.marginal(node), first[node])

@@ -71,8 +71,8 @@ class TestBatchedVsFreshOracle:
 
     @pytest.mark.parametrize("backend,options", BACKENDS[:2])
     def test_lockstep_sweeps_stay_bitwise(self, backend, options):
-        """Sweep 2 on a warm batch engine (partial repropagation) must
-        track K persistent single estimators updated in lockstep."""
+        """Sweep 2 on a warm batch engine must track K persistent
+        single estimators updated in lockstep."""
         circuit = c17()
         k = 5
         sweep_a, sweep_b = _models(k), _models(k, salt=0.41)
@@ -109,12 +109,8 @@ class TestSingleQueryPathIsolation:
         single-query path computes afterwards."""
         circuit = c17()
         model = IndependentInputs(0.3)
-        # The tree has one engine, so the query after a sweep re-sizes
-        # it and runs a full pass; the oracle's second query is a full
-        # pass too, which keeps the comparison bitwise.
         reference = compile_model(circuit, model, backend="junction-tree")
         reference.query(model)
-        reference.estimator.reset_propagation()
         expected = reference.query(IndependentInputs(0.7))
 
         compiled = compile_model(circuit, model, backend="junction-tree")
@@ -123,6 +119,19 @@ class TestSingleQueryPathIsolation:
         got = compiled.query(IndependentInputs(0.7))
         for line, dist in expected.distributions.items():
             assert np.array_equal(got.distributions[line], dist)
+
+    @pytest.mark.parametrize("backend", ["junction-tree", "segmented"])
+    @pytest.mark.parametrize("name", ["alu", "voter"])
+    def test_query_is_independent_of_history(self, name, backend):
+        """``query(A); query(B)`` is bitwise a fresh compile's
+        ``query(B)``: every propagation is a full pass."""
+        circuit = suite.load_circuit(name)
+        first, second = IndependentInputs(0.3), IndependentInputs(0.7)
+        warm = compile_model(circuit, first, backend=backend)
+        warm.query(first)
+        got = warm.query(second)
+        expected = compile_model(circuit, second, backend=backend).query(second)
+        _assert_bitwise([got], [expected], context=f"{name} {backend}")
 
     def test_estimator_input_model_is_untouched(self):
         circuit = c17()
@@ -174,17 +183,19 @@ class TestChunkingAndEdges:
         assert compiled.query_many([]) == []
 
     def test_chunked_sweep_matches_unchunked(self):
-        """batch_size bounds memory; chunk boundaries cross the warm
-        engine's dirty paths, so agreement is numerical, not bitwise."""
-        circuit = c17()
+        """batch_size bounds memory and nothing else: every chunk is a
+        full pass, so the chunked sweep is bitwise the unchunked one --
+        on one tree and across alu's segments."""
         models = _models(7)
-        a = compile_model(circuit, models[0], backend="junction-tree")
-        b = compile_model(circuit, models[0], backend="junction-tree")
-        whole = a.query_many(models)
-        chunked = b.query_many(models, batch_size=2)
-        for g, e in zip(chunked, whole):
-            for line, dist in e.distributions.items():
-                assert np.allclose(g.distributions[line], dist, atol=1e-12)
+        for circuit, backend in (
+            (c17(), "junction-tree"),
+            (suite.load_circuit("alu"), "segmented"),
+        ):
+            a = compile_model(circuit, models[0], backend=backend)
+            b = compile_model(circuit, models[0], backend=backend)
+            whole = a.query_many(models)
+            chunked = b.query_many(models, batch_size=2)
+            _assert_bitwise(chunked, whole, context=f"{circuit.name} chunked")
 
     def test_amortized_timing_is_reported(self):
         compiled = compile_model(c17(), backend="junction-tree")

@@ -1,6 +1,6 @@
 """End-to-end regressions for the compiled propagation engine:
-estimator outputs against the enumeration oracle, and dirty
-repropagation against fresh compiles.
+estimator outputs against the enumeration oracle, and repropagation
+against fresh compiles.
 """
 
 import numpy as np
@@ -35,8 +35,8 @@ def test_engine_matches_enumeration_oracle(build):
 
 @pytest.mark.parametrize("build", SMALL_CIRCUITS, ids=lambda f: f.__name__)
 def test_update_inputs_matches_fresh_compile(build):
-    """``update_inputs`` + dirty repropagation must track a fresh
-    compile to 1e-12 across an input-statistics sweep."""
+    """``update_inputs`` + repropagation must track a fresh compile
+    bitwise across an input-statistics sweep."""
     circuit = build()
     estimator = SwitchingActivityEstimator(circuit)
     estimator.estimate()
@@ -47,10 +47,8 @@ def test_update_inputs_matches_fresh_compile(build):
             circuit, input_model=IndependentInputs(p)
         ).estimate()
         for line in circuit.lines:
-            assert np.allclose(
-                swept.distributions[line],
-                fresh.distributions[line],
-                atol=1e-12,
+            assert np.array_equal(
+                swept.distributions[line], fresh.distributions[line]
             ), (line, p)
 
 

@@ -4,8 +4,7 @@
 distinct set of installed CPD tables and gathers rows back to K.  The
 contract under test: a sweep with duplicates is bitwise-equal to a
 *fresh* estimator given only the distinct scenarios, scattered back by
-hand.  Oracles are always freshly constructed -- a reused estimator
-carries the documented 1-ULP dirty-path drift across sweeps.
+hand.
 """
 
 import numpy as np

@@ -13,11 +13,7 @@ import pytest
 
 from repro import obs
 from repro.circuits import examples, generate
-from repro.core import (
-    IndependentInputs,
-    SegmentedEstimator,
-    SwitchingActivityEstimator,
-)
+from repro.core import SegmentedEstimator, SwitchingActivityEstimator
 
 
 @pytest.fixture
@@ -63,19 +59,6 @@ class TestInstrumentedPipeline:
         assert gauges["jt.max_clique_states"] > 0
         assert gauges["jt.total_states"] >= gauges["jt.max_clique_states"]
         assert gauges["engine.factor_bytes.peak"] > 0
-
-    def test_repropagation_skips_clean_cliques(self, enabled_obs):
-        estimator = SwitchingActivityEstimator(examples.c17())
-        estimator.compile()
-        estimator.estimate()
-        estimator.update_inputs(IndependentInputs(0.3))
-        estimator.estimate()
-        counters = _counters()
-        assert counters["engine.cliques_skipped"] > 0
-        # Every clique is either skipped or repropagated on each pass.
-        live = estimator.propagation_counters()
-        assert counters["engine.cliques_repropagated"] == live.cliques_repropagated
-        assert counters["engine.cliques_skipped"] == live.cliques_skipped
 
     def test_results_unchanged_by_instrumentation(self):
         baseline = SwitchingActivityEstimator(examples.c17()).estimate()

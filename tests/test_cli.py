@@ -109,7 +109,7 @@ def test_stats_subcommand_reports_span_tree(
     out = capsys.readouterr().out
     assert "stats.run" in out
     assert "backend.compile" in out
-    assert "re-propagate" in out
+    assert "s, propagate " in out
 
     report = json.loads(report_path.read_text())
     assert report["schema"] == "repro.obs/v2"
