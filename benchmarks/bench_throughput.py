@@ -2,8 +2,9 @@
 
 Emits ``BENCH_throughput.json``, a ``repro.perf/v2`` document (kind
 ``throughput``).  The claim under test is that K input-statistics
-queries against one compiled model should cost one batched einsum
-pass, not K sequential propagations; this runner measures exactly that
+queries against one compiled model should cost one batched pass (or
+the few passes its memory budget allows), not K sequential
+propagations; this runner measures exactly that
 ratio, one row per metric keyed by ``K``:
 
 - ``looped_scenarios_per_sec``  -- sequential ``update_inputs()`` +
@@ -19,8 +20,7 @@ ratio, one row per metric keyed by ``K``:
   approximate).
 
 Each circuit also gets one repeat-heavy point at K=64 (or the largest
-configured K), keyed ``sweep=delta`` next to ``K`` (the tag predates
-duplicate collapse and is kept so the trajectory stays continuous): a
+configured K), keyed ``sweep=dedup`` next to ``K``: a
 *low-Hamming sorted* sweep (every request perturbs only the first
 primary input's statistics, and each of the K/4 operating points is
 re-evaluated four times -- the synthesis-loop what-if shape) through
@@ -105,7 +105,7 @@ def _loop_sweep(estimator, models) -> None:
 _PHI = 0.6180339887498949
 
 
-def delta_scenarios(circuit, k: int, salt: int, distinct: int = 0):
+def repeat_scenarios(circuit, k: int, salt: int, distinct: int = 0):
     """``k`` requests sweeping the *first* primary input, sorted, with
     each operating point re-evaluated ``k // distinct`` times.
 
@@ -203,7 +203,7 @@ def bench_circuit(
 def _repeat_bitwise_check(circuit, k: int) -> Dict[str, object]:
     """Oracle for a repeated sweep: the distinct scenarios alone,
     scattered back to the sweep's order by hand, compared bitwise."""
-    models = delta_scenarios(circuit, k, salt=0)
+    models = repeat_scenarios(circuit, k, salt=0)
     reps, scatter = group_scenarios(
         [tuple(model.p_one.items()) for model in models]
     )
@@ -234,10 +234,10 @@ def bench_repeat_circuit(
     model, _ = compile_or_fallback(circuit)
 
     # Warm once (outside timing), same protocol as the batched rows.
-    model.query_many(delta_scenarios(circuit, k, salt=repeats + 1))
+    model.query_many(repeat_scenarios(circuit, k, salt=repeats + 1))
 
     batched = min(
-        timed(model.query_many, delta_scenarios(circuit, k, salt=r))
+        timed(model.query_many, repeat_scenarios(circuit, k, salt=r))
         for r in range(repeats)
     )
     rate = k / batched
@@ -255,7 +255,7 @@ def bench_repeat_circuit(
         f"vs distinct {distinct_rate:9.1f}/s  "
         f"bitwise={'yes' if point['bitwise_equal'] else 'NO'}"
     )
-    return stage_rows(name, point, STAGES, K=k, sweep="delta")
+    return stage_rows(name, point, STAGES, K=k, sweep="dedup")
 
 
 def main(argv=None) -> int:

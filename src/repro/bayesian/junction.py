@@ -366,8 +366,9 @@ class JunctionTree:
         schedule = self._ensure_schedule()
         engine = self._engine
         if engine is None or engine.batch_size != rows:
-            engine = PropagationEngine(schedule, batch_size=rows)
-            self._engine = engine
+            # Release the old buffers before allocating the new ones.
+            self._engine = engine = None
+            engine = self._engine = PropagationEngine(schedule, batch_size=rows)
             touched: Iterable[int] = range(len(self.cliques))
         else:
             touched = self._stale | self._stacked | set(stacks)
@@ -562,14 +563,8 @@ class JunctionTree:
     def _scatter_zero_error(self, err: ZeroBeliefError) -> None:
         """Rename an engine-row zero-belief error's ``batch_indices``
         to every scenario served by the failing rows."""
-        rows = getattr(err, "batch_indices", None)
-        if rows and self._batch_scatter is not None:
-            failing = np.isin(self._batch_scatter, rows)
-            err.batch_indices = tuple(int(i) for i in np.flatnonzero(failing))
-            err.args = (
-                "cannot normalize a zero belief for batch elements "
-                f"{list(err.batch_indices)}",
-            ) + err.args[1:]
+        if self._batch_scatter is not None:
+            err.rescatter(self._batch_scatter)
 
     def _require_engine(self) -> PropagationEngine:
         if self._engine is None:
@@ -809,6 +804,29 @@ class JunctionTree:
         if self._engine is None:
             return PropagationCounters()
         return self._engine.counters
+
+    def row_footprint(self, variables: Iterable[str]) -> Tuple[int, int]:
+        """Bytes one scenario row needs when :meth:`update_cpds_batch`
+        swaps the CPDs of ``variables``, as ``(resident, transient)``.
+
+        *Resident* bytes stay allocated between passes: the engine's
+        buffers (:attr:`PropagationSchedule.row_bytes`) and the
+        per-scenario potentials of the cliques those CPDs live in.
+        *Transient* bytes live only during the install: the dense
+        ``(rows, *clique_shape)`` table each such clique's CPD product
+        builds, plus one more of the largest (the fold's previous
+        product, or the copy a packed clique gathers from).
+        """
+        schedule = self._ensure_schedule()
+        stacked = {self._cpd_assignment[v] for v in variables}
+        if not stacked:
+            return schedule.row_bytes, 0
+        packed = schedule.sparse_cliques
+        psi = sum(
+            packed[i].nnz if i in packed else schedule.sizes[i] for i in stacked
+        )
+        dense = [schedule.sizes[i] for i in stacked]
+        return schedule.row_bytes + 8 * psi, 8 * (sum(dense) + max(dense))
 
     def engine_factor_bytes(self) -> int:
         """Bytes held by the engine's preallocated belief/message/scratch

@@ -57,7 +57,7 @@ tolerance.
   for cliques below a density threshold: beliefs live in ``(K, nnz)``
   buffers, messages absorb through precomputed gather indices, and
   separator marginals use a grouped ``np.add.reduceat`` over index
-  arrays instead of a dense einsum.  Separator buffers stay dense (they
+  arrays instead of a dense reduction.  Separator buffers stay dense (they
   are small), so sparse and dense cliques mix freely in one tree.  The
   packed kernels keep the row-parity property above -- every gather is
   elementwise and every ``reduceat`` segment sums left-to-right per
@@ -76,7 +76,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.bayesian.factor import Factor
-from repro.errors import ConcurrentPropagationError, ZeroBeliefError
+from repro.errors import (
+    ConcurrentPropagationError,
+    MemoryBudgetExceeded,
+    ZeroBeliefError,
+)
 from repro.obs.metrics import get_metrics
 
 __all__ = ["PropagationCounters", "PropagationSchedule", "PropagationEngine"]
@@ -87,6 +91,23 @@ PACK_DENSITY = 0.25
 #: ... and whose table has at least this many entries (tiny tables are
 #: faster dense).
 PACK_MIN_STATES = 256
+#: Bytes one batched pass may hold.  A compiled model records the bytes
+#: one scenario row needs (``row_bytes``); ``query_many`` propagates at
+#: most ``MEMORY_BUDGET_BYTES // row_bytes`` rows per pass, and a model
+#: whose single row does not fit fails to compile with
+#: :class:`~repro.errors.MemoryBudgetExceeded`.
+MEMORY_BUDGET_BYTES = 256 * 2**20
+
+
+def check_memory_budget(name: str, row_bytes: int) -> None:
+    """Raise :class:`~repro.errors.MemoryBudgetExceeded` when one
+    scenario row of ``name`` (``row_bytes``) exceeds
+    :data:`MEMORY_BUDGET_BYTES`."""
+    if row_bytes > MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetExceeded(
+            f"{name}: one scenario row needs {row_bytes} bytes "
+            f"(memory budget {MEMORY_BUDGET_BYTES})"
+        )
 
 
 def _exclusive(method):
@@ -133,13 +154,17 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
       BLAS row-dot ``view(-1, d) @ ones``;
     - ``("vecmat", d, r, ones)``          one leading summed run:
       ``ones @ view(-1, d, r)``;
-    - ``("einsum", mshape, in, out, oshape)``  the general interleaved
-      case, einsum over the merged (coarser) axes.
+    - ``("sum", mshape, axes, oshape)``   the general interleaved
+      case, ``np.add.reduce`` over the merged (coarser) summed axes.
 
     Every kernel reduces row ``k`` of a ``(K, *shape)`` buffer with
     exactly the same arithmetic for every ``K`` (the leading scenario
     axis is always kept, so it stacks ahead of the leading kept run),
     which is what keeps K-row and one-row propagation bitwise-identical.
+    The general case is an axis sum, not ``np.einsum``: einsum's
+    iteration order, and so its rounding, changes with the row count
+    once a summed run outgrows numpy's buffer (c2670s's ``4^10``
+    clique differed in the last ulp between K=1 and K=2).
     Plans are computed once per schedule and shared by every engine.
     """
     keep = set(keep_axes)
@@ -163,18 +188,16 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
             r *= size
         return ("vecmat", d, r, np.ones(d))
     mshape = tuple(size for _, size in runs)
-    batch_label = len(mshape)
-    in_axes = [batch_label] + list(range(batch_label))
-    out_axes = [batch_label] + [i for i, (flag, _) in enumerate(runs) if flag]
+    axes = tuple(1 + i for i in drops)
     out_shape = tuple(size for flag, size in runs if flag)
-    return ("einsum", mshape, in_axes, out_axes, out_shape)
+    return ("sum", mshape, axes, out_shape)
 
 
 def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
     """Run a :func:`_reduction_plan` kernel: sum ``src`` into ``out``.
 
     The ``-1`` reshape folds any leading scenario axis into the row
-    dimension, so row ``k`` goes through the identical BLAS or einsum
+    dimension, so row ``k`` goes through the identical BLAS or axis-sum
     arithmetic whatever the row count.  Both arrays must be
     C-contiguous (all engine buffers are).
     """
@@ -185,12 +208,11 @@ def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
         np.matmul(
             plan[3], src.reshape(-1, plan[1], plan[2]), out=out.reshape(-1, plan[2])
         )
-    elif kind == "einsum":
-        _, mshape, in_axes, out_axes, out_shape = plan
-        np.einsum(
+    elif kind == "sum":
+        _, mshape, axes, out_shape = plan
+        np.add.reduce(
             src.reshape((-1,) + mshape),
-            in_axes,
-            out_axes,
+            axis=axes,
             out=out.reshape((-1,) + out_shape),
         )
     else:  # "copy": separator spans the whole clique
@@ -304,7 +326,7 @@ class _SparseClique:
 class PropagationCounters:
     """Always-on work counters of one :class:`PropagationEngine`.
 
-    Plain integer adds per message -- negligible next to the einsum they
+    Plain integer adds per message -- negligible next to the reductions they
     count -- so the engine can report its work (and benchmarks can emit
     a breakdown) without the global metrics registry being enabled.
     ``flops`` is the standard table-touch estimate: one unit per entry
@@ -359,7 +381,6 @@ class _Message:
         "target",
         "sep_vars",
         "sep_shape",
-        "source_axes",
         "keep_axes",
         "plan",
         "expand_shape",
@@ -379,8 +400,6 @@ class _Message:
         self.target = target
         self.sep_vars = sep_vars
         self.sep_shape = sep_shape
-        #: full axis list of the source clique (einsum integer form)
-        self.source_axes = list(range(len(source_order)))
         #: axes of the source clique kept by the marginalization; both
         #: clique and separator orders are canonical (sorted), so the
         #: kept axes are increasing and the reduction output needs no
@@ -525,6 +544,22 @@ class PropagationSchedule:
             and any(mask is not None for mask in clique_masks)
         ):
             self._analyze_support(clique_masks, kernel)
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes one scenario row adds to a :class:`PropagationEngine`
+        over this schedule: its float64 beliefs (plus the gather
+        scratch of packed cliques), upward messages and per-edge
+        separator scratch."""
+        packed = self.sparse_cliques
+        entries = sum(
+            2 * packed[i].nnz if i in packed else self.sizes[i]
+            for i in range(self.n_cliques)
+        )
+        for (src, dst), msg in self.messages.items():
+            sep = int(np.prod(msg.sep_shape))
+            entries += 2 * sep if self.parent[src] == dst else sep
+        return 8 * entries
 
     def _analyze_support(
         self, clique_masks: Sequence[Optional[np.ndarray]], kernel: str
@@ -673,12 +708,7 @@ class PropagationEngine:
         #: counter totals already mirrored into the global registry
         self._published: Dict[str, int] = {}
         #: bytes held by the preallocated belief/message/scratch buffers
-        self.factor_bytes = (
-            sum(beta.nbytes for beta in self._beta)
-            + sum(buf.nbytes for buf in self._msg.values())
-            + sum(buf.nbytes for buf in self._scratch.values())
-            + sum(buf.nbytes for buf in self._sp_scratch.values())
-        )
+        self.factor_bytes = schedule.row_bytes * self.batch_size
 
     def __getstate__(self):
         # Locks do not pickle; the guard is never held across calls, so
@@ -999,7 +1029,7 @@ class PropagationEngine:
             bad = None
             if zero.any():
                 if not skip_zero:
-                    raise _zero_belief_error(zero)
+                    raise ZeroBeliefError.for_rows(np.flatnonzero(zero))
                 bad = zero
                 totals = np.where(zero, 1.0, totals)
 
@@ -1063,17 +1093,8 @@ class PropagationEngine:
         k = self.batch_size
         totals = reduced.reshape(k, -1).sum(axis=1)
         if (totals <= 0).any():
-            raise _zero_belief_error(totals <= 0)
+            raise ZeroBeliefError.for_rows(np.flatnonzero(totals <= 0))
         normalized = reduced / totals.reshape((k,) + (1,) * len(kept))
         perm = tuple(1 + kept.index(v) for v in variables)
         return normalized.transpose((0,) + perm)
 
-
-def _zero_belief_error(zero: np.ndarray) -> ZeroBeliefError:
-    """A :class:`ZeroBeliefError` naming the zero-mass rows."""
-    indices = tuple(int(i) for i in np.nonzero(zero)[0])
-    err = ZeroBeliefError(
-        f"cannot normalize a zero belief for batch elements {list(indices)}"
-    )
-    err.batch_indices = indices
-    return err

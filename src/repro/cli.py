@@ -7,7 +7,7 @@ Usage::
     python -m repro.cli figures
     python -m repro.cli ablations [--which triangulation|segmentation|compile|inputs]
     python -m repro.cli estimate --circuit c17 [--backend auto] [--p-one 0.5]
-    python -m repro.cli sweep --circuit c17 --scenarios FILE.json [--batch K]
+    python -m repro.cli sweep --circuit c17 --scenarios FILE.json
     python -m repro.cli stats --circuit c432s [--json out.json]
     python -m repro.cli cache ls|clear [--dir DIR]
     python -m repro.cli fuzz [--seeds N] [--max-gates N] [--out DIR]
@@ -22,9 +22,9 @@ instead of rebuilding them.  ``--circuit`` accepts a suite name *or* a
 path to a ``.bench`` netlist, which is validated before estimation;
 ``--fallback`` enables graceful degradation through the backend chain.
 ``sweep`` compiles a circuit once and batch-propagates every
-input-statistics scenario from a JSON file through the compiled model
-in one vectorized pass per batch.  ``cache`` lists or clears the
-cached artifacts.  ``stats`` profiles one compile + propagate with the
+input-statistics scenario from a JSON file through the compiled model,
+in as few vectorized passes as its memory budget allows.  ``cache``
+lists or clears the cached artifacts.  ``stats`` profiles one compile + propagate with the
 observability layer enabled and prints the span tree and metrics
 (optionally exporting the schema-versioned JSON report); ``--trace
 FILE`` on the experiment subcommands writes the same report for a
@@ -284,15 +284,13 @@ def _cmd_sweep(args) -> None:
         models,
         backend=args.backend,
         cache=_resolve_cli_cache(args),
-        batch_size=args.batch,
         **_refine_opts(args),
     )
     elapsed = time.perf_counter() - start
     cache_note = {True: "hit", False: "miss", None: "off"}[results[0].cache_hit]
-    batch_note = args.batch if args.batch else len(models)
     print(
         f"{circuit.name}: {circuit.num_gates} gates, {len(models)} scenario(s), "
-        f"batch {batch_note}, method {results[0].method}, cache {cache_note}"
+        f"method {results[0].method}, cache {cache_note}"
     )
     rows = [
         (k, f"{r.mean_activity():.6f}", f"{r.propagate_seconds * 1e3:.2f}")
@@ -351,6 +349,11 @@ def _cmd_stats(args) -> None:
             f"(density {st['support_density']:.3f}), "
             f"{st['sparse_cliques']}/{st['cliques']} packed cliques"
         )
+    info = model.describe()
+    print(
+        f"memory: {info['row_bytes']} bytes per scenario row, "
+        f"{info['rows_per_pass']} rows per pass"
+    )
     print(
         f"compile {result.compile_seconds:.3f}s, "
         f"propagate {result.propagate_seconds:.3f}s"
@@ -703,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios", required=True, metavar="FILE",
         help='JSON list of input-model specs (or {"scenarios": [...]}); '
              'each spec is {"kind": "independent", "p_one": 0.3}-style',
-    )
-    pw.add_argument(
-        "--batch", type=int, default=None, metavar="K",
-        help="scenarios per batched propagation (default: all in one batch)",
     )
     pw.add_argument(
         "--backend", default="auto",

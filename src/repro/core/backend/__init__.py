@@ -32,6 +32,7 @@ from repro.core.backend.base import (
 from repro.errors import (
     ArtifactSchemaError,
     CliqueBudgetExceeded,
+    MemoryBudgetExceeded,
     UnknownBackendError,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "CliqueBudgetExceeded",
     "CompileCache",
     "CompiledModel",
+    "MemoryBudgetExceeded",
     "Method",
     "UnknownBackendError",
     "available_backends",

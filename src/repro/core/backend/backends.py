@@ -12,9 +12,10 @@ behind one :class:`~repro.core.backend.base.Backend` surface:
 - ``"junction-tree"`` -- single-BN exact inference (the paper's method),
 - ``"segmented"``     -- multiple-BN estimation for large circuits,
 - ``"enumeration"``   -- exact support enumeration (the oracle),
-- ``"auto"``          -- junction tree under the clique budget, falling
-  back to segmentation on :class:`CliqueBudgetExceeded` (what the CLI
-  and the experiments use),
+- ``"auto"``          -- junction tree under the clique and memory
+  budgets, falling back to segmentation on :class:`CliqueBudgetExceeded`
+  or :class:`MemoryBudgetExceeded` (what the CLI and the experiments
+  use),
 - ``"pairwise"``, ``"local-cone"``, ``"independence"``,
   ``"monte-carlo"``, ``"simulation"`` -- adapters over the classical
   baseline estimators, so comparisons run through the same facade.
@@ -23,17 +24,24 @@ behind one :class:`~repro.core.backend.base.Backend` surface:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+from repro.bayesian import propagation
+from repro.bayesian.junction import group_scenarios
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Backend, CompiledModel, Method
-from repro.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.errors import ZeroBeliefError
+from repro.core.rcache import scenario_digest
 from repro.core.segments import SegmentedEstimator
+from repro.errors import (
+    CliqueBudgetExceeded,
+    MemoryBudgetExceeded,
+    ZeroBeliefError,
+)
 from repro.obs.trace import get_tracer
 
 __all__ = [
@@ -50,16 +58,29 @@ __all__ = [
 class EstimatorCompiledModel(CompiledModel):
     """Artifact wrapping a compiled estimator.
 
-    Works for every estimator exposing ``update_inputs`` +
-    ``estimate`` (single-BN, segmented, enumeration); the junction-tree
-    structure, propagation schedules, and clique potentials pickle with
-    the estimator, so a loaded artifact re-propagates without paying
-    the compile again.
+    Works for every estimator exposing ``update_inputs``, ``estimate``,
+    ``estimate_many`` and ``row_bytes`` (single-BN, segmented,
+    enumeration); the junction-tree structure, propagation schedules,
+    and clique potentials pickle with the estimator, so a loaded
+    artifact re-propagates without paying the compile again.
+
+    ``row_bytes`` is recorded at compile: the bytes one scenario row of
+    :meth:`query_many` needs.  A model whose single row exceeds
+    :data:`~repro.bayesian.propagation.MEMORY_BUDGET_BYTES` raises
+    :class:`~repro.errors.MemoryBudgetExceeded` instead of compiling.
     """
 
     def __init__(self, backend_name: str, circuit: Circuit, estimator):
         super().__init__(backend_name, circuit)
         self.estimator = estimator
+        #: bytes one scenario row of :meth:`query_many` needs
+        self.row_bytes: int = estimator.row_bytes()
+        propagation.check_memory_budget(circuit.name, self.row_bytes)
+
+    @property
+    def rows_per_pass(self) -> int:
+        """Scenario rows one propagation pass may hold under the budget."""
+        return max(1, propagation.MEMORY_BUDGET_BYTES // self.row_bytes)
 
     def query(self, inputs: Optional[InputModel] = None) -> SwitchingEstimate:
         with get_tracer().span(
@@ -70,56 +91,67 @@ class EstimatorCompiledModel(CompiledModel):
             return self.estimator.estimate()
 
     def query_many(
-        self,
-        inputs_list: "list[InputModel]",
-        batch_size: Optional[int] = None,
+        self, inputs_list: "list[InputModel]"
     ) -> "list[SwitchingEstimate]":
-        """Vectorized sweep: K scenarios through one batched propagation.
+        """Vectorized sweep: K scenarios through batched propagation.
 
         Delegates to the estimator's ``estimate_many`` (single-BN and
-        segmented estimators propagate the whole chunk in one engine
-        pass; enumeration loops internally).  ``batch_size`` caps the
-        scenarios per pass -- batched propagation memory is
-        ``batch_size x`` the one-row engine footprint.
-        Propagating estimators collapse duplicate scenarios within each
-        chunk, so duplicates in different ``batch_size`` chunks are each
-        propagated once per chunk.
+        segmented estimators propagate each distinct scenario once, all
+        rows in one engine pass; enumeration loops internally).  When
+        the K rows fit the memory budget (``K * row_bytes <=
+        MEMORY_BUDGET_BYTES``) that is one call.  Otherwise duplicate
+        scenarios are collapsed over the whole call first (keyed by
+        :func:`~repro.core.rcache.scenario_digest`), the distinct ones
+        are split into near-equal chunks of at most
+        :attr:`rows_per_pass` rows, and the results are scattered back.
+        Every chunk is a full pass, so the split is bitwise-transparent.
 
-        A :class:`ZeroBeliefError` escaping a chunk is re-raised with
-        its ``batch_indices`` rebased to the *caller's* scenario
-        numbering: the estimator only ever sees one chunk, so its
-        indices are chunk-local, and reporting those for any chunk but
-        the first would point the caller at the wrong scenarios.
+        A :class:`ZeroBeliefError` escaping a chunk names the caller's
+        scenario indices: every scenario a failing row served.
         """
         models = list(inputs_list)
         if not models:
             return []
-        estimate_many = getattr(self.estimator, "estimate_many", None)
-        if estimate_many is None:
-            return super().query_many(models, batch_size=batch_size)
-        chunk = len(models) if not batch_size or batch_size < 1 else batch_size
-        results: "list[SwitchingEstimate]" = []
+        per_pass = self.rows_per_pass
         with get_tracer().span(
             "backend.query_many",
             backend=self.backend_name,
             circuit=self.circuit.name,
             scenarios=len(models),
-            batch=chunk,
-        ):
-            for start in range(0, len(models), chunk):
+        ) as span:
+            if len(models) <= per_pass:
+                span.annotate(chunks=1)
+                return self.estimator.estimate_many(models)
+            reps, scatter = group_scenarios(
+                [scenario_digest(self.circuit, model) for model in models]
+            )
+            distinct = [models[r] for r in reps]
+            chunks = -(-len(distinct) // per_pass)
+            size = -(-len(distinct) // chunks)
+            span.annotate(distinct=len(distinct), chunks=chunks)
+            rows: "list[SwitchingEstimate]" = []
+            for start in range(0, len(distinct), size):
                 try:
-                    results.extend(
-                        estimate_many(models[start : start + chunk])
+                    rows.extend(
+                        self.estimator.estimate_many(distinct[start : start + size])
                     )
                 except ZeroBeliefError as err:
-                    local = getattr(err, "batch_indices", None)
-                    if local:
-                        err.batch_indices = tuple(start + i for i in local)
-                        err.args = (
-                            "cannot normalize a zero belief for batch "
-                            f"elements {list(err.batch_indices)}",
-                        ) + err.args[1:]
+                    err.rescatter([row - start for row in scatter])
                     raise
+        served = set()
+        results = []
+        for row in scatter:
+            result = rows[row]
+            if row in served:
+                result = replace(
+                    result,
+                    distributions={
+                        line: dist.copy()
+                        for line, dist in result.distributions.items()
+                    },
+                )
+            served.add(row)
+            results.append(result)
         return results
 
     @property
@@ -130,6 +162,8 @@ class EstimatorCompiledModel(CompiledModel):
         info = super().describe()
         if isinstance(self.estimator, SegmentedEstimator):
             info["segments"] = self.estimator.num_segments
+        info["row_bytes"] = self.row_bytes
+        info["rows_per_pass"] = self.rows_per_pass
         return info
 
 
@@ -211,7 +245,8 @@ class EnumerationBackend(Backend):
 
 
 class AutoBackend(Backend):
-    """Junction tree when it fits the clique budget, else segmentation.
+    """Junction tree when it fits the clique and memory budgets, else
+    segmentation.
 
     Reproduces the selection the experiments have always used: circuits
     up to ``max_gates_per_segment`` gates try a single BN first (which
@@ -243,7 +278,7 @@ class AutoBackend(Backend):
                     heuristic=heuristic,
                     max_clique_states=max_clique_states,
                 )
-            except CliqueBudgetExceeded:
+            except (CliqueBudgetExceeded, MemoryBudgetExceeded):
                 pass
         return SegmentedBackend().compile(
             circuit,

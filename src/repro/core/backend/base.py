@@ -56,7 +56,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: thread-pool width and iteration cap (one serial float64 pipeline).
 #: v7: segmented estimators drop their glue-cone support budget (now
 #: the module constant ``refine.GLUE_STATES``).
-ARTIFACT_SCHEMA_VERSION = 7
+#: v8: estimator-backed models record ``row_bytes``, the bytes one
+#: scenario row of ``query_many`` needs; schedules' general reduction
+#: plans are axis sums instead of einsums.
+ARTIFACT_SCHEMA_VERSION = 8
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"
@@ -127,20 +130,16 @@ class CompiledModel(ABC):
         """
 
     def query_many(
-        self,
-        inputs_list: "list[InputModel]",
-        batch_size: Optional[int] = None,
+        self, inputs_list: "list[InputModel]"
     ) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios against one compile.
 
         The default implementation loops :meth:`query`; backends whose
         estimator supports batched propagation (junction-tree,
-        segmented) override this with a vectorized pass.  ``batch_size``
-        chunks the sweep (propagation memory scales as
-        ``batch_size x factor_bytes``); ``None`` propagates all K
-        scenarios in one batch.  Batched backends propagate duplicate
-        scenarios once (bitwise-equal to propagating each copy).
-        Loop-based backends ignore ``batch_size``.
+        segmented) override this with a vectorized pass that propagates
+        each distinct scenario once (bitwise-equal to propagating each
+        copy) and splits the rows into passes that fit the memory
+        budget.
         """
         return [self.query(model) for model in inputs_list]
 

@@ -358,7 +358,6 @@ def estimate_many(
     inputs_list: Sequence[InputModel],
     backend: str = "auto",
     cache: CacheSpec = None,
-    batch_size: Optional[int] = None,
     validate: bool = True,
     result_cache: ResultCacheSpec = None,
     **options: Any,
@@ -369,18 +368,15 @@ def estimate_many(
     compiled (or cache-loaded) exactly once, then every scenario in
     ``inputs_list`` is queried through
     :meth:`~repro.core.backend.base.CompiledModel.query_many`, which
-    the exact backends answer with a single vectorized propagation per
-    batch.  Returns one ``SwitchingEstimate`` per scenario, in order.
+    the exact backends answer with one vectorized propagation per
+    pass.  Returns one ``SwitchingEstimate`` per scenario, in order.
 
     Every scenario must induce the same input-to-input edge structure
     as the first one (the structure is baked into the compile).
-    ``batch_size`` chunks the sweep to bound propagation memory
-    (``batch_size x`` the one-row engine footprint); ``None``
-    propagates all K scenarios in one batch.  Duplicate scenarios
-    within a batch are propagated once.
+    Duplicate scenarios are propagated once, and the model splits the
+    rows into passes that fit its memory budget.
     ``result_cache`` replays exact repeats of previously answered
-    scenarios (see :func:`estimate`) and propagates only the misses, in
-    one batch.
+    scenarios (see :func:`estimate`) and propagates only the misses.
     There is no fallback chain here -- a failing backend raises its
     typed error directly.
     """
@@ -418,10 +414,7 @@ def estimate_many(
         validate=False,
         **options,
     )
-    results = compiled.query_many(
-        [models[i] for i in miss_indices],
-        batch_size=batch_size,
-    )
+    results = compiled.query_many([models[i] for i in miss_indices])
     ordered = list(hits.get(i) for i in range(len(models)))
     for index, result in zip(miss_indices, results):
         result.cache_hit = compiled.cache_hit

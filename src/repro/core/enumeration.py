@@ -29,7 +29,7 @@ import numpy as np
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
 from repro.core.cpt import _transition_function
-from repro.core.estimator import SwitchingEstimate
+from repro.core.estimator import SwitchingEstimate, result_row_bytes
 from repro.core.inputs import InputModel
 from repro.core.states import N_STATES
 from repro.errors import SegmentTooWide
@@ -154,6 +154,12 @@ class EnumerationSegment:
             self.update_inputs(model)
             results.append(self.estimate())
         return results
+
+    def row_bytes(self) -> int:
+        """Bytes one scenario row of :meth:`estimate_many` needs: only
+        its result row (the support grid is reused scenario by
+        scenario)."""
+        return result_row_bytes(self.circuit)
 
     def __getstate__(self):
         # The grid and the per-query caches are rebuildable and can be

@@ -35,6 +35,17 @@ from repro.core.states import N_STATES, switching_probability
 from repro.obs.trace import get_tracer
 
 
+#: Bytes one circuit line adds to one result row: its ``(4,)`` float64
+#: marginal, the array and dict entry that hold it, and its share of the
+#: scenario's input CPD objects (measured with ``tracemalloc``).
+RESULT_LINE_BYTES = 512
+
+
+def result_row_bytes(circuit: Circuit) -> int:
+    """Bytes one scenario's result rows take, over every circuit line."""
+    return RESULT_LINE_BYTES * len(circuit.lines)
+
+
 @dataclass
 class SwitchingEstimate:
     """Per-line switching estimates plus timing breakdown."""
@@ -255,6 +266,18 @@ class SwitchingActivityEstimator:
     def factor_bytes(self) -> int:
         """Bytes of preallocated propagation buffers (memory accounting)."""
         return self._jt.engine_factor_bytes() if self._jt is not None else 0
+
+    def row_footprint(self) -> Tuple[int, int]:
+        """``(resident, transient)`` bytes one scenario row of
+        :meth:`estimate_many` adds to the tree (compiles; see
+        :meth:`JunctionTree.row_footprint`)."""
+        self.compile()
+        return self._jt.row_footprint(self.circuit.inputs)
+
+    def row_bytes(self) -> int:
+        """Bytes one scenario row of :meth:`estimate_many` needs: the
+        tree's resident and transient bytes plus the result row."""
+        return sum(self.row_footprint()) + result_row_bytes(self.circuit)
 
     def support_stats(self) -> Dict[str, object]:
         """Support-analysis summary of the compiled tree (compiles)."""

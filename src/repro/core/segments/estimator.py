@@ -25,11 +25,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bayesian.propagation import PropagationCounters
+from repro.bayesian.propagation import PropagationCounters, check_memory_budget
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
-from repro.errors import CliqueBudgetExceeded
-from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
+from repro.errors import CliqueBudgetExceeded, MemoryBudgetExceeded
+from repro.core.estimator import (
+    SwitchingActivityEstimator,
+    SwitchingEstimate,
+    result_row_bytes,
+)
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.states import N_STATES
 from repro.errors import SegmentBoundaryError
@@ -309,7 +313,8 @@ class SegmentedEstimator:
     ) -> None:
         """Compile a chunk of gate-output lines, splitting on budget misses.
 
-        On a budget miss the chunk is halved first (quarter-cost
+        A miss is a clique over the clique budget or a scenario row over
+        the memory budget.  On a miss the chunk is halved first (quarter-cost
         retriangulations, lookback accuracy kept); lookback is shed only
         once the chunk is too small to split usefully.  Finalized
         segments register in topological order so downstream chunks can
@@ -336,7 +341,8 @@ class SegmentedEstimator:
         )
         try:
             estimator.compile()
-        except CliqueBudgetExceeded:
+            check_memory_budget(segment.name, estimator.row_bytes())
+        except (CliqueBudgetExceeded, MemoryBudgetExceeded):
             # High treewidth but few inputs: exploit CPT determinism via
             # exact support enumeration rather than lossy splitting.
             if self.enum_input_states:
@@ -645,6 +651,25 @@ class SegmentedEstimator:
             for node in self.graph.nodes
             if isinstance(node.estimator, SwitchingActivityEstimator)
         )
+
+    def row_bytes(self) -> int:
+        """Bytes one scenario row of :meth:`estimate_many` needs.
+
+        Segments propagate one after another and every junction-tree
+        segment keeps its engine between passes, so a row holds the
+        resident bytes of all of them plus the install transient of the
+        largest (:meth:`SwitchingActivityEstimator.row_footprint`) and
+        the result row.  Enumeration segments loop scenario by scenario
+        and add no per-row buffers.
+        """
+        self.compile()
+        resident = transient = 0
+        for node in self.graph.nodes:
+            if isinstance(node.estimator, SwitchingActivityEstimator):
+                held, passing = node.estimator.row_footprint()
+                resident += held
+                transient = max(transient, passing)
+        return resident + transient + result_row_bytes(self.circuit)
 
     def support_stats(self) -> Dict[str, object]:
         """Support-analysis summary aggregated over junction-tree segments.

@@ -14,8 +14,8 @@ stages:
     unnormalized marginals, CPDs referencing unknown lines).
 ``CompileError``
     A backend could not build its compiled artifact within budget
-    (clique budget, enumeration width).  The facade's fallback chain is
-    driven by this branch.
+    (clique budget, memory budget, enumeration width).  The facade's
+    fallback chain is driven by this branch.
 ``PropagationError``
     Inference on a successfully compiled model produced an invalid
     belief state (zero-mass or non-finite marginals).
@@ -45,6 +45,7 @@ __all__ = [
     "DuplicateDefinitionError",
     "FallbackExhausted",
     "InputModelError",
+    "MemoryBudgetExceeded",
     "PerfDiffError",
     "PerfProfileError",
     "PropagationError",
@@ -142,6 +143,14 @@ class CliqueBudgetExceeded(CompileError):
     backend does this automatically)."""
 
 
+class MemoryBudgetExceeded(CompileError):
+    """One scenario row of the compiled model needs more memory than
+    ``repro.bayesian.propagation.MEMORY_BUDGET_BYTES``: no batch, not
+    even a single query, fits.  Raised at compile time; the ``"auto"``
+    backend falls back to segmentation, as on
+    :class:`CliqueBudgetExceeded`."""
+
+
 class SegmentTooWide(CompileError):
     """The segment has too many inputs for support enumeration."""
 
@@ -175,7 +184,38 @@ class PropagationError(ReproError, RuntimeError):
 class ZeroBeliefError(PropagationError, ZeroDivisionError):
     """Normalizing a belief with zero total mass (impossible evidence or
     annihilated potentials).  Also a :class:`ZeroDivisionError`, which
-    the pre-consolidation normalization code raised."""
+    the pre-consolidation normalization code raised.
+
+    A batched propagation names its zero-mass rows in
+    ``batch_indices``; callers that propagated a collapsed or split
+    batch rename them with :meth:`rescatter`.
+    """
+
+    #: the zero-mass batch rows (empty outside batched propagation)
+    batch_indices: tuple = ()
+
+    @classmethod
+    def for_rows(cls, rows) -> "ZeroBeliefError":
+        """The error naming batch rows ``rows``."""
+        err = cls()
+        err._name(tuple(int(i) for i in rows))
+        return err
+
+    def rescatter(self, scatter) -> None:
+        """Rename the failing rows through a scatter map, in place.
+
+        ``scatter[j]`` is the row that served scenario ``j``; afterwards
+        ``batch_indices`` names every scenario a failing row served (a
+        row absent from ``scatter`` names none).
+        """
+        failing = set(self.batch_indices)
+        self._name(tuple(j for j, row in enumerate(scatter) if row in failing))
+
+    def _name(self, indices: tuple) -> None:
+        self.batch_indices = indices
+        self.args = (
+            f"cannot normalize a zero belief for batch elements {list(indices)}",
+        )
 
 
 class ConcurrentPropagationError(PropagationError):

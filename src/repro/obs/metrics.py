@@ -1,7 +1,7 @@
 """Counters, gauges and histograms for the observability layer.
 
 Complements :mod:`repro.obs.trace`: spans say *where time went*,
-metrics say *how much work was done* -- messages passed, einsum FLOP
+metrics say *how much work was done* -- messages passed, FLOP
 estimates, per-clique state-space sizes, peak factor bytes.
 
 Same invariants as the tracer (DESIGN.md section 8):

@@ -33,7 +33,11 @@ from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.circuits import suite
-from repro.core.backend import CliqueBudgetExceeded, compile_model
+from repro.core.backend import (
+    CliqueBudgetExceeded,
+    MemoryBudgetExceeded,
+    compile_model,
+)
 from repro.core.backend import estimate as facade_estimate
 from repro.core.inputs import IndependentInputs
 from repro.core.states import N_STATES
@@ -93,11 +97,12 @@ def salted_scenarios(k: int, salt: int) -> List[IndependentInputs]:
 
 
 def compile_or_fallback(circuit):
-    """Junction tree first, segmented past the clique budget.
+    """Junction tree first, segmented past the clique or memory budget.
 
     Unlike the CLI's ``auto`` backend, which segments every circuit of
     more than 60 gates, this compiles alu, comp and voter as one BN:
-    only the ``4 ** 10`` clique budget sends a circuit to segmentation.
+    only the ``4 ** 10`` clique budget or the memory budget sends a
+    circuit to segmentation.
     Returns ``(compiled_model, method)`` with ``method`` one of
     ``"single-bn"`` / ``"segmented"``.
     """
@@ -108,7 +113,7 @@ def compile_or_fallback(circuit):
             max_clique_states=4 ** 10,
         )
         return model, "single-bn"
-    except CliqueBudgetExceeded:
+    except (CliqueBudgetExceeded, MemoryBudgetExceeded):
         model = compile_model(circuit, backend="segmented")
         return model, "segmented"
 

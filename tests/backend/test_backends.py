@@ -191,6 +191,14 @@ def test_backend_name_threaded_into_spans():
         obs.reset()
 
 
+def _limit_rows_per_pass(monkeypatch, model, rows):
+    """Shrink the memory budget until ``model`` takes ``rows`` rows per pass."""
+    from repro.bayesian import propagation
+
+    monkeypatch.setattr(propagation, "MEMORY_BUDGET_BYTES", rows * model.row_bytes)
+    assert model.rows_per_pass == rows
+
+
 class TestQueryManyChunkErrors:
     """``query_many`` chunking must rebase ``ZeroBeliefError`` indices.
 
@@ -199,10 +207,13 @@ class TestQueryManyChunkErrors:
     reported with the *wrong* scenario numbers.
     """
 
-    def _model_with_failing_chunk(self, failing_global_index, chunk):
+    def _model_with_failing_chunk(
+        self, monkeypatch, failing_global_index, chunk
+    ):
         from repro.errors import ZeroBeliefError
 
         model = compile_model(c17(), backend="junction-tree")
+        _limit_rows_per_pass(monkeypatch, model, chunk)
         real = model.estimator.estimate_many
         calls = {"start": 0}
 
@@ -222,31 +233,35 @@ class TestQueryManyChunkErrors:
         model.estimator.estimate_many = flaky
         return model
 
-    def test_second_chunk_failure_reports_original_index(self):
+    def test_second_chunk_failure_reports_original_index(self, monkeypatch):
         from repro.errors import ZeroBeliefError
 
-        model = self._model_with_failing_chunk(failing_global_index=5, chunk=3)
+        model = self._model_with_failing_chunk(
+            monkeypatch, failing_global_index=5, chunk=3
+        )
         scenarios = [IndependentInputs(0.1 * (i + 1)) for i in range(7)]
         with pytest.raises(ZeroBeliefError) as excinfo:
-            model.query_many(scenarios, batch_size=3)
+            model.query_many(scenarios)
         # Scenario 5 lives at local index 2 of chunk 2; the caller must
         # see 5, not 2.
         assert excinfo.value.batch_indices == (5,)
         assert "5" in str(excinfo.value)
 
-    def test_first_chunk_failure_indices_unchanged(self):
+    def test_first_chunk_failure_indices_unchanged(self, monkeypatch):
         from repro.errors import ZeroBeliefError
 
-        model = self._model_with_failing_chunk(failing_global_index=1, chunk=4)
+        model = self._model_with_failing_chunk(
+            monkeypatch, failing_global_index=1, chunk=4
+        )
         scenarios = [IndependentInputs(0.1 * (i + 1)) for i in range(8)]
         with pytest.raises(ZeroBeliefError) as excinfo:
-            model.query_many(scenarios, batch_size=4)
+            model.query_many(scenarios)
         assert excinfo.value.batch_indices == (1,)
 
-    def test_duplicated_zero_scenario_in_later_chunk(self):
-        """A zero-mass scenario repeated inside one chunk shares one
-        engine row; the error must name both copies, in caller
-        numbering, through the real (unpatched) engine."""
+    def test_duplicated_zero_scenario_in_later_chunk(self, monkeypatch):
+        """A zero-mass scenario repeated across the call collapses to
+        one row of a later chunk; the error must name both copies, in
+        caller numbering, through the real (unpatched) engine."""
         from repro.bayesian import TabularCPD
         from repro.errors import ZeroBeliefError
 
@@ -259,9 +274,10 @@ class TestQueryManyChunkErrors:
                 return cpds
 
         model = compile_model(c17(), backend="junction-tree")
+        _limit_rows_per_pass(monkeypatch, model, 3)
         scenarios = [IndependentInputs(0.1 * (i + 1)) for i in range(7)]
         scenarios[3] = scenarios[5] = ZeroMassInputs(0.5)
         with pytest.raises(ZeroBeliefError) as excinfo:
-            model.query_many(scenarios, batch_size=3)
+            model.query_many(scenarios)
         assert excinfo.value.batch_indices == (3, 5)
         assert "[3, 5]" in str(excinfo.value)

@@ -13,6 +13,7 @@ chunking, and single-query-path isolation.
 import numpy as np
 import pytest
 
+from repro.bayesian import propagation
 from repro.circuits import suite
 from repro.circuits.examples import c17
 from repro.core import SegmentedEstimator, SwitchingActivityEstimator
@@ -182,10 +183,10 @@ class TestChunkingAndEdges:
         compiled = compile_model(c17(), backend=backend, **options)
         assert compiled.query_many([]) == []
 
-    def test_chunked_sweep_matches_unchunked(self):
-        """batch_size bounds memory and nothing else: every chunk is a
-        full pass, so the chunked sweep is bitwise the unchunked one --
-        on one tree and across alu's segments."""
+    def test_chunked_sweep_matches_unchunked(self, monkeypatch):
+        """The memory budget bounds memory and nothing else: every chunk
+        is a full pass, so a sweep split into two-row passes is bitwise
+        the one-pass sweep -- on one tree and across alu's segments."""
         models = _models(7)
         for circuit, backend in (
             (c17(), "junction-tree"),
@@ -194,7 +195,12 @@ class TestChunkingAndEdges:
             a = compile_model(circuit, models[0], backend=backend)
             b = compile_model(circuit, models[0], backend=backend)
             whole = a.query_many(models)
-            chunked = b.query_many(models, batch_size=2)
+            monkeypatch.setattr(
+                propagation, "MEMORY_BUDGET_BYTES", 2 * b.row_bytes
+            )
+            assert b.rows_per_pass == 2
+            chunked = b.query_many(models)
+            monkeypatch.undo()
             _assert_bitwise(chunked, whole, context=f"{circuit.name} chunked")
 
     def test_amortized_timing_is_reported(self):

@@ -10,7 +10,7 @@ hand.
 import numpy as np
 import pytest
 
-from repro.bayesian import JunctionTree, TabularCPD
+from repro.bayesian import JunctionTree, TabularCPD, propagation
 from repro.bayesian.junction import group_scenarios
 from repro.circuits import examples, generate, suite
 from repro.core import (
@@ -184,6 +184,46 @@ class TestFacade:
         rows = facade_estimate_many(circuit, distinct, **options)
         expected = [rows[distinct.index(model)] for model in sweep]
         _assert_bitwise(got, expected, circuit.lines)
+
+
+class TestDedupAcrossChunks:
+    """A call that does not fit the memory budget collapses duplicates
+    over the whole call before splitting, so copies that land in
+    different passes are still propagated once."""
+
+    @pytest.mark.parametrize(
+        "make_circuit,backend,options",
+        [
+            (examples.c17, "junction-tree", {}),
+            (lambda: suite.load_circuit("pcler8"), "segmented",
+             {"max_gates_per_segment": 8}),
+        ],
+        ids=["c17-junction-tree", "pcler8-segmented"],
+    )
+    def test_duplicates_straddling_chunks_match_distinct_oracle(
+        self, monkeypatch, make_circuit, backend, options
+    ):
+        circuit = make_circuit()
+        # Copies of each point sit 4 apart: any caller-order split into
+        # two-row passes would put them in different passes.
+        sweep, distinct = _one_input_sweep(circuit, 4, repeats_each=3)
+        model = compile_model(circuit, backend=backend, cache=None, **options)
+        monkeypatch.setattr(
+            propagation, "MEMORY_BUDGET_BYTES", 2 * model.row_bytes
+        )
+        got = model.query_many(sweep)
+        monkeypatch.undo()
+        oracle = compile_model(circuit, backend=backend, cache=None, **options)
+        rows = oracle.query_many(distinct)
+        expected = [rows[distinct.index(m)] for m in sweep]
+        _assert_bitwise(got, expected, circuit.lines)
+        trees = (
+            [node.estimator for node in model.estimator.graph.nodes]
+            if backend == "segmented"
+            else [model.estimator]
+        )
+        propagated = [t.propagation_counters().scenarios_propagated for t in trees]
+        assert max(propagated) == len(distinct) < len(sweep)
 
 
 def _sprinkler_cpds(p):

@@ -42,7 +42,7 @@ def test_record_every_committed_document_then_log(capsys, tmp_path):
     for kind in ("profile", "propagation", "throughput", "segmentation", "serving"):
         assert f"== {kind} " in out, kind
     assert "stage repeat" in out and "stage serve" in out
-    assert "batched_scenarios_per_sec[K=64,sweep=delta]" in out
+    assert "batched_scenarios_per_sec[K=64,sweep=dedup]" in out
 
 
 def test_record_from_rejects_a_legacy_report(capsys, tmp_path):

@@ -225,15 +225,15 @@ class TestBenchDocumentCompare:
         old = _throughput(1000.0)
         old["rows"].append(
             row("c17", "batched", "batched_scenarios_per_sec", 50.0,
-                K=64, sweep="delta")
+                K=64, sweep="dedup")
         )
         new = _throughput(1000.0)
         new["rows"].append(
             row("c17", "batched", "batched_scenarios_per_sec", 2.5,
-                K=64, sweep="delta")
+                K=64, sweep="dedup")
         )
         records = compare_profiles(old, new, noise_band=1.0)
-        assert _statuses(records)[("c17[K=64,sweep=delta]",
+        assert _statuses(records)[("c17[K=64,sweep=dedup]",
                                    "batched_scenarios_per_sec")] == "regression"
         assert exit_code(records) == 1
 

@@ -110,6 +110,7 @@ def test_stats_subcommand_reports_span_tree(
     assert "stats.run" in out
     assert "backend.compile" in out
     assert "s, propagate " in out
+    assert re.search(r"memory: \d+ bytes per scenario row, \d+ rows per pass", out)
 
     report = json.loads(report_path.read_text())
     assert report["schema"] == "repro.obs/v2"
@@ -227,25 +228,6 @@ class TestSweep:
         # One activity row per scenario, and the fair-coin scenario
         # reproduces the known c17 mean activity.
         assert "0.470170" in out
-
-    def test_sweep_batch_flag_chunks_without_changing_results(
-        self, capsys, tmp_path
-    ):
-        scenarios = self._write_scenarios(
-            tmp_path,
-            {"scenarios": [
-                {"kind": "independent", "p_one": p} for p in (0.1, 0.4, 0.7)
-            ]},
-        )
-        assert main(
-            [
-                "sweep", "--circuit", "c17", "--scenarios", scenarios,
-                "--batch", "2", "--no-cache",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "batch 2" in out
-        assert "3 scenario(s)" in out
 
     def test_sweep_uses_compile_cache(self, capsys, cache_dir, tmp_path):
         scenarios = self._write_scenarios(
