@@ -18,8 +18,8 @@ stage, so regressions in any one of them are visible:
   observation of the fast path's true cost; every cycle is kept as the
   row's ``samples`` and the mean as ``repeat_estimate_seconds``), plus
   the engine work counters of the repeat phase alone,
-- ``dense`` -- the same repeat timing on a dense twin, the same
-  estimator class and settings with ``kernel="dense"``
+- ``dense`` -- the same repeat timing on a dense twin, the compiled
+  estimator's class and settings with ``kernel="dense"``
   (``dense_repeat_estimate_min_seconds``), and ``sparse_speedup``
   (dense over primary),
 - ``extract`` -- ``marginal_extraction_seconds``: reading every line's
@@ -47,13 +47,12 @@ Gate a fresh run against the committed baseline with ``repro perf
 diff BENCH_propagation.json NEW.json``; record it into the perf store
 with ``repro perf record --from NEW.json``.
 
-Compilation goes through the backend facade: the ``"junction-tree"``
-backend first, falling back to ``"segmented"`` on
-:class:`CliqueBudgetExceeded` (the c432 class).  That is *not* the
-CLI's ``auto`` rule, which segments every circuit of more than 60
-gates (alu, comp, voter); here they compile as one BN.  Phase timings
-run against the raw estimator under the artifact so the numbers
-measure the engine, not the facade.
+Compilation goes through the backend facade's default ``auto`` rule,
+the one ``repro estimate`` uses: one junction tree whenever it fits
+the clique and memory budgets (alu, comp, voter), segmentation
+otherwise (the c432 class).  Phase timings run against the raw
+estimator under the artifact so the numbers measure the engine, not
+the facade.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from typing import Dict, List
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
     from benchmarks.common import (
-        compile_estimator,
         engine_counters,
         parse_csv_names,
         stage_rows,
@@ -74,7 +72,6 @@ try:  # package import (pytest benchmarks/, repo-root scripts)
     )
 except ImportError:  # direct execution: python benchmarks/bench_propagation.py
     from common import (
-        compile_estimator,
         engine_counters,
         parse_csv_names,
         stage_rows,
@@ -82,6 +79,7 @@ except ImportError:  # direct execution: python benchmarks/bench_propagation.py
     )
 
 from repro.circuits import suite
+from repro.core.backend import compile_model
 from repro.core.estimator import SwitchingActivityEstimator
 from repro.core.inputs import IndependentInputs
 from repro.core.segments import SegmentedEstimator
@@ -127,13 +125,27 @@ def _extract_marginals(estimator, lines: List[str]) -> float:
     return time.perf_counter() - start
 
 
-def _dense_twin(circuit, method: str):
-    """The estimator :func:`compile_or_fallback` built for ``method``,
-    recompiled with ``kernel="dense"`` (same class, same settings)."""
-    if method == "segmented":
-        return SegmentedEstimator(circuit, kernel="dense").compile()
+def _dense_twin(estimator):
+    """``estimator`` recompiled with ``kernel="dense"``: same class,
+    same settings, so both sides of ``max_abs_diff_vs_dense`` are one
+    model."""
+    if isinstance(estimator, SegmentedEstimator):
+        return SegmentedEstimator(
+            estimator.circuit,
+            max_gates_per_segment=estimator.max_gates_per_segment,
+            max_clique_states=estimator.max_clique_states,
+            heuristic=estimator.heuristic,
+            lookback=estimator.lookback,
+            boundary=estimator.boundary,
+            refine=estimator.refine,
+            refine_tol=estimator.refine_tol,
+            kernel="dense",
+        ).compile()
     return SwitchingActivityEstimator(
-        circuit, max_clique_states=4 ** 10, kernel="dense"
+        estimator.circuit,
+        heuristic=estimator.heuristic,
+        max_clique_states=estimator.max_clique_states,
+        kernel="dense",
     ).compile()
 
 
@@ -161,9 +173,11 @@ def bench_circuit(name: str, repeats: int) -> List[Dict[str, object]]:
     }
 
     start = time.perf_counter()
-    estimator, method = compile_estimator(circuit)
+    model = compile_model(circuit)
     fields["compile_seconds"] = time.perf_counter() - start
-    if method == "segmented":
+    estimator = model.estimator
+    segmented = isinstance(estimator, SegmentedEstimator)
+    if segmented:
         fields["segments"] = estimator.num_segments
     fields.update(estimator.support_stats())
 
@@ -180,7 +194,7 @@ def bench_circuit(name: str, repeats: int) -> List[Dict[str, object]]:
     # packed kernels buy, and the recorded evidence that they change
     # nothing (worst per-line delta, expected at float association-
     # order level).
-    dense = _dense_twin(circuit, method)
+    dense = _dense_twin(estimator)
     dense.estimate()  # first calibration outside the timed region
     dense_cycles = repeat_cycles(dense, repeats)
     fields["dense_repeat_estimate_min_seconds"] = min(dense_cycles)
@@ -190,14 +204,14 @@ def bench_circuit(name: str, repeats: int) -> List[Dict[str, object]]:
         / fields["repeat_estimate_min_seconds"]
     )
 
-    if not isinstance(estimator, SegmentedEstimator):
+    if not segmented:
         fields["marginal_extraction_seconds"] = _extract_marginals(
             estimator, list(circuit.lines)
         )
     fields["mean_activity"] = first.mean_activity()
 
     print(
-        f"{name:>10s}  {method:>9s}  "
+        f"{name:>10s}  {first.method:>9s}  "
         f"compile {fields['compile_seconds']:7.3f}s  "
         f"first {fields['first_estimate_seconds']:7.3f}s  "
         f"repeat(min) {fields['repeat_estimate_min_seconds']:7.3f}s  "

@@ -67,13 +67,9 @@ except ImportError:  # direct execution: python benchmarks/bench_throughput.py
 
 from repro.bayesian.junction import group_scenarios
 from repro.circuits import suite
+from repro.core.backend import compile_model
 from repro.core.inputs import IndependentInputs
-from repro.perf.collect import (
-    DEFAULT_CIRCUITS,
-    compile_or_fallback,
-    salted_scenarios,
-    timed,
-)
+from repro.perf.collect import DEFAULT_CIRCUITS, salted_scenarios, timed
 
 DEFAULT_BATCH_SIZES = [1, 8, 64, 256]
 
@@ -136,12 +132,12 @@ def _bitwise_check(circuit, k: int) -> Dict[str, object]:
     difference is a real kernel divergence, not float noise.
     """
     models = salted_scenarios(k, salt=0)
-    loop_model, _ = compile_or_fallback(circuit)
+    loop_model = compile_model(circuit)
     oracle = []
     for model in models:
         loop_model.estimator.update_inputs(model)
         oracle.append(loop_model.estimator.estimate())
-    batch_model, _ = compile_or_fallback(circuit)
+    batch_model = compile_model(circuit)
     batched = batch_model.query_many(models)
     worst = 0.0
     equal = True
@@ -160,7 +156,7 @@ def bench_circuit(
     repeats: int,
 ) -> List[Dict[str, object]]:
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit)
+    model = compile_model(circuit)
     estimator = model.estimator
     rows = stage_rows(
         name,
@@ -207,7 +203,7 @@ def _repeat_bitwise_check(circuit, k: int) -> Dict[str, object]:
     reps, scatter = group_scenarios(
         [tuple(model.p_one.items()) for model in models]
     )
-    model, _ = compile_or_fallback(circuit)
+    model = compile_model(circuit)
     rows = model.query_many([models[r] for r in reps])
     oracle = [rows[row] for row in scatter]
     got = model.query_many(models)
@@ -231,7 +227,7 @@ def bench_repeat_circuit(
     """One repeat-heavy point: 4 copies of each of K/4 low-Hamming
     scenarios through the default ``query_many``."""
     circuit = suite.load_circuit(name)
-    model, _ = compile_or_fallback(circuit)
+    model = compile_model(circuit)
 
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(repeat_scenarios(circuit, k, salt=repeats + 1))

@@ -1,10 +1,12 @@
 """Helpers shared by the benchmark runners.
 
-The measurement methodology (compile rule, scenario salting, timing
-loop) lives in :mod:`repro.perf.collect`, so ``repro perf record`` and
-the runners can never drift apart.  Every runner writes its report as
-one ``repro.perf/v2`` document (:func:`write_document`): the same shape
-``repro perf record --from`` stores and ``repro perf diff`` gates.
+The measurement methodology (scenario salting, timing loop) lives in
+:mod:`repro.perf.collect`, so ``repro perf record`` and the runners can
+never drift apart; every runner compiles through the default ``auto``
+backend, the rule ``repro estimate`` and ``repro serve`` use.  Every
+runner writes its report as one ``repro.perf/v2`` document
+(:func:`write_document`): the same shape ``repro perf record --from``
+stores and ``repro perf diff`` gates.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.perf.collect import compile_or_fallback, new_document
+from repro.perf.collect import new_document
 from repro.perf.store import row
-
-
-def compile_estimator(circuit):
-    """Estimator-level view of :func:`compile_or_fallback`."""
-    model, method = compile_or_fallback(circuit)
-    return model.estimator, method
 
 
 def engine_counters(estimator) -> Dict[str, int]:

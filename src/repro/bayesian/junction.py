@@ -48,11 +48,15 @@ from repro.bayesian.propagation import (
     PropagationEngine,
     PropagationSchedule,
 )
-from repro.bayesian.triangulate import elimination_cliques, triangulate
+from repro.bayesian.triangulate import (
+    elimination_cliques,
+    find_elimination_order,
+    triangulate,
+)
 
-# CliqueBudgetExceeded's canonical home is the backend layer (its
-# import-light ``errors`` module), because that is where the budget
-# fallback policy lives; this module is its raising site.
+# CliqueBudgetExceeded's canonical home is the import-light ``errors``
+# module; the budgeted elimination walk raises it, and this module
+# re-exports it for callers of ``from_network``.
 from repro.errors import CliqueBudgetExceeded
 from repro.errors import ZeroBeliefError
 from repro.obs.metrics import get_metrics
@@ -178,7 +182,6 @@ class JunctionTree:
         cls,
         bn: BayesianNetwork,
         heuristic: str = "min_fill",
-        elimination_order: Optional[Sequence[str]] = None,
         max_clique_states: Optional[int] = None,
         kernel: str = "auto",
     ) -> "JunctionTree":
@@ -190,13 +193,11 @@ class JunctionTree:
             The network; must validate.
         heuristic:
             Elimination-order heuristic (``"min_fill"`` or
-            ``"min_degree"``) when ``elimination_order`` is not given.
-        elimination_order:
-            Explicit elimination order (overrides the heuristic).
+            ``"min_degree"``).
         max_clique_states:
-            If given, raise :class:`CliqueBudgetExceeded` before
-            materializing any table whose clique exceeds this many
-            entries.
+            If given, raise :class:`CliqueBudgetExceeded` as soon as the
+            elimination walk forms a clique of more entries, before any
+            table is materialized and without finishing the walk.
         kernel:
             Message-kernel mode for the compiled schedule: ``"auto"``
             (default) packs cliques whose deterministic-CPD support is
@@ -213,24 +214,17 @@ class JunctionTree:
                 moral = moral_graph(bn)
             cards = {n: bn.cardinality(n) for n in bn.nodes}
             with tracer.span("compile.triangulate", heuristic=heuristic) as sp:
-                chordal, order, fills = triangulate(
-                    moral,
-                    order=elimination_order,
-                    heuristic=heuristic,
-                    cardinalities=cards,
+                order = find_elimination_order(
+                    moral, heuristic, cards, max_clique_states
                 )
+                chordal, order, fills = triangulate(moral, order=order)
                 sp.annotate(fill_ins=len(fills))
             with tracer.span("compile.cliques") as sp:
                 cliques = elimination_cliques(chordal, order)
                 worst = max_clique_state_space(cliques, cards)
                 sp.annotate(cliques=len(cliques), max_clique_states=worst)
-            if max_clique_states is not None and worst > max_clique_states:
-                raise CliqueBudgetExceeded(
-                    f"{bn.name}: largest clique needs {worst} entries "
-                    f"(budget {max_clique_states})"
-                )
             # Gauges describe trees that actually get built; rejected
-            # triangulations stay visible via the span attributes above.
+            # walks stop inside the triangulate span.
             registry = get_metrics()
             if registry.enabled:
                 total = 0

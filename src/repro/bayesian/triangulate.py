@@ -23,6 +23,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import networkx as nx
 
+from repro.errors import CliqueBudgetExceeded
+
 
 def _fill_in_edges(adjacency: Dict[str, Set[str]], node: str) -> List[Tuple[str, str]]:
     """Fill-ins created by eliminating ``node`` from the working graph."""
@@ -59,6 +61,7 @@ def find_elimination_order(
     graph: nx.Graph,
     heuristic: str = "min_fill",
     cardinalities: Optional[Dict[str, int]] = None,
+    max_clique_states: Optional[int] = None,
 ) -> List[str]:
     """Greedy elimination order for ``graph``.
 
@@ -71,6 +74,11 @@ def find_elimination_order(
     cardinalities:
         Optional per-node state counts used for tie-breaking by clique
         state space (all nodes default to 2).
+    max_clique_states:
+        If given, raise :class:`~repro.errors.CliqueBudgetExceeded` at
+        the first elimination clique over this many states: exactly
+        when the largest maximal clique is, since every maximal clique
+        is an elimination clique.  Orders that fit are unchanged.
     """
     if heuristic not in ("min_fill", "min_degree"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -105,6 +113,15 @@ def find_elimination_order(
             if best_key is None or key < best_key:
                 best, best_key = node, key
         neighborhood = set(adjacency[best])
+        if max_clique_states is not None:
+            states = card(best)
+            for neighbor in neighborhood:
+                states *= card(neighbor)
+            if states > max_clique_states:
+                raise CliqueBudgetExceeded(
+                    f"eliminating {best!r} forms a clique of {states} "
+                    f"entries (budget {max_clique_states})"
+                )
         for u, v in _fill_in_edges(adjacency, best):
             adjacency[u].add(v)
             adjacency[v].add(u)

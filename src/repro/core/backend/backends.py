@@ -12,10 +12,11 @@ behind one :class:`~repro.core.backend.base.Backend` surface:
 - ``"junction-tree"`` -- single-BN exact inference (the paper's method),
 - ``"segmented"``     -- multiple-BN estimation for large circuits,
 - ``"enumeration"``   -- exact support enumeration (the oracle),
-- ``"auto"``          -- junction tree under the clique and memory
-  budgets, falling back to segmentation on :class:`CliqueBudgetExceeded`
-  or :class:`MemoryBudgetExceeded` (what the CLI and the experiments
-  use),
+- ``"auto"``          -- the one backend-selection rule: a single
+  junction tree whenever it fits the clique and memory budgets,
+  segmentation on :class:`CliqueBudgetExceeded` or
+  :class:`MemoryBudgetExceeded` (what the CLI, ``repro serve``, the
+  experiments, the benchmark runners and ``repro perf record`` use),
 - ``"pairwise"``, ``"local-cone"``, ``"independence"``,
   ``"monte-carlo"``, ``"simulation"`` -- adapters over the classical
   baseline estimators, so comparisons run through the same facade.
@@ -245,13 +246,14 @@ class EnumerationBackend(Backend):
 
 
 class AutoBackend(Backend):
-    """Junction tree when it fits the clique and memory budgets, else
-    segmentation.
+    """One exact junction tree whenever it fits, else segmentation.
 
-    Reproduces the selection the experiments have always used: circuits
-    up to ``max_gates_per_segment`` gates try a single BN first (which
-    also preserves input-correlation models exactly); the budget
-    defaults to ``4^10`` and tightens to ``4^9`` past 2000 gates.
+    The paper segments only circuits too large for one junction tree:
+    every circuit tries one tree under the clique budget (``4^10``,
+    ``4^9`` past 2000 gates) and the memory budget, and is segmented
+    (``max_gates_per_segment`` gates per segment, same clique budget)
+    on :class:`CliqueBudgetExceeded` or :class:`MemoryBudgetExceeded`.
+    A rejected try stops at its first over-budget clique.
     """
 
     name = "auto"
@@ -270,16 +272,15 @@ class AutoBackend(Backend):
     ) -> EstimatorCompiledModel:
         if max_clique_states is None:
             max_clique_states = 4 ** 9 if circuit.num_gates > 2000 else 4 ** 10
-        if circuit.num_gates <= max_gates_per_segment:
-            try:
-                return JunctionTreeBackend().compile(
-                    circuit,
-                    inputs,
-                    heuristic=heuristic,
-                    max_clique_states=max_clique_states,
-                )
-            except (CliqueBudgetExceeded, MemoryBudgetExceeded):
-                pass
+        try:
+            return JunctionTreeBackend().compile(
+                circuit,
+                inputs,
+                heuristic=heuristic,
+                max_clique_states=max_clique_states,
+            )
+        except (CliqueBudgetExceeded, MemoryBudgetExceeded):
+            pass
         return SegmentedBackend().compile(
             circuit,
             inputs,

@@ -59,7 +59,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v8: estimator-backed models record ``row_bytes``, the bytes one
 #: scenario row of ``query_many`` needs; schedules' general reduction
 #: plans are axis sums instead of einsums.
-ARTIFACT_SCHEMA_VERSION = 8
+#: v9: ``auto`` compiles one junction tree whenever it fits, so a v8
+#: ``auto`` artifact may hold a segmented model of a circuit that now
+#: compiles exactly (voter and c2670s among them).
+ARTIFACT_SCHEMA_VERSION = 9
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

@@ -36,7 +36,8 @@ def make_estimator(
     max_clique_states: Optional[int] = None,
     boundary: str = "tree",
 ):
-    """Single-BN estimator for small circuits, segmented otherwise.
+    """Single-BN estimator whenever one junction tree fits, segmented
+    otherwise.
 
     Thin wrapper over the ``"auto"`` backend
     (:class:`repro.core.backend.backends.AutoBackend`), kept for

@@ -3,8 +3,9 @@
 This module is the single home of the measurement methodology that
 ``repro perf record`` and the ``benchmarks/bench_*.py`` runners share:
 
-- the junction-tree-first / segmented-fallback compile rule the CLI
-  uses,
+- every model compiles through the default ``auto`` backend, the same
+  rule ``repro estimate``, ``sweep`` and ``serve`` use: one exact
+  junction tree whenever it fits, segmentation otherwise,
 - the fixed input-probability sweep cycled through repeat-propagation,
 - golden-ratio scenario salting (no two repeats install identical
   potentials, so every repeat times a propagation over statistics no
@@ -33,11 +34,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.circuits import suite
-from repro.core.backend import (
-    CliqueBudgetExceeded,
-    MemoryBudgetExceeded,
-    compile_model,
-)
+from repro.core.backend import compile_model
 from repro.core.backend import estimate as facade_estimate
 from repro.core.inputs import IndependentInputs
 from repro.core.states import N_STATES
@@ -56,7 +53,6 @@ __all__ = [
     "PHI",
     "SWEEP",
     "collect_profile",
-    "compile_or_fallback",
     "git_revision",
     "measure_circuit",
     "new_document",
@@ -94,28 +90,6 @@ def salted_scenarios(k: int, salt: int) -> List[IndependentInputs]:
         IndependentInputs(0.05 + 0.9 * ((i * PHI + salt * 0.2718 + 0.041) % 1.0))
         for i in range(k)
     ]
-
-
-def compile_or_fallback(circuit):
-    """Junction tree first, segmented past the clique or memory budget.
-
-    Unlike the CLI's ``auto`` backend, which segments every circuit of
-    more than 60 gates, this compiles alu, comp and voter as one BN:
-    only the ``4 ** 10`` clique budget or the memory budget sends a
-    circuit to segmentation.
-    Returns ``(compiled_model, method)`` with ``method`` one of
-    ``"single-bn"`` / ``"segmented"``.
-    """
-    try:
-        model = compile_model(
-            circuit,
-            backend="junction-tree",
-            max_clique_states=4 ** 10,
-        )
-        return model, "single-bn"
-    except (CliqueBudgetExceeded, MemoryBudgetExceeded):
-        model = compile_model(circuit, backend="segmented")
-        return model, "segmented"
 
 
 def repeat_cycles(
@@ -175,7 +149,7 @@ def measure_circuit(
     rows = [row(name, "circuit", "gates", circuit.num_gates)]
 
     start = time.perf_counter()
-    model, _ = compile_or_fallback(circuit)
+    model = compile_model(circuit)
     rows.append(
         row(name, "compile", "compile_seconds", time.perf_counter() - start)
     )

@@ -15,11 +15,12 @@ Two layers, one invariant:
   belief/message buffers in place, so a model checked out by one
   request must never be visible to another
   (:class:`~repro.errors.ConcurrentPropagationError` is the tripwire
-  for exactly that bug).  Replicas are deserialized from the master
-  artifact's pickled bytes -- the same round-trip a compile-cache hit
-  pays, a few ms, against tens of ms to seconds for a recompile -- and
-  created lazily up to ``engines_per_model``; checkout blocks when all
-  replicas are in flight.
+  for exactly that bug).  The master artifact is the first replica;
+  the others are deserialized from its pickled bytes -- the same
+  round-trip a compile-cache hit pays, a few ms, against tens of ms to
+  seconds for a recompile -- and created lazily up to
+  ``engines_per_model``; checkout blocks when all replicas are in
+  flight.
 
 Both layers publish ``serve.pool.*`` counters/gauges into the global
 ``repro.obs`` registry when it is enabled.
@@ -50,10 +51,10 @@ class EnginePool:
     """Replica checkout for one compiled model.
 
     ``checkout()`` returns a private :class:`CompiledModel` replica; the
-    caller must ``checkin()`` it (or use :meth:`lease`).  Replicas are
-    materialized lazily from the master's serialized bytes, never more
-    than ``capacity`` at once; further checkouts block until a replica
-    is returned.
+    caller must ``checkin()`` it.  The master is the first replica (no
+    idle copy beside the replicas); the rest are materialized lazily
+    from its serialized bytes, never more than ``capacity`` at once.
+    Further checkouts block until a replica is returned.
     """
 
     def __init__(self, master: CompiledModel, capacity: int = 2):
@@ -61,9 +62,12 @@ class EnginePool:
             raise ValueError(f"engine pool capacity must be >= 1, got {capacity}")
         self._master_bytes = master.to_bytes()
         self.capacity = capacity
-        self._free: List[CompiledModel] = []
-        self._created = 0
+        self._free: List[CompiledModel] = [master]
+        self._created = 1
         self._cond = threading.Condition()
+        registry = get_metrics()
+        if registry.enabled:
+            registry.counter("serve.pool.engines_created").inc(1)
 
     def checkout(self, timeout: Optional[float] = None) -> CompiledModel:
         with self._cond:

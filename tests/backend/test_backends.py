@@ -281,3 +281,36 @@ class TestQueryManyChunkErrors:
             model.query_many(scenarios)
         assert excinfo.value.batch_indices == (3, 5)
         assert "[3, 5]" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", ["alu", "comp", "voter"])
+def test_auto_compiles_one_tree_whenever_it_fits(name):
+    # No gate-count pre-check: these exceed 60 gates and still fit.
+    circuit = suite.load_circuit(name)
+    assert circuit.num_gates > 60
+    result = compile_model(circuit).query()
+    assert result.method == Method.SINGLE_BN.value
+
+
+def test_auto_voter_is_exact_against_variable_elimination():
+    from repro.bayesian.elimination import posterior_marginals
+    from repro.core.lidag import build_lidag
+
+    circuit = suite.load_circuit("voter")
+    inputs = IndependentInputs(0.4)
+    result = compile_model(circuit).query(inputs)
+    oracle = posterior_marginals(build_lidag(circuit, inputs), variables=circuit.lines)
+    for line, factor in oracle.items():
+        assert np.abs(result.distributions[line] - factor.values).max() <= 1e-9
+
+
+def test_failed_single_tree_try_stops_early_on_layered2k():
+    # The full min-fill walk takes about a minute on layered2k; the
+    # budgeted walk stops at its first over-budget clique.
+    import time
+
+    circuit = suite.load_circuit("layered2k")
+    start = time.perf_counter()
+    with pytest.raises(CliqueBudgetExceeded):
+        compile_model(circuit, backend="junction-tree", max_clique_states=4 ** 9)
+    assert time.perf_counter() - start < 10.0

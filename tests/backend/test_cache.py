@@ -141,3 +141,26 @@ def test_cache_spec_accepts_path_and_bool(tmp_path):
     assert list(tmp_path.glob("*.repro.pkl"))
     uncached = compile_model(c17(), backend="junction-tree", cache=None)
     assert uncached.cache_hit is None
+
+
+def test_v8_auto_artifact_misses_under_current_schema(tmp_path, monkeypatch):
+    """An ``auto`` artifact keyed by schema v8 held alu segmented; the
+    current schema must miss it and compile the exact tree instead."""
+    from repro.core.backend import cache as cache_module
+    from repro.core.backend.base import ARTIFACT_SCHEMA_VERSION
+    from repro.core.backend.registry import get_backend
+
+    assert ARTIFACT_SCHEMA_VERSION >= 9
+    circuit = suite.load_circuit("alu")
+    cache = CompileCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "ARTIFACT_SCHEMA", "repro.compiled/v8")
+        stale_key = cache.key_for(
+            circuit, "auto", None, get_backend("auto").cache_token()
+        )
+    stale = compile_model(circuit, backend="segmented", max_clique_states=4 ** 10)
+    cache.put(stale_key, stale)
+
+    model = compile_model(circuit, cache=cache)
+    assert model.cache_hit is False
+    assert model.query().method == "single-bn"

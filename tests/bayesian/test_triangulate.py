@@ -147,3 +147,49 @@ class TestMetrics:
                 g, find_elimination_order(g, "min_degree")
             )
         assert total_fill <= total_degree + 2
+
+
+def _moral_and_cards(name):
+    from repro.bayesian.moral import moral_graph
+    from repro.circuits import suite
+    from repro.core.inputs import IndependentInputs
+    from repro.core.lidag import build_lidag
+
+    bn = build_lidag(suite.load_circuit(name), IndependentInputs(0.5))
+    return moral_graph(bn), {n: bn.cardinality(n) for n in bn.nodes}
+
+
+class TestBudgetedWalk:
+    """A clique budget stops the min-fill walk at its first over-budget
+    clique without changing the decision or any order that fits."""
+
+    @pytest.mark.parametrize("name", ["c432s", "c499s", "alu"])
+    def test_raises_exactly_when_the_full_walk_is_over_budget(self, name):
+        from repro.errors import CliqueBudgetExceeded
+
+        moral, cards = _moral_and_cards(name)
+        full = find_elimination_order(moral, "min_fill", cards)
+        chordal, _, _ = triangulate(moral, order=full)
+        worst = max_clique_state_space(elimination_cliques(chordal, full), cards)
+        budgets = [4 ** k for k in range(4, 12)] + [worst - 1, worst]
+        for budget in budgets:
+            if worst > budget:
+                with pytest.raises(CliqueBudgetExceeded):
+                    find_elimination_order(moral, "min_fill", cards, budget)
+            else:
+                assert find_elimination_order(moral, "min_fill", cards, budget) == full
+
+    def test_orders_of_fitting_suite_circuits_are_unchanged(self):
+        from repro.circuits import suite
+        from repro.errors import CliqueBudgetExceeded
+
+        fitting = 0
+        for name in suite.FULL_SUITE:
+            moral, cards = _moral_and_cards(name)
+            try:
+                order = find_elimination_order(moral, "min_fill", cards, 4 ** 10)
+            except CliqueBudgetExceeded:
+                continue
+            fitting += 1
+            assert order == find_elimination_order(moral, "min_fill", cards), name
+        assert fitting >= 10

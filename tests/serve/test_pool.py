@@ -51,15 +51,22 @@ class TestEnginePool:
         pool.checkin(replica)
 
     def test_replica_results_match_master(self):
+        """The master is the first replica; a deserialized one answers
+        bitwise like it."""
         master = compile_model(c17(), backend="junction-tree")
-        pool = EnginePool(master, capacity=1)
+        pool = EnginePool(master, capacity=2)
+        assert pool.created == 1
+        assert pool.checkout(timeout=5.0) is master
         replica = pool.checkout(timeout=5.0)
+        assert replica is not master
+        assert pool.created == 2
         scenario = IndependentInputs(0.3)
         expect = master.query(scenario)
         got = replica.query(scenario)
         for line, dist in expect.distributions.items():
             assert np.array_equal(dist, got.distributions[line])
         pool.checkin(replica)
+        pool.checkin(master)
 
     def test_capacity_must_be_positive(self):
         master = compile_model(c17(), backend="junction-tree")
