@@ -150,8 +150,11 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     buffers -- and the merged pattern picks the cheapest kernel:
 
     - ``("copy",)``                       nothing summed;
-    - ``("dot", d, ones)``                one trailing summed run: a
-      BLAS row-dot ``view(-1, d) @ ones``;
+    - ``("dot", d, ones)``                one trailing summed run after
+      a kept run of ``m`` rows, ``m`` a power of 4 (every LIDAG
+      run): one BLAS gemv ``view(-1, d) @ ones`` over all K rows;
+    - ``("matvec", m, d, ones)``          the same shape for any other
+      ``m``: a stacked ``view(-1, m, d) @ ones``, one gemv per row;
     - ``("vecmat", d, r, ones)``          one leading summed run:
       ``ones @ view(-1, d, r)``;
     - ``("sum", mshape, axes, oshape)``   the general interleaved
@@ -161,6 +164,12 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     exactly the same arithmetic for every ``K`` (the leading scenario
     axis is always kept, so it stacks ahead of the leading kept run),
     which is what keeps K-row and one-row propagation bitwise-identical.
+    ``dot`` folds the K rows into one gemv, whose OpenBLAS kernel sums
+    a leftover row (``K * m`` not a multiple of 4) differently from the
+    rest; with ``m`` a power of 4 every row takes the same path
+    (``tests/bayesian/test_reduce_sum.py`` pins the shapes), and
+    ``matvec`` keeps every other ``m`` out of the fold at the cost of
+    one BLAS call per row.
     The general case is an axis sum, not ``np.einsum``: einsum's
     iteration order, and so its rounding, changes with the row count
     once a summed run outgrows numpy's buffer (c2670s's ``4^10``
@@ -180,7 +189,10 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
         return ("copy",)
     if len(drops) == 1 and drops[0] == len(runs) - 1:
         d = runs[-1][1]
-        return ("dot", d, np.ones(d))
+        m = runs[0][1] if len(runs) == 2 else 1
+        if m >= 4 and m & (m - 1) == 0 and m.bit_length() % 2 == 1:
+            return ("dot", d, np.ones(d))
+        return ("matvec", m, d, np.ones(d))
     if len(drops) == 1 and drops[0] == 0:
         d = runs[0][1]
         r = 1
@@ -204,6 +216,9 @@ def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
     kind = plan[0]
     if kind == "dot":
         np.dot(src.reshape(-1, plan[1]), plan[2], out=out.reshape(-1))
+    elif kind == "matvec":
+        _, m, d, ones = plan
+        np.matmul(src.reshape(-1, m, d), ones, out=out.reshape(-1, m))
     elif kind == "vecmat":
         np.matmul(
             plan[3], src.reshape(-1, plan[1], plan[2]), out=out.reshape(-1, plan[2])

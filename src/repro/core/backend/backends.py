@@ -253,7 +253,10 @@ class AutoBackend(Backend):
     ``4^9`` past 2000 gates) and the memory budget, and is segmented
     (``max_gates_per_segment`` gates per segment, same clique budget)
     on :class:`CliqueBudgetExceeded` or :class:`MemoryBudgetExceeded`.
-    A rejected try stops at its first over-budget clique.
+    A rejected try stops at its first over-budget clique.  When the
+    caller left ``max_clique_states`` unset and the ``4^10``
+    segmentation's scenario row is over the memory budget (c6288s,
+    layered2k), the circuit is segmented once more at ``4^9``.
     """
 
     name = "auto"
@@ -270,28 +273,37 @@ class AutoBackend(Backend):
         refine: int = 0,
         refine_tol: float = 1e-5,
     ) -> EstimatorCompiledModel:
-        if max_clique_states is None:
-            max_clique_states = 4 ** 9 if circuit.num_gates > 2000 else 4 ** 10
+        if max_clique_states is not None:
+            budgets = [max_clique_states]
+        elif circuit.num_gates > 2000:
+            budgets = [4 ** 9]
+        else:
+            budgets = [4 ** 10, 4 ** 9]
         try:
             return JunctionTreeBackend().compile(
                 circuit,
                 inputs,
                 heuristic=heuristic,
-                max_clique_states=max_clique_states,
+                max_clique_states=budgets[0],
             )
         except (CliqueBudgetExceeded, MemoryBudgetExceeded):
             pass
-        return SegmentedBackend().compile(
-            circuit,
-            inputs,
-            max_gates_per_segment=max_gates_per_segment,
-            max_clique_states=max_clique_states,
-            heuristic=heuristic,
-            lookback=lookback,
-            boundary=boundary,
-            refine=refine,
-            refine_tol=refine_tol,
-        )
+        for budget in budgets:
+            try:
+                return SegmentedBackend().compile(
+                    circuit,
+                    inputs,
+                    max_gates_per_segment=max_gates_per_segment,
+                    max_clique_states=budget,
+                    heuristic=heuristic,
+                    lookback=lookback,
+                    boundary=boundary,
+                    refine=refine,
+                    refine_tol=refine_tol,
+                )
+            except MemoryBudgetExceeded:
+                if budget == budgets[-1]:
+                    raise
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v9: ``auto`` compiles one junction tree whenever it fits, so a v8
 #: ``auto`` artifact may hold a segmented model of a circuit that now
 #: compiles exactly (voter and c2670s among them).
-ARTIFACT_SCHEMA_VERSION = 9
+#: v10: enumeration segments hold their retained gate states instead of
+#: per-query caches, and segment nodes record the boundary pairs whose
+#: joints they publish.
+ARTIFACT_SCHEMA_VERSION = 10
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

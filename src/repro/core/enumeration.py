@@ -3,15 +3,16 @@
 Every internal CPD of a LIDAG is deterministic, so the joint
 distribution of a segment with ``k`` input lines has at most ``4^k``
 support points -- regardless of the moral graph's treewidth.  This
-backend enumerates those support points in one vectorized pass:
+backend enumerates those support points:
 
-1. build the ``4^k`` grid of joint input states,
-2. weight each grid row by the input model (independent priors or the
-   tree-boundary chain conditionals),
-3. push the whole grid through the segment's gates with the cached
-   transition-function tables,
-4. read any line's distribution (or any pair's joint) by weighted
-   bincount.
+1. at construction, build the ``4^k`` grid of joint input states and
+   push it through the segment's gates with the cached
+   transition-function tables, keeping the states of the retained
+   lines (the grid is structural: no input statistics enter it);
+2. per scenario, weight each grid row by the input model (independent
+   priors, input-to-input chains or tree-boundary conditionals);
+3. read any retained line's distribution, or any retained pair's joint,
+   by weighted bincount.
 
 It serves as the fallback when a segment's junction tree would exceed
 the clique budget: high-treewidth but input-narrow segments (exactly
@@ -22,7 +23,7 @@ into lossy sub-segments.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,11 +39,14 @@ __all__ = ["EnumerationSegment", "SegmentTooWide"]
 
 
 class EnumerationSegment:
-    """Drop-in segment estimator based on support enumeration.
+    """Segment estimator based on support enumeration.
 
-    Exposes the same surface the segmented estimator uses:
-    :meth:`update_inputs`, :meth:`estimate`, and (beyond the junction
-    tree) :meth:`pair_joint` for *any* pair of segment lines.
+    One stacked query, :meth:`estimate_many_stacked`, answers K
+    scenarios with the ``(K, 4)`` marginals of the requested lines and
+    the ``(K, 4, 4)`` joints of the requested line pairs -- the two
+    things a segment publishes across its cut.  :meth:`update_inputs`,
+    :meth:`estimate` and :meth:`estimate_many` wrap it for the
+    ``enumeration`` backend.
 
     Parameters
     ----------
@@ -54,8 +58,8 @@ class EnumerationSegment:
     max_input_states:
         Budget on ``4^k``; exceeding it raises :class:`SegmentTooWide`.
     keep_lines:
-        Lines whose enumerated states are retained for later
-        :meth:`pair_joint` queries (defaults to all lines).
+        Lines whose enumerated states are retained, and so can be
+        queried (defaults to all lines).
     """
 
     def __init__(
@@ -76,26 +80,79 @@ class EnumerationSegment:
         self.input_model = input_model
         self.n_rows = n_rows
         self.keep_lines = set(keep_lines) if keep_lines is not None else None
-        self.compile_seconds = 0.0
-        self._weights: Optional[np.ndarray] = None
-        self._kept_states: Dict[str, np.ndarray] = {}
-        # The input-state grid is structural; build it once.
+        # The gate states of the grid are structural; build them once.
         start = time.perf_counter()
-        self._rebuild_grid()
+        self._build_states()
         self.compile_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------
 
     def update_inputs(self, input_model: InputModel) -> None:
-        """Swap input statistics; weights are rebuilt at next estimate."""
+        """Swap the input statistics :meth:`estimate` answers for."""
         self.input_model = input_model
-        self._weights = None
-        self._kept_states = {}
 
-    def _compute_weights(self) -> np.ndarray:
+    def estimate(self) -> SwitchingEstimate:
+        """Every retained line's distribution under ``self.input_model``."""
+        return self.estimate_many([self.input_model])[0]
+
+    def estimate_many(self, input_models) -> List[SwitchingEstimate]:
+        """Every retained line's distribution for each of K scenarios."""
+        models = list(input_models)
+        lines = list(self._states)
+        stacks, _, seconds = self.estimate_many_stacked(models, lines)
+        return [
+            SwitchingEstimate(
+                distributions={line: stacks[line][j] for line in lines},
+                compile_seconds=self.compile_seconds,
+                propagate_seconds=seconds,
+                method=Method.ENUMERATION.value,
+            )
+            for j in range(len(models))
+        ]
+
+    def estimate_many_stacked(
+        self,
+        input_models,
+        lines: Sequence[str],
+        pairs: Sequence[Tuple[str, str]] = (),
+    ):
+        """Marginals and pair joints of K scenarios, stacked.
+
+        Returns ``(stacks, joints, per_scenario_seconds)``: ``stacks``
+        maps each of ``lines`` to a ``(K, 4)`` array and ``joints`` maps
+        each ``(a, b)`` of ``pairs`` to a normalized ``(K, 4, 4)``
+        array (``a``-major).  Scenarios are weighted one after another,
+        so a row costs only its result; row ``k`` is bitwise-identical
+        to a one-scenario call.  A requested line that is not retained
+        (``keep_lines``) raises :class:`KeyError`; the input models'
+        tables are read through ``input_cpds_trusted``.
+        """
+        models = list(input_models)
+        start = time.perf_counter()
+        k = len(models)
+        stacks = {line: np.empty((k, N_STATES)) for line in lines}
+        joints = {pair: np.empty((k, N_STATES, N_STATES)) for pair in pairs}
+        flats = {
+            (a, b): self._states[a] * N_STATES + self._states[b] for a, b in pairs
+        }
+        for j, model in enumerate(models):
+            weights = self._weights(model)
+            for line in lines:
+                stacks[line][j] = _normalized(
+                    np.bincount(self._states[line], weights, minlength=N_STATES)
+                )
+            for pair, flat in flats.items():
+                joints[pair][j] = _normalized(
+                    np.bincount(flat, weights, minlength=N_STATES ** 2).reshape(
+                        N_STATES, N_STATES
+                    )
+                )
+        return stacks, joints, (time.perf_counter() - start) / max(k, 1)
+
+    def _weights(self, model: InputModel) -> np.ndarray:
         """Per-row joint probability of the input assignment."""
         weights = np.ones(self.n_rows)
-        for cpd in self.input_model.input_cpds(self.circuit.inputs):
+        for cpd in model.input_cpds_trusted(self.circuit.inputs):
             child_states = self._input_states[cpd.variable]
             table = cpd.to_factor().values
             if cpd.parents:
@@ -105,76 +162,28 @@ class EnumerationSegment:
                 weights *= table[child_states]
         return weights
 
-    def estimate(self) -> SwitchingEstimate:
-        """Enumerate the segment's joint support and read all marginals."""
-        start = time.perf_counter()
-        weights = self._compute_weights()
-        states: Dict[str, np.ndarray] = dict(self._input_states)
-        distributions: Dict[str, np.ndarray] = {}
-        for name in self.circuit.inputs:
-            distributions[name] = self._distribution(states[name], weights)
-        for line in self.circuit.topological_order():
-            gate = self.circuit.driver(line)
-            if gate is None:
-                continue
-            table = np.asarray(_transition_function(gate.gate_type, gate.arity), dtype=np.int8)
-            flat = np.zeros(self.n_rows, dtype=np.int32)
-            for src in gate.inputs:
-                flat = flat * N_STATES + states[src]
-            states[line] = table[flat]
-            distributions[line] = self._distribution(states[line], weights)
-        self._weights = weights
-        if self.keep_lines is None:
-            self._kept_states = states
-        else:
-            self._kept_states = {
-                ln: st for ln, st in states.items() if ln in self.keep_lines
-            }
-        propagate_seconds = time.perf_counter() - start
-        return SwitchingEstimate(
-            distributions=distributions,
-            compile_seconds=self.compile_seconds,
-            propagate_seconds=propagate_seconds,
-            method=Method.ENUMERATION.value,
-        )
-
-    def estimate_many(self, input_models) -> "list[SwitchingEstimate]":
-        """Estimate K scenarios sequentially.
-
-        Enumeration is already one vectorized pass over the support
-        grid, so there is no batched kernel to exploit; this simply
-        loops :meth:`update_inputs` + :meth:`estimate`.  After the call
-        the cached states/weights (and therefore :meth:`pair_joint`)
-        reflect the *last* scenario -- batched callers that need
-        per-scenario pair joints must read them inside the loop, which
-        :class:`repro.core.segments.SegmentedEstimator` does.
-        """
-        results = []
-        for model in input_models:
-            self.update_inputs(model)
-            results.append(self.estimate())
-        return results
-
     def row_bytes(self) -> int:
         """Bytes one scenario row of :meth:`estimate_many` needs: only
-        its result row (the support grid is reused scenario by
-        scenario)."""
+        its result row (scenarios are weighted one after another over
+        the same states)."""
         return result_row_bytes(self.circuit)
 
     def __getstate__(self):
-        # The grid and the per-query caches are rebuildable and can be
-        # tens of megabytes on wide segments; drop them from artifacts.
+        # The states are rebuildable and can be tens of megabytes on
+        # wide segments; drop them from artifacts.
         state = self.__dict__.copy()
         state["_input_states"] = None
-        state["_weights"] = None
-        state["_kept_states"] = {}
+        state["_states"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._rebuild_grid()
+        self._build_states()
 
-    def _rebuild_grid(self) -> None:
+    def _build_states(self) -> None:
+        """Enumerate the input grid and push it through every gate,
+        keeping every input's states (the weights read them) and the
+        retained lines' states."""
         k = self.circuit.num_inputs
         if k:
             grids = np.meshgrid(
@@ -186,32 +195,21 @@ class EnumerationSegment:
             }
         else:
             self._input_states = {}
-
-    @staticmethod
-    def _distribution(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        dist = np.zeros(N_STATES)
-        np.add.at(dist, states, weights)
-        total = dist.sum()
-        return dist / total if total > 0 else np.full(N_STATES, 1.0 / N_STATES)
-
-    # ------------------------------------------------------------------
-
-    def pair_joint(self, a: str, b: str) -> np.ndarray:
-        """Normalized 4x4 joint of two segment lines (``a``-major).
-
-        Requires a prior :meth:`estimate` call (states are cached from
-        it) and both lines to be in ``keep_lines``.
-        """
-        if self._weights is None:
-            self.estimate()
-        missing = {a, b} - set(self._kept_states)
-        if missing:
-            raise KeyError(f"states not retained for {sorted(missing)}")
-        joint = np.zeros((N_STATES, N_STATES))
-        flat = self._kept_states[a] * N_STATES + self._kept_states[b]
-        np.add.at(joint.reshape(-1), flat, self._weights)
-        total = joint.sum()
-        return joint / total if total > 0 else np.full((N_STATES, N_STATES), 1 / 16)
+        states: Dict[str, np.ndarray] = dict(self._input_states)
+        for line in self.circuit.topological_order():
+            gate = self.circuit.driver(line)
+            if gate is None:
+                continue
+            table = np.asarray(_transition_function(gate.gate_type, gate.arity), dtype=np.int8)
+            flat = np.zeros(self.n_rows, dtype=np.int32)
+            for src in gate.inputs:
+                flat = flat * N_STATES + states[src]
+            states[line] = table[flat]
+        self._states = {
+            line: st
+            for line, st in states.items()
+            if self.keep_lines is None or line in self.keep_lines
+        }
 
     def stats(self) -> Dict[str, float]:
         return {
@@ -221,3 +219,9 @@ class EnumerationSegment:
             "fill_ins": 0,
             "total_table_entries": self.n_rows,
         }
+
+
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """``counts`` over its total; uniform when the total is zero."""
+    total = counts.sum()
+    return counts / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)

@@ -185,7 +185,7 @@ class SwitchingActivityEstimator:
         ``estimate_many([self.input_model])[0]``.
         """
         wanted = list(self.circuit.lines) if lines is None else list(lines)
-        batched, seconds = self.estimate_many_stacked([self.input_model], wanted)
+        batched, _, seconds = self.estimate_many_stacked([self.input_model], wanted)
         return SwitchingEstimate(
             distributions={line: batched[line][0] for line in wanted},
             compile_seconds=self.compile_seconds,
@@ -218,7 +218,7 @@ class SwitchingActivityEstimator:
         if not models:
             return []
         lines = list(self.circuit.lines)
-        batched, per_scenario = self.estimate_many_stacked(models, lines)
+        batched, _, per_scenario = self.estimate_many_stacked(models, lines)
         return [
             SwitchingEstimate(
                 distributions={line: batched[line][k] for line in lines},
@@ -229,15 +229,18 @@ class SwitchingActivityEstimator:
             for k in range(len(models))
         ]
 
-    def estimate_many_stacked(self, input_models, lines):
-        """Batched sweep returning stacked ``{line: (K, 4)}`` marginals.
+    def estimate_many_stacked(self, input_models, lines, pairs=()):
+        """Batched sweep returning stacked marginals and pair joints.
 
         The workhorse behind :meth:`estimate_many` and the segmented
         pipeline: restricting ``lines`` (e.g. to a segment's owned
         internal lines) skips marginal extraction for everything else,
         and the stacked layout avoids building K per-scenario dicts
         that a segmented caller would immediately re-stack.  Returns
-        ``(stacks, per_scenario_seconds)``.
+        ``(stacks, joints, per_scenario_seconds)``: ``{line: (K, 4)}``
+        and, for each ``(a, b)`` of ``pairs`` (which must share a
+        clique), ``{(a, b): (K, 4, 4)}`` from
+        :meth:`JunctionTree.joint_marginal_batch`.
         """
         models = list(input_models)
         self.compile()
@@ -255,7 +258,10 @@ class SwitchingActivityEstimator:
                 self._jt.update_cpds_batch(cpd_sets)
             with tracer.span("propagate.calibrate", scenarios=len(models)):
                 batched = self._jt.marginals_batch(list(lines))
-        return batched, span.duration / len(models)
+                joints = {
+                    (a, b): self._jt.joint_marginal_batch([a, b]) for a, b in pairs
+                }
+        return batched, joints, span.duration / len(models)
 
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""

@@ -12,17 +12,13 @@ upstream segments.  The models here describe the boundary side:
 - :class:`SegmentInputs` composes a user model over the primaries with
   a boundary model over the rest.
 
-All three implement the :class:`BoundaryModel` protocol, which is what
-the segment graph and the iterative refinement loop program against: a
-boundary model exposes its forest structure (``parent_of``) and can be
-re-instantiated with refreshed statistics (``with_statistics``) without
-touching the compiled LIDAG, whose CPD *structure* was baked from the
-same forest at compile time.
+:func:`boundary_conditional` turns a published ``(K, 4, 4)`` pair
+joint into the ``P(child | parent)`` stack a tree edge carries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,40 +28,25 @@ from repro.core.states import N_STATES, current_values, previous_values
 from repro.errors import SegmentBoundaryError
 
 __all__ = [
-    "BoundaryModel",
     "FixedMarginalInputs",
     "SegmentInputs",
     "TreeBoundaryInputs",
+    "boundary_conditional",
 ]
 
 
-class BoundaryModel(InputModel):
-    """Protocol for input models that carry cross-cut statistics.
-
-    Beyond the :class:`~repro.core.inputs.InputModel` surface, a
-    boundary model exposes the *structure* of the joint factors it
-    carries -- a spanning forest over boundary lines -- and supports
-    cheap re-instantiation with refreshed numbers.  The structure is
-    baked into each segment's LIDAG at compile time; the numbers are
-    refreshed from upstream segments at every propagation (and at every
-    refinement iteration).
-    """
-
-    @property
-    def parent_of(self) -> Mapping[str, str]:
-        """Forest edges as ``child -> parent``; empty for marginals-only."""
-        return {}
-
-    def with_statistics(
-        self,
-        priors: Mapping[str, np.ndarray],
-        conditionals: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> "BoundaryModel":
-        """A new model with the same structure and fresh numbers."""
-        raise NotImplementedError
+def boundary_conditional(joint: np.ndarray, child_priors: np.ndarray) -> np.ndarray:
+    """``P(child | parent)`` from a ``(K, 4, 4)`` parent-major joint
+    stack; rows with (near-)zero parent mass fall back to the child's
+    ``(K, 4)`` marginal."""
+    mass = joint.sum(axis=2)
+    ok = mass > 1e-15
+    safe = np.where(ok, mass, 1.0)
+    rows = joint / safe[:, :, None]
+    return np.where(ok[:, :, None], rows, child_priors[:, None, :])
 
 
-class FixedMarginalInputs(BoundaryModel):
+class FixedMarginalInputs(InputModel):
     """Input model pinning each input line to a given 4-state marginal.
 
     Used internally to feed upstream-segment marginals into downstream
@@ -86,9 +67,6 @@ class FixedMarginalInputs(BoundaryModel):
                 raise SegmentBoundaryError(
                     f"distribution for {name!r} does not sum to 1"
                 )
-
-    def with_statistics(self, priors, conditionals=None) -> "FixedMarginalInputs":
-        return FixedMarginalInputs(priors)
 
     def marginal_distribution(self, name: str) -> np.ndarray:
         if name not in self._distributions:
@@ -118,7 +96,7 @@ class FixedMarginalInputs(BoundaryModel):
         )
 
 
-class TreeBoundaryInputs(BoundaryModel):
+class TreeBoundaryInputs(InputModel):
     """Segment input model with tree-structured boundary correlation.
 
     Boundary lines form a forest: roots carry their upstream marginal,
@@ -144,13 +122,6 @@ class TreeBoundaryInputs(BoundaryModel):
         for child, parent in self._parent_of.items():
             if child not in self._priors or parent not in self._priors:
                 raise KeyError(f"tree edge {parent!r}->{child!r} references unknown line")
-
-    @property
-    def parent_of(self) -> Mapping[str, str]:
-        return self._parent_of
-
-    def with_statistics(self, priors, conditionals=None) -> "TreeBoundaryInputs":
-        return TreeBoundaryInputs(priors, self._parent_of, conditionals)
 
     def marginal_distribution(self, name: str) -> np.ndarray:
         return self._priors[name]

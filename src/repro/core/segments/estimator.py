@@ -44,6 +44,7 @@ from repro.core.segments.boundary import (
     FixedMarginalInputs,
     SegmentInputs,
     TreeBoundaryInputs,
+    boundary_conditional,
 )
 from repro.core.segments.partition import (
     SegmentGraph,
@@ -411,19 +412,21 @@ class SegmentedEstimator:
     def estimate_many(self, input_models) -> List[SwitchingEstimate]:
         """Estimate K input-statistics scenarios in one batched sweep.
 
-        Each junction-tree segment propagates all K scenarios in a
-        single vectorized pass (:meth:`SwitchingActivityEstimator.
-        estimate_many`); enumeration segments loop their (already
-        vectorized) support pass per scenario, caching the pair joints
-        downstream boundary trees will need.  The published boundary
-        marginals flow between segments as ``(K, 4)`` stacks in segment
-        order, which is topological: every input a segment reads is
-        published by a lower-index segment.  With ``refine > 0`` the
-        forward pass is followed by the boundary-refinement loop
-        (:mod:`repro.core.segments.refine`).  Result
-        ``k`` is bitwise-identical to an independent :meth:`estimate`
-        with scenario ``k``'s model, whatever either estimator
-        propagated before.  ``self.input_model`` is not modified.
+        Each segment answers all K scenarios in one stacked call
+        (``estimate_many_stacked``): a junction-tree segment in a single
+        vectorized pass, an enumeration segment by weighting its
+        precomputed support once per scenario.  Each publishes the
+        ``(K, 4)`` marginals of the lines it owns and the ``(K, 4, 4)``
+        joints of the boundary pairs downstream forests read from it
+        (``SegmentNode.boundary_pairs``).  Both flow between segments
+        in segment order, which is topological: every input a segment
+        reads is published by a lower-index segment.  With
+        ``refine > 0`` the forward pass is followed by the
+        boundary-refinement loop (:mod:`repro.core.segments.refine`).
+        Result ``k`` is bitwise-identical to an independent
+        :meth:`estimate` with scenario ``k``'s model, whatever either
+        estimator propagated before.  ``self.input_model`` is not
+        modified.
 
         Duplicates collapse per segment: a junction-tree segment
         propagates one row per distinct set of input tables it
@@ -449,20 +452,14 @@ class SegmentedEstimator:
                 )
                 for name in self.circuit.inputs
             }
-            #: (provider index, parent, child) -> (K, 4, 4) pair joints
-            #: captured during enumeration segments' per-scenario loops
-            enum_joints: Dict[Tuple[int, str, str], np.ndarray] = {}
-            needed = self._needed_enum_joints()
+            joints: Dict[Tuple[str, str], np.ndarray] = {}
             for index in range(len(self.graph)):
-                known.update(
-                    self._propagate_segment_batch(
-                        index, known, models, needed, enum_joints
-                    )
+                marginals, published = self._propagate_segment_batch(
+                    index, known, joints, models
                 )
-            self.last_refine = run_refinement(
-                self, known, models=models, needed=needed,
-                enum_joints=enum_joints,
-            )
+                known.update(marginals)
+                joints.update(published)
+            self.last_refine = run_refinement(self, known, joints, models)
         per_scenario = span.duration / k
         method = (
             Method.SEGMENTED.value
@@ -482,57 +479,28 @@ class SegmentedEstimator:
             for j in range(k)
         ]
 
-    def _needed_enum_joints(self) -> Dict[int, List[Tuple[str, str]]]:
-        """Per enumeration segment, the (parent, child) boundary pairs
-        downstream tree boundaries will request.  Junction-tree
-        providers answer batched joint queries live and need no cache;
-        glue children are excluded -- their conditionals come from the
-        refinement loop's glue estimators, never a live provider."""
-        from repro.core.enumeration import EnumerationSegment
-
-        needed: Dict[int, List[Tuple[str, str]]] = {}
-        for node in self.graph.nodes:
-            for child, parent in node.parent_of.items():
-                if child in node.glue_children:
-                    continue
-                provider_index = self.graph.owner.get(child)
-                if provider_index is None:
-                    continue
-                if not isinstance(
-                    self.graph[provider_index].estimator, EnumerationSegment
-                ):
-                    continue
-                pairs = needed.setdefault(provider_index, [])
-                if (parent, child) not in pairs:
-                    pairs.append((parent, child))
-        return needed
-
     def _propagate_segment_batch(
         self,
         index: int,
         known: Dict[str, np.ndarray],
+        joints: Dict[Tuple[str, str], np.ndarray],
         models: List[InputModel],
-        needed: Dict[int, List[Tuple[str, str]]],
-        enum_joints: Dict[Tuple[int, str, str], np.ndarray],
         glue_tables: Optional[Dict[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> Tuple[Dict[str, np.ndarray], Dict[Tuple[str, str], np.ndarray]]:
         """Refresh one segment's boundary inputs for K scenarios,
-        propagate it, and return the ``(K, 4)`` stacks of the lines it
-        owns.
+        propagate it, and return what it publishes: the ``(K, 4)``
+        stacks of the lines it owns and the ``(K, 4, 4)`` joints of its
+        ``boundary_pairs``.
 
-        ``known`` maps each published line to a ``(K, 4)`` stack and is
-        only read (the caller merges the return value).
-        ``enum_joints`` collects per-scenario pair joints while an
-        enumeration segment's scenario loop runs, because
-        :meth:`EnumerationSegment.pair_joint` only reflects the last
-        scenario afterwards.  ``glue_tables`` maps glue children to
-        ``(K, 4, 4)`` conditional stacks during refinement; in the base
-        pass glue children fall back to their independent placeholder.
+        ``known`` (published marginals) and ``joints`` (published
+        boundary joints, keyed ``(parent, child)``) are only read; the
+        caller merges the return values.  ``glue_tables`` maps glue
+        children to ``(K, 4, 4)`` conditional stacks during refinement;
+        in the base pass glue children fall back to their independent
+        placeholder.
         """
-        from repro.core.enumeration import EnumerationSegment
-
         node = self.graph[index]
-        segment, estimator, owned = node.segment, node.estimator, node.owned
+        segment = node.segment
         k = len(models)
         with get_tracer().span(
             "segment.propagate_many",
@@ -547,8 +515,8 @@ class SegmentedEstimator:
                     if glue_tables is not None and child in glue_tables:
                         conditionals_b[child] = glue_tables[child]
                     continue
-                conditionals_b[child] = self._boundary_conditional_batch(
-                    child, parent, known[child], enum_joints
+                conditionals_b[child] = boundary_conditional(
+                    joints[(parent, child)], known[child]
                 )
             scenario_models: List[InputModel] = []
             for j in range(k):
@@ -568,60 +536,15 @@ class SegmentedEstimator:
                 scenario_models.append(
                     SegmentInputs(models[j], primary, boundary)
                 )
+            # Only the owned lines are extracted: duplicated lookback
+            # gates exist solely to rebuild local correlation.
             published = [
-                line for line in segment.internal_lines if line in owned
+                line for line in segment.internal_lines if line in node.owned
             ]
-            if isinstance(estimator, EnumerationSegment):
-                results = []
-                pairs = needed.get(index, [])
-                for j, scenario in enumerate(scenario_models):
-                    estimator.update_inputs(scenario)
-                    results.append(estimator.estimate())
-                    for parent, child in pairs:
-                        key = (index, parent, child)
-                        buffer = enum_joints.get(key)
-                        if buffer is None:
-                            buffer = enum_joints[key] = np.empty(
-                                (k, N_STATES, N_STATES)
-                            )
-                        buffer[j] = estimator.pair_joint(parent, child)
-                return {
-                    line: np.stack([r.distributions[line] for r in results])
-                    for line in published
-                }
-            # Junction-tree segment: the stacked API returns (K, 4)
-            # stacks directly, skipping K per-scenario dicts that would
-            # be re-stacked here anyway.  Only the owned lines are
-            # extracted: duplicated lookback gates exist solely to
-            # rebuild local correlation.
-            stacks, _ = estimator.estimate_many_stacked(
-                scenario_models, published
+            stacks, pair_joints, _ = node.estimator.estimate_many_stacked(
+                scenario_models, published, node.boundary_pairs
             )
-            return {line: stacks[line] for line in published}
-
-    def _boundary_conditional_batch(
-        self,
-        child: str,
-        parent: str,
-        child_priors: np.ndarray,
-        enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-    ) -> np.ndarray:
-        """``P(child | parent)`` from the provider segment, as a
-        ``(K, 4, 4)`` stack; rows with (near-)zero parent probability
-        fall back to the child's marginal."""
-        from repro.core.enumeration import EnumerationSegment
-
-        provider_index = self.graph.owner[child]
-        provider = self.graph[provider_index].estimator
-        if isinstance(provider, EnumerationSegment):
-            joint = enum_joints[(provider_index, parent, child)]
-        else:
-            joint = provider.junction_tree.joint_marginal_batch([parent, child])
-        mass = joint.sum(axis=2)
-        ok = mass > 1e-15
-        safe = np.where(ok, mass, 1.0)
-        rows = joint / safe[:, :, None]
-        return np.where(ok[:, :, None], rows, child_priors[:, None, :])
+            return {line: stacks[line] for line in published}, pair_joints
 
     # ------------------------------------------------------------------
 

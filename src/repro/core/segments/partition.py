@@ -248,7 +248,10 @@ class SegmentNode:
     over the segment's *input* lines, and ``glue_children`` marks the
     subset of forest children whose edge crosses providers -- their
     conditionals come from a glue estimator during refinement instead
-    of a live upstream joint query.
+    of an upstream joint.  ``boundary_pairs`` lists the ``(parent,
+    child)`` pairs of *other* segments' forests whose joint this
+    segment publishes next to its marginals (set by
+    :class:`SegmentGraph`).
     """
 
     segment: Circuit
@@ -259,6 +262,7 @@ class SegmentNode:
     #: child -> gate-output lines of its glue cone (compile-time plan;
     #: the cone's enumeration estimator is built once at finalize)
     glue_plans: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    boundary_pairs: List[Tuple[str, str]] = field(default_factory=list)
 
 
 class SegmentRegistry:
@@ -306,6 +310,9 @@ class SegmentGraph:
     consumes it.  Propagation and the refinement loop walk the nodes in
     registration order, a topological order of this DAG by construction:
     every input line owned by another segment is owned by a lower index.
+    Every non-glue forest edge ``parent -> child`` is recorded in the
+    ``boundary_pairs`` of the segment owning ``child`` (which owns
+    ``parent`` too: live forest edges join same-provider lines).
     """
 
     def __init__(self, nodes: List[SegmentNode]):
@@ -314,6 +321,13 @@ class SegmentGraph:
         for index, node in enumerate(nodes):
             for line in node.owned:
                 self.owner[line] = index
+        for node in nodes:
+            for child, parent in node.parent_of.items():
+                if child in node.glue_children:
+                    continue
+                pairs = nodes[self.owner[child]].boundary_pairs
+                if (parent, child) not in pairs:
+                    pairs.append((parent, child))
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -14,11 +14,11 @@ fanin cones -- compiled once into an exact support-enumeration segment
 (:class:`~repro.core.enumeration.EnumerationSegment`).  At estimate
 time, after the ordinary forward pass, the refinement loop:
 
-1. re-evaluates every glue cone against the *current* published
-   marginals (its frontier lines carry the latest ``known`` values),
-   calibrates the resulting 4x4 joint to the published marginals by
-   iterative proportional fitting, and turns it into a
-   ``P(child | parent)`` boundary conditional;
+1. reads every glue cone's pair joint against the *current* published
+   marginals (its frontier lines carry the latest ``known`` values) in
+   one stacked call per edge, calibrates each scenario's 4x4 joint to
+   the published marginals by iterative proportional fitting, and
+   turns it into a ``P(child | parent)`` boundary conditional;
 2. re-propagates every segment whose boundary factors or boundary
    input marginals changed (each one full pass over that segment's
    compiled tree: only input CPDs change, so nothing recompiles),
@@ -50,7 +50,11 @@ from repro.core.states import N_STATES
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
-from repro.core.segments.boundary import FixedMarginalInputs, SegmentInputs
+from repro.core.segments.boundary import (
+    FixedMarginalInputs,
+    SegmentInputs,
+    boundary_conditional,
+)
 from repro.core.segments.partition import (
     SegmentRegistry,
     cone_overlap,
@@ -326,32 +330,27 @@ class BoundaryRefiner:
         known: Dict[str, np.ndarray],
         models: List[InputModel],
     ) -> np.ndarray:
-        """Per-scenario ``(K, 4, 4)`` stack of glue conditionals."""
-        k = len(models)
-        tables = np.empty((k, N_STATES, N_STATES))
-        for j in range(k):
-            priors = {ln: known[ln][j] for ln in edge.internal}
-            edge.estimator.update_inputs(
-                SegmentInputs(models[j], edge.primary, FixedMarginalInputs(priors))
-            )
-            edge.estimator.estimate()
-            joint = edge.estimator.pair_joint(edge.parent, edge.child)
-            joint = calibrate_joint(
-                joint, known[edge.parent][j], known[edge.child][j]
-            )
-            tables[j] = _rows_to_conditional(joint, known[edge.child][j])
-        return tables
+        """Per-scenario ``(K, 4, 4)`` stack of glue conditionals.
 
-
-def _rows_to_conditional(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarray:
-    """Normalize a joint's rows into ``P(child | parent)``; rows with
-    (near-)zero parent mass fall back to the child's marginal -- the
-    same convention as the live boundary-conditional query."""
-    rows = np.empty((N_STATES, N_STATES))
-    for state in range(N_STATES):
-        mass = joint[state].sum()
-        rows[state] = joint[state] / mass if mass > 1e-15 else child_prior
-    return rows
+        One stacked enumeration call reads the edge's pair joint for
+        all K scenarios; each is then calibrated to the published
+        marginals.
+        """
+        pair = (edge.parent, edge.child)
+        scenarios = [
+            SegmentInputs(
+                model,
+                edge.primary,
+                FixedMarginalInputs({ln: known[ln][j] for ln in edge.internal}),
+            )
+            for j, model in enumerate(models)
+        ]
+        _, joints, _ = edge.estimator.estimate_many_stacked(scenarios, (), [pair])
+        calibrated = np.stack([
+            calibrate_joint(joint, known[edge.parent][j], known[edge.child][j])
+            for j, joint in enumerate(joints[pair])
+        ])
+        return boundary_conditional(calibrated, known[edge.child])
 
 
 # ----------------------------------------------------------------------
@@ -362,15 +361,15 @@ def _rows_to_conditional(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarr
 def run_refinement(
     estimator,
     known: Dict[str, np.ndarray],
+    joints: Dict[Tuple[str, str], np.ndarray],
     models: List[InputModel],
-    needed: Dict[int, List[Tuple[str, str]]],
-    enum_joints: Dict[Tuple[int, str, str], np.ndarray],
 ) -> Tuple[int, float]:
-    """Refine ``known`` in place; returns ``(iterations, last_delta)``.
+    """Refine ``known`` and ``joints`` in place; returns
+    ``(iterations, last_delta)``.
 
     ``known`` maps each line to a ``(K, 4)`` stack over the K scenarios
-    in ``models``; the enumeration pair-joint cache is threaded exactly
-    like the forward pass.
+    in ``models`` and ``joints`` each published boundary pair to a
+    ``(K, 4, 4)`` stack, exactly as the forward pass left them.
     """
     refiner: Optional[BoundaryRefiner] = estimator._refiner
     budget = estimator.refine
@@ -399,8 +398,7 @@ def run_refinement(
                     refiner, known, models, prev_tables, prune
                 )
                 delta_lines = _repropagate(
-                    estimator, known, dirty, glue_tables, prune,
-                    models, needed, enum_joints,
+                    estimator, known, joints, models, dirty, glue_tables, prune
                 )
                 delta = max(delta_glue, delta_lines)
                 iterations += 1
@@ -441,16 +439,7 @@ def _evaluate_glue(
     return glue_tables, delta_glue, dirty
 
 
-def _repropagate(
-    estimator,
-    known,
-    dirty,
-    glue_tables,
-    prune,
-    models,
-    needed,
-    enum_joints,
-):
+def _repropagate(estimator, known, joints, models, dirty, glue_tables, prune):
     """One topological sweep re-propagating dirty segments; returns the
     max published-belief delta.  Dirtiness cascades: a segment is dirty
     when its glue tables changed or any of its boundary inputs moved
@@ -462,11 +451,11 @@ def _repropagate(
             line in changed for line in estimator.graph[index].segment.inputs
         ):
             continue
-        published = estimator._propagate_segment_batch(
-            index, known, models, needed, enum_joints,
-            glue_tables=glue_tables.get(index),
+        marginals, published = estimator._propagate_segment_batch(
+            index, known, joints, models, glue_tables=glue_tables.get(index)
         )
-        for line, value in published.items():
+        joints.update(published)
+        for line, value in marginals.items():
             line_delta = float(np.abs(value - known[line]).max())
             known[line] = value
             if line_delta > prune:

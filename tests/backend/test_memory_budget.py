@@ -53,6 +53,35 @@ class TestTypedFailure:
         result = model.query(IndependentInputs(0.4))
         assert all(np.isfinite(d).all() for d in result.distributions.values())
 
+    def test_auto_segments_again_at_4_to_9(self, monkeypatch):
+        # c432s's 4^10 segmentation needs about 30 MB per row and its
+        # 4^9 one about 12 MB; a budget between them leaves only the
+        # 4^9 one, which ``auto`` must reach when no budget was set.
+        circuit = suite.load_circuit("c432s")
+        rows = {
+            budget: compile_model(
+                circuit, backend="segmented", max_clique_states=budget, cache=None
+            ).row_bytes
+            for budget in (4 ** 10, 4 ** 9)
+        }
+        assert rows[4 ** 9] < rows[4 ** 10]
+        monkeypatch.setattr(
+            propagation, "MEMORY_BUDGET_BYTES", (rows[4 ** 9] + rows[4 ** 10]) // 2
+        )
+        with pytest.raises(MemoryBudgetExceeded):
+            compile_model(
+                circuit, backend="segmented", max_clique_states=4 ** 10, cache=None
+            )
+        model = compile_model(circuit, backend="auto", cache=None)
+        assert model.backend_name == "segmented"
+        assert model.estimator.max_clique_states == 4 ** 9
+        assert model.row_bytes == rows[4 ** 9]
+        # An explicit budget is the caller's: no second try.
+        with pytest.raises(MemoryBudgetExceeded):
+            compile_model(
+                circuit, backend="auto", max_clique_states=4 ** 10, cache=None
+            )
+
     def test_describe_reports_the_budget_split(self, monkeypatch):
         model = compile_model(suite.load_circuit("c17"), cache=None)
         monkeypatch.setattr(

@@ -1,10 +1,13 @@
 """Tests for the support-enumeration segment backend."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.circuits import examples, generate
 from repro.core import (
+    CorrelatedGroupInputs,
     IndependentInputs,
     TemporalInputs,
     exact_switching_by_enumeration,
@@ -50,25 +53,52 @@ class TestExactness:
         assert result.method == "enumeration"
 
 
+def _brute_joint(circuit, model, a, b):
+    """Pair joint by a per-assignment loop over the 4^n input states."""
+    from repro.bayesian.network import BayesianNetwork
+    from repro.core.cpt import output_transition
+
+    input_bn = BayesianNetwork("inputs")
+    for cpd in model.input_cpds(circuit.inputs):
+        input_bn.add_cpd(cpd)
+    weights = input_bn.joint_factor().permute(circuit.inputs).values
+    joint = np.zeros((N_STATES, N_STATES))
+    for assignment in itertools.product(range(N_STATES), repeat=circuit.num_inputs):
+        states = dict(zip(circuit.inputs, assignment))
+        for line in circuit.topological_order():
+            gate = circuit.driver(line)
+            if gate is not None:
+                states[line] = int(
+                    output_transition(gate.gate_type, [states[s] for s in gate.inputs])
+                )
+        joint[states[a], states[b]] += weights[assignment]
+    return joint / joint.sum()
+
+
+def _pair(segment, model, a, b):
+    _, joints, _ = segment.estimate_many_stacked([model], (), [(a, b)])
+    return joints[(a, b)][0]
+
+
 class TestPairJoint:
+    """Pair joints through the stacked query."""
+
     def test_pair_joint_exact(self):
         circuit = examples.paper_circuit()
         model = IndependentInputs(0.5)
         segment = EnumerationSegment(circuit, model)
-        segment.estimate()
-        joint = segment.pair_joint("5", "6")
+        joint = _pair(segment, model, "5", "6")
         # Lines 5 and 6 have disjoint fanin -> independent joint.
-        outer = np.outer(
-            segment.estimate().distributions["5"],
-            segment.estimate().distributions["6"],
-        )
+        result = segment.estimate()
+        outer = np.outer(result.distributions["5"], result.distributions["6"])
         assert np.allclose(joint, outer, atol=1e-12)
 
     def test_dependent_pair(self):
         circuit = examples.paper_circuit()
-        segment = EnumerationSegment(circuit, IndependentInputs(0.5))
+        model = IndependentInputs(0.5)
+        segment = EnumerationSegment(circuit, model)
         result = segment.estimate()
-        joint = segment.pair_joint("6", "8")  # both depend on line 4
+        joint = _pair(segment, model, "6", "8")  # both depend on line 4
         outer = np.outer(result.distributions["6"], result.distributions["8"])
         assert not np.allclose(joint, outer, atol=1e-6)
         assert joint.sum() == pytest.approx(1.0)
@@ -78,15 +108,81 @@ class TestPairJoint:
         segment = EnumerationSegment(
             circuit, IndependentInputs(0.5), keep_lines={"22"}
         )
-        segment.estimate()
         with pytest.raises(KeyError):
-            segment.pair_joint("22", "23")
+            _pair(segment, IndependentInputs(0.5), "22", "23")
+        with pytest.raises(KeyError):
+            segment.estimate_many_stacked([IndependentInputs(0.5)], ["23"])
+        assert list(segment.estimate().distributions) == ["22"]
 
     def test_pair_joint_autoestimates(self):
+        # The stacked query needs no earlier estimate: the gate states
+        # are built at construction.
         circuit = examples.c17()
         segment = EnumerationSegment(circuit, IndependentInputs(0.5))
-        joint = segment.pair_joint("22", "23")
+        joint = _pair(segment, IndependentInputs(0.5), "22", "23")
         assert joint.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            IndependentInputs({"1": 0.2, "2": 0.7, "3": 0.4, "6": 0.9, "7": 0.55}),
+            TemporalInputs(p_one=0.4, activity=0.2),
+            CorrelatedGroupInputs([("1", "3", "6")], rho=0.6),
+        ],
+        ids=["independent", "temporal", "correlated"],
+    )
+    def test_matches_brute_force(self, model):
+        circuit = examples.c17()
+        segment = EnumerationSegment(circuit, IndependentInputs(0.5))
+        pairs = [("22", "23"), ("10", "19"), ("1", "22"), ("16", "16")]
+        stacks, joints, _ = segment.estimate_many_stacked(
+            [model], circuit.lines, pairs
+        )
+        exact = exact_switching_by_enumeration(circuit, model)
+        for line in circuit.lines:
+            assert np.allclose(stacks[line][0], exact[line], atol=1e-12)
+        for a, b in pairs:
+            assert np.allclose(
+                joints[(a, b)][0], _brute_joint(circuit, model, a, b), atol=1e-12
+            )
+
+    def test_stacked_rows_equal_single_calls_bitwise(self):
+        circuit = generate.random_layered_circuit(6, 25, seed=2)
+        segment = EnumerationSegment(circuit, IndependentInputs(0.5))
+        rng = np.random.default_rng(0)
+        models = [
+            IndependentInputs({n: float(p) for n, p in zip(circuit.inputs, rng.random(6))})
+            for _ in range(4)
+        ] + [TemporalInputs(p_one=0.3, activity=0.1)]
+        lines = circuit.lines
+        pairs = list(zip(lines[:-1], lines[1:]))
+        stacks, joints, _ = segment.estimate_many_stacked(models, lines, pairs)
+        for j, model in enumerate(models):
+            one, one_joints, _ = segment.estimate_many_stacked([model], lines, pairs)
+            for line in lines:
+                assert np.array_equal(stacks[line][j], one[line][0])
+            for pair in pairs:
+                assert np.array_equal(joints[pair][j], one_joints[pair][0])
+        batch = segment.estimate_many(models)
+        for j, model in enumerate(models):
+            segment.update_inputs(model)
+            single = segment.estimate()
+            for line in lines:
+                assert np.array_equal(batch[j].distributions[line], single.distributions[line])
+
+    def test_pickle_rebuilds_states(self):
+        import pickle
+
+        circuit = examples.c17()
+        segment = EnumerationSegment(circuit, IndependentInputs(0.3), keep_lines={"22", "23"})
+        clone = pickle.loads(pickle.dumps(segment))
+        assert clone._states.keys() == segment._states.keys()
+        model = TemporalInputs(p_one=0.4, activity=0.2)
+        pair = [("22", "23")]
+        assert np.array_equal(
+            segment.estimate_many_stacked([model], ["22"], pair)[1][pair[0]],
+            clone.estimate_many_stacked([model], ["22"], pair)[1][pair[0]],
+        )
 
 
 class TestBudget:

@@ -18,8 +18,9 @@ import pytest
 from repro.circuits import examples, generate, suite
 from repro.core.backend import compile_model
 from repro.core.backend.backends import SegmentedBackend
+from repro.core.enumeration import EnumerationSegment
 from repro.core.estimator import exact_switching_by_enumeration
-from repro.core.inputs import IndependentInputs
+from repro.core.inputs import IndependentInputs, TemporalInputs
 from repro.core.segments import (
     FixedMarginalInputs,
     SegmentGraph,
@@ -225,6 +226,83 @@ class TestRefinementParity:
             )
             digests.append(proc.stdout.strip())
         assert digests[0] == digests[1]
+
+
+class TestPublishedJoints:
+    """Every segment publishes its boundary joints with its marginals."""
+
+    @staticmethod
+    def _mixed(refine):
+        # A tight clique budget sends some of voter's segments to the
+        # enumeration fallback, so both segment kinds publish joints.
+        circuit = suite.load_circuit("voter")
+        est = SegmentedEstimator(
+            circuit, max_gates_per_segment=20, max_clique_states=4 ** 4,
+            refine=refine,
+        ).compile()
+        kinds = {
+            isinstance(node.estimator, EnumerationSegment)
+            for node in est.graph
+            if node.boundary_pairs
+        }
+        assert kinds == {True, False}
+        return circuit, est
+
+    @staticmethod
+    def _models(circuit):
+        rng = np.random.default_rng(5)
+        return [
+            IndependentInputs(
+                {n: float(p) for n, p in zip(circuit.inputs, rng.uniform(0.1, 0.9, len(circuit.inputs)))}
+            )
+            for _ in range(3)
+        ] + [TemporalInputs(p_one=0.4, activity=0.3)]
+
+    def test_refined_batch_equals_single_bitwise(self):
+        circuit, est = self._mixed(refine=2)
+        assert len(est._refiner) > 0
+        models = self._models(circuit)
+        batched = est.estimate_many(models)
+        assert batched[0].refine_iterations >= 1
+        for model, got in zip(models, batched):
+            est.update_inputs(model)
+            ref = est.estimate()
+            for line in circuit.lines:
+                assert np.array_equal(got.distributions[line], ref.distributions[line])
+
+    def test_junction_tree_joint_is_tree_read(self):
+        circuit, est = self._mixed(refine=0)
+        models = self._models(circuit)
+        known = {
+            name: np.stack([m.marginal_distribution(name) for m in models])
+            for name in circuit.inputs
+        }
+        joints = {}
+        checked = 0
+        for index, node in enumerate(est.graph):
+            marginals, published = est._propagate_segment_batch(
+                index, known, joints, models
+            )
+            assert set(published) == set(node.boundary_pairs)
+            if not isinstance(node.estimator, EnumerationSegment):
+                tree = node.estimator.junction_tree
+                for pair in node.boundary_pairs:
+                    assert np.array_equal(
+                        published[pair], tree.joint_marginal_batch(list(pair))
+                    )
+                    checked += 1
+            known.update(marginals)
+            joints.update(published)
+        assert checked > 0
+
+    def test_boundary_pairs_exclude_glue_children(self):
+        _, est = self._mixed(refine=2)
+        published = {pair for node in est.graph for pair in node.boundary_pairs}
+        for node in est.graph:
+            for child, parent in node.parent_of.items():
+                if child in node.glue_children:
+                    continue
+                assert (parent, child) in published
 
 
 class TestBackendThreading:
