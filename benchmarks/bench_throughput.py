@@ -65,7 +65,6 @@ try:  # package import (pytest benchmarks/, repo-root scripts)
 except ImportError:  # direct execution: python benchmarks/bench_throughput.py
     from common import parse_csv_names, stage_rows, write_document
 
-from repro.bayesian.junction import group_scenarios
 from repro.circuits import suite
 from repro.core.backend import compile_model
 from repro.core.inputs import IndependentInputs
@@ -200,9 +199,13 @@ def _repeat_bitwise_check(circuit, k: int) -> Dict[str, object]:
     """Oracle for a repeated sweep: the distinct scenarios alone,
     scattered back to the sweep's order by hand, compared bitwise."""
     models = repeat_scenarios(circuit, k, salt=0)
-    reps, scatter = group_scenarios(
-        [tuple(model.p_one.items()) for model in models]
-    )
+    keys = [tuple(model.p_one.items()) for model in models]
+    first: Dict[tuple, int] = {}
+    for index, key in enumerate(keys):
+        first.setdefault(key, index)
+    reps = list(first.values())
+    position = {key: row for row, key in enumerate(first)}
+    scatter = [position[key] for key in keys]
     model = compile_model(circuit)
     rows = model.query_many([models[r] for r in reps])
     oracle = [rows[row] for row in scatter]

@@ -246,20 +246,19 @@ class Factor:
         return bool((values == 1.0).all())
 
 
-def plan_product(factors: Iterable[Factor], size_key=None) -> list:
+def plan_product(factors: Iterable[Factor]) -> list:
     """Select and order the factors :func:`factor_product` would fold.
 
     Smallest factors come first so intermediate products stay as small
     as possible, and identity (all-ones) factors are dropped unless they
-    are needed to establish the result's scope.  ``size_key`` overrides
-    the size used for ordering (default: :attr:`Factor.size`); batched
-    callers pass a per-scenario size so the fold order matches what an
-    unbatched fold over any single scenario would use.
+    are needed to establish the result's scope.
 
     Returns the ordered list of factors to fold (may be empty).
     """
-    if size_key is None:
-        size_key = lambda f: f.size  # noqa: E731 - trivial default key
+
+    def size_key(factor: Factor) -> int:
+        return factor.size
+
     pending = sorted(factors, key=size_key)
     keep: list = []
     identities: list = []

@@ -14,9 +14,14 @@ This is the compilation + propagation machinery of the paper's Section 5:
 
 The *compile once, propagate per input-statistics* split the paper
 advertises maps to :meth:`JunctionTree.from_network` (steps 1-3, slow)
-versus :meth:`JunctionTree.update_cpds_batch` +
-:meth:`JunctionTree.marginals_batch` (steps 4-5, fast).  Steps 4-5 run
-on one :class:`~repro.bayesian.propagation.PropagationEngine` per tree;
+versus :meth:`JunctionTree.update_tables_batch` +
+:meth:`JunctionTree.marginals_batch` (steps 4-5, fast).  Step 4 runs
+on compiled *install plans* (:class:`_InstallPlan`): per clique and set
+of swapped CPDs, the product of the clique's fixed 0/1 gate tables in
+the engine's storage layout plus one gather index per swapped table, so
+an install is a few gathers and multiplies over ``(K, n)`` arrays.
+Steps 4-5 run on one
+:class:`~repro.bayesian.propagation.PropagationEngine` per tree;
 the single-query surface (:meth:`~JunctionTree.update_cpds`,
 :meth:`~JunctionTree.calibrate`, :meth:`~JunctionTree.marginal`, ...)
 is a one-row view over the same install.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from typing import (
     Dict,
-    Hashable,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -40,7 +45,7 @@ import networkx as nx
 import numpy as np
 
 from repro.bayesian.cpd import TabularCPD
-from repro.bayesian.factor import Factor, plan_product
+from repro.bayesian.factor import Factor
 from repro.bayesian.moral import moral_graph
 from repro.bayesian.network import BayesianNetwork
 from repro.bayesian.propagation import (
@@ -64,31 +69,94 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["CliqueBudgetExceeded", "JunctionTree", "JunctionTreeError"]
 
-#: synthetic variable name for the leading batch axis of stacked
-#: per-scenario factors; NUL guarantees no collision with circuit lines.
-_BATCH_AXIS = "\x00batch"
 
+def unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Collapse bytewise-equal rows of a ``(K, m)`` array.
 
-def group_scenarios(
-    keys: Sequence[Hashable],
-) -> Tuple[List[int], List[int]]:
-    """Collapse equal keys to first-occurrence representatives.
-
-    Returns ``(reps, scatter)``: ``reps[r]`` is the index of the ``r``-th
-    unique scenario (in first-appearance order) and ``scatter[j]`` is the
-    representative row serving scenario ``j`` -- so a result computed per
-    representative fans back out as ``results[scatter[j]]``.
+    Returns ``(reps, scatter)``: ``reps[r]`` is the index of the
+    ``r``-th distinct row (in first-appearance order) and
+    ``scatter[j]`` is the representative row serving row ``j`` -- so a
+    result computed per representative fans back out as
+    ``results[scatter]``.  Rows compare by their bytes, so ``-0.0`` and
+    ``0.0`` differ and equal NaN payloads match.
     """
-    positions: Dict[Hashable, int] = {}
-    reps: List[int] = []
-    scatter: List[int] = []
-    for index, key in enumerate(keys):
-        position = positions.get(key)
-        if position is None:
-            position = positions[key] = len(reps)
-            reps.append(index)
-        scatter.append(position)
-    return reps, scatter
+    rows = np.ascontiguousarray(rows)
+    k = rows.shape[0]
+    if rows.ndim != 2 or rows.shape[1] == 0 or k <= 1:
+        return np.zeros(min(k, 1), dtype=np.intp), np.zeros(k, dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
+
+
+class _InstallPlan:
+    """How one clique's potential is formed, in its storage layout.
+
+    The storage layout is the engine's: the packed entries of a packed
+    clique (:attr:`~repro.bayesian.propagation._SparseClique.flat_idx`),
+    the flattened canonical table otherwise; ``size`` entries either
+    way.  ``steps`` are the clique's CPD tables that are not 0/1, in the
+    order a one-scenario factor fold multiplies them (per-scenario
+    table size, then member order): ``(var, index)`` for a swapped
+    table, where ``index`` gathers each entry's cell from the flattened
+    ``(K, *table)`` stack, or ``(None, values)`` for a fixed table
+    already gathered.  ``mask`` is the product of the fixed 0/1 tables
+    (``None`` when the clique has none).  A factor with 0/1 entries
+    multiplies exactly wherever it sits in a fold, so multiplying it
+    last leaves every entry bitwise what the fold computes.
+    """
+
+    __slots__ = ("steps", "mask", "size")
+
+    def __init__(self, steps, mask: Optional[np.ndarray], size: int):
+        self.steps: List[Tuple[Optional[str], np.ndarray]] = steps
+        self.mask = mask
+        self.size = size
+
+    @property
+    def scratch_size(self) -> int:
+        """Entries per row of gather scratch :meth:`fill` needs: a
+        swapped table after the first step is gathered there first."""
+        later = any(var is not None for var, _ in self.steps[1:])
+        return self.size if later else 0
+
+    def fill(
+        self,
+        out: np.ndarray,
+        tables: Mapping[str, np.ndarray],
+        scratch: Optional[np.ndarray] = None,
+    ) -> None:
+        """Write the potential into ``out``: ``(K, size)`` per-scenario
+        rows from ``tables`` (``{var: (K, *table)}``), or ``(size,)``
+        when no table is swapped.  ``scratch`` is a flat buffer of at
+        least ``K * scratch_size`` entries, needed when
+        :attr:`scratch_size` is nonzero."""
+        rows = out.shape[:-1]
+        if self.scratch_size:
+            scratch = scratch[: out.size].reshape(out.shape)
+        first = True
+        for var, data in self.steps:
+            if var is None:
+                if first:
+                    np.copyto(out, data)
+                else:
+                    np.multiply(out, data, out=out)
+            else:
+                stack = tables[var].reshape(rows + (-1,))
+                # mode="clip": the indices are valid by construction, and
+                # "raise" would buffer the output in a temporary.
+                target = out if first else scratch
+                np.take(stack, data, axis=-1, out=target, mode="clip")
+                if not first:
+                    np.multiply(out, scratch, out=out)
+            first = False
+        if first:
+            out.fill(1.0)
+        if self.mask is not None:
+            np.multiply(out, self.mask, out=out)
 
 
 class JunctionTreeError(RuntimeError):
@@ -143,12 +211,6 @@ class JunctionTree:
                 )
 
         self._evidence: Dict[str, int] = {}
-        #: per-clique product of the network's assigned CPD factors (no
-        #: evidence), canonical axis order; ``None`` marks a clique whose
-        #: CPDs changed, rebuilt when next installed
-        self._cpd_products: List[Optional[Factor]] = [
-            self._clique_cpd_product(idx) for idx in range(len(cliques))
-        ]
         #: message-kernel mode handed to the schedule ("auto" | "dense"
         #: | "sparse"; see :class:`PropagationSchedule`)
         self._kernel = kernel
@@ -161,13 +223,21 @@ class JunctionTree:
         self._mask_exclude: Set[str] = set()
         #: immutable message schedule (built at compile time)
         self._schedule: Optional[PropagationSchedule] = None
+        #: per-clique network potential (its CPD product, no evidence)
+        #: in the schedule's storage layout; ``None`` marks a clique
+        #: whose CPDs changed, rebuilt when next installed.  Built with
+        #: the schedule, whose layout it follows.
+        self._potentials: List[Optional[np.ndarray]] = []
+        #: compiled install plans keyed by (clique, swapped variables);
+        #: built on first use and pickled with the tree
+        self._plans: Dict[Tuple[int, FrozenSet[str]], _InstallPlan] = {}
         #: the one propagation engine; built by the first install and
         #: rebuilt when the installed row count changes
         self._engine: Optional[PropagationEngine] = None
         #: cliques whose network potential (CPDs, evidence) changed
         #: since the last install
         self._stale: Set[int] = set()
-        #: cliques holding per-scenario stacks in the engine
+        #: cliques holding per-scenario rows in the engine
         self._stacked: Set[int] = set()
         #: scenario -> engine row map of the installed batch (None when
         #: every scenario has its own row)
@@ -265,99 +335,121 @@ class JunctionTree:
             tree.add_edge(u, v, weight=data["weight"])
         return tree
 
-    def _clique_cpd_product(self, idx: int) -> Factor:
-        """Product of the CPD factors assigned to clique ``idx``, over
-        the clique's full scope in canonical (sorted) axis order."""
-        order = tuple(sorted(self.cliques[idx]))
-        return Factor._unsafe(order, self._clique_cpd_product_batch(idx, {}, 1)[0])
-
-    def _clique_cpd_product_batch(
-        self, idx: int, overrides: Mapping[str, Sequence[TabularCPD]], k: int
+    def _table_index(
+        self, idx: int, variables: Sequence[str], shape: Tuple[int, ...]
     ) -> np.ndarray:
-        """Batched clique-``idx`` CPD product: a ``(K, *clique_shape)``
-        stack whose slice ``k`` is the clique's CPD product with
-        scenario ``k``'s CPDs swapped in.
+        """Flat cell of a ``variables``-ordered table of ``shape`` read
+        by each storage entry of clique ``idx`` (see
+        :class:`_InstallPlan`)."""
+        schedule = self._schedule
+        order = schedule.orders[idx]
+        index = np.zeros(schedule.shapes[idx], dtype=np.intp)
+        stride = 1
+        for var, card in zip(reversed(variables), reversed(shape)):
+            axes = [1] * len(order)
+            axes[order.index(var)] = card
+            index += (np.arange(card, dtype=np.intp) * stride).reshape(axes)
+            stride *= card
+        flat = index.reshape(-1)
+        sp = schedule.sparse_cliques.get(idx)
+        # Packing keeps only the *final* (calibrated) support.  A
+        # potential may carry mass outside it -- entries the message
+        # products annihilate -- and dropping that mass is exact: such
+        # entries only ever feed separator indices whose support is
+        # empty, which in turn only touch other out-of-support entries.
+        # Soundness against *changed* deterministic CPDs is enforced by
+        # the support checks of update_cpds / update_tables_batch.
+        return flat if sp is None else flat[sp.flat_idx]
 
-        Every slice is bitwise-identical to a one-scenario fold because
-        the fold order is planned with a *per-scenario* size key (a
-        stacked factor counts as its unbatched size), so the batched
-        fold multiplies the same factors in the same order as any single
-        scenario's fold, and every multiply is elementwise over
-        broadcast views.
-        """
-        order = tuple(sorted(self.cliques[idx]))
-        shape = tuple(self._cardinalities[v] for v in order)
-        base = Factor.uniform(order, shape)
-        factors: List[Factor] = [base]
-        for node in self._cpd_members[idx]:
-            cpds = overrides.get(node)
-            if cpds is None:
-                factors.append(self._bn.cpd(node).to_factor())
-            else:
-                first = cpds[0].to_factor()
-                stacked = np.stack(
-                    [c.to_factor().permute(first.variables).values for c in cpds]
-                )
-                factors.append(
-                    Factor._unsafe((_BATCH_AXIS,) + first.variables, stacked)
-                )
-
-        def per_scenario_size(factor: Factor) -> int:
-            return factor.size // k if _BATCH_AXIS in factor else factor.size
-
-        keep = plan_product(factors, size_key=per_scenario_size)
-        result = keep[0]
-        for factor in keep[1:]:
-            result = result.product(factor)
-        if _BATCH_AXIS in result:
-            return result.permute((_BATCH_AXIS,) + order).values
-        # Every scenario's table is identical (all overrides were
-        # identities); broadcast the shared table over the batch axis.
-        return np.broadcast_to(result.permute(order).values, (k,) + shape)
-
-    def _evidence_mask(self, idx: int) -> Optional[np.ndarray]:
-        """0/1 indicator of the evidence homed at clique ``idx``, shaped
-        to broadcast over its canonical table (None without evidence)."""
-        order = sorted(self.cliques[idx])
+    def _install_plan(self, idx: int, swapped: FrozenSet[str]) -> _InstallPlan:
+        """The (cached) plan forming clique ``idx``'s potential with the
+        CPDs of ``swapped`` taken from per-scenario stacks."""
+        key = (idx, swapped)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        schedule = self._ensure_schedule()
+        cpds = [self._bn.cpd(node) for node in self._cpd_members[idx]]
+        # A one-scenario fold orders its factors by table size, ties in
+        # member order (sorted() is stable).
+        cpds.sort(key=lambda cpd: cpd.factor.values.size)
+        steps: List[Tuple[Optional[str], np.ndarray]] = []
         mask = None
+        for cpd in cpds:
+            factor = cpd.factor
+            index = self._table_index(idx, factor.variables, factor.values.shape)
+            if cpd.variable in swapped:
+                steps.append((cpd.variable, index))
+                continue
+            values = factor.values.reshape(-1)[index]
+            if cpd.is_deterministic():
+                mask = values if mask is None else mask * values
+            else:
+                steps.append((None, values))
+        plan = _InstallPlan(steps, mask, schedule.work_sizes[idx])
+        if swapped:
+            self._plans[key] = plan
+        return plan
+
+    def _plans_for(self, variables: Iterable[str]) -> Dict[int, _InstallPlan]:
+        """The install plan of every clique holding a CPD of
+        ``variables``, keyed by clique."""
+        swapped: Dict[int, List[str]] = {}
+        for var in variables:
+            swapped.setdefault(self._cpd_assignment[var], []).append(var)
+        return {
+            idx: self._install_plan(idx, frozenset(names))
+            for idx, names in swapped.items()
+        }
+
+    def _evidence_vector(self, idx: int) -> Optional[np.ndarray]:
+        """0/1 indicator of the evidence homed at clique ``idx``, in its
+        storage layout (None without evidence there)."""
+        hit = None
         for var, state in self._evidence.items():
             if self._home_clique[var] != idx:
                 continue
-            shape = [1] * len(order)
-            shape[order.index(var)] = self._cardinalities[var]
-            indicator = np.zeros(shape)
-            indicator.reshape(-1)[state] = 1.0
-            mask = indicator if mask is None else mask * indicator
-        return mask
+            card = (self._cardinalities[var],)
+            match = self._table_index(idx, (var,), card) == state
+            hit = match if hit is None else hit & match
+        return None if hit is None else hit.astype(np.float64)
 
-    def _clique_potential(self, idx: int) -> Factor:
-        """The network's potential for clique ``idx``: its CPD product
-        times the evidence indicators of variables homed there."""
-        product = self._cpd_products[idx]
-        if product is None:
-            product = self._cpd_products[idx] = self._clique_cpd_product(idx)
-        mask = self._evidence_mask(idx)
-        if mask is None:
-            return product
-        return Factor._unsafe(product.variables, product.values * mask)
+    def _network_potential(self, idx: int) -> np.ndarray:
+        """Clique ``idx``'s CPD product in storage layout (cached)."""
+        values = self._potentials[idx]
+        if values is None:
+            values = np.empty(self._schedule.work_sizes[idx])
+            self._install_plan(idx, frozenset()).fill(values, {})
+            self._potentials[idx] = values
+        return values
+
+    def _clique_potential(self, idx: int) -> np.ndarray:
+        """The network's potential for clique ``idx`` in storage layout:
+        its CPD product times the evidence indicators homed there."""
+        self._ensure_schedule()
+        values = self._network_potential(idx)
+        evidence = self._evidence_vector(idx)
+        return values if evidence is None else values * evidence
 
     def _install(
         self,
-        stacks: Mapping[int, np.ndarray],
+        tables: Mapping[str, np.ndarray],
         rows: int,
         scatter: Optional[np.ndarray] = None,
     ) -> PropagationEngine:
         """The one install path into the one engine.
 
-        Cliques in ``stacks`` get their ``(rows, *clique_shape)``
-        per-scenario tables, every other clique the network's own
-        potential broadcast over the rows; evidence indicators multiply
+        Cliques holding a CPD of ``tables`` (``{var: (rows, *table)}``)
+        get per-scenario rows, written by their install plan straight
+        into the engine's buffers; every other clique gets the network's
+        own potential, shared by the rows.  Evidence indicators multiply
         into both.  The engine is rebuilt when ``rows`` differs from the
         installed count; otherwise only cliques whose potential may have
         changed are re-set (the others keep their installed tables).
         Either way the next propagation is a full pass.
         """
         schedule = self._ensure_schedule()
+        plans = self._plans_for(tables)
         engine = self._engine
         if engine is None or engine.batch_size != rows:
             # Release the old buffers before allocating the new ones.
@@ -365,16 +457,22 @@ class JunctionTree:
             engine = self._engine = PropagationEngine(schedule, batch_size=rows)
             touched: Iterable[int] = range(len(self.cliques))
         else:
-            touched = self._stale | self._stacked | set(stacks)
+            touched = self._stale | self._stacked | set(plans)
+        scratch = np.empty(
+            rows * max((plan.scratch_size for plan in plans.values()), default=0)
+        )
         for idx in touched:
-            stack = stacks.get(idx)
-            if stack is None:
+            plan = plans.get(idx)
+            if plan is None:
                 engine.set_potential(idx, self._clique_potential(idx))
                 continue
-            mask = self._evidence_mask(idx)
-            engine.set_potential_batch(idx, stack if mask is None else stack * mask)
+            psi = engine.potential_rows(idx)
+            plan.fill(psi, tables, scratch)
+            evidence = self._evidence_vector(idx)
+            if evidence is not None:
+                np.multiply(psi, evidence, out=psi)
         self._stale = set()
-        self._stacked = set(stacks)
+        self._stacked = set(plans)
         self._batch_scatter = scatter
         return engine
 
@@ -422,11 +520,22 @@ class JunctionTree:
         self._check_cpds(cpds)
         for cpd in cpds:
             self._bn._cpds[cpd.variable] = cpd
-        affected = {self._cpd_assignment[c.variable] for c in cpds}
-        for idx in affected:
-            self._cpd_products[idx] = None
+        replaced = {cpd.variable for cpd in cpds}
+        affected = {self._cpd_assignment[var] for var in replaced}
+        if self._potentials:
+            for idx in affected:
+                self._potentials[idx] = None
+        # A plan reads the network's tables of the members it does not
+        # swap; plans that swap every replaced member stay valid.
+        self._plans = {
+            (idx, swapped): plan
+            for (idx, swapped), plan in self._plans.items()
+            if replaced.intersection(self._cpd_members[idx]) <= swapped
+        }
         self._stale |= affected
-        if self._mask_supports and self._supports_violated(cpds):
+        if self._mask_supports and self._supports_violated(
+            {cpd.variable: cpd.factor.values for cpd in cpds}
+        ):
             # A replacement CPD put mass outside the support its old
             # deterministic table promised (e.g. a gate CPD swapped for
             # a noisy one).  The packed kernels compiled against the old
@@ -439,78 +548,93 @@ class JunctionTree:
     # Batched multi-scenario propagation
     # ------------------------------------------------------------------
 
-    def update_cpds_batch(
-        self, cpd_sets: Sequence[Iterable[TabularCPD]]
+    def update_tables_batch(
+        self,
+        tables: Mapping[str, np.ndarray],
+        rows: int,
+        parents: Optional[Mapping[str, Sequence[str]]] = None,
     ) -> int:
-        """Install K scenarios' CPDs for one batched propagation pass.
+        """Install ``rows`` scenarios for one batched propagation pass.
+
+        ``tables[var]`` is a ``(rows, *table)`` stack of ``var``'s CPD
+        tables, each laid out like the network's CPD (parent axes, then
+        ``var``); every other CPD stays the network's.  ``parents``, if
+        given, names each stacked variable's parents (absent: none) and
+        must match the compiled network.  Unlike :meth:`update_cpds`
+        this does not mutate the network: scenarios live only in the
+        engine.  Returns ``rows``.  Query results with
+        :meth:`marginals_batch` / :meth:`joint_marginal_batch`.
+
+        Scenarios whose stacked rows are bytewise equal share one engine
+        row: the engine is sized to the U distinct rows and the query
+        methods gather rows back to ``rows``.  A row depends only on its
+        own installed tables, so every duplicate gets exactly the row it
+        would have computed alone.
+        """
+        if rows < 1:
+            raise ValueError("need at least one scenario")
+        tables = {
+            var: np.asarray(stack, dtype=np.float64) for var, stack in tables.items()
+        }
+        for var, stack in tables.items():
+            if var not in self._cpd_assignment:
+                raise KeyError(f"unknown node {var!r}")
+            cpd = self._bn.cpd(var)
+            if parents is not None:
+                given = tuple(parents.get(var, ()))
+                if given != cpd.parents:
+                    raise ValueError(
+                        f"new CPD for {var!r} changes parents "
+                        f"{cpd.parents} -> {given}; recompile instead"
+                    )
+            if stack.shape != (rows,) + cpd.factor.values.shape:
+                raise ValueError(
+                    f"new CPD stack for {var!r} has shape {stack.shape}, expected "
+                    f"{(rows,) + cpd.factor.values.shape} (changes cardinality?)"
+                )
+        unique, scatter = rows, None
+        if rows > 1 and not tables:
+            # Nothing is swapped: every scenario is the network's own.
+            unique, scatter = 1, np.zeros(rows, dtype=np.intp)
+        elif rows > 1:
+            reps, scatter = unique_rows(
+                np.concatenate([t.reshape(rows, -1) for t in tables.values()], axis=1)
+            )
+            unique = reps.size
+            if unique < rows:
+                tables = {var: t[reps] for var, t in tables.items()}
+            else:
+                scatter = None
+        if self._mask_supports and self._supports_violated(tables):
+            self._invalidate_compiled()
+        self._install(tables, unique, scatter)
+        return rows
+
+    def update_cpds_batch(self, cpd_sets: Sequence[Iterable[TabularCPD]]) -> int:
+        """:meth:`update_tables_batch` over K lists of CPDs.
 
         ``cpd_sets[k]`` plays the role of :meth:`update_cpds`'s argument
         for scenario ``k``; every scenario must update the same
-        variables (with unchanged parents and cardinality).  Unlike
-        :meth:`update_cpds` this does not mutate the underlying network:
-        scenarios live only in the engine (only the updated cliques'
-        potentials differ per scenario).  Returns K.  Query results with
-        :meth:`marginals_batch` / :meth:`joint_marginal_batch`.
-
-        Scenarios whose CPD tables are bytewise equal share one engine
-        row: the engine is sized to the U unique sets and the query
-        methods gather rows back to K.  A row depends only on its own
-        installed tables, so every duplicate gets exactly the row it
-        would have computed alone.
+        variables, in the same order, with unchanged parents and
+        cardinality.  Returns K.
         """
         sets = [list(s) for s in cpd_sets]
         if not sets:
             raise ValueError("need at least one CPD set")
-        k = len(sets)
-        variables = [cpd.variable for cpd in sets[0]]
-        # Deep-validate scenario 0 against the network, then hold the
-        # other K-1 scenarios to scenario 0's structure (cheap tuple and
-        # shape compares instead of K network lookups per variable).
-        self._check_cpds(sets[0])
+        first = sets[0]
+        self._check_cpds(first)
         for cpds in sets[1:]:
-            if [cpd.variable for cpd in cpds] != variables:
+            if [cpd.variable for cpd in cpds] != [cpd.variable for cpd in first]:
                 raise ValueError(
                     "every scenario must update the same variables in the "
                     "same order"
                 )
-            for cpd, ref in zip(cpds, sets[0]):
-                if cpd.parents != ref.parents:
-                    raise ValueError(
-                        f"new CPD for {cpd.variable!r} changes parents "
-                        f"{ref.parents} -> {cpd.parents}; recompile instead"
-                    )
-                if cpd.factor.values.shape != ref.factor.values.shape:
-                    raise ValueError(
-                        f"new CPD for {cpd.variable!r} changes cardinality"
-                    )
-
-        # Variables, parents and shapes now match across scenarios, so
-        # equal table bytes mean equal installed potentials.
-        reps, scatter = group_scenarios(
-            [tuple(cpd.factor.values.tobytes() for cpd in cpds) for cpds in sets]
-        )
-        u = len(reps)
-        by_var: Dict[str, List[TabularCPD]] = {
-            v: [sets[r][i] for r in reps] for i, v in enumerate(variables)
+            self._check_cpds(cpds)
+        tables = {
+            cpd.variable: np.stack([cpds[i].factor.values for cpds in sets])
+            for i, cpd in enumerate(first)
         }
-
-        if self._mask_supports and self._supports_violated(
-            [cpd for cpds_for_var in by_var.values() for cpd in cpds_for_var]
-        ):
-            self._invalidate_compiled()
-
-        stacks = {}
-        for idx in sorted({self._cpd_assignment[v] for v in variables}):
-            overrides = {
-                node: by_var[node]
-                for node in self._cpd_members[idx]
-                if node in by_var
-            }
-            stacks[idx] = self._clique_cpd_product_batch(idx, overrides, u)
-        self._install(
-            stacks, u, None if u == k else np.asarray(scatter, dtype=np.intp)
-        )
-        return k
+        return self.update_tables_batch(tables, len(sets))
 
     def marginals_batch(
         self, variables: Sequence[str], skip_zero: bool = False
@@ -520,7 +644,7 @@ class JunctionTree:
         Returns ``{var: (K, card) array}``; row ``k`` is scenario
         ``k``'s marginal, bitwise-identical to what a one-scenario
         install would produce (see :mod:`repro.bayesian.propagation`).
-        Requires a prior :meth:`update_cpds_batch`.  ``skip_zero=True``
+        Requires a prior :meth:`update_tables_batch`.  ``skip_zero=True``
         NaN-fills rows of zero-mass scenarios instead of raising,
         isolating them from their batch-mates.
         """
@@ -563,15 +687,16 @@ class JunctionTree:
     def _require_engine(self) -> PropagationEngine:
         if self._engine is None:
             raise JunctionTreeError(
-                "no scenario batch installed; call update_cpds_batch first"
+                "no scenario batch installed; call update_tables_batch first"
             )
         return self._engine
 
+
     def _ensure_schedule(self) -> PropagationSchedule:
-        """Build (once) the immutable message schedule.  Non-dense
-        kernel modes run the support analysis here, so it is paid once
-        per compile and serializes with the tree (cache hits skip it
-        entirely)."""
+        """Build (once) the immutable message schedule and the network
+        potentials in its storage layout.  Non-dense kernel modes run
+        the support analysis here, so it is paid once per compile and
+        serializes with the tree (cache hits skip it entirely)."""
         if self._schedule is None:
             with get_tracer().span(
                 "compile.schedule",
@@ -590,6 +715,10 @@ class JunctionTree:
                     clique_masks=masks,
                     kernel=self._kernel,
                 )
+            with get_tracer().span("compile.potentials", cliques=len(self.cliques)):
+                self._potentials = [None] * len(self.cliques)
+                for idx in range(len(self.cliques)):
+                    self._network_potential(idx)
             self._publish_support_gauges()
         return self._schedule
 
@@ -635,29 +764,32 @@ class JunctionTree:
                 masks[idx] = np.ascontiguousarray(np.broadcast_to(mask, shape))
         return masks
 
-    def _supports_violated(self, cpds: Iterable[TabularCPD]) -> bool:
-        """Check replacement CPDs against their recorded mask supports.
+    def _supports_violated(self, tables: Mapping[str, np.ndarray]) -> bool:
+        """Check replacement tables against their recorded mask supports.
 
-        Violating nodes are added to ``_mask_exclude`` so a rebuilt
-        schedule never trusts them again.  Returns True if any new CPD
-        has mass outside its recorded support.
+        ``tables[var]`` holds one CPD table of ``var`` or a stack of them
+        (leading axes), laid out like the network's CPD.  Violating
+        nodes are added to ``_mask_exclude`` so a rebuilt schedule never
+        trusts them again.  Returns True if any table has mass outside
+        its recorded support.
         """
         violated = False
-        for cpd in cpds:
-            recorded = self._mask_supports.get(cpd.variable)
+        for var, values in tables.items():
+            recorded = self._mask_supports.get(var)
             if recorded is None:
                 continue
-            variables, support = recorded
-            values = cpd.to_factor().permute(variables).values
-            if ((values != 0) & ~support).any():
-                self._mask_exclude.add(cpd.variable)
+            if ((values != 0) & ~recorded[1]).any():
+                self._mask_exclude.add(var)
                 violated = True
         return violated
 
     def _invalidate_compiled(self) -> None:
-        """Drop the compiled schedule and engine (support masks went
-        stale); the next install re-analyzes and propagates in full."""
+        """Drop the compiled schedule, the potentials and plans laid out
+        for it, and the engine (support masks went stale); the next
+        install re-analyzes and propagates in full."""
         self._schedule = None
+        self._potentials = []
+        self._plans = {}
         self._engine = None
         self._mask_supports = {}
 
@@ -799,28 +931,55 @@ class JunctionTree:
             return PropagationCounters()
         return self._engine.counters
 
-    def row_footprint(self, variables: Iterable[str]) -> Tuple[int, int]:
-        """Bytes one scenario row needs when :meth:`update_cpds_batch`
-        swaps the CPDs of ``variables``, as ``(resident, transient)``.
+    def row_footprint(
+        self,
+        variables: Iterable[str],
+        lines: Iterable[str],
+        pairs: Iterable[Tuple[str, str]] = (),
+    ) -> Tuple[int, int]:
+        """Bytes one scenario row needs when :meth:`update_tables_batch`
+        swaps the CPDs of ``variables`` and the marginals of ``lines``
+        and the joints of ``pairs`` are read, as ``(resident,
+        transient)``.
 
         *Resident* bytes stay allocated between passes: the engine's
         buffers (:attr:`PropagationSchedule.row_bytes`) and the
         per-scenario potentials of the cliques those CPDs live in.
-        *Transient* bytes live only during the install: the dense
-        ``(rows, *clique_shape)`` table each such clique's CPD product
-        builds, plus one more of the largest (the fold's previous
-        product, or the copy a packed clique gathers from).
+        *Transient* bytes live during one step of the call, and the
+        steps run one after another, so the largest counts: the
+        install (the stacked tables, their duplicate-collapse copies
+        and the gather scratch of the largest plan that needs one, see
+        :class:`_InstallPlan`), one message of the pass (a packed
+        reduction's segment sums and the division's zero mask, at most
+        a separator each) or the read of one clique (a marginal sweep's
+        joint table and packed segment sums, or the dense table a packed
+        clique's pair joint is scattered into).
         """
         schedule = self._ensure_schedule()
-        stacked = {self._cpd_assignment[v] for v in variables}
-        if not stacked:
-            return schedule.row_bytes, 0
-        packed = schedule.sparse_cliques
-        psi = sum(
-            packed[i].nnz if i in packed else schedule.sizes[i] for i in stacked
-        )
-        dense = [schedule.sizes[i] for i in stacked]
-        return schedule.row_bytes + 8 * psi, 8 * (sum(dense) + max(dense))
+        variables = list(variables)
+        entries = sum(self._bn.cpd(var).factor.values.size for var in variables)
+        plans = self._plans_for(variables).values()
+        psi = sum(plan.size for plan in plans)
+        install = 4 * entries + max((plan.scratch_size for plan in plans), default=0)
+        homed: Dict[int, Set[int]] = {}
+        for line in lines:
+            idx, axis = schedule.variable_axis[line]
+            homed.setdefault(idx, set()).add(axis)
+        steps = [install, 9 * schedule.max_sep_size // 8]
+        for idx, axes in homed.items():
+            shape = schedule.shapes[idx]
+            joint = int(np.prod([shape[a] for a in axes]))
+            if idx in schedule.sparse_cliques:
+                steps.append(joint + min(joint, schedule.work_sizes[idx]))
+            elif len(axes) < len(shape):
+                steps.append(joint)
+        for pair in pairs:
+            for idx, clique in enumerate(self.cliques):
+                if set(pair) <= clique:
+                    if idx in schedule.sparse_cliques:
+                        steps.append(schedule.sizes[idx])
+                    break
+        return schedule.row_bytes + 8 * psi, 8 * max(steps)
 
     def engine_factor_bytes(self) -> int:
         """Bytes held by the engine's preallocated belief/message/scratch

@@ -23,10 +23,9 @@ half of that bargain real:
   leading scenario axis of length ``K`` (``batch_size``), and one
   collect/distribute pass propagates K independent input-statistics
   scenarios.  A single query is simply ``K = 1``.  Clique potentials
-  may be shared across the rows (gate CPDs -- a plain
-  ``(*clique_shape)`` array broadcast over the scenario axis) or
-  per-scenario (:meth:`~PropagationEngine.set_potential_batch` with a
-  ``(K, *clique_shape)`` stack).
+  may be shared across the rows (:meth:`~PropagationEngine.set_potential`,
+  broadcast over the scenario axis) or per-scenario
+  (:meth:`~PropagationEngine.potential_rows`, filled in place).
 
 - **Every propagation is a full pass**: :meth:`PropagationEngine.propagate`
   runs one complete collect + distribute whenever any potential was set
@@ -75,7 +74,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.bayesian.factor import Factor
 from repro.errors import (
     ConcurrentPropagationError,
     MemoryBudgetExceeded,
@@ -282,14 +280,17 @@ def _sparse_reduce(
     row, so row ``k`` goes through the same arithmetic whatever the row
     count -- the engine's row parity survives the sparse path.
     ``scratch`` (a ``lead + (nnz,)`` buffer)
-    avoids the gather temporary when a permutation is needed.
+    avoids the gather temporary when a permutation is needed.  Every
+    gather here and in the engine passes ``mode="clip"``: the indices
+    are valid by construction, and numpy buffers ``out`` through a
+    full-size temporary under the default ``mode="raise"``.
     """
     perm, seg_starts, out_index, covers_all = plan
     if perm is not None:
         if scratch is None:
             src = src[..., perm]
         else:
-            np.take(src, perm, axis=-1, out=scratch)
+            np.take(src, perm, axis=-1, out=scratch, mode="clip")
             src = scratch
     segments = np.add.reduceat(src, seg_starts, axis=-1)
     flat = out.reshape(src.shape[:-1] + (-1,))
@@ -396,6 +397,7 @@ class _Message:
         "target",
         "sep_vars",
         "sep_shape",
+        "sep_size",
         "keep_axes",
         "plan",
         "expand_shape",
@@ -415,6 +417,7 @@ class _Message:
         self.target = target
         self.sep_vars = sep_vars
         self.sep_shape = sep_shape
+        self.sep_size = int(np.prod(sep_shape))
         #: axes of the source clique kept by the marginalization; both
         #: clique and separator orders are canonical (sorted), so the
         #: kept axes are increasing and the reduction output needs no
@@ -563,18 +566,26 @@ class PropagationSchedule:
     @property
     def row_bytes(self) -> int:
         """Bytes one scenario row adds to a :class:`PropagationEngine`
-        over this schedule: its float64 beliefs (plus the gather
-        scratch of packed cliques), upward messages and per-edge
-        separator scratch."""
-        packed = self.sparse_cliques
-        entries = sum(
-            2 * packed[i].nnz if i in packed else self.sizes[i]
-            for i in range(self.n_cliques)
-        )
+        over this schedule: its float64 beliefs, upward messages, the
+        shared separator scratch pair (sized to the largest separator)
+        and the shared packed-gather scratch (sized to the largest
+        packed clique)."""
+        entries = sum(self.work_sizes)
         for (src, dst), msg in self.messages.items():
-            sep = int(np.prod(msg.sep_shape))
-            entries += 2 * sep if self.parent[src] == dst else sep
+            if self.parent[src] == dst:
+                entries += msg.sep_size
+        entries += 2 * self.max_sep_size + self.max_packed_nnz
         return 8 * entries
+
+    @property
+    def max_sep_size(self) -> int:
+        """Entries of the largest separator (0 without tree edges)."""
+        return max((msg.sep_size for msg in self.messages.values()), default=0)
+
+    @property
+    def max_packed_nnz(self) -> int:
+        """Entries of the largest packed clique (0 when none is packed)."""
+        return max((sp.nnz for sp in self.sparse_cliques.values()), default=0)
 
     def _analyze_support(
         self, clique_masks: Sequence[Optional[np.ndarray]], kernel: str
@@ -667,7 +678,7 @@ class PropagationEngine:
         buffer carries a leading axis of length ``K`` and one
         :meth:`propagate` call propagates all K scenarios.  Potentials
         may be shared across the rows (:meth:`set_potential`,
-        broadcast) or per-scenario (:meth:`set_potential_batch`), and
+        broadcast) or per-scenario (:meth:`potential_rows`), and
         :meth:`marginals` returns ``(K, card)`` arrays.
 
     Cliques the schedule compiled as sparse keep their beliefs in
@@ -681,14 +692,27 @@ class PropagationEngine:
         self.schedule = schedule
         self.batch_size = int(batch_size)
         lead = (self.batch_size,)
-        n = schedule.n_cliques
-        packed = schedule.sparse_cliques
-        self._psi: List[Optional[np.ndarray]] = [None] * n
+        #: per-edge broadcast shapes with the leading scenario axis
+        self._expand = {
+            key: lead + m.expand_shape for key, m in schedule.messages.items()
+        }
+        #: lazily compiled reduction plans for marginal sweeps, keyed by
+        #: (clique index, kept axes)
+        self._marginal_plans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
+        #: reentrancy tripwire (see :func:`_exclusive`); never held
+        #: across calls, so pickling drops and recreates it.
+        self._guard = threading.Lock()
+        #: always-on work counters (cheap int adds; see PropagationCounters)
+        self.counters = PropagationCounters()
+        #: counter totals already mirrored into the global registry
+        self._published: Dict[str, int] = {}
+        #: per-clique potential in the kernels' layout: ``(*shape)`` or
+        #: ``(nnz,)`` shared by every row, or a leading row axis
+        self._psi: List[Optional[np.ndarray]] = [None] * schedule.n_cliques
+        #: cliques whose ``_psi`` is an engine-owned per-row buffer
+        self._own_rows: Set[int] = set()
         self._beta: List[np.ndarray] = [
-            np.empty(
-                lead + ((packed[i].nnz,) if i in packed else schedule.shapes[i])
-            )
-            for i in range(n)
+            np.empty(self._layout(i, lead)) for i in range(schedule.n_cliques)
         ]
         #: upward (child -> parent) message buffers, read by the
         #: parent's collect and by the child's distribute division
@@ -697,108 +721,100 @@ class PropagationEngine:
             for (node, parent), msg in schedule.messages.items()
             if schedule.parent[node] == parent
         }
-        #: scratch separator buffers, per directed edge
-        self._scratch: Dict[Tuple[int, int], np.ndarray] = {
-            key: np.empty(lead + msg.sep_shape)
-            for key, msg in schedule.messages.items()
-        }
-        #: packed gather scratch, one per sparse clique
-        self._sp_scratch: Dict[int, np.ndarray] = {
-            i: np.empty(lead + (sp.nnz,)) for i, sp in packed.items()
-        }
-        #: per-edge broadcast shapes with the leading scenario axis
-        self._expand = {
-            k: lead + m.expand_shape for k, m in schedule.messages.items()
-        }
-        #: lazily compiled reduction plans for marginal sweeps, keyed by
-        #: (clique index, kept axes)
-        self._marginal_plans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
+        #: one separator scratch pair and one packed-gather scratch,
+        #: each sized to its largest user; messages and packed cliques
+        #: use prefix views (see :meth:`_bind_scratch`)
+        self._sep_scratch = (
+            np.empty(self.batch_size * schedule.max_sep_size),
+            np.empty(self.batch_size * schedule.max_sep_size),
+        )
+        self._gather_scratch = np.empty(self.batch_size * schedule.max_packed_nnz)
+        self._bind_scratch()
         #: a potential was set since the last pass
         self._stale = True
-        #: reentrancy tripwire (see :func:`_exclusive`); never held
-        #: across calls, so pickling drops and recreates it.
-        self._guard = threading.Lock()
-        #: always-on work counters (cheap int adds; see PropagationCounters)
-        self.counters = PropagationCounters()
-        #: counter totals already mirrored into the global registry
-        self._published: Dict[str, int] = {}
         #: bytes held by the preallocated belief/message/scratch buffers
         self.factor_bytes = schedule.row_bytes * self.batch_size
 
+    def _bind_scratch(self) -> None:
+        """Prefix views of the shared scratch buffers: a separator pair
+        per tree edge (keyed by the child) and a gather buffer per packed
+        clique.  Each view is C-contiguous, and no two users of one
+        buffer are ever live at once."""
+        lead = (self.batch_size,)
+        first, second = self._sep_scratch
+        self._sep_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for (node, parent), msg in self.schedule.messages.items():
+            if self.schedule.parent[node] == parent:
+                size = self.batch_size * msg.sep_size
+                self._sep_views[node] = (
+                    first[:size].reshape(lead + msg.sep_shape),
+                    second[:size].reshape(lead + msg.sep_shape),
+                )
+        self._gather_views: Dict[int, np.ndarray] = {
+            i: self._gather_scratch[: self.batch_size * sp.nnz].reshape(lead + (sp.nnz,))
+            for i, sp in self.schedule.sparse_cliques.items()
+        }
+
     def __getstate__(self):
         # Locks do not pickle; the guard is never held across calls, so
-        # dropping it here and recreating it on load is exact.
+        # dropping it here and recreating it on load is exact.  Scratch
+        # views are rebound to the unpickled buffers.
         state = dict(self.__dict__)
-        del state["_guard"]
+        for key in ("_guard", "_sep_views", "_gather_views"):
+            del state[key]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._guard = threading.Lock()
+        self._bind_scratch()
 
     # ------------------------------------------------------------------
     # Potential updates
     # ------------------------------------------------------------------
 
-    @_exclusive
-    def set_potential(self, idx: int, potential: Factor) -> None:
-        """Install clique ``idx``'s potential for the next pass.
-
-        ``potential`` must span exactly the clique's scope; any axis
-        order is accepted and canonicalized here (a transpose view, no
-        copy).  The table is shared by every scenario row (it
-        broadcasts over the scenario axis) -- use
-        :meth:`set_potential_batch` for per-scenario tables.  The table
-        is held by reference, so callers must never mutate an installed
-        table in place.
-        """
-        order = self.schedule.orders[idx]
-        if potential.variables != order:
-            potential = potential.permute(order)
-        if potential.values.shape != self.schedule.shapes[idx]:
-            raise ValueError(
-                f"potential for clique {idx} has shape {potential.values.shape}, "
-                f"expected {self.schedule.shapes[idx]}"
-            )
-        values = potential.values
+    def _layout(self, idx: int, rows: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Kernel shape of clique ``idx``'s potential with ``rows`` lead."""
         sp = self.schedule.sparse_cliques.get(idx)
-        if sp is not None:
-            # Packing keeps only the *final* (calibrated) support.  An
-            # initial potential may carry mass outside it -- entries the
-            # message products annihilate -- and dropping that mass here
-            # is exact: such entries only ever feed separator indices
-            # whose support is empty, which in turn only touch other
-            # out-of-support entries.  Soundness against *changed*
-            # deterministic CPDs is enforced upstream
-            # (JunctionTree.update_cpds re-checks recorded supports).
-            values = values.reshape(-1)[sp.flat_idx]
-        self._install_psi(idx, values)
+        return rows + ((sp.nnz,) if sp is not None else self.schedule.shapes[idx])
 
     @_exclusive
-    def set_potential_batch(self, idx: int, values: np.ndarray) -> None:
-        """Install per-scenario potentials for clique ``idx``.
+    def set_potential(self, idx: int, values: np.ndarray) -> None:
+        """Install clique ``idx``'s potential, shared by every row.
 
-        ``values`` must be a ``(K, *clique_shape)`` stack in the
-        clique's canonical (sorted) variable order; scenario ``k``'s
-        table is ``values[k]``.
+        ``values`` is the clique's table in *storage layout*: its packed
+        entries (``(nnz,)``, in :attr:`_SparseClique.flat_idx` order)
+        for a packed clique, the flattened canonical (sorted-variable)
+        table otherwise.  It is held by reference and broadcast over the
+        scenario axis, so callers must never mutate it afterwards.  Use
+        :meth:`potential_rows` for per-scenario potentials.
         """
+        shape = self._layout(idx, ())
         values = np.asarray(values, dtype=np.float64)
-        expected = (self.batch_size,) + self.schedule.shapes[idx]
-        if values.shape != expected:
+        if values.size != int(np.prod(shape)) or values.ndim != 1:
             raise ValueError(
-                f"batched potential for clique {idx} has shape {values.shape}, "
-                f"expected {expected}"
+                f"potential for clique {idx} has shape {values.shape}, "
+                f"expected ({int(np.prod(shape))},)"
             )
-        sp = self.schedule.sparse_cliques.get(idx)
-        if sp is not None:
-            # Same silent out-of-support drop as set_potential (exact;
-            # see the comment there).
-            values = values.reshape(self.batch_size, -1)[:, sp.flat_idx]
-        self._install_psi(idx, values)
-
-    def _install_psi(self, idx: int, values: np.ndarray) -> None:
-        self._psi[idx] = values
+        self._own_rows.discard(idx)
+        self._psi[idx] = values.reshape(shape)
         self._stale = True
+
+    @_exclusive
+    def potential_rows(self, idx: int) -> np.ndarray:
+        """Clique ``idx``'s per-scenario potential buffer, to fill in place.
+
+        Returns a writable ``(K, n)`` array in storage layout (see
+        :meth:`set_potential`); row ``k`` is scenario ``k``'s table.  The
+        buffer is allocated on first use and reused by later calls, so
+        a repeated install writes over the same memory.  The next
+        :meth:`propagate` is a full pass.
+        """
+        if idx not in self._own_rows:
+            self._psi[idx] = np.empty(self._layout(idx, (self.batch_size,)))
+            self._own_rows.add(idx)
+        self._stale = True
+        return self._psi[idx].reshape(self.batch_size, -1)
 
     # ------------------------------------------------------------------
     # Propagation
@@ -836,15 +852,15 @@ class PropagationEngine:
         if not children:
             np.copyto(beta, psi)
             return
-        scratch = self._sp_scratch[node]
+        scratch = self._gather_views[node]
         lead = beta.shape[:-1]
         child = children[0]
         msg = self._msg[(child, node)].reshape(lead + (-1,))
-        np.take(msg, sp.gathers[child], axis=-1, out=scratch)
+        np.take(msg, sp.gathers[child], axis=-1, out=scratch, mode="clip")
         np.multiply(psi, scratch, out=beta)
         for child in children[1:]:
             msg = self._msg[(child, node)].reshape(lead + (-1,))
-            np.take(msg, sp.gathers[child], axis=-1, out=scratch)
+            np.take(msg, sp.gathers[child], axis=-1, out=scratch, mode="clip")
             np.multiply(beta, scratch, out=beta)
 
     def propagate(self) -> None:
@@ -892,7 +908,7 @@ class PropagationEngine:
                             self._beta[node],
                             sp.reduce_plans[parent],
                             self._msg[key],
-                            self._sp_scratch[node],
+                            self._gather_views[node],
                         )
                     counters.messages_collect += 1
                     counters.flops += schedule.work_sizes[node] * scale
@@ -951,7 +967,7 @@ class PropagationEngine:
         # upward message.  Wherever the upward message is zero the
         # parent belief's slice is zero too (it contains that message
         # as a factor), so the masked division's zero-fill is exact.
-        new_sep = self._scratch[down_key]
+        new_sep, ratio = self._sep_views[node]
         sp_parent = schedule.sparse_cliques.get(parent)
         if sp_parent is None:
             _reduce_sum(
@@ -962,10 +978,9 @@ class PropagationEngine:
                 self._beta[parent],
                 sp_parent.reduce_plans[node],
                 new_sep,
-                self._sp_scratch[parent],
+                self._gather_views[parent],
             )
         up_values = self._msg[up_key]
-        ratio = self._scratch[up_key]
         ratio.fill(0.0)
         np.divide(new_sep, up_values, out=ratio, where=up_values != 0)
 
@@ -976,9 +991,15 @@ class PropagationEngine:
             return
         # Packed belief: gather the separator-sized ratio at the packed
         # entries' separator indices and multiply elementwise.
-        scratch = self._sp_scratch[node]
+        scratch = self._gather_views[node]
         lead = beta.shape[:-1]
-        np.take(ratio.reshape(lead + (-1,)), sp.gathers[parent], axis=-1, out=scratch)
+        np.take(
+            ratio.reshape(lead + (-1,)),
+            sp.gathers[parent],
+            axis=-1,
+            out=scratch,
+            mode="clip",
+        )
         np.multiply(beta, scratch, out=beta)
 
     # ------------------------------------------------------------------
@@ -1071,7 +1092,7 @@ class PropagationEngine:
                 if sp is None:
                     _reduce_sum(beta, plan, joint)
                 else:
-                    _sparse_reduce(beta, plan, joint, self._sp_scratch[idx])
+                    _sparse_reduce(beta, plan, joint, self._gather_views[idx])
             for var in group:
                 pos = keep.index(schedule.variable_axis[var][1])
                 plan_key = (idx, tuple(keep), pos)

@@ -31,12 +31,10 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.bayesian import propagation
-from repro.bayesian.junction import group_scenarios
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Backend, CompiledModel, Method
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
-from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.rcache import scenario_digest
+from repro.core.inputs import IndependentInputs, InputModel, InputStack
 from repro.core.segments import SegmentedEstimator
 from repro.errors import (
     CliqueBudgetExceeded,
@@ -100,12 +98,13 @@ class EstimatorCompiledModel(CompiledModel):
         segmented estimators propagate each distinct scenario once, all
         rows in one engine pass; enumeration loops internally).  When
         the K rows fit the memory budget (``K * row_bytes <=
-        MEMORY_BUDGET_BYTES``) that is one call.  Otherwise duplicate
-        scenarios are collapsed over the whole call first (keyed by
-        :func:`~repro.core.rcache.scenario_digest`), the distinct ones
-        are split into near-equal chunks of at most
-        :attr:`rows_per_pass` rows, and the results are scattered back.
-        Every chunk is a full pass, so the split is bitwise-transparent.
+        MEMORY_BUDGET_BYTES``) that is one call.  Otherwise the models
+        become one :class:`~repro.core.inputs.InputStack`, duplicate
+        scenarios (bytewise-equal input tables) are collapsed over the
+        whole call first, the distinct ones are split into near-equal
+        chunks of at most :attr:`rows_per_pass` rows, and the results
+        are scattered back.  Every chunk is a full pass, so the split
+        is bitwise-transparent.
 
         A :class:`ZeroBeliefError` escaping a chunk names the caller's
         scenario indices: every scenario a failing row served.
@@ -123,21 +122,19 @@ class EstimatorCompiledModel(CompiledModel):
             if len(models) <= per_pass:
                 span.annotate(chunks=1)
                 return self.estimator.estimate_many(models)
-            reps, scatter = group_scenarios(
-                [scenario_digest(self.circuit, model) for model in models]
-            )
-            distinct = [models[r] for r in reps]
-            chunks = -(-len(distinct) // per_pass)
-            size = -(-len(distinct) // chunks)
-            span.annotate(distinct=len(distinct), chunks=chunks)
+            stack = InputStack(models, self.circuit.inputs)
+            reps, scatter = stack.unique()
+            distinct = reps.size
+            chunks = -(-distinct // per_pass)
+            size = -(-distinct // chunks)
+            span.annotate(distinct=distinct, chunks=chunks)
             rows: "list[SwitchingEstimate]" = []
-            for start in range(0, len(distinct), size):
+            for start in range(0, distinct, size):
+                chunk = stack.take(reps[start : start + size])
                 try:
-                    rows.extend(
-                        self.estimator.estimate_many(distinct[start : start + size])
-                    )
+                    rows.extend(self.estimator.estimate_many(chunk))
                 except ZeroBeliefError as err:
-                    err.rescatter([row - start for row in scatter])
+                    err.rescatter([int(row) - start for row in scatter])
                     raise
         served = set()
         results = []
@@ -255,8 +252,8 @@ class AutoBackend(Backend):
     on :class:`CliqueBudgetExceeded` or :class:`MemoryBudgetExceeded`.
     A rejected try stops at its first over-budget clique.  When the
     caller left ``max_clique_states`` unset and the ``4^10``
-    segmentation's scenario row is over the memory budget (c6288s,
-    layered2k), the circuit is segmented once more at ``4^9``.
+    segmentation's scenario row is over the memory budget, the circuit
+    is segmented once more at ``4^9``.
     """
 
     name = "auto"

@@ -65,7 +65,11 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v10: enumeration segments hold their retained gate states instead of
 #: per-query caches, and segment nodes record the boundary pairs whose
 #: joints they publish.
-ARTIFACT_SCHEMA_VERSION = 10
+#: v11: junction trees hold their network potentials in the schedule's
+#: storage layout and compiled install plans instead of dense CPD
+#: products; schedules record separator sizes for the engines' shared
+#: scratch.
+ARTIFACT_SCHEMA_VERSION = 11
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

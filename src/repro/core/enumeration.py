@@ -31,7 +31,7 @@ from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
 from repro.core.cpt import _transition_function
 from repro.core.estimator import SwitchingEstimate, result_row_bytes
-from repro.core.inputs import InputModel
+from repro.core.inputs import InputModel, as_input_stack
 from repro.core.states import N_STATES
 from repro.errors import SegmentTooWide
 
@@ -53,8 +53,9 @@ class EnumerationSegment:
     circuit:
         The segment subcircuit.
     input_model:
-        Joint model of the segment's input lines; priors and chain
-        conditionals (``TreeBoundaryInputs``) are supported.
+        Joint model of the segment's input lines, answered by
+        :meth:`estimate`; priors and single-parent conditionals
+        (correlation chains, boundary forests) are supported.
     max_input_states:
         Budget on ``4^k``; exceeding it raises :class:`SegmentTooWide`.
     keep_lines:
@@ -96,10 +97,16 @@ class EnumerationSegment:
         return self.estimate_many([self.input_model])[0]
 
     def estimate_many(self, input_models) -> List[SwitchingEstimate]:
-        """Every retained line's distribution for each of K scenarios."""
-        models = list(input_models)
+        """Every retained line's distribution for each of K scenarios
+        (``input_models`` may be an :class:`~repro.core.inputs.InputStack`)."""
+        stack = as_input_stack(input_models, self.circuit.inputs)
+        if stack is None:
+            return []
+        tables, parents = stack.tables(self.circuit.inputs)
         lines = list(self._states)
-        stacks, _, seconds = self.estimate_many_stacked(models, lines)
+        stacks, _, seconds = self.estimate_many_stacked(
+            tables, lines, parents=parents, rows=len(stack)
+        )
         return [
             SwitchingEstimate(
                 distributions={line: stacks[line][j] for line in lines},
@@ -107,36 +114,55 @@ class EnumerationSegment:
                 propagate_seconds=seconds,
                 method=Method.ENUMERATION.value,
             )
-            for j in range(len(models))
+            for j in range(len(stack))
         ]
 
     def estimate_many_stacked(
         self,
-        input_models,
+        tables,
         lines: Sequence[str],
         pairs: Sequence[Tuple[str, str]] = (),
+        parents=None,
+        rows: Optional[int] = None,
     ):
         """Marginals and pair joints of K scenarios, stacked.
 
-        Returns ``(stacks, joints, per_scenario_seconds)``: ``stacks``
-        maps each of ``lines`` to a ``(K, 4)`` array and ``joints`` maps
-        each ``(a, b)`` of ``pairs`` to a normalized ``(K, 4, 4)``
-        array (``a``-major).  Scenarios are weighted one after another,
-        so a row costs only its result; row ``k`` is bitwise-identical
-        to a one-scenario call.  A requested line that is not retained
-        (``keep_lines``) raises :class:`KeyError`; the input models'
-        tables are read through ``input_cpds_trusted``.
+        ``tables`` maps every input line to a ``(K, 4)`` prior stack or
+        a ``(K, 4, 4)`` stack conditional on the line ``parents[name]``
+        names (the layout :meth:`~repro.core.inputs.InputStack.tables`
+        builds); ``rows`` is K (default: the stacks' length).  A row's
+        weights multiply the tables in ``tables`` order.  Returns
+        ``(stacks, joints, per_scenario_seconds)``: ``stacks`` maps each
+        of ``lines`` to a ``(K, 4)`` array and ``joints`` maps each
+        ``(a, b)`` of ``pairs`` to a normalized ``(K, 4, 4)`` array
+        (``a``-major).  Scenarios are weighted one after another, so a
+        row costs only its result; row ``k`` is bitwise-identical to a
+        one-scenario call.  A requested line that is not retained
+        (``keep_lines``) raises :class:`KeyError`.
         """
-        models = list(input_models)
         start = time.perf_counter()
-        k = len(models)
+        k = len(next(iter(tables.values()))) if rows is None else rows
+        parents = parents or {}
+        factors = [
+            (
+                stack,
+                self._input_states[name],
+                self._input_states[parents[name][0]] if name in parents else None,
+            )
+            for name, stack in tables.items()
+        ]
         stacks = {line: np.empty((k, N_STATES)) for line in lines}
         joints = {pair: np.empty((k, N_STATES, N_STATES)) for pair in pairs}
         flats = {
             (a, b): self._states[a] * N_STATES + self._states[b] for a, b in pairs
         }
-        for j, model in enumerate(models):
-            weights = self._weights(model)
+        for j in range(k):
+            weights = np.ones(self.n_rows)
+            for stack, child_states, parent_states in factors:
+                if parent_states is None:
+                    weights *= stack[j][child_states]
+                else:
+                    weights *= stack[j][parent_states, child_states]
             for line in lines:
                 stacks[line][j] = _normalized(
                     np.bincount(self._states[line], weights, minlength=N_STATES)
@@ -148,19 +174,6 @@ class EnumerationSegment:
                     )
                 )
         return stacks, joints, (time.perf_counter() - start) / max(k, 1)
-
-    def _weights(self, model: InputModel) -> np.ndarray:
-        """Per-row joint probability of the input assignment."""
-        weights = np.ones(self.n_rows)
-        for cpd in model.input_cpds_trusted(self.circuit.inputs):
-            child_states = self._input_states[cpd.variable]
-            table = cpd.to_factor().values
-            if cpd.parents:
-                parent_states = self._input_states[cpd.parents[0]]
-                weights *= table[parent_states, child_states]
-            else:
-                weights *= table[child_states]
-        return weights
 
     def row_bytes(self) -> int:
         """Bytes one scenario row of :meth:`estimate_many` needs: only

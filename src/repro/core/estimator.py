@@ -29,7 +29,7 @@ from repro.bayesian.propagation import PropagationCounters
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
 from repro.core.cpt import output_transition
-from repro.core.inputs import IndependentInputs, InputModel
+from repro.core.inputs import IndependentInputs, InputModel, InputStack, as_input_stack
 from repro.core.lidag import build_lidag
 from repro.core.states import N_STATES, switching_probability
 from repro.obs.trace import get_tracer
@@ -37,7 +37,7 @@ from repro.obs.trace import get_tracer
 
 #: Bytes one circuit line adds to one result row: its ``(4,)`` float64
 #: marginal, the array and dict entry that hold it, and its share of the
-#: scenario's input CPD objects (measured with ``tracemalloc``).
+#: scenario's input stacks (an upper bound of ``tracemalloc`` peaks).
 RESULT_LINE_BYTES = 512
 
 
@@ -180,12 +180,16 @@ class SwitchingActivityEstimator:
 
         ``lines`` restricts which marginals are extracted (default: all
         circuit lines).  A single query is a one-scenario batch: the
-        result is row 0 of :meth:`estimate_many_stacked` on
-        ``[self.input_model]``, so it is bitwise-identical to
+        result is row 0 of :meth:`estimate_many_stacked` over
+        ``[self.input_model]``'s tables, so it is bitwise-identical to
         ``estimate_many([self.input_model])[0]``.
         """
         wanted = list(self.circuit.lines) if lines is None else list(lines)
-        batched, _, seconds = self.estimate_many_stacked([self.input_model], wanted)
+        stack = InputStack([self.input_model], self.circuit.inputs)
+        tables, parents = stack.tables(self.circuit.inputs)
+        batched, _, seconds = self.estimate_many_stacked(
+            tables, wanted, parents=parents, rows=1
+        )
         return SwitchingEstimate(
             distributions={line: batched[line][0] for line in wanted},
             compile_seconds=self.compile_seconds,
@@ -197,13 +201,15 @@ class SwitchingActivityEstimator:
         """Estimate K input-statistics scenarios in one batched pass.
 
         All scenarios propagate through the compiled junction tree
-        together: the engine stacks a leading batch axis onto every
-        belief and message buffer and runs a single vectorized
+        together: the K models become ``(K, ...)`` input-table stacks
+        (:class:`~repro.core.inputs.InputStack`; ``input_models`` may
+        already be one), the engine stacks a leading batch axis onto
+        every belief and message buffer and runs a single vectorized
         collect/distribute sweep, so the per-query Python overhead
         (schedule walking, kernel dispatch, marginal extraction) is paid
-        once instead of K times.  Scenarios with equal input CPD tables
-        are propagated once and share a result row
-        (:meth:`JunctionTree.update_cpds_batch`).  Result ``k`` is
+        once instead of K times.  Scenarios with equal input tables are
+        propagated once and share a result row
+        (:meth:`JunctionTree.update_tables_batch`).  Result ``k`` is
         bitwise-identical to an independent ``estimate()`` with
         scenario ``k``'s model.
 
@@ -214,11 +220,14 @@ class SwitchingActivityEstimator:
         ``propagate_seconds`` on each result is the amortized per-
         scenario share of the sweep.
         """
-        models = list(input_models)
-        if not models:
+        stack = as_input_stack(input_models, self.circuit.inputs)
+        if stack is None:
             return []
         lines = list(self.circuit.lines)
-        batched, _, per_scenario = self.estimate_many_stacked(models, lines)
+        tables, parents = stack.tables(self.circuit.inputs)
+        batched, _, per_scenario = self.estimate_many_stacked(
+            tables, lines, parents=parents, rows=len(stack)
+        )
         return [
             SwitchingEstimate(
                 distributions={line: batched[line][k] for line in lines},
@@ -226,42 +235,44 @@ class SwitchingActivityEstimator:
                 propagate_seconds=per_scenario,
                 method=Method.SINGLE_BN.value,
             )
-            for k in range(len(models))
+            for k in range(len(stack))
         ]
 
-    def estimate_many_stacked(self, input_models, lines, pairs=()):
-        """Batched sweep returning stacked marginals and pair joints.
+    def estimate_many_stacked(self, tables, lines, pairs=(), parents=None, rows=None):
+        """Batched sweep over stacked input tables.
 
         The workhorse behind :meth:`estimate_many` and the segmented
-        pipeline: restricting ``lines`` (e.g. to a segment's owned
-        internal lines) skips marginal extraction for everything else,
-        and the stacked layout avoids building K per-scenario dicts
-        that a segmented caller would immediately re-stack.  Returns
-        ``(stacks, joints, per_scenario_seconds)``: ``{line: (K, 4)}``
-        and, for each ``(a, b)`` of ``pairs`` (which must share a
-        clique), ``{(a, b): (K, 4, 4)}`` from
-        :meth:`JunctionTree.joint_marginal_batch`.
+        pipeline.  ``tables`` maps input lines to ``(K, *table)`` CPD
+        table stacks (a ``(K, 4)`` prior, or a ``(K, 4, 4)``
+        conditional on the parent named by ``parents``), as
+        :meth:`~repro.core.inputs.InputStack.tables` builds them;
+        ``rows`` is K (default: the stacks' length).  Restricting
+        ``lines`` (e.g. to a segment's owned internal lines) skips
+        marginal extraction for everything else, and the stacked layout
+        avoids building K per-scenario dicts that a segmented caller
+        would immediately re-stack.  Returns ``(stacks, joints,
+        per_scenario_seconds)``: ``{line: (K, 4)}`` and, for each
+        ``(a, b)`` of ``pairs`` (which must share a clique), ``{(a, b):
+        (K, 4, 4)}`` from :meth:`JunctionTree.joint_marginal_batch`.
         """
-        models = list(input_models)
+        if rows is None:
+            rows = len(next(iter(tables.values())))
         self.compile()
         tracer = get_tracer()
         with tracer.span(
             "estimator.propagate_many",
             circuit=self.circuit.name,
             backend="junction-tree",
-            scenarios=len(models),
+            scenarios=rows,
         ) as span:
             with tracer.span("propagate.update_batch"):
-                cpd_sets = [
-                    m.input_cpds_trusted(self.circuit.inputs) for m in models
-                ]
-                self._jt.update_cpds_batch(cpd_sets)
-            with tracer.span("propagate.calibrate", scenarios=len(models)):
+                self._jt.update_tables_batch(tables, rows, parents or {})
+            with tracer.span("propagate.calibrate", scenarios=rows):
                 batched = self._jt.marginals_batch(list(lines))
                 joints = {
                     (a, b): self._jt.joint_marginal_batch([a, b]) for a, b in pairs
                 }
-        return batched, joints, span.duration / len(models)
+        return batched, joints, span.duration / rows
 
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""
@@ -273,12 +284,15 @@ class SwitchingActivityEstimator:
         """Bytes of preallocated propagation buffers (memory accounting)."""
         return self._jt.engine_factor_bytes() if self._jt is not None else 0
 
-    def row_footprint(self) -> Tuple[int, int]:
+    def row_footprint(self, lines=None, pairs=()) -> Tuple[int, int]:
         """``(resident, transient)`` bytes one scenario row of
-        :meth:`estimate_many` adds to the tree (compiles; see
-        :meth:`JunctionTree.row_footprint`)."""
+        :meth:`estimate_many` adds to the tree -- or, with ``lines``
+        and ``pairs``, of an :meth:`estimate_many_stacked` call reading
+        them (compiles; see :meth:`JunctionTree.row_footprint`)."""
         self.compile()
-        return self._jt.row_footprint(self.circuit.inputs)
+        if lines is None:
+            lines = self.circuit.lines
+        return self._jt.row_footprint(self.circuit.inputs, lines, pairs)
 
     def row_bytes(self) -> int:
         """Bytes one scenario row of :meth:`estimate_many` needs: the

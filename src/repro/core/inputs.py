@@ -20,6 +20,10 @@ future-work extension:
   target switching activity.
 - :class:`CorrelatedGroupInputs` -- spatially correlated groups layered
   on either temporal model.
+
+Batched sweeps read K models at once through :class:`InputStack`, which
+turns them into ``(K, ...)`` arrays: one vectorized call per in-repo
+model, stacking ``input_cpds_trusted`` tables for any other model.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.bayesian.cpd import TabularCPD
+from repro.bayesian.junction import unique_rows
 from repro.core.states import (
     N_STATES,
     current_values,
@@ -45,6 +50,13 @@ def _per_input(spec: ProbabilitySpec, name: str, default: float) -> float:
     if isinstance(spec, Mapping):
         return float(spec.get(name, default))
     return float(spec)
+
+
+def _spec_vector(spec: ProbabilitySpec, names: Sequence[str]) -> np.ndarray:
+    """:func:`_per_input` (default 0.5) over ``names``, as a vector."""
+    if isinstance(spec, Mapping):
+        return np.array([float(spec.get(name, 0.5)) for name in names])
+    return np.full(len(names), float(spec))
 
 
 def _prob_spec(value) -> ProbabilitySpec:
@@ -129,23 +141,20 @@ class InputModel(ABC):
     def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
         """Like :meth:`input_cpds`, but may skip CPD re-validation.
 
-        Batched scenario sweeps call this K times per ``estimate_many``;
-        the in-repo models override it to build their (normalized by
-        construction) tables through :meth:`TabularCPD._trusted`, which
-        skips the row-sum check that dominates large sweeps.  The
-        default simply delegates, so third-party models stay correct
-        without opting in.
+        Result-cache digests hash these tables, and :class:`InputStack`
+        stacks them for models without an array builder.  The in-repo
+        models build them from their arrays (normalized by
+        construction) through :meth:`TabularCPD._trusted`, which skips
+        the row-sum check; any other model delegates to
+        :meth:`input_cpds`, so third-party models stay correct without
+        opting in.
         """
-        return self.input_cpds(input_names)
-
-    def _trusted_priors(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        """Root-node CPDs from :meth:`marginal_distribution`, unvalidated."""
+        if type(self) not in _ARRAY_MODELS:
+            return self.input_cpds(input_names)
+        tables, parents = InputStack([self], input_names).tables(input_names)
         return [
-            TabularCPD._trusted(
-                name,
-                np.asarray(self.marginal_distribution(name), dtype=np.float64),
-            )
-            for name in input_names
+            TabularCPD._trusted(name, table[0], parents.get(name, ()))
+            for name, table in tables.items()
         ]
 
 
@@ -177,8 +186,13 @@ class IndependentInputs(InputModel):
             for name in input_names
         ]
 
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._trusted_priors(input_names)
+    def _input_arrays(self, input_names: Sequence[str]):
+        p = _spec_vector(self.p_one, input_names)
+        if not ((p >= 0.0) & (p <= 1.0)).all():
+            for name in input_names:
+                self._p(name)  # raises for the first bad name
+        q = 1.0 - p
+        return np.stack([q * q, q * p, p * q, p * p], axis=1), {}
 
     def sample_pairs(self, input_names, n_pairs, rng):
         probs = np.array([self._p(n) for n in input_names])
@@ -219,8 +233,16 @@ class TemporalInputs(InputModel):
             for name in input_names
         ]
 
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._trusted_priors(input_names)
+    def _input_arrays(self, input_names: Sequence[str]):
+        p = _spec_vector(self.p_one, input_names)
+        a = _spec_vector(self.activity, input_names)
+        half = a / 2.0
+        ok = (p >= 0.0) & (p <= 1.0) & (a >= 0.0) & (a <= 1.0)
+        if not (ok & (half <= np.minimum(p, 1.0 - p) + 1e-12)).all():
+            for name in input_names:
+                self.marginal_distribution(name)  # raises for the first bad name
+        rows = np.stack([1.0 - p - half, half, half, p - half], axis=1)
+        return rows.clip(min=0.0), {}
 
     def sample_pairs(self, input_names, n_pairs, rng):
         n = len(input_names)
@@ -297,8 +319,9 @@ class TraceInputs(InputModel):
             for name in input_names
         ]
 
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._trusted_priors(input_names)
+    def _input_arrays(self, input_names: Sequence[str]):
+        rows = [self.marginal_distribution(name) for name in input_names]
+        return np.array(rows, dtype=np.float64).reshape(-1, N_STATES), {}
 
     def sample_pairs(self, input_names, n_pairs, rng):
         columns = [self._names.index(name) for name in input_names]
@@ -374,14 +397,6 @@ class CorrelatedGroupInputs(InputModel):
         )
 
     def input_cpds(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._build_cpds(input_names, trusted=False)
-
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._build_cpds(input_names, trusted=True)
-
-    def _build_cpds(
-        self, input_names: Sequence[str], trusted: bool
-    ) -> List[TabularCPD]:
         available = set(input_names)
         cpds: List[TabularCPD] = []
         for name in input_names:
@@ -389,15 +404,7 @@ class CorrelatedGroupInputs(InputModel):
             if parent is None or parent not in available:
                 # Parent absent: marginalizing the chain over it leaves
                 # exactly the implied marginal as this input's prior.
-                dist = self.marginal_distribution(name)
-                if trusted:
-                    cpds.append(
-                        TabularCPD._trusted(
-                            name, np.asarray(dist, dtype=np.float64)
-                        )
-                    )
-                else:
-                    cpds.append(TabularCPD.prior(name, dist))
+                cpds.append(TabularCPD.prior(name, self.marginal_distribution(name)))
             else:
                 fresh = self.base.marginal_distribution(name)
                 table = np.empty((N_STATES, N_STATES))
@@ -405,11 +412,45 @@ class CorrelatedGroupInputs(InputModel):
                     row = (1.0 - self.rho) * fresh
                     row[parent_state] += self.rho
                     table[parent_state] = row
-                if trusted:
-                    cpds.append(TabularCPD._trusted(name, table, [parent]))
-                else:
-                    cpds.append(TabularCPD(name, N_STATES, table, [parent]))
+                cpds.append(TabularCPD(name, N_STATES, table, [parent]))
         return cpds
+
+    def _input_arrays(self, input_names: Sequence[str]):
+        # Implied marginals need every chain ancestor of a name.
+        needed = list(input_names)
+        position = {name: i for i, name in enumerate(needed)}
+        for name in input_names:
+            parent = self._predecessor.get(name)
+            while parent is not None and parent not in position:
+                position[parent] = len(needed)
+                needed.append(parent)
+                parent = self._predecessor.get(parent)
+        base = _marginal_rows(self.base, needed)
+        implied = base.copy()
+        # Chain members one depth at a time: a member's implied marginal
+        # reads its predecessor's, one depth up.
+        for depth in range(1, max((len(g) for g in self.groups), default=1)):
+            members = [
+                (position[g[depth]], position[g[depth - 1]])
+                for g in self.groups
+                if len(g) > depth and g[depth] in position
+            ]
+            if members:
+                child, parent = (np.array(ix) for ix in zip(*members))
+                implied[child] = self.rho * implied[parent] + (1.0 - self.rho) * base[child]
+        chained = [name for name in input_names if name in self._predecessor]
+        tables = np.repeat(
+            ((1.0 - self.rho) * base[[position[n] for n in chained]])[:, None, :],
+            N_STATES,
+            axis=1,
+        )
+        diagonal = np.arange(N_STATES)
+        tables[:, diagonal, diagonal] += self.rho
+        chains = {
+            name: (self._predecessor[name], table)
+            for name, table in zip(chained, tables)
+        }
+        return implied[: len(input_names)], chains
 
     def sample_pairs(self, input_names, n_pairs, rng):
         index = {name: j for j, name in enumerate(input_names)}
@@ -439,3 +480,169 @@ class CorrelatedGroupInputs(InputModel):
             previous_values(states).astype(np.uint8),
             current_values(states).astype(np.uint8),
         )
+
+
+#: Models whose ``_input_arrays`` builds, in one vectorized call, the
+#: tables their ``input_cpds`` would build one CPD at a time.
+#: Exact types only: a subclass may override any of the input methods.
+_ARRAY_MODELS = frozenset(
+    {IndependentInputs, TemporalInputs, TraceInputs, CorrelatedGroupInputs}
+)
+
+
+def _model_arrays(model: InputModel, names: Sequence[str]):
+    """``(marginals (n, 4), chains)`` of an in-repo model, else None.
+
+    ``chains`` maps each chained input among ``names`` to ``(parent,
+    P(input | parent))``; the table applies when the parent is present.
+    """
+    if type(model) not in _ARRAY_MODELS:
+        return None
+    return model._input_arrays(names)
+
+
+def _marginal_rows(model: InputModel, names: Sequence[str]) -> np.ndarray:
+    """``model``'s 4-state marginals of ``names``, shape ``(n, 4)``."""
+    arrays = _model_arrays(model, names)
+    if arrays is not None:
+        return arrays[0]
+    rows = [model.marginal_distribution(name) for name in names]
+    return np.array(rows, dtype=np.float64).reshape(-1, N_STATES)
+
+
+class InputStack:
+    """K input models over one circuit's input lines, as arrays.
+
+    Built once per batched call.  :attr:`marginals` is the ``(K, n,
+    4)`` stack of every input's 4-state marginal; :meth:`tables`
+    stacks, for any subset of the inputs, the CPD tables
+    ``input_cpds_trusted`` would build per scenario.  In-repo models
+    build both in one vectorized call each; any other model falls back
+    to its ``marginal_distribution`` and ``input_cpds_trusted``.
+    """
+
+    def __init__(self, models: Sequence[InputModel], names: Sequence[str]):
+        self.models = list(models)
+        if not self.models:
+            raise ValueError("need at least one input model")
+        self.names = list(names)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        arrays = [_model_arrays(model, self.names) for model in self.models]
+        self._marginals: Optional[np.ndarray] = None
+        #: per-model chain maps (None: some model has no array builder)
+        self._chains: Optional[List[dict]] = None
+        self._conditionals: Dict[str, np.ndarray] = {}
+        if all(a is not None for a in arrays):
+            self._marginals = np.stack([a[0] for a in arrays])
+            self._chains = [a[1] for a in arrays]
+
+    def __len__(self) -> int:
+        """K, the number of scenarios."""
+        return len(self.models)
+
+    @property
+    def marginals(self) -> np.ndarray:
+        """``(K, n, 4)`` marginals of every input, in :attr:`names` order."""
+        if self._marginals is None:
+            self._marginals = np.stack(
+                [_marginal_rows(model, self.names) for model in self.models]
+            )
+        return self._marginals
+
+    def marginal(self, name: str) -> np.ndarray:
+        """``(K, 4)`` marginal stack of one input."""
+        return self.marginals[:, self._index[name]]
+
+    def tables(
+        self, names: Sequence[str]
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, Tuple[str, ...]]]:
+        """The input CPD tables of ``names``, stacked per scenario.
+
+        Returns ``(tables, parents)``: ``tables[name]`` is the ``(K,
+        *table)`` stack of the tables ``input_cpds_trusted(names)``
+        builds (a ``(K, 4)`` prior, or a ``(K, 4, 4)`` conditional on
+        the parent ``parents[name]``), in ``names`` order.  Scenarios
+        must agree on which inputs are conditionals and on their
+        parents.
+        """
+        if self._chains is None:
+            return self._stack_cpds(names)
+        present = set(names)
+        realized = [
+            {c: p for c, (p, _) in chains.items() if c in present and p in present}
+            for chains in self._chains
+        ]
+        parent_of = realized[0]
+        if any(other != parent_of for other in realized[1:]):
+            raise ValueError(
+                "every scenario must give the inputs the same correlation "
+                "structure (CPD parents); recompile instead"
+            )
+        tables: Dict[str, np.ndarray] = {}
+        for name in names:
+            if name in parent_of:
+                tables[name] = self._conditional(name)
+            else:
+                tables[name] = self.marginal(name)
+        return tables, {child: (parent,) for child, parent in parent_of.items()}
+
+    def _conditional(self, name: str) -> np.ndarray:
+        stack = self._conditionals.get(name)
+        if stack is None:
+            stack = self._conditionals[name] = np.stack(
+                [chains[name][1] for chains in self._chains]
+            )
+        return stack
+
+    def _stack_cpds(self, names: Sequence[str]):
+        """:meth:`tables` from each model's ``input_cpds_trusted``."""
+        sets = [model.input_cpds_trusted(list(names)) for model in self.models]
+        first = sets[0]
+        for cpds in sets[1:]:
+            if [c.variable for c in cpds] != [c.variable for c in first]:
+                raise ValueError(
+                    "every scenario must update the same variables in the "
+                    "same order"
+                )
+            for cpd, ref in zip(cpds, first):
+                if cpd.parents != ref.parents:
+                    raise ValueError(
+                        f"new CPD for {cpd.variable!r} changes parents "
+                        f"{ref.parents} -> {cpd.parents}; recompile instead"
+                    )
+        tables = {
+            cpd.variable: np.stack([cpds[i].factor.values for cpds in sets])
+            for i, cpd in enumerate(first)
+        }
+        return tables, {cpd.variable: cpd.parents for cpd in first if cpd.parents}
+
+    def take(self, rows: Sequence[int]) -> "InputStack":
+        """The sub-stack of scenarios ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sub = object.__new__(InputStack)
+        sub.models = [self.models[r] for r in rows]
+        sub.names = self.names
+        sub._index = self._index
+        sub._marginals = None if self._marginals is None else self._marginals[rows]
+        sub._chains = None if self._chains is None else [self._chains[r] for r in rows]
+        sub._conditionals = {n: t[rows] for n, t in self._conditionals.items()}
+        return sub
+
+    def unique(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reps, scatter)`` of scenarios with bytewise-equal input
+        tables (:func:`~repro.bayesian.junction.unique_rows`)."""
+        tables, _ = self.tables(self.names)
+        if not tables:
+            return unique_rows(np.empty((len(self), 0)))
+        return unique_rows(
+            np.concatenate([t.reshape(len(self), -1) for t in tables.values()], axis=1)
+        )
+
+
+def as_input_stack(inputs, names: Sequence[str]) -> Optional[InputStack]:
+    """``inputs`` if it already is an :class:`InputStack`, else the stack
+    over ``names`` of the models it lists (``None`` when it lists none)."""
+    if isinstance(inputs, InputStack):
+        return inputs
+    models = list(inputs)
+    return InputStack(models, names) if models else None

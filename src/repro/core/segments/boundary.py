@@ -13,7 +13,12 @@ upstream segments.  The models here describe the boundary side:
   a boundary model over the rest.
 
 :func:`boundary_conditional` turns a published ``(K, 4, 4)`` pair
-joint into the ``P(child | parent)`` stack a tree edge carries.
+joint into the ``P(child | parent)`` stack a tree edge carries, and
+:func:`check_marginals` validates the ``(K, 4)`` marginal stacks that
+cross a cut.  At query time the segmented pipeline feeds those stacks
+straight to each segment; the models here describe a segment's inputs
+at compile time (and serve single-scenario callers such as
+:mod:`repro.core.sequential`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "SegmentInputs",
     "TreeBoundaryInputs",
     "boundary_conditional",
+    "check_marginals",
 ]
 
 
@@ -44,6 +50,20 @@ def boundary_conditional(joint: np.ndarray, child_priors: np.ndarray) -> np.ndar
     safe = np.where(ok, mass, 1.0)
     rows = joint / safe[:, :, None]
     return np.where(ok[:, :, None], rows, child_priors[:, None, :])
+
+
+def check_marginals(stacks: Mapping[str, np.ndarray]) -> None:
+    """Raise :class:`~repro.errors.SegmentBoundaryError` unless every
+    ``(K, 4)`` stack of ``stacks`` holds 4-state distributions summing
+    to 1 (one vectorized check over all of them)."""
+    if not stacks:
+        return
+    names = list(stacks)
+    values = np.stack([stacks[name] for name in names], axis=1)
+    bad = ~np.isclose(values.sum(axis=-1), 1.0, atol=1e-8).all(axis=0)
+    if bad.any():
+        name = names[int(np.flatnonzero(bad)[0])]
+        raise SegmentBoundaryError(f"distribution for {name!r} does not sum to 1")
 
 
 class FixedMarginalInputs(InputModel):
@@ -78,11 +98,6 @@ class FixedMarginalInputs(InputModel):
             TabularCPD.prior(name, self.marginal_distribution(name))
             for name in input_names
         ]
-
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        # Distributions were validated once in __init__; sweeps may
-        # skip the per-call CPD re-checks.
-        return self._trusted_priors(input_names)
 
     def sample_pairs(self, input_names, n_pairs, rng):
         states = np.empty((n_pairs, len(input_names)), dtype=np.int64)
@@ -127,35 +142,18 @@ class TreeBoundaryInputs(InputModel):
         return self._priors[name]
 
     def input_cpds(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        return self._build_cpds(input_names, trusted=False)
-
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        # Priors and conditionals are extracted from calibrated upstream
-        # junction trees (normalized by construction), so sweeps skip
-        # the per-call row-sum re-checks.
-        return self._build_cpds(input_names, trusted=True)
-
-    def _build_cpds(
-        self, input_names: Sequence[str], trusted: bool
-    ) -> List[TabularCPD]:
         available = set(input_names)
         cpds: List[TabularCPD] = []
         for name in input_names:
             parent = self._parent_of.get(name)
             if parent is None or parent not in available:
-                if trusted:
-                    cpds.append(TabularCPD._trusted(name, self._priors[name]))
-                else:
-                    cpds.append(TabularCPD.prior(name, self._priors[name]))
+                cpds.append(TabularCPD.prior(name, self._priors[name]))
             else:
                 table = self._conditionals.get(name)
                 if table is None:
                     # Placeholder structure before numbers are known.
                     table = np.tile(self._priors[name], (N_STATES, 1))
-                if trusted:
-                    cpds.append(TabularCPD._trusted(name, table, [parent]))
-                else:
-                    cpds.append(TabularCPD(name, N_STATES, table, [parent]))
+                cpds.append(TabularCPD(name, N_STATES, table, [parent]))
         return cpds
 
     def sample_pairs(self, input_names, n_pairs, rng):
@@ -223,12 +221,6 @@ class SegmentInputs(InputModel):
     def input_cpds(self, input_names: Sequence[str]) -> List[TabularCPD]:
         primary, rest = self._split(input_names)
         return self.user_model.input_cpds(primary) + self.boundary.input_cpds(rest)
-
-    def input_cpds_trusted(self, input_names: Sequence[str]) -> List[TabularCPD]:
-        primary, rest = self._split(input_names)
-        return self.user_model.input_cpds_trusted(
-            primary
-        ) + self.boundary.input_cpds_trusted(rest)
 
     def sample_pairs(self, input_names, n_pairs, rng):
         primary, rest = self._split(input_names)

@@ -34,7 +34,7 @@ from repro.core.estimator import (
     SwitchingEstimate,
     result_row_bytes,
 )
-from repro.core.inputs import IndependentInputs, InputModel
+from repro.core.inputs import IndependentInputs, InputModel, InputStack, as_input_stack
 from repro.core.states import N_STATES
 from repro.errors import SegmentBoundaryError
 from repro.obs.metrics import get_metrics
@@ -45,6 +45,7 @@ from repro.core.segments.boundary import (
     SegmentInputs,
     TreeBoundaryInputs,
     boundary_conditional,
+    check_marginals,
 )
 from repro.core.segments.partition import (
     SegmentGraph,
@@ -315,11 +316,15 @@ class SegmentedEstimator:
         """Compile a chunk of gate-output lines, splitting on budget misses.
 
         A miss is a clique over the clique budget or a scenario row over
-        the memory budget.  On a miss the chunk is halved first (quarter-cost
-        retriangulations, lookback accuracy kept); lookback is shed only
-        once the chunk is too small to split usefully.  Finalized
-        segments register in topological order so downstream chunks can
-        see their owners and junction trees.
+        the memory budget.  The row counts the segment's engine and the
+        reads of every line but its duplicated lookback gates, which no
+        one reads.  On a clique miss the chunk is halved first
+        (quarter-cost retriangulations, lookback accuracy kept); lookback
+        is shed only once the chunk is too small to split usefully.  A
+        memory miss sheds lookback first: duplicated gates cost memory
+        in every segment that copies them, and halving adds copies.
+        Finalized segments register in topological order so downstream
+        chunks can see their owners and junction trees.
         """
         owned = set(chunk)
         expanded = expand_with_lookback(self.circuit, chunk, lookback)
@@ -342,8 +347,13 @@ class SegmentedEstimator:
         )
         try:
             estimator.compile()
-            check_memory_budget(segment.name, estimator.row_bytes())
-        except (CliqueBudgetExceeded, MemoryBudgetExceeded):
+            inputs = set(segment.inputs)
+            read = [line for line in segment.lines if line in owned or line in inputs]
+            check_memory_budget(
+                segment.name,
+                sum(estimator.row_footprint(read)) + result_row_bytes(segment),
+            )
+        except (CliqueBudgetExceeded, MemoryBudgetExceeded) as miss:
             # High treewidth but few inputs: exploit CPT determinism via
             # exact support enumeration rather than lossy splitting.
             if self.enum_input_states:
@@ -363,6 +373,9 @@ class SegmentedEstimator:
                     return
                 except SegmentTooWide:
                     pass
+            if lookback > 0 and isinstance(miss, MemoryBudgetExceeded):
+                self._compile_chunk(chunk, label, 0, registry)
+                return
             if len(chunk) > 8:
                 mid = len(chunk) // 2
                 self._compile_chunk(chunk[:mid], label + "a", lookback, registry)
@@ -412,16 +425,21 @@ class SegmentedEstimator:
     def estimate_many(self, input_models) -> List[SwitchingEstimate]:
         """Estimate K input-statistics scenarios in one batched sweep.
 
-        Each segment answers all K scenarios in one stacked call
-        (``estimate_many_stacked``): a junction-tree segment in a single
-        vectorized pass, an enumeration segment by weighting its
-        precomputed support once per scenario.  Each publishes the
-        ``(K, 4)`` marginals of the lines it owns and the ``(K, 4, 4)``
-        joints of the boundary pairs downstream forests read from it
-        (``SegmentNode.boundary_pairs``).  Both flow between segments
-        in segment order, which is topological: every input a segment
-        reads is published by a lower-index segment.  With
-        ``refine > 0`` the forward pass is followed by the
+        The K models become ``(K, ...)`` input stacks once
+        (:class:`~repro.core.inputs.InputStack`; ``input_models`` may
+        already be one).  Each segment answers all K scenarios in one
+        stacked call (``estimate_many_stacked``) over its input tables:
+        its primary inputs' stacked CPD tables, then its boundary
+        lines' published ``(K, 4)`` marginals and, along its boundary
+        forest, ``(K, 4, 4)`` conditionals.  A junction-tree segment
+        answers in a single vectorized pass, an enumeration segment by
+        weighting its precomputed support once per scenario.  Each
+        publishes the ``(K, 4)`` marginals of the lines it owns and the
+        ``(K, 4, 4)`` joints of the boundary pairs downstream forests
+        read from it (``SegmentNode.boundary_pairs``).  Both flow
+        between segments in segment order, which is topological: every
+        input a segment reads is published by a lower-index segment.
+        With ``refine > 0`` the forward pass is followed by the
         boundary-refinement loop (:mod:`repro.core.segments.refine`).
         Result ``k`` is bitwise-identical to an independent
         :meth:`estimate` with scenario ``k``'s model, whatever either
@@ -433,11 +451,11 @@ class SegmentedEstimator:
         receives, so repeated scenarios -- and every scenario, in a
         segment outside a sweep's change cone -- share a row.
         """
-        models = list(input_models)
-        if not models:
+        stack = as_input_stack(input_models, self.circuit.inputs)
+        if stack is None:
             return []
         self.compile()
-        k = len(models)
+        k = len(stack)
         tracer = get_tracer()
         with tracer.span(
             "segmented.propagate_many",
@@ -447,19 +465,16 @@ class SegmentedEstimator:
             backend="segmented",
         ) as span:
             known: Dict[str, np.ndarray] = {
-                name: np.stack(
-                    [m.marginal_distribution(name) for m in models]
-                )
-                for name in self.circuit.inputs
+                name: stack.marginal(name) for name in self.circuit.inputs
             }
             joints: Dict[Tuple[str, str], np.ndarray] = {}
             for index in range(len(self.graph)):
                 marginals, published = self._propagate_segment_batch(
-                    index, known, joints, models
+                    index, known, joints, stack
                 )
                 known.update(marginals)
                 joints.update(published)
-            self.last_refine = run_refinement(self, known, joints, models)
+            self.last_refine = run_refinement(self, known, joints, stack)
         per_scenario = span.duration / k
         method = (
             Method.SEGMENTED.value
@@ -484,67 +499,60 @@ class SegmentedEstimator:
         index: int,
         known: Dict[str, np.ndarray],
         joints: Dict[Tuple[str, str], np.ndarray],
-        models: List[InputModel],
+        stack: InputStack,
         glue_tables: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[Dict[str, np.ndarray], Dict[Tuple[str, str], np.ndarray]]:
-        """Refresh one segment's boundary inputs for K scenarios,
-        propagate it, and return what it publishes: the ``(K, 4)``
-        stacks of the lines it owns and the ``(K, 4, 4)`` joints of its
+        """Stack one segment's input tables for K scenarios, propagate
+        it, and return what it publishes: the ``(K, 4)`` stacks of the
+        lines it owns and the ``(K, 4, 4)`` joints of its
         ``boundary_pairs``.
 
-        ``known`` (published marginals) and ``joints`` (published
-        boundary joints, keyed ``(parent, child)``) are only read; the
-        caller merges the return values.  ``glue_tables`` maps glue
-        children to ``(K, 4, 4)`` conditional stacks during refinement;
-        in the base pass glue children fall back to their independent
-        placeholder.
+        Primary inputs take ``stack``'s tables; boundary lines take
+        their ``known`` (published) marginals, or, where the boundary
+        forest gives them a parent, ``P(child | parent)`` from the
+        published joint of that pair (``joints``, keyed ``(parent,
+        child)``).  Both are only read; the caller merges the return
+        values.  ``glue_tables`` maps glue children to ``(K, 4, 4)``
+        conditional stacks during refinement; in the base pass a glue
+        child's conditional is its marginal, repeated over parent
+        states.
         """
         node = self.graph[index]
         segment = node.segment
-        k = len(models)
         with get_tracer().span(
             "segment.propagate_many",
             segment=segment.name,
-            scenarios=k,
+            scenarios=len(stack),
         ):
             primary, boundary_lines = self._split_segment_inputs(segment)
-            parent_of = node.parent_of
-            conditionals_b: Dict[str, np.ndarray] = {}
-            for child, parent in parent_of.items():
-                if child in node.glue_children:
-                    if glue_tables is not None and child in glue_tables:
-                        conditionals_b[child] = glue_tables[child]
+            tables, parents = stack.tables(primary)
+            check_marginals({name: known[name] for name in boundary_lines})
+            present = set(boundary_lines)
+            for name in boundary_lines:
+                parent = node.parent_of.get(name)
+                if parent is None or parent not in present:
+                    tables[name] = known[name]
                     continue
-                conditionals_b[child] = boundary_conditional(
-                    joints[(parent, child)], known[child]
-                )
-            scenario_models: List[InputModel] = []
-            for j in range(k):
-                priors = {name: known[name][j] for name in boundary_lines}
-                if parent_of:
-                    boundary: InputModel = TreeBoundaryInputs(
-                        priors,
-                        parent_of,
-                        {
-                            child: conditionals_b[child][j]
-                            for child in parent_of
-                            if child in conditionals_b
-                        },
-                    )
+                if name not in node.glue_children:
+                    table = boundary_conditional(joints[(parent, name)], known[name])
+                elif glue_tables is not None and name in glue_tables:
+                    table = glue_tables[name]
                 else:
-                    boundary = FixedMarginalInputs(priors)
-                scenario_models.append(
-                    SegmentInputs(models[j], primary, boundary)
-                )
-            # Only the owned lines are extracted: duplicated lookback
-            # gates exist solely to rebuild local correlation.
-            published = [
-                line for line in segment.internal_lines if line in node.owned
-            ]
+                    table = np.repeat(known[name][:, None, :], N_STATES, axis=1)
+                tables[name] = table
+                parents[name] = (parent,)
+            published = self._published(node)
             stacks, pair_joints, _ = node.estimator.estimate_many_stacked(
-                scenario_models, published, node.boundary_pairs
+                tables, published, node.boundary_pairs, parents, len(stack)
             )
             return {line: stacks[line] for line in published}, pair_joints
+
+    @staticmethod
+    def _published(node) -> List[str]:
+        """The lines a segment publishes: only the owned ones, since
+        duplicated lookback gates exist solely to rebuild local
+        correlation."""
+        return [line for line in node.segment.internal_lines if line in node.owned]
 
     # ------------------------------------------------------------------
 
@@ -580,19 +588,24 @@ class SegmentedEstimator:
 
         Segments propagate one after another and every junction-tree
         segment keeps its engine between passes, so a row holds the
-        resident bytes of all of them plus the install transient of the
-        largest (:meth:`SwitchingActivityEstimator.row_footprint`) and
-        the result row.  Enumeration segments loop scenario by scenario
-        and add no per-row buffers.
+        resident bytes of all of them plus the transient of the largest
+        (:meth:`SwitchingActivityEstimator.row_footprint`, over the
+        lines and pairs each publishes), the published ``(4, 4)``
+        boundary joints and the result row.  Enumeration segments loop
+        scenario by scenario and add no per-row buffers.
         """
         self.compile()
-        resident = transient = 0
+        resident = transient = pairs = 0
         for node in self.graph.nodes:
+            pairs += len(node.boundary_pairs)
             if isinstance(node.estimator, SwitchingActivityEstimator):
-                held, passing = node.estimator.row_footprint()
+                held, passing = node.estimator.row_footprint(
+                    self._published(node), node.boundary_pairs
+                )
                 resident += held
                 transient = max(transient, passing)
-        return resident + transient + result_row_bytes(self.circuit)
+        joints = 8 * N_STATES * N_STATES * pairs
+        return resident + transient + joints + result_row_bytes(self.circuit)
 
     def support_stats(self) -> Dict[str, object]:
         """Support-analysis summary aggregated over junction-tree segments.

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.netlist import Circuit
-from repro.core.inputs import InputModel
+from repro.core.inputs import InputStack
 from repro.core.states import N_STATES
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -54,6 +54,7 @@ from repro.core.segments.boundary import (
     FixedMarginalInputs,
     SegmentInputs,
     boundary_conditional,
+    check_marginals,
 )
 from repro.core.segments.partition import (
     SegmentRegistry,
@@ -328,24 +329,24 @@ class BoundaryRefiner:
         self,
         edge: GlueEdge,
         known: Dict[str, np.ndarray],
-        models: List[InputModel],
+        stack: InputStack,
     ) -> np.ndarray:
         """Per-scenario ``(K, 4, 4)`` stack of glue conditionals.
 
         One stacked enumeration call reads the edge's pair joint for
-        all K scenarios; each is then calibrated to the published
+        all K scenarios over the cone's input tables -- ``stack``'s for
+        its primary inputs, then the published ``known`` marginals of
+        the rest -- and each joint is then calibrated to the published
         marginals.
         """
         pair = (edge.parent, edge.child)
-        scenarios = [
-            SegmentInputs(
-                model,
-                edge.primary,
-                FixedMarginalInputs({ln: known[ln][j] for ln in edge.internal}),
-            )
-            for j, model in enumerate(models)
-        ]
-        _, joints, _ = edge.estimator.estimate_many_stacked(scenarios, (), [pair])
+        tables, parents = stack.tables(edge.primary)
+        internal = {ln: known[ln] for ln in edge.internal}
+        check_marginals(internal)
+        tables.update(internal)
+        _, joints, _ = edge.estimator.estimate_many_stacked(
+            tables, (), [pair], parents, len(stack)
+        )
         calibrated = np.stack([
             calibrate_joint(joint, known[edge.parent][j], known[edge.child][j])
             for j, joint in enumerate(joints[pair])
@@ -362,13 +363,13 @@ def run_refinement(
     estimator,
     known: Dict[str, np.ndarray],
     joints: Dict[Tuple[str, str], np.ndarray],
-    models: List[InputModel],
+    stack: InputStack,
 ) -> Tuple[int, float]:
     """Refine ``known`` and ``joints`` in place; returns
     ``(iterations, last_delta)``.
 
     ``known`` maps each line to a ``(K, 4)`` stack over the K scenarios
-    in ``models`` and ``joints`` each published boundary pair to a
+    of ``stack`` and ``joints`` each published boundary pair to a
     ``(K, 4, 4)`` stack, exactly as the forward pass left them.
     """
     refiner: Optional[BoundaryRefiner] = estimator._refiner
@@ -395,10 +396,10 @@ def run_refinement(
                 "segmented.refine.iteration", iteration=iteration
             ) as it_span:
                 glue_tables, delta_glue, dirty = _evaluate_glue(
-                    refiner, known, models, prev_tables, prune
+                    refiner, known, stack, prev_tables, prune
                 )
                 delta_lines = _repropagate(
-                    estimator, known, joints, models, dirty, glue_tables, prune
+                    estimator, known, joints, stack, dirty, glue_tables, prune
                 )
                 delta = max(delta_glue, delta_lines)
                 iterations += 1
@@ -414,7 +415,7 @@ def run_refinement(
 
 
 def _evaluate_glue(
-    refiner: BoundaryRefiner, known, models, prev_tables, prune
+    refiner: BoundaryRefiner, known, stack, prev_tables, prune
 ):
     """Evaluate every glue cone; return (tables by consumer, max table
     delta, dirty consumer indices)."""
@@ -422,7 +423,7 @@ def _evaluate_glue(
     delta_glue = 0.0
     dirty: set = set()
     for edge in refiner.edges:
-        table = refiner.conditional_batch(edge, known, models)
+        table = refiner.conditional_batch(edge, known, stack)
         key = (edge.index, edge.child)
         prev = prev_tables.get(key)
         if prev is None:
@@ -439,7 +440,7 @@ def _evaluate_glue(
     return glue_tables, delta_glue, dirty
 
 
-def _repropagate(estimator, known, joints, models, dirty, glue_tables, prune):
+def _repropagate(estimator, known, joints, stack, dirty, glue_tables, prune):
     """One topological sweep re-propagating dirty segments; returns the
     max published-belief delta.  Dirtiness cascades: a segment is dirty
     when its glue tables changed or any of its boundary inputs moved
@@ -452,7 +453,7 @@ def _repropagate(estimator, known, joints, models, dirty, glue_tables, prune):
         ):
             continue
         marginals, published = estimator._propagate_segment_batch(
-            index, known, joints, models, glue_tables=glue_tables.get(index)
+            index, known, joints, stack, glue_tables=glue_tables.get(index)
         )
         joints.update(published)
         for line, value in marginals.items():

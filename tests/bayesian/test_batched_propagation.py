@@ -12,11 +12,16 @@ per-row failure modes (per-scenario zero beliefs).
 import numpy as np
 import pytest
 
-from repro.bayesian import BayesianNetwork, JunctionTree
+from repro.bayesian import JunctionTree
 from repro.bayesian.propagation import PropagationEngine
 from repro.errors import ZeroBeliefError
 
-from tests.bayesian.util import random_bn, sprinkler_bn
+from tests.bayesian.util import (
+    random_bn,
+    reference_potential,
+    sprinkler_bn,
+    storage_layout,
+)
 
 
 def _batched_engine_for(jt: JunctionTree, stacks, k=None):
@@ -27,12 +32,11 @@ def _batched_engine_for(jt: JunctionTree, stacks, k=None):
     engine = PropagationEngine(schedule, batch_size=k)
     for idx in range(len(jt.cliques)):
         if idx in stacks:
-            engine.set_potential_batch(idx, stacks[idx])
+            stack = stacks[idx]
         else:
-            base = jt._cpd_products[idx].permute(schedule.orders[idx]).values
-            engine.set_potential_batch(
-                idx, np.broadcast_to(base, (k,) + base.shape).copy()
-            )
+            base = reference_potential(jt, idx)
+            stack = np.broadcast_to(base, (k,) + base.shape)
+        engine.potential_rows(idx)[...] = storage_layout(jt, idx, stack)
     return engine
 
 
@@ -44,8 +48,8 @@ def _single_run(jt: JunctionTree, overrides):
         if idx in overrides:
             values = overrides[idx]
         else:
-            values = jt._cpd_products[idx].permute(schedule.orders[idx]).values
-        engine.set_potential_batch(idx, np.array(values, dtype=np.float64)[None])
+            values = reference_potential(jt, idx)
+        engine.potential_rows(idx)[...] = storage_layout(jt, idx, np.asarray(values)[None])
     engine.propagate()
     return engine
 
@@ -60,7 +64,7 @@ class TestBatchedBitwise:
         # Vary the clique holding "cloudy" per scenario by scaling the
         # cloudy axis of its CPD-product table.
         idx, axis = schedule.variable_axis["cloudy"]
-        base = jt._cpd_products[idx].permute(schedule.orders[idx]).values
+        base = reference_potential(jt, idx)
         shape = [1] * base.ndim
         shape[axis] = base.shape[axis]
         tables = []
@@ -115,7 +119,7 @@ class TestZeroBeliefIsolation:
         jt.calibrate()
         schedule = jt._ensure_schedule()
         idx, _ = schedule.variable_axis["cloudy"]
-        base = jt._cpd_products[idx].permute(schedule.orders[idx]).values
+        base = reference_potential(jt, idx)
         stack = np.stack([base, np.zeros_like(base), base * 0.5])
         engine = _batched_engine_for(jt, {idx: stack})
         engine.propagate()
@@ -133,8 +137,7 @@ class TestZeroBeliefIsolation:
         assert np.isnan(out["cloudy"][1]).all()
         assert np.isnan(out["wet"][1]).all()
         # Unaffected scenarios are bitwise-identical to solo runs.
-        schedule = jt._ensure_schedule()
-        base = jt._cpd_products[idx].permute(schedule.orders[idx]).values
+        base = reference_potential(jt, idx)
         for i, table in ((0, base), (2, base * 0.5)):
             single = _single_run(jt, {idx: table})
             expect = single.marginals(["cloudy", "wet"])

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.bayesian import BayesianNetwork, TabularCPD
+from repro.bayesian.factor import Factor, factor_product
 
 
 def random_bn(
@@ -48,3 +49,32 @@ def sprinkler_bn() -> BayesianNetwork:
         )
     )
     return bn
+
+
+def reference_potential(jt, idx, cpds=()) -> np.ndarray:
+    """Clique ``idx``'s CPD product by a one-scenario ``Factor`` fold.
+
+    The reference the compiled install plans must match bitwise: the
+    product of the CPDs assigned to the clique (``cpds`` replacing the
+    network's, by variable) over the clique scope, as a dense table in
+    canonical (sorted-variable) order.
+    """
+    order = tuple(sorted(jt.cliques[idx]))
+    shape = tuple(jt._cardinalities[v] for v in order)
+    replaced = {cpd.variable: cpd for cpd in cpds}
+    factors = [Factor.uniform(order, shape)] + [
+        replaced.get(node, jt._bn.cpd(node)).to_factor()
+        for node in jt._cpd_members[idx]
+    ]
+    return factor_product(factors).permute(order).values
+
+
+def storage_layout(jt, idx, table) -> np.ndarray:
+    """A dense canonical clique table (leading axes kept) in the
+    engine's storage layout: packed entries or the flattened table."""
+    schedule = jt._ensure_schedule()
+    table = np.asarray(table, dtype=np.float64)
+    lead = table.shape[: table.ndim - len(schedule.shapes[idx])]
+    flat = table.reshape(lead + (-1,))
+    sp = schedule.sparse_cliques.get(idx)
+    return flat if sp is None else flat[..., sp.flat_idx]

@@ -13,6 +13,7 @@ from repro.core import (
     exact_switching_by_enumeration,
 )
 from repro.core.enumeration import EnumerationSegment, SegmentTooWide
+from repro.core.inputs import InputStack
 from repro.core.segments import TreeBoundaryInputs
 from repro.core.states import N_STATES
 
@@ -75,8 +76,15 @@ def _brute_joint(circuit, model, a, b):
     return joint / joint.sum()
 
 
+def _stacked(segment, models, lines, pairs=()):
+    """``estimate_many_stacked`` over the models' stacked input tables."""
+    inputs = segment.circuit.inputs
+    tables, parents = InputStack(models, inputs).tables(inputs)
+    return segment.estimate_many_stacked(tables, lines, pairs, parents)
+
+
 def _pair(segment, model, a, b):
-    _, joints, _ = segment.estimate_many_stacked([model], (), [(a, b)])
+    _, joints, _ = _stacked(segment, [model], (), [(a, b)])
     return joints[(a, b)][0]
 
 
@@ -111,7 +119,7 @@ class TestPairJoint:
         with pytest.raises(KeyError):
             _pair(segment, IndependentInputs(0.5), "22", "23")
         with pytest.raises(KeyError):
-            segment.estimate_many_stacked([IndependentInputs(0.5)], ["23"])
+            _stacked(segment, [IndependentInputs(0.5)], ["23"])
         assert list(segment.estimate().distributions) == ["22"]
 
     def test_pair_joint_autoestimates(self):
@@ -135,9 +143,7 @@ class TestPairJoint:
         circuit = examples.c17()
         segment = EnumerationSegment(circuit, IndependentInputs(0.5))
         pairs = [("22", "23"), ("10", "19"), ("1", "22"), ("16", "16")]
-        stacks, joints, _ = segment.estimate_many_stacked(
-            [model], circuit.lines, pairs
-        )
+        stacks, joints, _ = _stacked(segment, [model], circuit.lines, pairs)
         exact = exact_switching_by_enumeration(circuit, model)
         for line in circuit.lines:
             assert np.allclose(stacks[line][0], exact[line], atol=1e-12)
@@ -156,9 +162,9 @@ class TestPairJoint:
         ] + [TemporalInputs(p_one=0.3, activity=0.1)]
         lines = circuit.lines
         pairs = list(zip(lines[:-1], lines[1:]))
-        stacks, joints, _ = segment.estimate_many_stacked(models, lines, pairs)
+        stacks, joints, _ = _stacked(segment, models, lines, pairs)
         for j, model in enumerate(models):
-            one, one_joints, _ = segment.estimate_many_stacked([model], lines, pairs)
+            one, one_joints, _ = _stacked(segment, [model], lines, pairs)
             for line in lines:
                 assert np.array_equal(stacks[line][j], one[line][0])
             for pair in pairs:
@@ -180,8 +186,8 @@ class TestPairJoint:
         model = TemporalInputs(p_one=0.4, activity=0.2)
         pair = [("22", "23")]
         assert np.array_equal(
-            segment.estimate_many_stacked([model], ["22"], pair)[1][pair[0]],
-            clone.estimate_many_stacked([model], ["22"], pair)[1][pair[0]],
+            _stacked(segment, [model], ["22"], pair)[1][pair[0]],
+            _stacked(clone, [model], ["22"], pair)[1][pair[0]],
         )
 
 

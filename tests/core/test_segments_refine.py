@@ -20,7 +20,7 @@ from repro.core.backend import compile_model
 from repro.core.backend.backends import SegmentedBackend
 from repro.core.enumeration import EnumerationSegment
 from repro.core.estimator import exact_switching_by_enumeration
-from repro.core.inputs import IndependentInputs, TemporalInputs
+from repro.core.inputs import IndependentInputs, InputStack, TemporalInputs
 from repro.core.segments import (
     FixedMarginalInputs,
     SegmentGraph,
@@ -272,16 +272,13 @@ class TestPublishedJoints:
 
     def test_junction_tree_joint_is_tree_read(self):
         circuit, est = self._mixed(refine=0)
-        models = self._models(circuit)
-        known = {
-            name: np.stack([m.marginal_distribution(name) for m in models])
-            for name in circuit.inputs
-        }
+        stack = InputStack(self._models(circuit), circuit.inputs)
+        known = {name: stack.marginal(name) for name in circuit.inputs}
         joints = {}
         checked = 0
         for index, node in enumerate(est.graph):
             marginals, published = est._propagate_segment_batch(
-                index, known, joints, models
+                index, known, joints, stack
             )
             assert set(published) == set(node.boundary_pairs)
             if not isinstance(node.estimator, EnumerationSegment):

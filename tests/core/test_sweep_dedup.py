@@ -1,6 +1,6 @@
 """Duplicate collapse at batch install: planner units and the bitwise contract.
 
-``JunctionTree.update_cpds_batch`` propagates one engine row per
+``JunctionTree.update_tables_batch`` propagates one engine row per
 distinct set of installed CPD tables and gathers rows back to K.  The
 contract under test: a sweep with duplicates is bitwise-equal to a
 *fresh* estimator given only the distinct scenarios, scattered back by
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bayesian import JunctionTree, TabularCPD, propagation
-from repro.bayesian.junction import group_scenarios
+from repro.bayesian.junction import unique_rows
 from repro.circuits import examples, generate, suite
 from repro.core import (
     CorrelatedGroupInputs,
@@ -26,16 +26,25 @@ from repro.errors import ZeroBeliefError
 from tests.bayesian.util import sprinkler_bn
 
 
-class TestGroupScenarios:
-    def test_group_scenarios_collapses_duplicates(self):
-        reps, scatter = group_scenarios(["a", "b", "a", "c", "b"])
-        assert reps == [0, 1, 3]
-        assert scatter == [0, 1, 0, 2, 1]
+class TestUniqueRows:
+    def test_unique_rows_collapses_duplicates(self):
+        rows = np.array([[2.0, 0.5], [1.0, 0.5], [2.0, 0.5], [0.0, 1.0], [1.0, 0.5]])
+        reps, scatter = unique_rows(rows)
+        assert reps.tolist() == [0, 1, 3]
+        assert scatter.tolist() == [0, 1, 0, 2, 1]
 
-    def test_group_scenarios_all_unique(self):
-        reps, scatter = group_scenarios(["a", "b", "c"])
-        assert reps == [0, 1, 2]
-        assert scatter == [0, 1, 2]
+    def test_unique_rows_all_unique(self):
+        reps, scatter = unique_rows(np.array([[3.0], [2.0], [1.0]]))
+        assert reps.tolist() == [0, 1, 2]
+        assert scatter.tolist() == [0, 1, 2]
+
+    def test_unique_rows_compares_bytes(self):
+        # -0.0 == 0.0 numerically, but the rows differ bytewise; equal
+        # NaN payloads match.
+        rows = np.array([[0.0, np.nan], [-0.0, np.nan], [0.0, np.nan]])
+        reps, scatter = unique_rows(rows)
+        assert reps.tolist() == [0, 1]
+        assert scatter.tolist() == [0, 1, 0]
 
 
 def _one_input_sweep(circuit, k, repeats_each=1, hot=None):
