@@ -907,18 +907,13 @@ class JunctionTree:
     def check_calibration(self, atol: float = 1e-9) -> bool:
         """Verify neighbouring cliques agree on their separators."""
         self.calibrate()
-        schedule = self._schedule
-
-        def onto_separator(idx: int, sep_vars) -> np.ndarray:
-            drop = tuple(
-                1 + i for i, v in enumerate(schedule.orders[idx]) if v not in sep_vars
-            )
-            return self._engine.belief(idx).sum(axis=drop)
-
+        engine = self._engine
         for u, v in self.tree.edges:
-            sep_vars = schedule.messages[(u, v)].sep_vars
+            sep_vars = self._schedule.messages[(u, v)].sep_vars
             if not np.allclose(
-                onto_separator(u, sep_vars), onto_separator(v, sep_vars), atol=atol
+                engine.joint_marginal(u, sep_vars, normalize=False),
+                engine.joint_marginal(v, sep_vars, normalize=False),
+                atol=atol,
             ):
                 return False
         return True
@@ -951,9 +946,10 @@ class JunctionTree:
         and the gather scratch of the largest plan that needs one, see
         :class:`_InstallPlan`), one message of the pass (a packed
         reduction's segment sums and the division's zero mask, at most
-        a separator each) or the read of one clique (a marginal sweep's
-        joint table and packed segment sums, or the dense table a packed
-        clique's pair joint is scattered into).
+        a separator each), the marginal sweep (one row sum per line and
+        a packed read's segment sums; the results themselves are counted
+        with the caller's result rows) or one pair joint
+        (:meth:`PropagationSchedule.read_entries`).
         """
         schedule = self._ensure_schedule()
         variables = list(variables)
@@ -961,23 +957,21 @@ class JunctionTree:
         plans = self._plans_for(variables).values()
         psi = sum(plan.size for plan in plans)
         install = 4 * entries + max((plan.scratch_size for plan in plans), default=0)
-        homed: Dict[int, Set[int]] = {}
+        cards = []
         for line in lines:
             idx, axis = schedule.variable_axis[line]
-            homed.setdefault(idx, set()).add(axis)
-        steps = [install, 9 * schedule.max_sep_size // 8]
-        for idx, axes in homed.items():
-            shape = schedule.shapes[idx]
-            joint = int(np.prod([shape[a] for a in axes]))
-            if idx in schedule.sparse_cliques:
-                steps.append(joint + min(joint, schedule.work_sizes[idx]))
-            elif len(axes) < len(shape):
-                steps.append(joint)
+            cards.append(schedule.shapes[idx][axis])
+        steps = [
+            install,
+            9 * schedule.max_sep_size // 8,
+            len(cards) + max(cards, default=0),
+        ]
         for pair in pairs:
             for idx, clique in enumerate(self.cliques):
                 if set(pair) <= clique:
-                    if idx in schedule.sparse_cliques:
-                        steps.append(schedule.sizes[idx])
+                    order = schedule.orders[idx]
+                    keep = tuple(i for i, v in enumerate(order) if v in pair)
+                    steps.append(schedule.read_entries(idx, keep))
                     break
         return schedule.row_bytes + 8 * psi, 8 * max(steps)
 

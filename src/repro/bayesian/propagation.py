@@ -19,6 +19,13 @@ half of that bargain real:
   division mask is applied with ``np.divide(..., where=)`` on
   separator-sized arrays only (never on clique tables).
 
+- **Every dense reduction streams through BLAS**: a compiled plan
+  merges axes into kept and summed runs and sums each run with one
+  BLAS step (a folded or stacked gemv, or a gemm against a 0/1
+  selection matrix for tiny interleaved runs); two or more summed
+  runs chain their steps through preallocated engine scratch (see
+  :func:`_reduction_plan`).
+
 - **One buffer layout**: every belief and message buffer carries a
   leading scenario axis of length ``K`` (``batch_size``), and one
   collect/distribute pass propagates K independent input-statistics
@@ -62,13 +69,23 @@ tolerance.
   elementwise and every ``reduceat`` segment sums left-to-right per
   row -- but sparse results differ from *dense* results in the last
   few ulps (different association order), hence the ``<= 1e-12``
-  sparse-vs-dense verification bar.  :meth:`PropagationEngine.belief`
-  scatters a packed belief to a dense table on demand.
+  sparse-vs-dense verification bar.
+
+- **Extraction reads the storage layout**: :meth:`PropagationEngine.marginals`
+  reduces each variable straight from its home clique's buffer with
+  one cached read plan per ``(clique, axis)`` on the schedule -- a
+  sparse reduction from ``(K, nnz)`` onto ``(K, card)`` for a packed
+  clique, a BLAS chain for a dense one -- and
+  :meth:`~PropagationEngine.joint_marginal` does the same onto a
+  pair's axes, so no clique or joint table is materialized.  Only the
+  diagnostic :meth:`PropagationEngine.belief` scatters a packed belief
+  to a dense table.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -95,6 +112,16 @@ PACK_MIN_STATES = 256
 #: whose single row does not fit fails to compile with
 #: :class:`~repro.errors.MemoryBudgetExceeded`.
 MEMORY_BUDGET_BYTES = 256 * 2**20
+#: Entries one folded ``dot`` call may cover.  OpenBLAS splits a gemv
+#: of more than about 460k entries across threads, and a thread's share
+#: of the rows need not be a multiple of 4, so a row's kernel -- and
+#: its rounding -- would depend on the row count.  A fold is therefore
+#: cut into calls of at most this many entries, each on one thread.
+FOLD_ENTRIES = 2**16
+#: Largest ``(d, r)`` matrix a summed run behind kept entries reduces
+#: through one gemm per scenario rather than one tiny gemv per kept
+#: entry (the per-call cost dominates below this size).
+GEMM_ENTRIES = 64
 
 
 def check_memory_budget(name: str, row_bytes: int) -> None:
@@ -144,35 +171,42 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     """Compile one sum-reduction ``shape -> keep_axes`` into a kernel plan.
 
     Adjacent axes with the same fate (kept / summed) are merged into
-    single axes -- a pure reshape view on the C-contiguous engine
-    buffers -- and the merged pattern picks the cheapest kernel:
+    single runs -- a pure reshape view on the C-contiguous engine
+    buffers.  Each summed run is one BLAS step; the largest run goes
+    first, so the intermediates stay small:
 
-    - ``("copy",)``                       nothing summed;
-    - ``("dot", d, ones)``                one trailing summed run after
-      a kept run of ``m`` rows, ``m`` a power of 4 (every LIDAG
-      run): one BLAS gemv ``view(-1, d) @ ones`` over all K rows;
-    - ``("matvec", m, d, ones)``          the same shape for any other
-      ``m``: a stacked ``view(-1, m, d) @ ones``, one gemv per row;
-    - ``("vecmat", d, r, ones)``          one leading summed run:
-      ``ones @ view(-1, d, r)``;
-    - ``("sum", mshape, axes, oshape)``   the general interleaved
-      case, ``np.add.reduce`` over the merged (coarser) summed axes.
+    - ``("copy",)``                    nothing summed;
+    - ``("dot", m, d, ones, chunk)``   a trailing summed run of ``d``
+      after ``m`` rows per scenario, ``m`` a power of 4 (every LIDAG
+      run): the rows of ``chunk`` scenarios at a time fold into one
+      gemv ``view(-1, d) @ ones``;
+    - ``("matvec", m, d, ones)``       the same shape for any other
+      ``m``, or a scenario too large to fold: a stacked
+      ``view(-1, m, d) @ ones``, one gemv per scenario;
+    - ``("vecmat", d, r, ones)``       a summed run followed by ``r``
+      kept entries: ``ones @ view(-1, d, r)``, one gemv per scenario
+      and kept entry of the runs before it;
+    - ``("gemm", a, d, r, sel)``       the same run behind ``a > 1``
+      kept entries when the ``(d, r)`` matrices are tiny (at most
+      :data:`GEMM_ENTRIES`): one gemm per scenario,
+      ``view(-1, a, d * r) @ sel`` with the 0/1 matrix ``sel`` adding
+      up the ``d`` slices, instead of ``a`` tiny gemvs (exact: the
+      zero products add nothing);
+    - ``("chain", steps, sizes)``      two or more summed runs: the
+      steps above in order, ``sizes[i]`` entries per scenario out of
+      step ``i``; the intermediates live in caller scratch of
+      :func:`_plan_scratch` entries per scenario.
 
-    Every kernel reduces row ``k`` of a ``(K, *shape)`` buffer with
-    exactly the same arithmetic for every ``K`` (the leading scenario
-    axis is always kept, so it stacks ahead of the leading kept run),
-    which is what keeps K-row and one-row propagation bitwise-identical.
-    ``dot`` folds the K rows into one gemv, whose OpenBLAS kernel sums
-    a leftover row (``K * m`` not a multiple of 4) differently from the
-    rest; with ``m`` a power of 4 every row takes the same path
-    (``tests/bayesian/test_reduce_sum.py`` pins the shapes), and
-    ``matvec`` keeps every other ``m`` out of the fold at the cost of
-    one BLAS call per row.
-    The general case is an axis sum, not ``np.einsum``: einsum's
-    iteration order, and so its rounding, changes with the row count
-    once a summed run outgrows numpy's buffer (c2670s's ``4^10``
-    clique differed in the last ulp between K=1 and K=2).
-    Plans are computed once per schedule and shared by every engine.
+    Every step reduces row ``k`` of a ``(K, *shape)`` buffer with the
+    same arithmetic for every ``K``: the stacked steps make one BLAS
+    call of a K-independent shape per scenario, and a ``dot`` call
+    stays on one thread (:data:`FOLD_ENTRIES`), where every row of a
+    power-of-4 kept run takes OpenBLAS's 4-row kernel whatever the row
+    count (``tests/bayesian/test_reduce_sum.py`` pins the shapes).
+    There is no general axis sum: ``np.add.reduce`` over interleaved
+    axes walks short strided inner runs and took 6.8-9.3 ms on
+    ``(64, 1024, 4, 4)`` over axes ``(1, 3)``, where the chain takes
+    0.4 ms.  Plans are computed once per schedule.
     """
     keep = set(keep_axes)
     runs: List[List[int]] = []  # [is_kept, merged size]
@@ -182,54 +216,108 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
             runs[-1][1] *= size
         else:
             runs.append([flag, size])
-    drops = [i for i, (flag, _) in enumerate(runs) if not flag]
-    if not drops:
+    total = math.prod(shape)
+    steps, sizes = [], []
+    while True:
+        summed = [i for i, (flag, _) in enumerate(runs) if not flag]
+        if not summed:
+            break
+        i = max(summed, key=lambda j: (runs[j][1], j))
+        d = runs[i][1]
+        before = math.prod(size for _, size in runs[:i])
+        if i == len(runs) - 1:
+            m = before
+            chunk = FOLD_ENTRIES // (m * d)
+            if m >= 4 and m & (m - 1) == 0 and m.bit_length() % 2 == 1 and chunk > 1:
+                steps.append(("dot", m, d, _ones(d), chunk))
+            else:
+                steps.append(("matvec", m, d, _ones(d)))
+        else:
+            r = total // (before * d)
+            if before > 1 and d * r <= GEMM_ENTRIES:
+                steps.append(("gemm", before, d, r, _selection(d, r)))
+            else:
+                steps.append(("vecmat", d, r, _ones(d)))
+        total //= d
+        sizes.append(total)
+        del runs[i]
+        if 0 < i < len(runs):  # the kept runs either side now touch
+            runs[i - 1][1] *= runs.pop(i)[1]
+    if not steps:
         return ("copy",)
-    if len(drops) == 1 and drops[0] == len(runs) - 1:
-        d = runs[-1][1]
-        m = runs[0][1] if len(runs) == 2 else 1
-        if m >= 4 and m & (m - 1) == 0 and m.bit_length() % 2 == 1:
-            return ("dot", d, np.ones(d))
-        return ("matvec", m, d, np.ones(d))
-    if len(drops) == 1 and drops[0] == 0:
-        d = runs[0][1]
-        r = 1
-        for _, size in runs[1:]:
-            r *= size
-        return ("vecmat", d, r, np.ones(d))
-    mshape = tuple(size for _, size in runs)
-    axes = tuple(1 + i for i in drops)
-    out_shape = tuple(size for flag, size in runs if flag)
-    return ("sum", mshape, axes, out_shape)
+    if len(steps) == 1:
+        return steps[0]
+    return ("chain", tuple(steps), tuple(sizes))
 
 
-def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
+@functools.lru_cache(maxsize=None)
+def _ones(d: int) -> np.ndarray:
+    """The all-ones vector a plan sums a run of ``d`` with, shared by
+    every plan (read-only)."""
+    ones = np.ones(d)
+    ones.flags.writeable = False
+    return ones
+
+
+@functools.lru_cache(maxsize=None)
+def _selection(d: int, r: int) -> np.ndarray:
+    """The ``(d * r, r)`` 0/1 matrix a ``gemm`` step multiplies by: row
+    ``j * r + i`` selects output ``i``, so the product adds up the
+    ``d`` slices of ``r`` entries.  Shared by every plan (read-only)."""
+    sel = np.tile(np.eye(r), (d, 1))
+    sel.flags.writeable = False
+    return sel
+
+
+def _plan_scratch(plan) -> int:
+    """Scratch entries per scenario a :func:`_reduction_plan` needs."""
+    return sum(plan[2][:-1]) if plan[0] == "chain" else 0
+
+
+def _reduce_sum(
+    src: np.ndarray, plan, out: np.ndarray, scratch: Optional[np.ndarray] = None
+) -> None:
     """Run a :func:`_reduction_plan` kernel: sum ``src`` into ``out``.
 
-    The ``-1`` reshape folds any leading scenario axis into the row
-    dimension, so row ``k`` goes through the identical BLAS or axis-sum
-    arithmetic whatever the row count.  Both arrays must be
-    C-contiguous (all engine buffers are).
+    The ``-1`` reshapes fold the leading scenario axis into the stack
+    or row dimension.  Both arrays must be C-contiguous (all engine
+    buffers are); a ``chain`` writes its intermediates into
+    ``scratch``, a flat buffer of at least ``K * _plan_scratch(plan)``
+    entries.
     """
     kind = plan[0]
     if kind == "dot":
-        np.dot(src.reshape(-1, plan[1]), plan[2], out=out.reshape(-1))
+        _, m, d, ones, chunk = plan
+        rows = src.reshape(-1, m * d)
+        sums = out.reshape(-1, m)
+        for start in range(0, len(rows), chunk):
+            np.dot(
+                rows[start : start + chunk].reshape(-1, d),
+                ones,
+                out=sums[start : start + chunk].reshape(-1),
+            )
     elif kind == "matvec":
         _, m, d, ones = plan
         np.matmul(src.reshape(-1, m, d), ones, out=out.reshape(-1, m))
     elif kind == "vecmat":
-        np.matmul(
-            plan[3], src.reshape(-1, plan[1], plan[2]), out=out.reshape(-1, plan[2])
-        )
-    elif kind == "sum":
-        _, mshape, axes, out_shape = plan
-        np.add.reduce(
-            src.reshape((-1,) + mshape),
-            axis=axes,
-            out=out.reshape((-1,) + out_shape),
-        )
-    else:  # "copy": separator spans the whole clique
+        _, d, r, ones = plan
+        np.matmul(ones, src.reshape(-1, d, r), out=out.reshape(-1, r))
+    elif kind == "gemm":
+        _, a, d, r, sel = plan
+        np.matmul(src.reshape(-1, a, d * r), sel, out=out.reshape(-1, a, r))
+    elif kind == "chain":
+        _, steps, sizes = plan
+        rows = out.size // sizes[-1]
+        offset = 0
+        for step, size in zip(steps[:-1], sizes):
+            part = scratch[offset : offset + rows * size]
+            _reduce_sum(src, step, part)
+            src, offset = part, offset + rows * size
+        _reduce_sum(src, steps[-1], out)
+    elif kind == "copy":  # the target spans the whole source
         np.copyto(out, src)
+    else:
+        raise ValueError(f"unknown reduction plan {kind!r}")
 
 
 def _sep_flat_indices(
@@ -239,6 +327,9 @@ def _sep_flat_indices(
     out_shape: Tuple[int, ...],
 ) -> np.ndarray:
     """Flat index on ``keep_axes`` of each packed clique entry."""
+    if len(keep_axes) == 1:  # a home-axis read: one digit, no full unravel
+        axis = keep_axes[0]
+        return flat_idx // math.prod(shape[axis + 1 :]) % shape[axis]
     coords = np.unravel_index(flat_idx, shape)
     return np.ravel_multi_index(tuple(coords[a] for a in keep_axes), out_shape)
 
@@ -264,7 +355,8 @@ def _sparse_reduce_plan(
         perm, sorted_idx = None, target_idx
     else:
         sorted_idx = target_idx[perm]
-    out_index, seg_starts = np.unique(sorted_idx, return_index=True)
+    seg_starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+    out_index = sorted_idx[seg_starts]
     covers_all = out_index.size == int(np.prod(out_shape))
     return (perm, seg_starts, out_index, covers_all)
 
@@ -563,19 +655,76 @@ class PropagationSchedule:
         ):
             self._analyze_support(clique_masks, kernel)
 
+        #: read plans keyed by (clique, kept axes): the home axis of
+        #: every variable homed in a dense clique is compiled here (its
+        #: chain scratch sizes the engine), packed homes and pair joints
+        #: on first use (:meth:`read_plan`)
+        self.read_plans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
+        for idx, axis in self.variable_axis.values():
+            if not self.sparse[idx]:
+                self.read_plan(idx, (axis,))
+        #: chain-scratch entries per row: the most any dense message or
+        #: home-axis read needs (see :func:`_plan_scratch`)
+        self.chain_scratch = max(
+            [
+                _plan_scratch(msg.plan)
+                for msg in self.messages.values()
+                if not self.sparse[msg.source]
+            ]
+            + [_plan_scratch(plan) for plan in self.read_plans.values()],
+            default=0,
+        )
+
+    def read_plan(self, idx: int, keep: Tuple[int, ...]):
+        """The (cached) plan reducing clique ``idx``'s belief onto the
+        axes ``keep``, in its storage layout: a :func:`_sparse_reduce_plan`
+        from a packed ``(K, nnz)`` buffer, a :func:`_reduction_plan`
+        from a dense one."""
+        key = (idx, keep)
+        plan = self.read_plans.get(key)
+        if plan is None:
+            shape = self.shapes[idx]
+            sp = self.sparse_cliques.get(idx)
+            if sp is None:
+                plan = _reduction_plan(shape, keep)
+            else:
+                plan = _sparse_reduce_plan(
+                    sp.flat_idx, shape, keep, tuple(shape[a] for a in keep)
+                )
+            self.read_plans[key] = plan
+        return plan
+
+    def read_entries(self, idx: int, keep: Tuple[int, ...]) -> int:
+        """Entries per row one :meth:`PropagationEngine.joint_marginal`
+        onto ``keep`` allocates: the joint table, and for a packed clique
+        its segment sums plus a gathered copy of the buffer when the
+        plan permutes, for a dense one the chain's intermediates."""
+        plan = self.read_plan(idx, keep)
+        joint = math.prod(self.shapes[idx][a] for a in keep)
+        if not self.sparse[idx]:
+            return joint + _plan_scratch(plan)
+        gather = self.work_sizes[idx] if plan[0] is not None else 0
+        return 2 * joint + gather
+
     @property
     def row_bytes(self) -> int:
         """Bytes one scenario row adds to a :class:`PropagationEngine`
         over this schedule: its float64 beliefs, upward messages, the
         shared separator scratch pair (sized to the largest separator)
-        and the shared packed-gather scratch (sized to the largest
-        packed clique)."""
+        and the shared kernel scratch (:attr:`kernel_scratch`)."""
         entries = sum(self.work_sizes)
         for (src, dst), msg in self.messages.items():
             if self.parent[src] == dst:
                 entries += msg.sep_size
-        entries += 2 * self.max_sep_size + self.max_packed_nnz
+        entries += 2 * self.max_sep_size + self.kernel_scratch
         return 8 * entries
+
+    @property
+    def kernel_scratch(self) -> int:
+        """Entries per row of the engine's kernel scratch: a packed
+        clique's gather and a dense chain's intermediates share it, since
+        a clique is one or the other and one kernel runs at a time."""
+        return max(self.max_packed_nnz, self.chain_scratch)
 
     @property
     def max_sep_size(self) -> int:
@@ -696,9 +845,6 @@ class PropagationEngine:
         self._expand = {
             key: lead + m.expand_shape for key, m in schedule.messages.items()
         }
-        #: lazily compiled reduction plans for marginal sweeps, keyed by
-        #: (clique index, kept axes)
-        self._marginal_plans: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
         #: reentrancy tripwire (see :func:`_exclusive`); never held
         #: across calls, so pickling drops and recreates it.
         self._guard = threading.Lock()
@@ -721,14 +867,16 @@ class PropagationEngine:
             for (node, parent), msg in schedule.messages.items()
             if schedule.parent[node] == parent
         }
-        #: one separator scratch pair and one packed-gather scratch,
-        #: each sized to its largest user; messages and packed cliques
-        #: use prefix views (see :meth:`_bind_scratch`)
+        #: one separator scratch pair and one kernel scratch, each sized
+        #: to its largest user: messages use prefix views of the pair,
+        #: packed cliques gather into prefix views of the kernel scratch
+        #: (see :meth:`_bind_scratch`) and dense chains write their
+        #: intermediates into it
         self._sep_scratch = (
             np.empty(self.batch_size * schedule.max_sep_size),
             np.empty(self.batch_size * schedule.max_sep_size),
         )
-        self._gather_scratch = np.empty(self.batch_size * schedule.max_packed_nnz)
+        self._kernel_scratch = np.empty(self.batch_size * schedule.kernel_scratch)
         self._bind_scratch()
         #: a potential was set since the last pass
         self._stale = True
@@ -751,7 +899,7 @@ class PropagationEngine:
                     second[:size].reshape(lead + msg.sep_shape),
                 )
         self._gather_views: Dict[int, np.ndarray] = {
-            i: self._gather_scratch[: self.batch_size * sp.nnz].reshape(lead + (sp.nnz,))
+            i: self._kernel_scratch[: self.batch_size * sp.nnz].reshape(lead + (sp.nnz,))
             for i, sp in self.schedule.sparse_cliques.items()
         }
 
@@ -902,6 +1050,7 @@ class PropagationEngine:
                             self._beta[node],
                             schedule.messages[key].plan,
                             self._msg[key],
+                            self._kernel_scratch,
                         )
                     else:
                         _sparse_reduce(
@@ -971,7 +1120,10 @@ class PropagationEngine:
         sp_parent = schedule.sparse_cliques.get(parent)
         if sp_parent is None:
             _reduce_sum(
-                self._beta[parent], schedule.messages[down_key].plan, new_sep
+                self._beta[parent],
+                schedule.messages[down_key].plan,
+                new_sep,
+                self._kernel_scratch,
             )
         else:
             _sparse_reduce(
@@ -1006,32 +1158,24 @@ class PropagationEngine:
     # Results
     # ------------------------------------------------------------------
 
-    def _dense_belief(self, idx: int) -> np.ndarray:
-        """Clique ``idx``'s belief as a dense ``(K, *clique_shape)`` array.
+    def belief(self, idx: int) -> np.ndarray:
+        """Calibrated, unnormalized belief of clique ``idx``.
 
-        Dense cliques return the belief buffer itself; a packed belief
-        is scattered onto a fresh zero table (out-of-support entries are
-        structurally zero).
+        A fresh ``(K, *clique_shape)`` array in the clique's canonical
+        (sorted) variable order; a packed belief is scattered onto a
+        zero table (out-of-support entries are structurally zero).  Row
+        ``k`` sums to scenario ``k``'s probability of evidence.  A
+        diagnostic, not an extraction path: :meth:`marginals` and
+        :meth:`joint_marginal` read the storage layout directly.  A pure
+        read, so it needs no reentrancy guard.
         """
         beta = self._beta[idx]
         sp = self.schedule.sparse_cliques.get(idx)
         if sp is None:
-            return beta
+            return beta.copy()
         dense = np.zeros((self.batch_size,) + self.schedule.shapes[idx])
         dense.reshape(self.batch_size, -1)[:, sp.flat_idx] = beta
         return dense
-
-    def belief(self, idx: int) -> np.ndarray:
-        """Calibrated, unnormalized belief of clique ``idx``.
-
-        A ``(K, *clique_shape)`` array in the clique's canonical
-        (sorted) variable order -- a fresh copy, scattered from the
-        packed buffer on demand for sparse cliques.  Row ``k`` sums to
-        scenario ``k``'s probability of evidence.  A pure read, so it
-        needs no reentrancy guard.
-        """
-        dense = self._dense_belief(idx)
-        return dense.copy() if dense is self._beta[idx] else dense
 
     @_exclusive
     def marginals(
@@ -1039,98 +1183,82 @@ class PropagationEngine:
     ) -> Dict[str, np.ndarray]:
         """Normalized single-variable marginals, ``{var: (K, card)}``.
 
-        Variables are grouped by home clique; each clique's belief is
-        reduced onto the requested axes with **one** planned reduction
-        per clique and the (tiny) reduced table is then swept per
-        variable, instead of one full-table reduction per variable.
-        Row ``k`` is scenario ``k``'s marginal.  Zero-mass beliefs raise
-        :class:`ZeroBeliefError` carrying a ``batch_indices`` tuple that
-        names the offending rows; ``skip_zero=True`` instead fills their
-        rows with NaN so the remaining scenarios are unaffected.
+        Each variable is reduced straight from its home clique's buffer
+        by its compiled read plan -- a ``(K, nnz) -> (K, card)`` sparse
+        reduction of a packed clique, a BLAS chain of a dense one -- so
+        no clique or joint table is materialized; every result is then
+        divided by its own row sums.  Row ``k`` is scenario ``k``'s
+        marginal, bitwise what a one-row engine computes.  Zero-mass
+        beliefs raise :class:`ZeroBeliefError` carrying a
+        ``batch_indices`` tuple that names the offending rows;
+        ``skip_zero=True`` instead fills their rows with NaN so the
+        remaining scenarios are unaffected.
         """
         schedule = self.schedule
-        by_clique: Dict[int, List[str]] = {}
+        by_card: Dict[int, List[Tuple[str, int, int]]] = {}
         for var in variables:
             location = schedule.variable_axis.get(var)
             if location is None:
                 raise KeyError(f"unknown variable {var!r}")
-            by_clique.setdefault(location[0], []).append(var)
-        k = self.batch_size
+            idx, axis = location
+            by_card.setdefault(schedule.shapes[idx][axis], []).append(
+                (var, idx, axis)
+            )
         out: Dict[str, np.ndarray] = {}
-        for idx, group in by_clique.items():
-            beta = self._beta[idx]
-            ndim = len(schedule.shapes[idx])
-            totals = beta.reshape(k, -1).sum(axis=1)
-            zero = totals <= 0
-            bad = None
-            if zero.any():
-                if not skip_zero:
-                    raise ZeroBeliefError.for_rows(np.flatnonzero(zero))
-                bad = zero
-                totals = np.where(zero, 1.0, totals)
-
-            sp = schedule.sparse_cliques.get(idx)
-            keep = sorted({schedule.variable_axis[v][1] for v in group})
-            joint_shape = tuple(schedule.shapes[idx][a] for a in keep)
-            if sp is None and len(keep) == ndim:
-                joint = beta
-            else:
-                # A packed belief always reduces through the sparse
-                # kernel (even onto the full clique scope), so every row
-                # count takes the same arithmetic.
-                plan_key = (idx, tuple(keep))
-                plan = self._marginal_plans.get(plan_key)
-                if plan is None:
-                    if sp is None:
-                        plan = _reduction_plan(schedule.shapes[idx], keep)
-                    else:
-                        plan = _sparse_reduce_plan(
-                            sp.flat_idx, schedule.shapes[idx], keep, joint_shape
-                        )
-                    self._marginal_plans[plan_key] = plan
-                joint = np.empty((k,) + joint_shape)
-                if sp is None:
-                    _reduce_sum(beta, plan, joint)
+        for card, members in by_card.items():
+            block = np.empty((len(members), self.batch_size, card))
+            for result, (_, idx, axis) in zip(block, members):
+                plan = schedule.read_plan(idx, (axis,))
+                if schedule.sparse[idx]:
+                    _sparse_reduce(
+                        self._beta[idx], plan, result, self._gather_views[idx]
+                    )
                 else:
-                    _sparse_reduce(beta, plan, joint, self._gather_views[idx])
-            for var in group:
-                pos = keep.index(schedule.variable_axis[var][1])
-                plan_key = (idx, tuple(keep), pos)
-                plan = self._marginal_plans.get(plan_key)
-                if plan is None:
-                    plan = _reduction_plan(joint_shape, [pos])
-                    self._marginal_plans[plan_key] = plan
-                result = np.empty((k, joint_shape[pos]))
-                _reduce_sum(joint, plan, result)
-                result /= totals[:, None]
-                if bad is not None:
-                    result[bad] = np.nan
-                out[var] = result
+                    _reduce_sum(self._beta[idx], plan, result, self._kernel_scratch)
+            totals = block.sum(axis=2)
+            zero = totals <= 0
+            if zero.any() and not skip_zero:
+                raise ZeroBeliefError.for_rows(np.flatnonzero(zero.any(axis=0)))
+            block /= np.where(zero, 1.0, totals)[..., None]
+            block[zero] = np.nan
+            out.update(zip((var for var, _, _ in members), block))
         return out
 
-    def joint_marginal(self, idx: int, variables: Sequence[str]) -> np.ndarray:
-        """Normalized joint over ``variables`` from clique ``idx``.
+    def joint_marginal(
+        self, idx: int, variables: Sequence[str], normalize: bool = True
+    ) -> np.ndarray:
+        """Joint over ``variables`` from clique ``idx``.
 
         Returns a ``(K, card_1, ..., card_m)`` array in the order of
-        ``variables``: the dense belief (:meth:`belief`'s scatter) is
-        reduced with ``ndarray.sum`` over the dropped axes and divided
-        by per-row totals, both elementwise-identical per row.  Like
-        :meth:`belief` a pure read: concurrent readers are safe.
+        ``variables``, reduced from the clique's storage layout by a
+        cached read plan (packed: a sparse reduction onto the kept axes;
+        dense: a BLAS chain) and, unless ``normalize=False``, divided by
+        its per-row totals.  Row ``k`` is bitwise what a one-row engine
+        computes.  Like :meth:`belief` a pure read that shares no
+        scratch, so concurrent readers are safe: its gather or chain
+        intermediates are its own (pair reads are few and small).
         """
-        order = self.schedule.orders[idx]
+        schedule = self.schedule
+        order = schedule.orders[idx]
         wanted = set(variables)
         missing = wanted - set(order)
         if missing:
             raise KeyError(f"clique {idx} does not contain {sorted(missing)}")
-        beta = self._dense_belief(idx)
-        drop = tuple(1 + i for i, v in enumerate(order) if v not in wanted)
-        reduced = beta.sum(axis=drop) if drop else beta
-        kept = [v for v in order if v in wanted]
+        keep = tuple(i for i, v in enumerate(order) if v in wanted)
+        plan = schedule.read_plan(idx, keep)
         k = self.batch_size
-        totals = reduced.reshape(k, -1).sum(axis=1)
-        if (totals <= 0).any():
-            raise ZeroBeliefError.for_rows(np.flatnonzero(totals <= 0))
-        normalized = reduced / totals.reshape((k,) + (1,) * len(kept))
+        reduced = np.empty((k,) + tuple(schedule.shapes[idx][a] for a in keep))
+        if schedule.sparse[idx]:
+            _sparse_reduce(self._beta[idx], plan, reduced)
+        else:
+            _reduce_sum(
+                self._beta[idx], plan, reduced, np.empty(k * _plan_scratch(plan))
+            )
+        if normalize:
+            totals = reduced.reshape(k, -1).sum(axis=1)
+            if (totals <= 0).any():
+                raise ZeroBeliefError.for_rows(np.flatnonzero(totals <= 0))
+            reduced /= totals.reshape((k,) + (1,) * len(keep))
+        kept = [order[i] for i in keep]
         perm = tuple(1 + kept.index(v) for v in variables)
-        return normalized.transpose((0,) + perm)
-
+        return reduced.transpose((0,) + perm)

@@ -69,7 +69,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: storage layout and compiled install plans instead of dense CPD
 #: products; schedules record separator sizes for the engines' shared
 #: scratch.
-ARTIFACT_SCHEMA_VERSION = 11
+#: v12: schedules' interleaved reductions are BLAS chains (no ``sum``
+#: plans), a ``dot`` plan records its fold chunk, and schedules carry
+#: per-(clique, axes) read plans and the chain scratch size.
+ARTIFACT_SCHEMA_VERSION = 12
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

@@ -36,7 +36,11 @@ def _scenarios(k):
 
 class TestTypedFailure:
     def test_tiny_budget_raises_and_auto_segments(self, monkeypatch):
-        circuit = suite.load_circuit("pcler8")
+        # voter's two segments need well under half its one tree's row
+        # (the tree holds its 16384-state cliques).  pcler8's split is
+        # no smaller than its tree (about 72 kB per row either way under
+        # tracemalloc), so no budget below pcler8's tree admits it.
+        circuit = suite.load_circuit("voter")
         tree = compile_model(circuit, backend="junction-tree", cache=None)
         monkeypatch.setattr(
             propagation, "MEMORY_BUDGET_BYTES", tree.row_bytes - 1
@@ -44,7 +48,7 @@ class TestTypedFailure:
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             compile_model(circuit, backend="junction-tree", cache=None)
         assert isinstance(excinfo.value, CompileError)
-        assert "pcler8" in str(excinfo.value)
+        assert "voter" in str(excinfo.value)
 
         model = compile_model(circuit, backend="auto", cache=None)
         assert model.backend_name == "segmented"

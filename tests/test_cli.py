@@ -2,19 +2,18 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.core.backend.cache import CACHE_DIR_ENV
+from repro.core.backend.cache import default_cache_dir
 
 
-@pytest.fixture
-def cache_dir(monkeypatch, tmp_path):
-    """Point the default cache at a throwaway directory."""
-    directory = tmp_path / "cache"
-    monkeypatch.setenv(CACHE_DIR_ENV, str(directory))
-    return directory
+def test_suite_never_touches_the_user_cache(cache_dir):
+    """``tests/conftest.py`` redirects the default cache for every test."""
+    assert default_cache_dir() == cache_dir
+    assert default_cache_dir() != Path.home() / ".cache" / "repro"
 
 
 def _activities(output: str) -> dict:
