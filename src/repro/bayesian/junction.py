@@ -70,6 +70,16 @@ from repro.obs.trace import get_tracer
 __all__ = ["CliqueBudgetExceeded", "JunctionTree", "JunctionTreeError"]
 
 
+#: Copies of a ``(K, m)`` install stack :func:`unique_rows` holds at its
+#: peak: the concatenated rows, and ``np.unique``'s flattened keys, its
+#: sorted keys and its merge-sort buffer (``tracemalloc``: 4.1 copies on
+#: pcler8's one tree, 4.0-4.1 on c432s's segments, K=64) ...
+UNIQUE_COPIES = 4
+#: ... and entries per row of the row-index arrays it holds alongside
+#: (sort order, first occurrences, inverse, ranks, masks).
+UNIQUE_INDEX_ENTRIES = 12
+
+
 def unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Collapse bytewise-equal rows of a ``(K, m)`` array.
 
@@ -942,30 +952,32 @@ class JunctionTree:
         per-scenario potentials of the cliques those CPDs live in.
         *Transient* bytes live during one step of the call, and the
         steps run one after another, so the largest counts: the
-        install (the stacked tables, their duplicate-collapse copies
-        and the gather scratch of the largest plan that needs one, see
-        :class:`_InstallPlan`), one message of the pass (a packed
-        reduction's segment sums and the division's zero mask, at most
-        a separator each), the marginal sweep (one row sum per line and
-        a packed read's segment sums; the results themselves are counted
-        with the caller's result rows) or one pair joint
-        (:meth:`PropagationSchedule.read_entries`).
+        install (the stacked tables, their duplicate-collapse copies --
+        :func:`unique_rows` holds :data:`UNIQUE_COPIES` of them and
+        :data:`UNIQUE_INDEX_ENTRIES` of row indices -- and the gather
+        scratch of the largest plan that needs one, see
+        :class:`_InstallPlan`), the marginal sweep (one row sum per line
+        and a packed read's segment sums; the results themselves are
+        counted with the caller's result rows) or one pair joint
+        (:meth:`PropagationSchedule.read_entries`).  A pass allocates
+        nothing per row: every message and ratio lives in the engine.
         """
         schedule = self._ensure_schedule()
         variables = list(variables)
         entries = sum(self._bn.cpd(var).factor.values.size for var in variables)
         plans = self._plans_for(variables).values()
         psi = sum(plan.size for plan in plans)
-        install = 4 * entries + max((plan.scratch_size for plan in plans), default=0)
+        install = (
+            (1 + UNIQUE_COPIES) * entries
+            + UNIQUE_INDEX_ENTRIES
+            + max((plan.scratch_size for plan in plans), default=0)
+        )
         cards = []
         for line in lines:
             idx, axis = schedule.variable_axis[line]
+            schedule.read_plan(idx, (axis,))  # compiled with the model, not in a call
             cards.append(schedule.shapes[idx][axis])
-        steps = [
-            install,
-            9 * schedule.max_sep_size // 8,
-            len(cards) + max(cards, default=0),
-        ]
+        steps = [install, len(cards) + max(cards, default=0)]
         for pair in pairs:
             for idx, clique in enumerate(self.cliques):
                 if set(pair) <= clique:

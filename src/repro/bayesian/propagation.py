@@ -15,9 +15,10 @@ half of that bargain real:
 - :class:`PropagationEngine` owns preallocated clique belief buffers
   and separator message buffers and runs the Hugin update with in-place
   numpy kernels: planned reductions marginalize into the separator
-  buffers, ``np.multiply(..., out=)`` absorbs ratios, and the 0/0 = 0
-  division mask is applied with ``np.divide(..., where=)`` on
-  separator-sized arrays only (never on clique tables).
+  buffers, ``np.multiply(..., out=)`` absorbs ratios through compiled
+  broadcasts (:func:`_broadcast_plan`), and the Hugin ratio divides by
+  ``max(up, _TINY)`` on separator-sized arrays only (never on clique
+  tables), which gives the exact 0/0 = 0 with no mask.
 
 - **Every dense reduction streams through BLAS**: a compiled plan
   merges axes into kept and summed runs and sums each run with one
@@ -63,8 +64,12 @@ tolerance.
   for cliques below a density threshold: beliefs live in ``(K, nnz)``
   buffers, messages absorb through precomputed gather indices, and
   separator marginals use a grouped ``np.add.reduceat`` over index
-  arrays instead of a dense reduction.  Separator buffers stay dense (they
-  are small), so sparse and dense cliques mix freely in one tree.  The
+  arrays instead of a dense reduction.  An edge touching a packed
+  clique stores its separator over the live entries only
+  (:attr:`_Message.live`): the packed side's ``reduceat`` segments are
+  exactly those entries, and a dense side reduces onto, or spreads
+  over, the whole separator in scratch, so sparse and dense cliques mix
+  freely in one tree.  The
   packed kernels keep the row-parity property above -- every gather is
   elementwise and every ``reduceat`` segment sums left-to-right per
   row -- but sparse results differ from *dense* results in the last
@@ -122,6 +127,17 @@ FOLD_ENTRIES = 2**16
 #: through one gemm per scenario rather than one tiny gemv per kept
 #: entry (the per-call cost dominates below this size).
 GEMM_ENTRIES = 64
+#: Shortest innermost run a dense broadcast multiply walks.  numpy runs
+#: a broadcast with a shorter inner run through its buffered iterator
+#: at 2-5x the cost of a same-shape multiply, so a separator is first
+#: expanded over its innermost broadcast runs into engine scratch (see
+#: :func:`_broadcast_plan`).
+BROADCAST_RUN = 16
+#: The smallest positive float64: a Hugin ratio divides by
+#: ``max(up, _TINY)``, which is ``up`` itself wherever ``up > 0`` and
+#: turns 0/0 into 0/_TINY = 0 where it is not (a zero upward entry
+#: zeroes every parent entry it multiplied), with no mask and no fill.
+_TINY = float(np.nextafter(0.0, 1.0))
 
 
 def check_memory_budget(name: str, row_bytes: int) -> None:
@@ -209,13 +225,7 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     0.4 ms.  Plans are computed once per schedule.
     """
     keep = set(keep_axes)
-    runs: List[List[int]] = []  # [is_kept, merged size]
-    for axis, size in enumerate(shape):
-        flag = 1 if axis in keep else 0
-        if runs and runs[-1][0] == flag:
-            runs[-1][1] *= size
-        else:
-            runs.append([flag, size])
+    runs = _runs(shape, [axis in keep for axis in range(len(shape))])
     total = math.prod(shape)
     steps, sizes = [], []
     while True:
@@ -248,6 +258,19 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
     if len(steps) == 1:
         return steps[0]
     return ("chain", tuple(steps), tuple(sizes))
+
+
+def _runs(shape: Tuple[int, ...], kept: Sequence[bool]) -> List[List[int]]:
+    """Adjacent axes with the same fate merged: ``[is_kept, size]`` per
+    run, each a pure reshape of a C-contiguous buffer."""
+    runs: List[List[int]] = []
+    for size, flag in zip(shape, kept):
+        flag = int(flag)
+        if runs and runs[-1][0] == flag:
+            runs[-1][1] *= size
+        else:
+            runs.append([flag, size])
+    return runs
 
 
 @functools.lru_cache(maxsize=None)
@@ -320,6 +343,70 @@ def _reduce_sum(
         raise ValueError(f"unknown reduction plan {kind!r}")
 
 
+def _broadcast_plan(shape: Tuple[int, ...], expand: Tuple[int, ...]):
+    """Compile how a dense separator table multiplies into a dense
+    clique of ``shape``; ``expand`` is the separator's broadcast shape
+    against it (1 on every axis it lacks).
+
+    Adjacent axes with the same fate merge into kept and broadcast runs
+    (:func:`_runs`).  Returns
+
+    - ``("plain", expand)`` when the multiply already walks an
+      innermost run of at least :data:`BROADCAST_RUN` entries, or when
+      a longer run would need the whole clique;
+    - ``("expand", view, xview, dst, sep_view, entries)`` otherwise: the
+      separator, viewed as ``sep_view``, is first copied over the
+      innermost runs (at least :data:`BROADCAST_RUN` entries) into
+      scratch of shape ``dst`` (``entries`` per scenario), and the
+      clique, viewed as ``view``, multiplies by that scratch viewed as
+      ``xview``, whose innermost run is now long.
+
+    The products are the same either way, so both are bitwise equal.
+    """
+    runs = _runs(shape, [e == size for size, e in zip(shape, expand)])
+    cut, inner = len(runs), 1
+    while cut > 0 and inner < BROADCAST_RUN:
+        cut -= 1
+        inner *= runs[cut][1]
+    outer, tail = runs[:cut], runs[cut:]
+    if all(flag for flag, _ in tail) or all(flag for flag, _ in outer):
+        return ("plain", expand)
+    kept = math.prod(size for flag, size in outer if flag)
+    return (
+        "expand",
+        tuple(size for _, size in outer) + (inner,),
+        tuple(size if flag else 1 for flag, size in outer) + (inner,),
+        (kept,) + tuple(size for _, size in tail),
+        (kept,) + tuple(size if flag else 1 for flag, size in tail),
+        kept * inner,
+    )
+
+
+def _broadcast_multiply(
+    src: np.ndarray, sep: np.ndarray, plan, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """``out = src * sep`` broadcast by a :func:`_broadcast_plan`.
+
+    ``sep`` is a ``(K, sep_size)`` table and ``out`` a ``(K, *shape)``
+    clique buffer; ``src`` is ``out`` itself, a per-row potential of
+    the same shape, or a shared ``shape`` potential.  ``scratch`` is a
+    flat buffer of at least ``K * entries`` for an ``expand`` plan.
+    """
+    rows = out.shape[0]
+    if plan[0] == "plain":
+        np.multiply(src, sep.reshape((rows,) + plan[1]), out=out)
+        return
+    _, view, xview, dst, sep_view, entries = plan
+    x = scratch[: rows * entries].reshape((rows,) + dst)
+    np.copyto(x, sep.reshape((rows,) + sep_view))
+    lead = src.shape[: src.ndim + 1 - out.ndim]
+    np.multiply(
+        src.reshape(lead + view),
+        x.reshape((rows,) + xview),
+        out=out.reshape((rows,) + view),
+    )
+
+
 def _sep_flat_indices(
     flat_idx: np.ndarray,
     shape: Tuple[int, ...],
@@ -347,9 +434,17 @@ def _sparse_reduce_plan(
     target order), sum each run of equal target indices with
     ``np.add.reduceat`` at ``seg_starts``, and scatter the segment sums
     to ``out_index``; ``covers_all`` means every target entry receives a
-    segment, so the zero-fill can be skipped.
+    segment, so the sums land in the target directly.
     """
-    target_idx = _sep_flat_indices(flat_idx, shape, keep_axes, out_shape)
+    return _segment_plan(
+        _sep_flat_indices(flat_idx, shape, keep_axes, out_shape),
+        math.prod(out_shape),
+    )
+
+
+def _segment_plan(target_idx: np.ndarray, size: int):
+    """:func:`_sparse_reduce_plan` from each packed entry's flat index
+    in a target of ``size`` entries."""
     perm = np.argsort(target_idx, kind="stable")
     if np.array_equal(perm, np.arange(perm.size)):
         perm, sorted_idx = None, target_idx
@@ -357,25 +452,27 @@ def _sparse_reduce_plan(
         sorted_idx = target_idx[perm]
     seg_starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
     out_index = sorted_idx[seg_starts]
-    covers_all = out_index.size == int(np.prod(out_shape))
-    return (perm, seg_starts, out_index, covers_all)
+    return (perm, seg_starts, out_index, out_index.size == size)
 
 
 def _sparse_reduce(
     src: np.ndarray, plan, out: np.ndarray, scratch: Optional[np.ndarray] = None
 ) -> None:
-    """Sum a packed ``lead + (nnz,)`` buffer onto a dense target.
+    """Sum a packed ``lead + (nnz,)`` buffer onto a target.
 
-    ``plan`` comes from :func:`_sparse_reduce_plan`.  Infeasible target
-    entries are zero-filled (they receive no mass by construction).
-    Per-segment ``reduceat`` sums are sequential left-to-right per
-    row, so row ``k`` goes through the same arithmetic whatever the row
-    count -- the engine's row parity survives the sparse path.
-    ``scratch`` (a ``lead + (nnz,)`` buffer)
-    avoids the gather temporary when a permutation is needed.  Every
-    gather here and in the engine passes ``mode="clip"``: the indices
-    are valid by construction, and numpy buffers ``out`` through a
-    full-size temporary under the default ``mode="raise"``.
+    ``plan`` comes from :func:`_sparse_reduce_plan`.  When the segments
+    cover the target (every message: a packed separator holds exactly
+    its live entries) ``reduceat`` writes the sums into it directly;
+    otherwise infeasible target entries are zero-filled (they receive
+    no mass by construction) and the sums scattered.  Per-segment
+    ``reduceat`` sums are sequential left-to-right per row, so row
+    ``k`` goes through the same arithmetic whatever the row count --
+    the engine's row parity survives the sparse path.  ``scratch`` (a
+    ``lead + (nnz,)`` buffer) avoids the gather temporary when a
+    permutation is needed.  Every gather here and in the engine passes
+    ``mode="clip"``: the indices are valid by construction, and numpy
+    buffers ``out`` through a full-size temporary under the default
+    ``mode="raise"``.
     """
     perm, seg_starts, out_index, covers_all = plan
     if perm is not None:
@@ -384,13 +481,12 @@ def _sparse_reduce(
         else:
             np.take(src, perm, axis=-1, out=scratch, mode="clip")
             src = scratch
-    segments = np.add.reduceat(src, seg_starts, axis=-1)
     flat = out.reshape(src.shape[:-1] + (-1,))
     if covers_all:
-        np.copyto(flat, segments)
+        np.add.reduceat(src, seg_starts, axis=-1, out=flat)
     else:
         flat.fill(0.0)
-        flat[..., out_index] = segments
+        flat[..., out_index] = np.add.reduceat(src, seg_starts, axis=-1)
 
 
 class _SparseClique:
@@ -399,9 +495,12 @@ class _SparseClique:
     The packed order is the clique's feasible entries sorted by their
     parent-edge separator index (plain ascending flat order at a root),
     so the hottest reduction -- the upward message -- needs no gather
-    permutation.  ``gathers[j]`` maps each packed entry to its flat
-    separator index toward neighbor ``j`` (the message-absorb gather);
-    ``reduce_plans[j]`` is the outgoing reduce plan toward ``j``.
+    permutation.  The separator toward each neighbor ``j`` is stored
+    over its live entries (:attr:`_Message.live`), and the packed
+    entries map onto exactly those: ``gathers[j]`` is each packed
+    entry's position in the stored separator (the message-absorb
+    gather) and ``reduce_plans[j]`` the outgoing reduction, whose
+    segments are the stored entries in order.
     """
 
     __slots__ = ("flat_idx", "nnz", "gathers", "reduce_plans")
@@ -410,25 +509,30 @@ class _SparseClique:
         shape = schedule.shapes[idx]
         flat = np.flatnonzero(mask)
         parent = schedule.parent[idx]
+        sep_idx: Dict[int, np.ndarray] = {}
         if parent is not None:
             msg = schedule.messages[(idx, parent)]
-            sep_idx = _sep_flat_indices(flat, shape, msg.keep_axes, msg.sep_shape)
-            flat = flat[np.argsort(sep_idx, kind="stable")]
+            up = _sep_flat_indices(flat, shape, msg.keep_axes, msg.sep_shape)
+            order = np.argsort(up, kind="stable")
+            flat, sep_idx[parent] = flat[order], up[order]
         self.flat_idx = flat
         self.nnz = int(flat.size)
         self.gathers: Dict[int, np.ndarray] = {}
         self.reduce_plans: Dict[int, tuple] = {}
-        neighbors = ([parent] if parent is not None else []) + list(
-            schedule.children[idx]
-        )
-        for j in neighbors:
+        for j in schedule.children[idx]:
             msg = schedule.messages[(idx, j)]
-            self.gathers[j] = _sep_flat_indices(
-                flat, shape, msg.keep_axes, msg.sep_shape
-            )
-            self.reduce_plans[j] = _sparse_reduce_plan(
-                flat, shape, msg.keep_axes, msg.sep_shape
-            )
+            sep_idx[j] = _sep_flat_indices(flat, shape, msg.keep_axes, msg.sep_shape)
+        for j, target in sep_idx.items():
+            msg = schedule.messages[(idx, j)]
+            perm, seg_starts, stored, _ = _segment_plan(target, msg.sep_size)
+            live = msg.live if msg.live is not None else np.arange(msg.sep_size)
+            if not np.array_equal(stored, live):
+                raise RuntimeError(
+                    f"clique {idx}: packed entries do not cover the live "
+                    f"separator toward clique {j}"
+                )
+            self.gathers[j] = np.searchsorted(stored, target)
+            self.reduce_plans[j] = (perm, seg_starts, None, True)
 
 
 class PropagationCounters:
@@ -493,6 +597,8 @@ class _Message:
         "keep_axes",
         "plan",
         "expand_shape",
+        "bcast",
+        "live",
     )
 
     def __init__(
@@ -503,6 +609,7 @@ class _Message:
         source_order: Tuple[str, ...],
         target_order: Tuple[str, ...],
         source_shape: Tuple[int, ...],
+        target_shape: Tuple[int, ...],
         sep_shape: Tuple[int, ...],
     ):
         self.source = source
@@ -522,6 +629,19 @@ class _Message:
         #: clique without any transpose (again: canonical orders).
         sep_cards = dict(zip(sep_vars, sep_shape))
         self.expand_shape = tuple(sep_cards.get(v, 1) for v in target_order)
+        #: how a dense separator table multiplies into the target clique
+        #: when that clique is dense (:func:`_broadcast_plan`)
+        self.bcast = _broadcast_plan(target_shape, self.expand_shape)
+        #: ascending flat indices of the separator entries the edge
+        #: stores, set by the support analysis when the edge touches a
+        #: packed clique and not every entry is feasible; ``None``
+        #: stores the whole separator
+        self.live: Optional[np.ndarray] = None
+
+    @property
+    def width(self) -> int:
+        """Entries per row of the stored separator."""
+        return self.sep_size if self.live is None else int(self.live.size)
 
 
 class PropagationSchedule:
@@ -624,6 +744,7 @@ class PropagationSchedule:
                         self.orders[src],
                         self.orders[dst],
                         self.shapes[src],
+                        self.shapes[dst],
                         sep_shape,
                     )
 
@@ -646,7 +767,8 @@ class PropagationSchedule:
         #: entries each kernel actually touches per clique pass (``nnz``
         #: when sparse) -- the unit of the engine's FLOP estimates
         self.work_sizes: List[int] = list(self.sizes)
-        #: feasible separator entries per directed tree edge (diagnostics)
+        #: feasible separator entries per directed tree edge; an edge
+        #: touching a packed clique stores only these (:attr:`_Message.live`)
         self.sep_support_nnz: Dict[Tuple[int, int], int] = {}
         if (
             kernel != "dense"
@@ -674,6 +796,16 @@ class PropagationSchedule:
             + [_plan_scratch(plan) for plan in self.read_plans.values()],
             default=0,
         )
+        #: expanded-separator entries per row: the most any broadcast
+        #: into a dense clique needs (see :func:`_broadcast_plan`)
+        self.broadcast_scratch = max(
+            (
+                msg.bcast[-1]
+                for msg in self.messages.values()
+                if msg.bcast[0] == "expand" and not self.sparse[msg.target]
+            ),
+            default=0,
+        )
 
     def read_plan(self, idx: int, keep: Tuple[int, ...]):
         """The (cached) plan reducing clique ``idx``'s belief onto the
@@ -697,39 +829,59 @@ class PropagationSchedule:
     def read_entries(self, idx: int, keep: Tuple[int, ...]) -> int:
         """Entries per row one :meth:`PropagationEngine.joint_marginal`
         onto ``keep`` allocates: the joint table, and for a packed clique
-        its segment sums plus a gathered copy of the buffer when the
-        plan permutes, for a dense one the chain's intermediates."""
+        a gathered copy of the buffer when the plan permutes and the
+        segment sums when they do not cover the table, for a dense one
+        the chain's intermediates."""
         plan = self.read_plan(idx, keep)
         joint = math.prod(self.shapes[idx][a] for a in keep)
         if not self.sparse[idx]:
             return joint + _plan_scratch(plan)
-        gather = self.work_sizes[idx] if plan[0] is not None else 0
-        return 2 * joint + gather
+        perm, _, out_index, covers_all = plan
+        gather = self.work_sizes[idx] if perm is not None else 0
+        return joint + gather + (0 if covers_all else out_index.size)
 
     @property
     def row_bytes(self) -> int:
         """Bytes one scenario row adds to a :class:`PropagationEngine`
-        over this schedule: its float64 beliefs, upward messages, the
-        shared separator scratch pair (sized to the largest separator)
-        and the shared kernel scratch (:attr:`kernel_scratch`)."""
+        over this schedule: its float64 beliefs, stored upward messages
+        (:attr:`_Message.width` entries each), the shared separator
+        scratch pair (:attr:`sep_scratch`) and the shared kernel scratch
+        (:attr:`kernel_scratch`)."""
         entries = sum(self.work_sizes)
-        for (src, dst), msg in self.messages.items():
-            if self.parent[src] == dst:
-                entries += msg.sep_size
-        entries += 2 * self.max_sep_size + self.kernel_scratch
+        for msg in self.upward():
+            entries += msg.width
+        entries += sum(self.sep_scratch) + self.kernel_scratch
         return 8 * entries
+
+    def upward(self) -> List[_Message]:
+        """The child -> parent message of every tree edge."""
+        return [
+            msg
+            for (src, dst), msg in self.messages.items()
+            if self.parent[src] == dst
+        ]
 
     @property
     def kernel_scratch(self) -> int:
         """Entries per row of the engine's kernel scratch: a packed
-        clique's gather and a dense chain's intermediates share it, since
-        a clique is one or the other and one kernel runs at a time."""
-        return max(self.max_packed_nnz, self.chain_scratch)
+        clique's gather, a dense chain's intermediates and a dense
+        broadcast's expanded separator share it, since a clique is packed
+        or dense and one kernel runs at a time."""
+        return max(self.max_packed_nnz, self.chain_scratch, self.broadcast_scratch)
 
     @property
-    def max_sep_size(self) -> int:
-        """Entries of the largest separator (0 without tree edges)."""
-        return max((msg.sep_size for msg in self.messages.values()), default=0)
+    def sep_scratch(self) -> Tuple[int, int]:
+        """Entries per row of the engine's separator scratch pair, each
+        sized to its largest edge: an edge stores :attr:`_Message.width`
+        entries in both, and the first also holds the whole separator
+        wherever a dense clique meets a stored edge (its reduction's
+        target, or a packed message spread out for its broadcast)."""
+        first = second = 0
+        for msg in self.upward():
+            dense = not (self.sparse[msg.source] and self.sparse[msg.target])
+            first = max(first, msg.sep_size if dense else msg.width)
+            second = max(second, msg.width)
+        return first, second
 
     @property
     def max_packed_nnz(self) -> int:
@@ -776,6 +928,7 @@ class PropagationSchedule:
                     msg = self.messages[(node, parent)]
                     up[(node, parent)] = any_reduce(mask, msg.keep_axes)
         final: List[Optional[np.ndarray]] = [None] * n
+        seps: Dict[Tuple[int, int], np.ndarray] = {}
         for component in self.components:
             for node, parent in component:
                 if parent is None:
@@ -788,6 +941,7 @@ class PropagationSchedule:
                 sep_nnz = int(np.count_nonzero(sep))
                 self.sep_support_nnz[(parent, node)] = sep_nnz
                 self.sep_support_nnz[(node, parent)] = sep_nnz
+                seps[(node, parent)] = sep
 
         for idx in range(n):
             mask = final[idx]
@@ -806,7 +960,18 @@ class PropagationSchedule:
             if pick:
                 self.sparse[idx] = True
                 self.work_sizes[idx] = nnz
-                self.sparse_cliques[idx] = _SparseClique(idx, mask, self)
+        # An edge touching a packed clique stores only its live entries:
+        # the packed side's entries map onto exactly those (the message
+        # products annihilate the rest), and a dense side spreads them
+        # over a zeroed whole separator.
+        for (node, parent), sep in seps.items():
+            if (self.sparse[node] or self.sparse[parent]) and not sep.all():
+                live = np.flatnonzero(sep)
+                self.messages[(node, parent)].live = live
+                self.messages[(parent, node)].live = live
+        for idx in range(n):
+            if self.sparse[idx]:
+                self.sparse_cliques[idx] = _SparseClique(idx, final[idx], self)
 
 
 class PropagationEngine:
@@ -831,8 +996,11 @@ class PropagationEngine:
         :meth:`marginals` returns ``(K, card)`` arrays.
 
     Cliques the schedule compiled as sparse keep their beliefs in
-    packed ``(K, nnz)`` buffers; separator messages stay dense.
-    :meth:`belief` scatters a packed belief to a dense table on demand.
+    packed ``(K, nnz)`` buffers, and every message on an edge touching
+    one is a ``(K, width)`` buffer over the separator's live entries
+    (:attr:`_Message.live`); a dense clique reduces onto or spreads
+    over the whole separator in scratch.  :meth:`belief` scatters a
+    packed belief to a dense table on demand.
     """
 
     def __init__(self, schedule: PropagationSchedule, batch_size: int = 1):
@@ -841,10 +1009,6 @@ class PropagationEngine:
         self.schedule = schedule
         self.batch_size = int(batch_size)
         lead = (self.batch_size,)
-        #: per-edge broadcast shapes with the leading scenario axis
-        self._expand = {
-            key: lead + m.expand_shape for key, m in schedule.messages.items()
-        }
         #: reentrancy tripwire (see :func:`_exclusive`); never held
         #: across calls, so pickling drops and recreates it.
         self._guard = threading.Lock()
@@ -860,21 +1024,20 @@ class PropagationEngine:
         self._beta: List[np.ndarray] = [
             np.empty(self._layout(i, lead)) for i in range(schedule.n_cliques)
         ]
-        #: upward (child -> parent) message buffers, read by the
-        #: parent's collect and by the child's distribute division
+        #: upward (child -> parent) message buffers, ``(K, width)`` over
+        #: the stored separator entries (:attr:`_Message.live`), read by
+        #: the parent's collect and by the child's distribute division
         self._msg: Dict[Tuple[int, int], np.ndarray] = {
-            (node, parent): np.empty(lead + msg.sep_shape)
-            for (node, parent), msg in schedule.messages.items()
-            if schedule.parent[node] == parent
+            (msg.source, msg.target): np.empty(lead + (msg.width,))
+            for msg in schedule.upward()
         }
         #: one separator scratch pair and one kernel scratch, each sized
         #: to its largest user: messages use prefix views of the pair,
         #: packed cliques gather into prefix views of the kernel scratch
-        #: (see :meth:`_bind_scratch`) and dense chains write their
-        #: intermediates into it
-        self._sep_scratch = (
-            np.empty(self.batch_size * schedule.max_sep_size),
-            np.empty(self.batch_size * schedule.max_sep_size),
+        #: (see :meth:`_bind_scratch`), dense chains write their
+        #: intermediates into it and dense broadcasts expand into it
+        self._sep_scratch = tuple(
+            np.empty(self.batch_size * size) for size in schedule.sep_scratch
         )
         self._kernel_scratch = np.empty(self.batch_size * schedule.kernel_scratch)
         self._bind_scratch()
@@ -884,20 +1047,23 @@ class PropagationEngine:
         self.factor_bytes = schedule.row_bytes * self.batch_size
 
     def _bind_scratch(self) -> None:
-        """Prefix views of the shared scratch buffers: a separator pair
-        per tree edge (keyed by the child) and a gather buffer per packed
-        clique.  Each view is C-contiguous, and no two users of one
-        buffer are ever live at once."""
-        lead = (self.batch_size,)
+        """Prefix views of the shared scratch buffers: per tree edge
+        (keyed by the child) the first buffer as a stored and, where it
+        is large enough, a whole separator and the second as a stored
+        one; and a gather buffer per packed clique.  Each view is
+        C-contiguous, and no two users of one buffer are ever live at
+        once."""
+        k = self.batch_size
         first, second = self._sep_scratch
-        self._sep_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for (node, parent), msg in self.schedule.messages.items():
-            if self.schedule.parent[node] == parent:
-                size = self.batch_size * msg.sep_size
-                self._sep_views[node] = (
-                    first[:size].reshape(lead + msg.sep_shape),
-                    second[:size].reshape(lead + msg.sep_shape),
-                )
+        self._sep_views: Dict[int, Tuple[np.ndarray, ...]] = {}
+        for msg in self.schedule.upward():
+            width, size = k * msg.width, k * msg.sep_size
+            self._sep_views[msg.source] = (
+                first[:width].reshape(k, -1),
+                first[:size].reshape(k, -1) if size <= first.size else None,
+                second[:width].reshape(k, -1),
+            )
+        lead = (k,)
         self._gather_views: Dict[int, np.ndarray] = {
             i: self._kernel_scratch[: self.batch_size * sp.nnz].reshape(lead + (sp.nnz,))
             for i, sp in self.schedule.sparse_cliques.items()
@@ -973,43 +1139,50 @@ class PropagationEngine:
 
         Dense cliques use the fused first multiply (psi * first child
         message lands in beta directly -- same elementwise arithmetic as
-        copy-then-multiply, one full pass cheaper).  Packed cliques
-        gather each child message at the packed entries' separator
-        indices and multiply elementwise, never materializing the dense
-        table.
+        copy-then-multiply, one full pass cheaper), each through its
+        compiled broadcast (:func:`_broadcast_multiply`).  Packed cliques
+        gather each child message at the packed entries' positions in
+        the stored separator and multiply elementwise, never
+        materializing the dense table.
         """
         schedule = self.schedule
         beta = self._beta[node]
-        psi = self._psi[node]
+        src = self._psi[node]
         children = schedule.children[node]
+        if not children:
+            np.copyto(beta, src)
+            return
         sp = schedule.sparse_cliques.get(node)
         if sp is None:
-            if children:
-                key = (children[0], node)
-                np.multiply(
-                    psi, self._msg[key].reshape(self._expand[key]), out=beta
-                )
-                for child in children[1:]:
-                    key = (child, node)
-                    np.multiply(
-                        beta, self._msg[key].reshape(self._expand[key]), out=beta
-                    )
-            else:
-                np.copyto(beta, psi)
-            return
-        if not children:
-            np.copyto(beta, psi)
+            for child in children:
+                msg = schedule.messages[(child, node)]
+                sep = self._msg[(child, node)]
+                if msg.live is not None:
+                    sep = self._spread(child, msg, sep)
+                _broadcast_multiply(src, sep, msg.bcast, beta, self._kernel_scratch)
+                src = beta
             return
         scratch = self._gather_views[node]
-        lead = beta.shape[:-1]
-        child = children[0]
-        msg = self._msg[(child, node)].reshape(lead + (-1,))
-        np.take(msg, sp.gathers[child], axis=-1, out=scratch, mode="clip")
-        np.multiply(psi, scratch, out=beta)
-        for child in children[1:]:
-            msg = self._msg[(child, node)].reshape(lead + (-1,))
-            np.take(msg, sp.gathers[child], axis=-1, out=scratch, mode="clip")
-            np.multiply(beta, scratch, out=beta)
+        for child in children:
+            np.take(
+                self._msg[(child, node)],
+                sp.gathers[child],
+                axis=-1,
+                out=scratch,
+                mode="clip",
+            )
+            np.multiply(src, scratch, out=beta)
+            src = beta
+
+    def _spread(self, child: int, msg: _Message, values: np.ndarray) -> np.ndarray:
+        """A stored separator's ``values`` as the whole ``(K, sep_size)``
+        table a dense clique broadcasts: written over zeros into the
+        first scratch buffer of ``child``'s edge (off the live entries
+        the packed side holds no mass)."""
+        table = self._sep_views[child][1]
+        table.fill(0.0)
+        table[:, msg.live] = values
+        return table
 
     def propagate(self) -> None:
         """One full collect + distribute pass, if any potential was set
@@ -1043,22 +1216,7 @@ class PropagationEngine:
                         len(children) * schedule.work_sizes[node] * scale
                     )
                 if parent is not None:
-                    key = (node, parent)
-                    sp = schedule.sparse_cliques.get(node)
-                    if sp is None:
-                        _reduce_sum(
-                            self._beta[node],
-                            schedule.messages[key].plan,
-                            self._msg[key],
-                            self._kernel_scratch,
-                        )
-                    else:
-                        _sparse_reduce(
-                            self._beta[node],
-                            sp.reduce_plans[parent],
-                            self._msg[key],
-                            self._gather_views[node],
-                        )
+                    self._reduce(node, parent, self._msg[(node, parent)])
                     counters.messages_collect += 1
                     counters.flops += schedule.work_sizes[node] * scale
 
@@ -1100,58 +1258,70 @@ class PropagationEngine:
         registry.gauge("engine.factor_bytes.peak").set_max(self.factor_bytes)
         registry.gauge("engine.batch_size.peak").set_max(self.batch_size)
 
+    def _reduce(self, source: int, target: int, out: np.ndarray) -> None:
+        """Marginalize ``source``'s belief onto its stored separator
+        toward ``target``, into ``out`` (``(K, width)``).
+
+        A packed clique's segment sums are the stored entries in order,
+        so ``reduceat`` writes them into ``out`` directly.  A dense
+        clique reduces onto its whole separator -- into ``out`` itself,
+        or into the first separator scratch of the edge, from which the
+        live entries are gathered."""
+        schedule = self.schedule
+        msg = schedule.messages[(source, target)]
+        beta = self._beta[source]
+        sp = schedule.sparse_cliques.get(source)
+        if sp is not None:
+            _sparse_reduce(
+                beta, sp.reduce_plans[target], out, self._gather_views[source]
+            )
+        elif msg.live is None:
+            _reduce_sum(beta, msg.plan, out, self._kernel_scratch)
+        else:
+            child = source if schedule.parent[source] == target else target
+            table = self._sep_views[child][1]
+            _reduce_sum(beta, msg.plan, table, self._kernel_scratch)
+            np.take(table, msg.live, axis=-1, out=out, mode="clip")
+
     def _absorb_from_parent(self, node: int, parent: int) -> None:
         """Send the downward message parent -> node and absorb it into
         the child's partial belief."""
         schedule = self.schedule
-        down_key = (parent, node)
-        up_key = (node, parent)
         counters = self.counters
         counters.messages_distribute += 1
         counters.flops += (
             schedule.work_sizes[parent] + schedule.work_sizes[node]
         ) * self.batch_size
 
-        # marg(parent belief) onto the separator, then divide by the
-        # upward message.  Wherever the upward message is zero the
+        # marg(parent belief) onto the stored separator, then divide by
+        # the upward message.  Wherever the upward message is zero the
         # parent belief's slice is zero too (it contains that message
-        # as a factor), so the masked division's zero-fill is exact.
-        new_sep, ratio = self._sep_views[node]
-        sp_parent = schedule.sparse_cliques.get(parent)
-        if sp_parent is None:
-            _reduce_sum(
-                self._beta[parent],
-                schedule.messages[down_key].plan,
-                new_sep,
-                self._kernel_scratch,
-            )
+        # as a factor), so dividing by max(up, _TINY) gives the exact
+        # 0/0 = 0 with no mask and no fill.  A dense parent on a stored
+        # edge reduces through the first buffer's whole separator,
+        # which is free again once its live entries are gathered.
+        first, _, second = self._sep_views[node]
+        msg = schedule.messages[(parent, node)]
+        if msg.live is None or parent in schedule.sparse_cliques:
+            new, ratio = first, second
         else:
-            _sparse_reduce(
-                self._beta[parent],
-                sp_parent.reduce_plans[node],
-                new_sep,
-                self._gather_views[parent],
-            )
-        up_values = self._msg[up_key]
-        ratio.fill(0.0)
-        np.divide(new_sep, up_values, out=ratio, where=up_values != 0)
+            new, ratio = second, first
+        self._reduce(parent, node, new)
+        up = self._msg[(node, parent)]
+        np.maximum(up, _TINY, out=ratio)
+        np.divide(new, ratio, out=ratio)
 
         beta = self._beta[node]
         sp = schedule.sparse_cliques.get(node)
         if sp is None:
-            np.multiply(beta, ratio.reshape(self._expand[down_key]), out=beta)
+            if msg.live is not None:
+                ratio = self._spread(node, msg, ratio)
+            _broadcast_multiply(beta, ratio, msg.bcast, beta, self._kernel_scratch)
             return
-        # Packed belief: gather the separator-sized ratio at the packed
-        # entries' separator indices and multiply elementwise.
+        # Packed belief: gather the ratio at the packed entries'
+        # positions in the stored separator and multiply elementwise.
         scratch = self._gather_views[node]
-        lead = beta.shape[:-1]
-        np.take(
-            ratio.reshape(lead + (-1,)),
-            sp.gathers[parent],
-            axis=-1,
-            out=scratch,
-            mode="clip",
-        )
+        np.take(ratio, sp.gathers[parent], axis=-1, out=scratch, mode="clip")
         np.multiply(beta, scratch, out=beta)
 
     # ------------------------------------------------------------------

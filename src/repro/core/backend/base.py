@@ -72,7 +72,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v12: schedules' interleaved reductions are BLAS chains (no ``sum``
 #: plans), a ``dot`` plan records its fold chunk, and schedules carry
 #: per-(clique, axes) read plans and the chain scratch size.
-ARTIFACT_SCHEMA_VERSION = 12
+#: v13: an edge touching a packed clique stores only its live separator
+#: entries (messages carry their index arrays, packed cliques gather by
+#: position in them), and dense broadcasts carry compiled plans.
+ARTIFACT_SCHEMA_VERSION = 13
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

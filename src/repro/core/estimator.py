@@ -36,14 +36,18 @@ from repro.obs.trace import get_tracer
 
 
 #: Bytes one circuit line adds to one result row: its ``(4,)`` float64
-#: marginal, the array and dict entry that hold it, and its share of the
-#: scenario's input stacks (an upper bound of ``tracemalloc`` peaks).
-RESULT_LINE_BYTES = 512
+#: marginal (32 B), the 112 B array view that holds it and its entry in
+#: the row's dict.  ``tracemalloc`` reads 173-185 B per line of a held
+#: K=64 result on pcler8, alu and c432s.
+RESULT_LINE_BYTES = 192
+#: Bytes one result row holds besides its lines: the
+#: :class:`SwitchingEstimate` and its attribute dict (344 B).
+RESULT_ROW_BYTES = 512
 
 
 def result_row_bytes(circuit: Circuit) -> int:
-    """Bytes one scenario's result rows take, over every circuit line."""
-    return RESULT_LINE_BYTES * len(circuit.lines)
+    """Bytes one scenario's result row takes, over every circuit line."""
+    return RESULT_ROW_BYTES + RESULT_LINE_BYTES * len(circuit.lines)
 
 
 @dataclass

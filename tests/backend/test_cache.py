@@ -164,3 +164,37 @@ def test_v8_auto_artifact_misses_under_current_schema(tmp_path, monkeypatch):
     model = compile_model(circuit, cache=cache)
     assert model.cache_hit is False
     assert model.query().method == "single-bn"
+
+
+def test_v12_artifact_misses_under_current_schema(tmp_path, monkeypatch):
+    """A v12 artifact's schedule stored every separator whole; under the
+    current schema (packed separators) it must miss and recompile."""
+    import numpy as np
+
+    from repro.core.backend import cache as cache_module
+    from repro.core.backend.base import ARTIFACT_SCHEMA_VERSION
+    from repro.core.backend.registry import get_backend
+
+    assert ARTIFACT_SCHEMA_VERSION >= 13
+    circuit = suite.load_circuit("alu")
+    cache = CompileCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "ARTIFACT_SCHEMA", "repro.compiled/v12")
+        stale_key = cache.key_for(
+            circuit, "auto", None, get_backend("auto").cache_token()
+        )
+    stale = compile_model(circuit, cache=None)
+    messages = stale.estimator.junction_tree._schedule.messages.values()
+    assert any(msg.live is not None for msg in messages)
+    for msg in messages:  # the v12 layout: whole separators
+        msg.live = None
+    cache.put(stale_key, stale)
+
+    model = compile_model(circuit, cache=cache)
+    assert model.cache_hit is False
+    schedule = model.estimator.junction_tree._schedule
+    assert any(msg.live is not None for msg in schedule.messages.values())
+    fresh = compile_model(circuit, cache=None).query()
+    got = model.query()
+    for line in circuit.lines:
+        assert np.array_equal(got.distributions[line], fresh.distributions[line])

@@ -101,10 +101,10 @@ class TestRowBytesBoundsPeak:
     def test_one_call_peak_is_within_row_bytes_times_rows(self, name):
         """A fresh model's first ``query_many`` allocates every engine,
         install table and result row; ``row_bytes`` times the rows of
-        its largest pass must bound that.  c432s holds 33 rows per pass,
-        so K=34 takes two."""
+        its largest pass must bound that.  c432s is called with one row
+        more than a pass holds, so the call takes two."""
         model = compile_model(suite.load_circuit(name), cache=None)
-        k = 34 if name == "c432s" else 16
+        k = model.rows_per_pass + 1 if name == "c432s" else 16
         rows = min(k, model.rows_per_pass)
         if name == "c432s":
             assert rows < k

@@ -263,11 +263,14 @@ class TestNoisyReplacement:
 class TestPassSizes:
     def test_c432s_odd_passes_equal_single_queries(self, monkeypatch):
         """Batched-equals-single holds bitwise at odd pass sizes: 33
-        rows (the default budget's pass) and 11 rows."""
+        rows and 11 rows."""
         from repro.bayesian import propagation
 
         circuit = suite.load_circuit("c432s")
         model = compile_model(circuit, cache=None)
+        monkeypatch.setattr(
+            propagation, "MEMORY_BUDGET_BYTES", 33 * model.row_bytes
+        )
         assert model.rows_per_pass == 33
         rng = np.random.default_rng(11)
         models = [
