@@ -62,7 +62,6 @@ from repro.core.backend import (
     get_backend,
     register_backend,
 )
-from repro.core.backend.facade import DEFAULT_FALLBACK_CHAIN
 from repro.errors import (
     CompileError,
     InputModelError,
@@ -77,7 +76,6 @@ __all__ = [
     "Backend",
     "CliqueBudgetExceeded",
     "CompileError",
-    "DEFAULT_FALLBACK_CHAIN",
     "InputModelError",
     "PropagationError",
     "ReproError",

@@ -20,7 +20,7 @@ cache (``--no-cache`` disables it, ``--cache-dir`` relocates it); a
 second run on the same circuit loads the compiled junction trees
 instead of rebuilding them.  ``--circuit`` accepts a suite name *or* a
 path to a ``.bench`` netlist, which is validated before estimation;
-``--fallback`` enables graceful degradation through the backend chain.
+a typed compile error (say, a circuit no clique budget fits) exits 1.
 ``sweep`` compiles a circuit once and batch-propagates every
 input-statistics scenario from a JSON file through the compiled model,
 in as few vectorized passes as its memory budget allows.  ``cache``
@@ -210,8 +210,6 @@ def _cmd_estimate(args) -> None:
         IndependentInputs(args.p_one),
         backend=args.backend,
         cache=_resolve_cli_cache(args),
-        fallback=args.fallback or None,
-        budget_seconds=args.budget_seconds,
         **_refine_opts(args),
     )
     cache_note = {True: "hit", False: "miss", None: "off"}[result.cache_hit]
@@ -225,8 +223,6 @@ def _cmd_estimate(args) -> None:
             f"  refine: {result.refine_iterations} iteration(s), "
             f"final boundary delta {result.refine_delta:.3e}"
         )
-    for failed, reason in result.fallbacks:
-        print(f"  fallback: {failed} failed ({reason})")
     print(f"mean switching activity: {result.mean_activity():.4f}")
     outputs = [(ln, result.switching(ln)) for ln in circuit.outputs]
     print(
@@ -663,14 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--backend", default="auto",
         help="inference backend (see `repro.core.backend`); default: auto",
-    )
-    pe.add_argument(
-        "--fallback", action="store_true",
-        help="degrade through the default backend chain on compile failure",
-    )
-    pe.add_argument(
-        "--budget-seconds", type=float, default=None, metavar="S",
-        help="wall-clock budget; once exceeded, jump to the cheapest fallback",
     )
     pe.add_argument(
         "--refine", type=int, default=0, metavar="N",

@@ -243,17 +243,16 @@ class EnumerationBackend(Backend):
 
 
 class AutoBackend(Backend):
-    """One exact junction tree whenever it fits, else segmentation.
+    """One exact junction tree whenever it fits, else one segmentation.
 
-    The paper segments only circuits too large for one junction tree:
-    every circuit tries one tree under the clique budget (``4^10``,
-    ``4^9`` past 2000 gates) and the memory budget, and is segmented
-    (``max_gates_per_segment`` gates per segment, same clique budget)
-    on :class:`CliqueBudgetExceeded` or :class:`MemoryBudgetExceeded`.
-    A rejected try stops at its first over-budget clique.  When the
-    caller left ``max_clique_states`` unset and the ``4^10``
-    segmentation's scenario row is over the memory budget, the circuit
-    is segmented once more at ``4^9``.
+    The paper segments only circuits too large for one junction tree.
+    Every circuit tries one tree under one clique budget
+    (``max_clique_states``; by default ``4^10``, or ``4^9`` past 2000
+    gates) and the memory budget.  On :class:`CliqueBudgetExceeded` or
+    :class:`MemoryBudgetExceeded` it is segmented once, under the same
+    clique budget (``max_gates_per_segment`` gates per segment).  A
+    rejected tree stops at its first over-budget clique; a typed
+    failure of the segmentation reaches the caller unchanged.
     """
 
     name = "auto"
@@ -271,36 +270,28 @@ class AutoBackend(Backend):
         refine_tol: float = 1e-5,
     ) -> EstimatorCompiledModel:
         if max_clique_states is not None:
-            budgets = [max_clique_states]
+            budget = max_clique_states
         elif circuit.num_gates > 2000:
-            budgets = [4 ** 9]
+            budget = 4 ** 9
         else:
-            budgets = [4 ** 10, 4 ** 9]
+            budget = 4 ** 10
         try:
             return JunctionTreeBackend().compile(
-                circuit,
-                inputs,
-                heuristic=heuristic,
-                max_clique_states=budgets[0],
+                circuit, inputs, heuristic=heuristic, max_clique_states=budget
             )
         except (CliqueBudgetExceeded, MemoryBudgetExceeded):
             pass
-        for budget in budgets:
-            try:
-                return SegmentedBackend().compile(
-                    circuit,
-                    inputs,
-                    max_gates_per_segment=max_gates_per_segment,
-                    max_clique_states=budget,
-                    heuristic=heuristic,
-                    lookback=lookback,
-                    boundary=boundary,
-                    refine=refine,
-                    refine_tol=refine_tol,
-                )
-            except MemoryBudgetExceeded:
-                if budget == budgets[-1]:
-                    raise
+        return SegmentedBackend().compile(
+            circuit,
+            inputs,
+            max_gates_per_segment=max_gates_per_segment,
+            max_clique_states=budget,
+            heuristic=heuristic,
+            lookback=lookback,
+            boundary=boundary,
+            refine=refine,
+            refine_tol=refine_tol,
+        )
 
 
 # ----------------------------------------------------------------------

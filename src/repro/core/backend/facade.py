@@ -21,21 +21,19 @@ on-disk location), a directory path, or a
 Both entry points run the :mod:`repro.core.validate` pass first, so a
 malformed circuit or input model fails with a typed
 :class:`~repro.errors.ReproError` before any backend work starts.
-:func:`estimate` additionally supports *graceful degradation*: a
-``fallback`` chain of backend names tried in order whenever a backend
-raises a typed :class:`~repro.errors.CompileError` (or a
-:class:`~repro.errors.PropagationError` at query time), plus an
-optional wall-clock ``budget_seconds`` that, once exhausted, jumps
-straight to the chain's last (cheapest) entry.  Every degradation step
-increments the ``estimate.fallback`` obs counter and is surfaced on
-``SwitchingEstimate.fallbacks``.
+There is one degradation rule, and it lives in the ``auto`` backend:
+one junction tree when it fits, else one segmentation.  A typed
+:class:`~repro.errors.CompileError` that ``auto`` (or any backend)
+raises reaches the caller unchanged, as does a
+:class:`~repro.errors.PropagationError` at query time; an option the
+backend's ``compile`` does not take raises
+:class:`~repro.errors.UnknownOptionError`.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-import time
 from typing import Any, Optional, Sequence, Tuple, Union
 
 from repro.circuits.netlist import Circuit
@@ -45,29 +43,13 @@ from repro.core.backend.registry import get_backend
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.rcache import ResultCache, scenario_digest
 from repro.core.validate import validate as validate_pass
-from repro.errors import (
-    CompileError,
-    FallbackExhausted,
-    PropagationError,
-    UnknownOptionError,
-)
-from repro.obs.metrics import get_metrics
+from repro.errors import UnknownOptionError
 from repro.obs.trace import get_tracer
 
-__all__ = ["DEFAULT_FALLBACK_CHAIN", "compile_model", "estimate", "estimate_many"]
+__all__ = ["compile_model", "estimate", "estimate_many"]
 
 CacheSpec = Union[None, bool, str, os.PathLike, CompileCache]
-FallbackSpec = Union[None, bool, str, Sequence[str]]
 ResultCacheSpec = Union[None, bool, int, ResultCache]
-
-#: The degradation ladder used by ``fallback=True``: exact single-BN
-#: first, the segmented approximation next, and the cheap local-cone
-#: baseline as the last resort that always compiles.
-DEFAULT_FALLBACK_CHAIN: Tuple[str, ...] = (
-    "junction-tree",
-    "segmented",
-    "local-cone",
-)
 
 
 def resolve_cache(cache: CacheSpec) -> Optional[CompileCache]:
@@ -132,29 +114,6 @@ def _replay_result(payload: dict, compiled_cache_hit: Optional[bool] = None):
     return result
 
 
-def _resolve_chain(backend: str, fallback: FallbackSpec) -> Tuple[str, ...]:
-    """The ordered list of backends :func:`estimate` may try."""
-    if fallback is None or fallback is False:
-        return (backend,)
-    if fallback is True:
-        extra = DEFAULT_FALLBACK_CHAIN
-    elif isinstance(fallback, str):
-        extra = (fallback,)
-    else:
-        extra = tuple(fallback)
-    chain = [backend]
-    for name in extra:
-        if name not in chain:
-            chain.append(name)
-    return tuple(chain)
-
-
-def _record_fallback(backend_name: str, reason: str) -> None:
-    registry = get_metrics()
-    if registry.enabled:
-        registry.counter("estimate.fallback").inc(1)
-
-
 def _compile_options(backend_name: str) -> Optional[frozenset]:
     """Option names a backend's ``compile`` accepts (None: any name)."""
     sig = inspect.signature(get_backend(backend_name).compile)
@@ -163,22 +122,6 @@ def _compile_options(backend_name: str) -> Optional[frozenset]:
     ):
         return None
     return frozenset(sig.parameters) - {"circuit", "inputs"}
-
-
-def _supported_options(backend_name: str, options: dict) -> dict:
-    """Restrict ``options`` to what a backend's ``compile`` accepts.
-
-    Chain entries have different compile signatures (the junction-tree
-    budget knob means nothing to the enumeration oracle); a degradation
-    step must not die on a ``TypeError`` for an option that only
-    applied to an earlier entry.
-    """
-    if not options:
-        return options
-    accepted = _compile_options(backend_name)
-    if accepted is None:
-        return options
-    return {k: v for k, v in options.items() if k in accepted}
 
 
 def check_options(backend_name: str, options: Any) -> dict:
@@ -217,8 +160,11 @@ def compile_model(
     ``cache_hit`` attribute records how it was obtained (``None`` when
     no cache was consulted).  ``validate=False`` skips the strict
     validation pass (used internally when the caller already ran it).
+    An option the backend's ``compile`` does not take raises
+    :class:`~repro.errors.UnknownOptionError`.
     """
     backend_obj = get_backend(backend)
+    check_options(backend_obj.name, options)
     if validate:
         validate_pass(circuit, inputs)
     cache_obj = resolve_cache(cache)
@@ -252,8 +198,6 @@ def estimate(
     inputs: Optional[InputModel] = None,
     backend: str = "auto",
     cache: CacheSpec = None,
-    fallback: FallbackSpec = None,
-    budget_seconds: Optional[float] = None,
     validate: bool = True,
     result_cache: ResultCacheSpec = None,
     **options: Any,
@@ -263,6 +207,9 @@ def estimate(
     Compiles (or cache-loads) a model and queries it with ``inputs``
     (default: independent fair-coin inputs, applied explicitly so a
     cached artifact never leaks the statistics it was compiled with).
+    A typed :class:`~repro.errors.CompileError` or
+    :class:`~repro.errors.PropagationError` reaches the caller
+    unchanged.
 
     Parameters
     ----------
@@ -271,25 +218,9 @@ def estimate(
         max-entry count).  An exact repeat of a prior request -- same
         compile fingerprint, same canonical scenario digest -- replays
         the stored marginals bitwise-identically without propagating;
-        the returned estimate carries ``result_cache_hit=True``.  Only
-        clean results are stored: an estimate produced through a
-        degradation step (``fallbacks`` nonempty, which may depend on
-        ``budget_seconds`` wall-clock) is never cached.
-    fallback:
-        ``True`` for the default degradation chain
-        (:data:`DEFAULT_FALLBACK_CHAIN`), or a backend name / sequence
-        of names to try after ``backend``.  Each attempt that fails
-        with a typed :class:`~repro.errors.CompileError` or
-        :class:`~repro.errors.PropagationError` advances the chain;
-        when every entry fails, :class:`~repro.errors.FallbackExhausted`
-        is raised from the last failure.  Without ``fallback``, the
-        first failure propagates unchanged.
-    budget_seconds:
-        Optional wall-clock budget.  Once exceeded, remaining chain
-        entries are skipped and the *last* entry (the cheapest
-        degradation) is used directly.
+        the returned estimate carries ``result_cache_hit=True``.  Every
+        result is stored: it depends only on the key.
     """
-    chain = _resolve_chain(backend, fallback)
     if validate:
         validate_pass(circuit, inputs)
     query_inputs = inputs if inputs is not None else IndependentInputs(0.5)
@@ -300,57 +231,15 @@ def estimate(
         payload = rcache_obj.get(rkey)
         if payload is not None:
             return _replay_result(payload)
-    start = time.perf_counter()
-    events: list = []
-    last_error: Optional[Exception] = None
-    i = 0
-    while i < len(chain):
-        name = chain[i]
-        is_last = i == len(chain) - 1
-        if (
-            not is_last
-            and budget_seconds is not None
-            and time.perf_counter() - start > budget_seconds
-        ):
-            events.append((name, "budget exhausted"))
-            _record_fallback(name, "budget exhausted")
-            i = len(chain) - 1
-            continue
-        try:
-            opts = options if len(chain) == 1 else _supported_options(name, options)
-            model = compile_model(
-                circuit,
-                inputs,
-                backend=name,
-                cache=cache,
-                validate=False,
-                **opts,
-            )
-            result = model.query(query_inputs)
-        except (CompileError, PropagationError) as exc:
-            if len(chain) == 1:
-                raise
-            last_error = exc
-            reason = f"{type(exc).__name__}: {exc}"
-            if is_last:
-                raise FallbackExhausted(
-                    f"{circuit.name}: every backend in the fallback chain "
-                    f"{list(chain)} failed (last: {reason})"
-                ) from last_error
-            events.append((name, reason))
-            _record_fallback(name, reason)
-            i += 1
-            continue
-        result.fallbacks = tuple(events)
-        result.cache_hit = model.cache_hit
-        if rcache_obj is not None:
-            result.result_cache_hit = False
-            if not events:
-                rcache_obj.put(rkey, result)
-        return result
-    raise FallbackExhausted(  # pragma: no cover - chain is never empty
-        f"{circuit.name}: empty fallback chain"
+    model = compile_model(
+        circuit, inputs, backend=backend, cache=cache, validate=False, **options
     )
+    result = model.query(query_inputs)
+    result.cache_hit = model.cache_hit
+    if rcache_obj is not None:
+        result.result_cache_hit = False
+        rcache_obj.put(rkey, result)
+    return result
 
 
 def estimate_many(
@@ -377,8 +266,7 @@ def estimate_many(
     rows into passes that fit its memory budget.
     ``result_cache`` replays exact repeats of previously answered
     scenarios (see :func:`estimate`) and propagates only the misses.
-    There is no fallback chain here -- a failing backend raises its
-    typed error directly.
+    A failing backend raises its typed error directly.
     """
     models = list(inputs_list)
     if not models:
@@ -418,7 +306,6 @@ def estimate_many(
     ordered = list(hits.get(i) for i in range(len(models)))
     for index, result in zip(miss_indices, results):
         result.cache_hit = compiled.cache_hit
-        result.fallbacks = ()
         if rcache_obj is not None:
             result.result_cache_hit = False
             rcache_obj.put(keys[index], result)

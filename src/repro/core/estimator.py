@@ -64,10 +64,6 @@ class SwitchingEstimate:
     method: str = Method.SINGLE_BN.value
     #: number of Bayesian networks used
     segments: int = 1
-    #: degradation steps the facade took to produce this estimate, as
-    #: ``(failed backend, reason)`` pairs; empty when the first backend
-    #: in the chain succeeded.
-    fallbacks: Tuple[Tuple[str, str], ...] = ()
     #: how the facade obtained the compiled model: ``True`` (cache hit),
     #: ``False`` (miss), or ``None`` (no cache consulted / direct use)
     cache_hit: Optional[bool] = None

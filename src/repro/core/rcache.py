@@ -105,7 +105,6 @@ def replay_estimate(payload: "Dict[str, Any]"):
         propagate_seconds=0.0,
         method=payload["method"],
         segments=payload["segments"],
-        fallbacks=(),
         cache_hit=None,
         result_cache_hit=True,
         refine_iterations=payload["refine_iterations"],

@@ -14,8 +14,11 @@ stages:
     unnormalized marginals, CPDs referencing unknown lines).
 ``CompileError``
     A backend could not build its compiled artifact within budget
-    (clique budget, memory budget, enumeration width).  The facade's
-    fallback chain is driven by this branch.
+    (clique budget, memory budget, enumeration width).  The ``"auto"``
+    backend segments a circuit whose one junction tree raises
+    :class:`CliqueBudgetExceeded` or :class:`MemoryBudgetExceeded`;
+    every other compile error, and any from the segmentation, reaches
+    the caller unchanged.
 ``PropagationError``
     Inference on a successfully compiled model produced an invalid
     belief state (zero-mass or non-finite marginals).
@@ -43,7 +46,6 @@ __all__ = [
     "CompileError",
     "ConcurrentPropagationError",
     "DuplicateDefinitionError",
-    "FallbackExhausted",
     "InputModelError",
     "MemoryBudgetExceeded",
     "PerfDiffError",
@@ -132,31 +134,31 @@ class InputModelError(ReproError, ValueError):
 
 
 class CompileError(ReproError, RuntimeError):
-    """A backend failed to build its compiled artifact.  The facade's
-    fallback chain advances on this branch (and only this branch)."""
+    """A backend failed to build its compiled artifact.  Nothing
+    retries it with another backend: the error reaches the caller of
+    ``compile_model`` or ``estimate`` unchanged."""
 
 
 class CliqueBudgetExceeded(CompileError):
     """The triangulation produced a clique whose table would exceed the
     caller's state-space budget.  Raised *before* any table is
-    materialized; callers fall back to segmentation (the ``"auto"``
-    backend does this automatically)."""
+    materialized.  The ``"auto"`` backend segments a circuit whose one
+    tree raises this, under the same budget; raised by that
+    segmentation (a segment too wide for the budget and for
+    enumeration), it reaches the caller."""
 
 
 class MemoryBudgetExceeded(CompileError):
     """One scenario row of the compiled model needs more memory than
     ``repro.bayesian.propagation.MEMORY_BUDGET_BYTES``: no batch, not
-    even a single query, fits.  Raised at compile time; the ``"auto"``
-    backend falls back to segmentation, as on
-    :class:`CliqueBudgetExceeded`."""
+    even a single query, fits.  Raised at compile time.  The
+    ``"auto"`` backend segments a circuit whose one tree raises this,
+    as on :class:`CliqueBudgetExceeded`; raised by that segmentation,
+    it reaches the caller."""
 
 
 class SegmentTooWide(CompileError):
     """The segment has too many inputs for support enumeration."""
-
-
-class FallbackExhausted(CompileError):
-    """Every backend in the facade's fallback chain failed to compile."""
 
 
 class UnknownBackendError(ReproError, KeyError):

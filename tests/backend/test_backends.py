@@ -9,6 +9,7 @@ from repro.circuits.examples import c17
 from repro.core.backend import (
     Backend,
     CliqueBudgetExceeded,
+    MemoryBudgetExceeded,
     Method,
     UnknownBackendError,
     available_backends,
@@ -16,10 +17,12 @@ from repro.core.backend import (
     get_backend,
     register_backend,
 )
+from repro.core.backend import backends
 from repro.core.backend.backends import EstimatorCompiledModel
 from repro.core.estimator import SwitchingActivityEstimator
 from repro.core.inputs import IndependentInputs
 from repro.core.segments import SegmentedEstimator
+from repro.errors import CompileError, ReproError, UnknownOptionError
 
 BUILTIN_BACKENDS = [
     "auto",
@@ -90,12 +93,88 @@ def test_auto_falls_back_to_segmented_on_budget():
     assert isinstance(model.estimator, SegmentedEstimator)
 
 
-def test_auto_fallback_triggered_by_clique_budget():
-    # A tiny budget forces even c17 through the segmentation fallback.
+def test_auto_segments_c17_under_a_tiny_clique_budget():
+    # At 4 states no tree fits c17; ``auto`` segments it under the same
+    # budget, and the enumeration segments answer what no tree can.
     model = compile_model(c17(), backend="auto", max_clique_states=4)
     assert isinstance(model.estimator, SegmentedEstimator)
     with pytest.raises(CliqueBudgetExceeded):
         compile_model(c17(), backend="junction-tree", max_clique_states=4)
+
+
+def test_typed_compile_error_reaches_estimate_caller():
+    # No budget fits c17's one tree at 4 states; nothing degrades it.
+    with pytest.raises(CliqueBudgetExceeded):
+        estimate(c17(), backend="junction-tree", max_clique_states=4)
+
+
+class TestAutoCompilesOnce:
+    """``auto`` builds at most one tree and one segmentation per call,
+    and a typed error from either reaches ``estimate()``'s caller as
+    the same object."""
+
+    @pytest.fixture
+    def stubs(self, monkeypatch):
+        calls = {"junction-tree": 0, "segmented": 0}
+        failures = {}
+
+        def stub(name):
+            def compile(self, circuit, inputs=None, **options):
+                calls[name] += 1
+                raise failures[name]
+
+            return compile
+
+        monkeypatch.setattr(backends.JunctionTreeBackend, "compile", stub("junction-tree"))
+        monkeypatch.setattr(backends.SegmentedBackend, "compile", stub("segmented"))
+        return calls, failures
+
+    def test_tree_failure_other_than_a_budget_is_not_segmented(self, stubs):
+        calls, failures = stubs
+        failures["junction-tree"] = CompileError("not a budget failure")
+        with pytest.raises(CompileError) as excinfo:
+            estimate(c17(), backend="auto")
+        assert excinfo.value is failures["junction-tree"]
+        assert calls == {"junction-tree": 1, "segmented": 0}
+
+    @pytest.mark.parametrize("error", [CliqueBudgetExceeded, MemoryBudgetExceeded])
+    def test_segmentation_failure_reaches_the_caller(self, stubs, error):
+        calls, failures = stubs
+        failures["junction-tree"] = error("the tree is over budget")
+        failures["segmented"] = error("so is the segmentation")
+        with pytest.raises(error) as excinfo:
+            estimate(c17(), backend="auto")
+        assert excinfo.value is failures["segmented"]
+        assert calls == {"junction-tree": 1, "segmented": 1}
+
+
+class _UntypedCrash(Backend):
+    name = "crash-untyped-test"
+
+    def compile(self, circuit, inputs=None, **options):
+        raise ValueError("untyped bug, not a capacity failure")
+
+
+def test_untyped_errors_are_not_swallowed():
+    register_backend(_UntypedCrash())
+    try:
+        with pytest.raises(ValueError, match="untyped bug"):
+            estimate(c17(), backend=_UntypedCrash.name)
+    finally:
+        from repro.core.backend import registry
+
+        registry._REGISTRY.pop(_UntypedCrash.name, None)
+
+
+@pytest.mark.parametrize("backend", ["junction-tree", "enumeration"])
+def test_unknown_option_raises_a_typed_error(backend):
+    # ``refine`` is a segmented/auto knob; the other backends' compile
+    # does not take it.
+    with pytest.raises(UnknownOptionError, match="'refine'") as excinfo:
+        estimate(c17(), backend=backend, refine=2)
+    assert isinstance(excinfo.value, ReproError)
+    with pytest.raises(UnknownOptionError, match="'bogus'"):
+        compile_model(c17(), backend=backend, bogus=2)
 
 
 @pytest.mark.parametrize("name", ["pairwise", "local-cone", "independence"])

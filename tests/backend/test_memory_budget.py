@@ -18,9 +18,17 @@ import pytest
 
 from repro.bayesian import propagation
 from repro.circuits import suite
-from repro.core.backend import MemoryBudgetExceeded, compile_model
+from repro.core.backend import MemoryBudgetExceeded, backends, compile_model, estimate
 from repro.core.inputs import IndependentInputs, TemporalInputs
 from repro.errors import CompileError
+
+
+def _counted(compile, calls, name):
+    def wrapper(self, *args, **kwargs):
+        calls[name] += 1
+        return compile(self, *args, **kwargs)
+
+    return wrapper
 
 
 def _scenarios(k):
@@ -57,34 +65,31 @@ class TestTypedFailure:
         result = model.query(IndependentInputs(0.4))
         assert all(np.isfinite(d).all() for d in result.distributions.values())
 
-    def test_auto_segments_again_at_4_to_9(self, monkeypatch):
-        # c432s's 4^10 segmentation needs about 30 MB per row and its
-        # 4^9 one about 12 MB; a budget between them leaves only the
-        # 4^9 one, which ``auto`` must reach when no budget was set.
+    def test_auto_segments_once_then_raises(self, monkeypatch):
+        # A budget one byte below c432s's 4^10 segmented row fits
+        # neither its tree nor that segmentation.  ``auto`` builds each
+        # once and raises; it does not segment again at 4^9.
         circuit = suite.load_circuit("c432s")
-        rows = {
-            budget: compile_model(
-                circuit, backend="segmented", max_clique_states=budget, cache=None
-            ).row_bytes
-            for budget in (4 ** 10, 4 ** 9)
-        }
-        assert rows[4 ** 9] < rows[4 ** 10]
-        monkeypatch.setattr(
-            propagation, "MEMORY_BUDGET_BYTES", (rows[4 ** 9] + rows[4 ** 10]) // 2
-        )
-        with pytest.raises(MemoryBudgetExceeded):
-            compile_model(
-                circuit, backend="segmented", max_clique_states=4 ** 10, cache=None
-            )
-        model = compile_model(circuit, backend="auto", cache=None)
-        assert model.backend_name == "segmented"
-        assert model.estimator.max_clique_states == 4 ** 9
-        assert model.row_bytes == rows[4 ** 9]
-        # An explicit budget is the caller's: no second try.
+        row = compile_model(
+            circuit, backend="segmented", max_clique_states=4 ** 10, cache=None
+        ).row_bytes
+        monkeypatch.setattr(propagation, "MEMORY_BUDGET_BYTES", row - 1)
+        calls = {"junction-tree": 0, "segmented": 0}
+        for name, cls in (
+            ("junction-tree", backends.JunctionTreeBackend),
+            ("segmented", backends.SegmentedBackend),
+        ):
+            monkeypatch.setattr(cls, "compile", _counted(cls.compile, calls, name))
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            estimate(circuit, backend="auto", cache=None)
+        assert "c432s" in str(excinfo.value)
+        assert calls == {"junction-tree": 1, "segmented": 1}
+        # An explicit budget is the caller's, too.
         with pytest.raises(MemoryBudgetExceeded):
             compile_model(
                 circuit, backend="auto", max_clique_states=4 ** 10, cache=None
             )
+        assert calls == {"junction-tree": 2, "segmented": 2}
 
     def test_describe_reports_the_budget_split(self, monkeypatch):
         model = compile_model(suite.load_circuit("c17"), cache=None)

@@ -171,15 +171,18 @@ def test_estimate_accepts_bench_path(capsys, tmp_path):
     assert "mini: 1 gates" in out
 
 
-def test_estimate_fallback_flag_reports_degradation(capsys, cache_dir):
+def test_estimate_unknown_option_is_a_typed_error(capsys, cache_dir):
+    # The junction-tree backend takes no ``refine``: a one-line error
+    # and exit 1, not a TypeError traceback.
     assert main(
         [
             "estimate", "--circuit", "c17", "--no-cache",
-            "--backend", "junction-tree", "--fallback",
+            "--backend", "junction-tree", "--refine", "2",
         ]
-    ) == 0
-    # c17 compiles fine: no degradation lines, but the flag parses.
-    assert "fallback:" not in capsys.readouterr().out
+    ) == 1
+    err = capsys.readouterr().err
+    assert "repro: error:" in err and "'refine'" in err
+    assert "Traceback" not in err
 
 
 def test_fuzz_smoke_clean(capsys, tmp_path):

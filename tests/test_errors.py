@@ -27,7 +27,7 @@ class TestHierarchy:
         for cls in (
             errors.CliqueBudgetExceeded,
             errors.SegmentTooWide,
-            errors.FallbackExhausted,
+            errors.MemoryBudgetExceeded,
         ):
             assert issubclass(cls, errors.CompileError)
             assert issubclass(cls, RuntimeError)
