@@ -36,9 +36,12 @@ once.  Repeat points carry:
 - ``bitwise_equal`` -- results vs. an oracle given only the distinct
   scenarios and scattered back, exact equality.
 
-Each timing repeat uses a *different* deterministic scenario set, so
-no repeat times work an earlier one already did; the minimum over
-repeats is reported (least noise).
+Each point's time is the minimum over ``--repeats`` samples of the
+per-call time.  A sample times enough back-to-back calls to span at
+least ``MIN_SAMPLE_SECONDS`` (10 ms), so sub-millisecond calls are not
+lost in timer and scheduler noise; every call of every sample uses a
+*different* deterministic scenario set, so no call times work an
+earlier one already did.
 
 Usage::
 
@@ -55,7 +58,9 @@ K in {1, 64}, 2 repeats).  Each circuit also records the compile-time
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import time
 from typing import Dict, List
 
 import numpy as np
@@ -71,6 +76,11 @@ from repro.core.inputs import IndependentInputs
 from repro.perf.collect import DEFAULT_CIRCUITS, salted_scenarios, timed
 
 DEFAULT_BATCH_SIZES = [1, 8, 64, 256]
+
+#: shortest timed sample: calls are repeated back to back up to this
+MIN_SAMPLE_SECONDS = 0.010
+#: salt stride between the calls of one sample (samples use salts 0..)
+_CALL_SALT_STRIDE = 1000
 
 #: Pipeline stage of every per-point field, in emission order.
 STAGES = {
@@ -88,6 +98,27 @@ STAGES = {
     "bitwise_equal": "accuracy",
     "max_abs_diff": "accuracy",
 }
+
+
+def per_call_seconds(fn, scenarios, repeats: int) -> float:
+    """Minimum over ``repeats`` samples of ``fn``'s per-call seconds.
+
+    ``scenarios(salt)`` builds one call's argument; a probe call sizes
+    every sample to at least ``MIN_SAMPLE_SECONDS`` of back-to-back
+    calls.  Call ``i`` of sample ``r`` uses salt
+    ``r + _CALL_SALT_STRIDE * i``, so one-call samples time exactly
+    salts ``0 .. repeats - 1``.
+    """
+    probe = timed(fn, scenarios(repeats + 3))
+    calls = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(probe, 1e-9)))
+    best = math.inf
+    for r in range(repeats):
+        args = [scenarios(r + _CALL_SALT_STRIDE * i) for i in range(calls)]
+        start = time.perf_counter()
+        for arg in args:
+            fn(arg)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best
 
 
 def _loop_sweep(estimator, models) -> None:
@@ -168,13 +199,13 @@ def bench_circuit(
         _loop_sweep(estimator, salted_scenarios(k, salt=repeats + 1))
         model.query_many(salted_scenarios(k, salt=repeats + 2))
 
-        looped = min(
-            timed(_loop_sweep, estimator, salted_scenarios(k, salt=r))
-            for r in range(repeats)
+        looped = per_call_seconds(
+            lambda models: _loop_sweep(estimator, models),
+            lambda salt: salted_scenarios(k, salt=salt),
+            repeats,
         )
-        batched = min(
-            timed(model.query_many, salted_scenarios(k, salt=r))
-            for r in range(repeats)
+        batched = per_call_seconds(
+            model.query_many, lambda salt: salted_scenarios(k, salt=salt), repeats
         )
         point: Dict[str, object] = {
             "looped_seconds": looped,
@@ -235,9 +266,10 @@ def bench_repeat_circuit(
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(repeat_scenarios(circuit, k, salt=repeats + 1))
 
-    batched = min(
-        timed(model.query_many, repeat_scenarios(circuit, k, salt=r))
-        for r in range(repeats)
+    batched = per_call_seconds(
+        model.query_many,
+        lambda salt: repeat_scenarios(circuit, k, salt=salt),
+        repeats,
     )
     rate = k / batched
     point: Dict[str, object] = {
@@ -306,7 +338,11 @@ def main(argv=None) -> int:
                 and r["key"] == {"K": repeat_k}
             )
             rows += bench_repeat_circuit(name, repeat_k, repeats, distinct_rate)
-    config = {"batch_sizes": batch_sizes, "repeats": repeats}
+    config = {
+        "batch_sizes": batch_sizes,
+        "repeats": repeats,
+        "min_sample_seconds": MIN_SAMPLE_SECONDS,
+    }
     write_document(args.output, "throughput", rows, config)
     return 0
 

@@ -189,15 +189,19 @@ def _resolve_circuit(spec: str):
 
 
 def _refine_opts(args) -> dict:
-    """Boundary-refinement options, forwarded only when requested.
+    """Boundary-refinement options, each forwarded only when given.
 
-    ``--refine`` is a backend-specific knob: the segmented (and auto)
-    backends accept it and bake it into the compile cache key; backends
-    without the knob would reject the option.
+    ``--refine`` and ``--refine-tol`` are backend-specific knobs: the
+    segmented (and auto) backends accept them and bake them into the
+    compile cache key; backends without them reject the options the
+    user typed, and only those.
     """
-    if not getattr(args, "refine", 0):
-        return {}
-    return {"refine": args.refine, "refine_tol": args.refine_tol}
+    opts = {}
+    if getattr(args, "refine", 0):
+        opts["refine"] = args.refine
+    if getattr(args, "refine_tol", None) is not None:
+        opts["refine_tol"] = args.refine_tol
+    return opts
 
 
 def _cmd_estimate(args) -> None:
@@ -666,9 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
              "passes over the segment graph (default: 0, off)",
     )
     pe.add_argument(
-        "--refine-tol", type=float, default=1e-5, metavar="TOL",
+        "--refine-tol", type=float, default=None, metavar="TOL",
         help="refinement convergence tolerance on the max boundary-belief "
-             "delta (default: 1e-5)",
+             "delta (default: the backend's, 1e-5)",
     )
     pe.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -705,9 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
              "passes over the segment graph (default: 0, off)",
     )
     pw.add_argument(
-        "--refine-tol", type=float, default=1e-5, metavar="TOL",
+        "--refine-tol", type=float, default=None, metavar="TOL",
         help="refinement convergence tolerance on the max boundary-belief "
-             "delta (default: 1e-5)",
+             "delta (default: the backend's, 1e-5)",
     )
     pw.add_argument(
         "--cache-dir", default=None, metavar="DIR",

@@ -10,7 +10,10 @@ backend enumerates those support points:
    transition-function tables, keeping the states of the retained
    lines (the grid is structural: no input statistics enter it);
 2. per scenario, weight each grid row by the input model (independent
-   priors, input-to-input chains or tree-boundary conditionals);
+   priors, input-to-input chains or tree-boundary conditionals): the
+   weights are one broadcast product over the ``(4,) * k`` grid, each
+   prior reshaped onto its input's axis and each conditional onto its
+   ``(parent, child)`` axes, multiplied in table order;
 3. read any retained line's distribution, or any retained pair's joint,
    by weighted bincount.
 
@@ -142,27 +145,19 @@ class EnumerationSegment:
         """
         start = time.perf_counter()
         k = len(next(iter(tables.values()))) if rows is None else rows
-        parents = parents or {}
-        factors = [
-            (
-                stack,
-                self._input_states[name],
-                self._input_states[parents[name][0]] if name in parents else None,
-            )
-            for name, stack in tables.items()
-        ]
+        factors = self._grid_factors(tables, parents or {})
+        grid = (N_STATES,) * self.circuit.num_inputs
         stacks = {line: np.empty((k, N_STATES)) for line in lines}
         joints = {pair: np.empty((k, N_STATES, N_STATES)) for pair in pairs}
         flats = {
             (a, b): self._states[a] * N_STATES + self._states[b] for a, b in pairs
         }
         for j in range(k):
-            weights = np.ones(self.n_rows)
-            for stack, child_states, parent_states in factors:
-                if parent_states is None:
-                    weights *= stack[j][child_states]
-                else:
-                    weights *= stack[j][parent_states, child_states]
+            weights = np.ones((1,) * len(grid))
+            for stack, shape, transpose in factors:
+                table = stack[j].T if transpose else stack[j]
+                weights = weights * table.reshape(shape)
+            weights = np.broadcast_to(weights, grid).reshape(-1)
             for line in lines:
                 stacks[line][j] = _normalized(
                     np.bincount(self._states[line], weights, minlength=N_STATES)
@@ -175,6 +170,24 @@ class EnumerationSegment:
                 )
         return stacks, joints, (time.perf_counter() - start) / max(k, 1)
 
+    def _grid_factors(self, tables, parents):
+        """``(stack, shape, transpose)`` per input table, in ``tables``
+        order: ``shape`` puts a prior's 4 states on its input's grid
+        axis and a conditional's ``(parent, child)`` states on theirs
+        (``transpose`` when the parent's axis comes after the child's)."""
+        axis = {name: i for i, name in enumerate(self.circuit.inputs)}
+        factors = []
+        for name, stack in tables.items():
+            shape = [1] * len(axis)
+            shape[axis[name]] = N_STATES
+            transpose = False
+            if name in parents:
+                parent_axis = axis[parents[name][0]]
+                shape[parent_axis] = N_STATES
+                transpose = parent_axis > axis[name]
+            factors.append((stack, tuple(shape), transpose))
+        return factors
+
     def row_bytes(self) -> int:
         """Bytes one scenario row of :meth:`estimate_many` needs: only
         its result row (scenarios are weighted one after another over
@@ -185,7 +198,6 @@ class EnumerationSegment:
         # The states are rebuildable and can be tens of megabytes on
         # wide segments; drop them from artifacts.
         state = self.__dict__.copy()
-        state["_input_states"] = None
         state["_states"] = None
         return state
 
@@ -195,20 +207,18 @@ class EnumerationSegment:
 
     def _build_states(self) -> None:
         """Enumerate the input grid and push it through every gate,
-        keeping every input's states (the weights read them) and the
-        retained lines' states."""
+        keeping the retained lines' states.  Input ``i`` of the circuit
+        is axis ``i`` of the ``(4,) * k`` grid, flattened in C order."""
         k = self.circuit.num_inputs
+        states: Dict[str, np.ndarray] = {}
         if k:
             grids = np.meshgrid(
                 *([np.arange(N_STATES, dtype=np.int8)] * k), indexing="ij"
             )
-            self._input_states = {
+            states = {
                 name: grid.reshape(-1)
                 for name, grid in zip(self.circuit.inputs, grids)
             }
-        else:
-            self._input_states = {}
-        states: Dict[str, np.ndarray] = dict(self._input_states)
         for line in self.circuit.topological_order():
             gate = self.circuit.driver(line)
             if gate is None:

@@ -169,8 +169,6 @@ class SegmentedEstimator:
         self.graph: Optional[SegmentGraph] = None
         self._refiner: Optional[BoundaryRefiner] = None
         self.compile_seconds = 0.0
-        #: (iterations, delta) of the most recent refinement run
-        self.last_refine: Tuple[int, float] = (0, 0.0)
 
     # ------------------------------------------------------------------
 
@@ -474,7 +472,7 @@ class SegmentedEstimator:
                 )
                 known.update(marginals)
                 joints.update(published)
-            self.last_refine = run_refinement(self, known, joints, stack)
+            iterations, deltas = run_refinement(self, known, joints, stack)
         per_scenario = span.duration / k
         method = (
             Method.SEGMENTED.value
@@ -488,8 +486,8 @@ class SegmentedEstimator:
                 propagate_seconds=per_scenario,
                 method=method,
                 segments=len(self.graph),
-                refine_iterations=self.last_refine[0],
-                refine_delta=self.last_refine[1],
+                refine_iterations=int(iterations[j]),
+                refine_delta=float(deltas[j]),
             )
             for j in range(k)
         ]

@@ -16,15 +16,21 @@ time, after the ordinary forward pass, the refinement loop:
 
 1. reads every glue cone's pair joint against the *current* published
    marginals (its frontier lines carry the latest ``known`` values) in
-   one stacked call per edge, calibrates each scenario's 4x4 joint to
-   the published marginals by iterative proportional fitting, and
-   turns it into a ``P(child | parent)`` boundary conditional;
+   one stacked enumeration call per edge, calibrates all edges' 4x4
+   joints to the published marginals in one batched iterative
+   proportional fitting call over the ``(E * K, 4, 4)`` stack, and
+   turns the stack into ``P(child | parent)`` boundary conditionals in
+   one call;
 2. re-propagates every segment whose boundary factors or boundary
    input marginals changed (each one full pass over that segment's
    compiled tree: only input CPDs change, so nothing recompiles),
    cascading dirtiness down the segment DAG;
 3. repeats until the maximum boundary-belief delta drops below
    ``refine_tol`` or the ``refine`` iteration budget is reached.
+
+Dirtiness and the stop test are kept per scenario row, so row ``k`` of
+a K-scenario run is bitwise equal to a one-scenario run of scenario
+``k``.
 
 A fixed point exists because the circuit DAG is feed-forward: glue
 frontier marginals converge as their owners converge, so deltas
@@ -220,37 +226,42 @@ def augment_boundary_forest(
 
 
 def calibrate_joint(
-    joint: np.ndarray,
-    row_marginal: np.ndarray,
-    col_marginal: np.ndarray,
+    joints: np.ndarray,
+    row_marginals: np.ndarray,
+    col_marginals: np.ndarray,
     iters: int = 32,
     tol: float = 1e-12,
 ) -> np.ndarray:
-    """IPF-calibrate a 4x4 joint to the published marginals.
+    """IPF-calibrate an ``(N, 4, 4)`` stack of joints to the published
+    ``(N, 4)`` row and column marginals.
 
-    The glue cone's joint carries the *correlation structure* of the
+    A glue cone's joint carries the *correlation structure* of the
     pair, but its marginals reflect the cone's truncated view of the
     circuit; the published marginals from full segment propagation are
     strictly better.  Iterative proportional fitting keeps the cone's
     odds ratios while matching both marginals.  A tiny independent
-    floor ensures states the marginals support are reachable.
+    floor ensures states the marginals support are reachable.  Each
+    joint stops at the first sweep after which its row sums are within
+    ``tol`` of its row marginal (or after ``iters`` sweeps), so its
+    arithmetic does not depend on the other joints of the stack.
     """
-    row_marginal = np.asarray(row_marginal, dtype=np.float64)
-    col_marginal = np.asarray(col_marginal, dtype=np.float64)
-    fitted = np.asarray(joint, dtype=np.float64) + 1e-12 * np.outer(
-        np.maximum(row_marginal, 1e-9), np.maximum(col_marginal, 1e-9)
+    row_marginals = np.asarray(row_marginals, dtype=np.float64)
+    col_marginals = np.asarray(col_marginals, dtype=np.float64)
+    fitted = np.asarray(joints, dtype=np.float64) + 1e-12 * (
+        np.maximum(row_marginals, 1e-9)[:, :, None]
+        * np.maximum(col_marginals, 1e-9)[:, None, :]
     )
-    fitted /= fitted.sum()
+    fitted /= fitted.reshape(len(fitted), -1).sum(axis=1)[:, None, None]
+    active = np.arange(len(fitted))
     for _ in range(iters):
-        rows = fitted.sum(axis=1)
-        fitted *= np.where(rows > 0, row_marginal / np.maximum(rows, 1e-300), 1.0)[
-            :, None
-        ]
-        cols = fitted.sum(axis=0)
-        fitted *= np.where(cols > 0, col_marginal / np.maximum(cols, 1e-300), 1.0)[
-            None, :
-        ]
-        if np.abs(fitted.sum(axis=1) - row_marginal).max() <= tol:
+        part, row, col = fitted[active], row_marginals[active], col_marginals[active]
+        rows = part.sum(axis=2)
+        part *= np.where(rows > 0, row / np.maximum(rows, 1e-300), 1.0)[:, :, None]
+        cols = part.sum(axis=1)
+        part *= np.where(cols > 0, col / np.maximum(cols, 1e-300), 1.0)[:, None, :]
+        fitted[active] = part
+        active = active[~(np.abs(part.sum(axis=2) - row).max(axis=1) <= tol)]
+        if not active.size:
             break
     return fitted
 
@@ -266,9 +277,27 @@ class GlueEdge:
     primary: Tuple[str, ...]  # cone inputs that are circuit primaries
     internal: Tuple[str, ...]  # cone inputs published by segments
 
+    def pair_joints(
+        self, known: Dict[str, np.ndarray], stack: InputStack
+    ) -> np.ndarray:
+        """The ``(K, 4, 4)`` stack of raw glue-cone pair joints.
+
+        One stacked enumeration call reads the pair joint for all K
+        scenarios over the cone's input tables -- ``stack``'s for its
+        primary inputs, then the published ``known`` marginals of the
+        rest (validated by the caller).
+        """
+        pair = (self.parent, self.child)
+        tables, parents = stack.tables(self.primary)
+        tables.update((ln, known[ln]) for ln in self.internal)
+        _, joints, _ = self.estimator.estimate_many_stacked(
+            tables, (), [pair], parents, len(stack)
+        )
+        return joints[pair]
+
 
 class BoundaryRefiner:
-    """Holds every glue edge and evaluates their boundary conditionals.
+    """Every glue edge of a segmentation, in consumer-segment order.
 
     Built once at compile time (``refine > 0``); serialized with the
     estimator, so loaded artifacts refine without recompiling.
@@ -276,9 +305,6 @@ class BoundaryRefiner:
 
     def __init__(self, edges: List[GlueEdge]):
         self.edges = edges
-        self.by_consumer: Dict[int, List[GlueEdge]] = {}
-        for edge in edges:
-            self.by_consumer.setdefault(edge.index, []).append(edge)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -323,37 +349,6 @@ class BoundaryRefiner:
                 )
         return BoundaryRefiner(edges)
 
-    # ------------------------------------------------------------------
-
-    def conditional_batch(
-        self,
-        edge: GlueEdge,
-        known: Dict[str, np.ndarray],
-        stack: InputStack,
-    ) -> np.ndarray:
-        """Per-scenario ``(K, 4, 4)`` stack of glue conditionals.
-
-        One stacked enumeration call reads the edge's pair joint for
-        all K scenarios over the cone's input tables -- ``stack``'s for
-        its primary inputs, then the published ``known`` marginals of
-        the rest -- and each joint is then calibrated to the published
-        marginals.
-        """
-        pair = (edge.parent, edge.child)
-        tables, parents = stack.tables(edge.primary)
-        internal = {ln: known[ln] for ln in edge.internal}
-        check_marginals(internal)
-        tables.update(internal)
-        _, joints, _ = edge.estimator.estimate_many_stacked(
-            tables, (), [pair], parents, len(stack)
-        )
-        calibrated = np.stack([
-            calibrate_joint(joint, known[edge.parent][j], known[edge.child][j])
-            for j, joint in enumerate(joints[pair])
-        ])
-        return boundary_conditional(calibrated, known[edge.child])
-
-
 # ----------------------------------------------------------------------
 # The refinement loop
 # ----------------------------------------------------------------------
@@ -364,26 +359,32 @@ def run_refinement(
     known: Dict[str, np.ndarray],
     joints: Dict[Tuple[str, str], np.ndarray],
     stack: InputStack,
-) -> Tuple[int, float]:
-    """Refine ``known`` and ``joints`` in place; returns
-    ``(iterations, last_delta)``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Refine ``known`` and ``joints`` in place; returns the ``(K,)``
+    arrays ``(iterations, last_delta)`` of each scenario.
 
     ``known`` maps each line to a ``(K, 4)`` stack over the K scenarios
     of ``stack`` and ``joints`` each published boundary pair to a
-    ``(K, 4, 4)`` stack, exactly as the forward pass left them.
+    ``(K, 4, 4)`` stack, exactly as the forward pass left them.  Every
+    scenario keeps its own loop state: a segment's row is re-propagated
+    only when that row is dirty, and a row stops iterating once its own
+    delta is within ``refine_tol``, so row ``k`` ends exactly where a
+    one-scenario run of scenario ``k`` would.
     """
+    rows = len(stack)
+    iterations = np.zeros(rows, dtype=np.int64)
+    deltas = np.zeros(rows)
     refiner: Optional[BoundaryRefiner] = estimator._refiner
     budget = estimator.refine
     if refiner is None or not refiner.edges or budget <= 0:
-        return 0, 0.0
+        return iterations, deltas
     tracer = get_tracer()
     metrics = get_metrics()
     tol = estimator.refine_tol
     #: belief changes below this neither cascade nor count as progress
     prune = max(tol * 1e-2, 1e-13)
     prev_tables: Dict[Tuple[int, str], np.ndarray] = {}
-    iterations = 0
-    delta = float("inf")
+    active = np.ones(rows, dtype=bool)
     with tracer.span(
         "segmented.refine",
         circuit=estimator.circuit.name,
@@ -396,34 +397,50 @@ def run_refinement(
                 "segmented.refine.iteration", iteration=iteration
             ) as it_span:
                 glue_tables, delta_glue, dirty = _evaluate_glue(
-                    refiner, known, stack, prev_tables, prune
+                    refiner, known, stack, prev_tables, prune, active
                 )
                 delta_lines = _repropagate(
                     estimator, known, joints, stack, dirty, glue_tables, prune
                 )
-                delta = max(delta_glue, delta_lines)
-                iterations += 1
-                it_span.annotate(delta=delta, dirty_segments=len(dirty))
+                delta = np.maximum(delta_glue, delta_lines)
+                iterations[active] += 1
+                deltas[active] = delta[active]
+                worst = float(delta[active].max())
+                it_span.annotate(delta=worst, dirty_segments=len(dirty))
                 if metrics.enabled:
-                    metrics.gauge("seg.refine.delta").set(delta)
-                if delta <= tol:
+                    metrics.gauge("seg.refine.delta").set(worst)
+                active &= ~(delta <= tol)
+                if not active.any():
                     break
-        span.annotate(iterations=iterations, delta=delta)
+        span.annotate(iterations=int(iterations.max()), delta=float(deltas.max()))
     if metrics.enabled:
-        metrics.gauge("seg.refine.iterations").set(iterations)
-    return iterations, delta
+        metrics.gauge("seg.refine.iterations").set(int(iterations.max()))
+    return iterations, deltas
 
 
 def _evaluate_glue(
-    refiner: BoundaryRefiner, known, stack, prev_tables, prune
+    refiner: BoundaryRefiner, known, stack, prev_tables, prune, active
 ):
-    """Evaluate every glue cone; return (tables by consumer, max table
-    delta, dirty consumer indices)."""
+    """Evaluate every glue cone; return (tables by consumer, ``(K,)``
+    max table delta, dirty consumer index -> ``(K,)`` row mask).
+
+    Every edge's raw ``(K, 4, 4)`` joints are calibrated in one
+    :func:`calibrate_joint` call over the ``(E * K, 4, 4)`` stack and
+    turned into conditionals by one :func:`boundary_conditional` call.
+    Only ``active`` rows can be dirty.
+    """
+    edges = refiner.edges
+    check_marginals({ln: known[ln] for edge in edges for ln in edge.internal})
+    raw = np.concatenate([edge.pair_joints(known, stack) for edge in edges])
+    parents = np.concatenate([known[edge.parent] for edge in edges])
+    children = np.concatenate([known[edge.child] for edge in edges])
+    tables = boundary_conditional(calibrate_joint(raw, parents, children), children)
     glue_tables: Dict[int, Dict[str, np.ndarray]] = {}
-    delta_glue = 0.0
-    dirty: set = set()
-    for edge in refiner.edges:
-        table = refiner.conditional_batch(edge, known, stack)
+    rows = len(stack)
+    delta_glue = np.zeros(rows)
+    dirty: Dict[int, np.ndarray] = {}
+    for position, edge in enumerate(edges):
+        table = tables[position * rows:(position + 1) * rows]
         key = (edge.index, edge.child)
         prev = prev_tables.get(key)
         if prev is None:
@@ -431,35 +448,43 @@ def _evaluate_glue(
             # child's prior tiled over parent states.
             child_prior = np.asarray(known[edge.child], dtype=np.float64)
             prev = np.repeat(child_prior[:, None, :], N_STATES, axis=1)
-        table_delta = float(np.abs(table - prev).max())
-        delta_glue = max(delta_glue, table_delta)
+        table_delta = np.abs(table - prev).max(axis=(1, 2))
+        delta_glue = np.maximum(delta_glue, table_delta)
         prev_tables[key] = table
         glue_tables.setdefault(edge.index, {})[edge.child] = table
-        if table_delta > prune:
-            dirty.add(edge.index)
+        moved = active & (table_delta > prune)
+        if moved.any():
+            dirty[edge.index] = dirty.get(edge.index, False) | moved
     return glue_tables, delta_glue, dirty
 
 
 def _repropagate(estimator, known, joints, stack, dirty, glue_tables, prune):
     """One topological sweep re-propagating dirty segments; returns the
-    max published-belief delta.  Dirtiness cascades: a segment is dirty
-    when its glue tables changed or any of its boundary inputs moved
-    more than the prune threshold."""
-    changed: set = set()
-    delta_lines = 0.0
+    ``(K,)`` max published-belief delta.  Dirtiness cascades per row: a
+    segment's row is dirty when its glue tables changed in that row or
+    any of its boundary inputs moved more than the prune threshold
+    there.  A segment with any dirty row propagates every row, and
+    only its dirty rows are written back."""
+    changed: Dict[str, np.ndarray] = {}
+    delta_lines = np.zeros(len(stack))
     for index in range(len(estimator.graph)):
-        if index not in dirty and not any(
-            line in changed for line in estimator.graph[index].segment.inputs
-        ):
+        rows = dirty.get(index)
+        for line in estimator.graph[index].segment.inputs:
+            if line in changed:
+                rows = changed[line] if rows is None else rows | changed[line]
+        if rows is None:
             continue
         marginals, published = estimator._propagate_segment_batch(
             index, known, joints, stack, glue_tables=glue_tables.get(index)
         )
-        joints.update(published)
+        for pair, joint in published.items():
+            joints[pair] = np.where(rows[:, None, None], joint, joints[pair])
         for line, value in marginals.items():
-            line_delta = float(np.abs(value - known[line]).max())
+            value = np.where(rows[:, None], value, known[line])
+            line_delta = np.abs(value - known[line]).max(axis=1)
             known[line] = value
-            if line_delta > prune:
-                changed.add(line)
-            delta_lines = max(delta_lines, line_delta)
+            moved = line_delta > prune
+            if moved.any():
+                changed[line] = moved
+            delta_lines = np.maximum(delta_lines, line_delta)
     return delta_lines

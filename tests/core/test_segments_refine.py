@@ -178,6 +178,9 @@ class TestRefinementAccuracy:
         assert result.refine_iterations == 1
 
 
+_SMALL_SEGMENTS = dict(backend="segmented", max_gates_per_segment=10, lookback=0)
+
+
 class TestRefinementParity:
     def test_estimate_many_matches_single(self):
         circuit, est = _demo("refineB", refine=2)
@@ -193,6 +196,43 @@ class TestRefinementParity:
                     ref.distributions[line],
                     atol=1e-9,
                 )
+
+    @pytest.mark.parametrize(
+        "name, refine, options",
+        [
+            ("refineB", 2, _SMALL_SEGMENTS),
+            ("c432s", 2, {}),
+            # Most rows stop at iteration 3 with a delta above the prune
+            # threshold while one row goes on: stopped rows must stay put.
+            ("refineB", 4, dict(_SMALL_SEGMENTS, refine_tol=0.3)),
+        ],
+    )
+    def test_refined_query_many_rows_equal_single_queries_bitwise(
+        self, name, refine, options
+    ):
+        # Glue joints are enumerated and calibrated as one stack per
+        # iteration; every row must still equal its own single query.
+        # Every third row pins some inputs to probability 0 or 1.
+        circuit = suite.load_circuit(name)
+        model = compile_model(circuit, cache=None, refine=refine, **options)
+        rng = np.random.default_rng(7)
+        models = []
+        for k in range(7):
+            p = rng.uniform(0.05, 0.95, len(circuit.inputs))
+            if k % 3 == 2:
+                pinned = rng.random(p.size) < 0.3
+                p[pinned] = rng.integers(0, 2, int(pinned.sum()))
+            models.append(IndependentInputs(dict(zip(circuit.inputs, p))))
+        many = model.query_many(models)
+        assert many[0].refine_iterations >= 1
+        for k, scenario in enumerate(models):
+            one = model.query(scenario)
+            assert one.refine_iterations == many[k].refine_iterations
+            assert one.refine_delta == many[k].refine_delta
+            for line in circuit.lines:
+                assert np.array_equal(
+                    many[k].distributions[line], one.distributions[line]
+                ), (name, k, line)
 
     def test_estimate_independent_of_hash_seed(self):
         # Boundary forests must not depend on set iteration order, which

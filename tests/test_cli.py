@@ -182,7 +182,35 @@ def test_estimate_unknown_option_is_a_typed_error(capsys, cache_dir):
     ) == 1
     err = capsys.readouterr().err
     assert "repro: error:" in err and "'refine'" in err
+    assert "refine_tol" not in err
     assert "Traceback" not in err
+
+
+def test_estimate_unknown_option_error_names_refine_tol_when_typed(
+    capsys, cache_dir
+):
+    assert main(
+        [
+            "estimate", "--circuit", "c17", "--no-cache",
+            "--backend", "junction-tree", "--refine", "2",
+            "--refine-tol", "1e-3",
+        ]
+    ) == 1
+    err = capsys.readouterr().err
+    assert "option(s) 'refine', 'refine_tol'" in err
+    assert "Traceback" not in err
+
+
+def test_refine_opts_forward_only_given_options():
+    from argparse import Namespace
+
+    from repro.cli import _refine_opts
+
+    assert _refine_opts(Namespace(refine=0, refine_tol=None)) == {}
+    assert _refine_opts(Namespace(refine=2, refine_tol=None)) == {"refine": 2}
+    assert _refine_opts(Namespace(refine=2, refine_tol=1e-3)) == {
+        "refine": 2, "refine_tol": 1e-3,
+    }
 
 
 def test_fuzz_smoke_clean(capsys, tmp_path):
