@@ -5,16 +5,15 @@ Emits ``BENCH_serving.json``, a ``repro.perf/v2`` document (kind
 ``concurrency`` (plus ``workload`` on cached rows).  The resident server
 (``repro.serve``) only earns its keep if concurrent clients' single
 scenarios coalesce into one batched propagation; this runner measures
-that end to end -- HTTP parsing, the batcher's linger window, engine
-checkout, and the propagation itself -- by driving a live server with
-closed-loop clients:
+that end to end -- HTTP parsing, the batcher, and the propagation
+itself -- by driving a live server with closed-loop clients:
 
 - ``unbatched`` rows -- the server runs with ``max_batch=1``, linger
   ``0``: every request is its own propagation (the PR 5 fast path
   behind an HTTP endpoint).
-- ``batched`` rows -- the same server configured with the default
-  ``max_batch``/linger; concurrent requests merge into ``query_many``
-  sweeps.  The result cache is *off* in both modes so the rows measure
+- ``batched`` rows -- the same server configured with the server's
+  default ``max_batch``/linger cap; concurrent requests merge into
+  ``query_many`` sweeps.  The result cache is *off* in both modes so the rows measure
   batching alone.
 - ``cached`` rows -- the batched configuration plus the
   fingerprint-keyed result cache, driven with a *skewed* scenario
@@ -30,17 +29,18 @@ closed-loop clients:
   scenarios/sec at the same concurrency: the reuse win on top of the
   batching win.
 
-At concurrency 1 batched trails unbatched by about the linger window:
-a lone request waits until its linger deadline for batch-mates that
-never come.  The batching win appears as concurrency grows, and the
-caching win grows with the stream's skew.  Latency percentiles are
-nearest-rank over every request in the cell.
+The batcher is work-conserving: a lane lingers only for as many
+requests as its last batch had, so at concurrency 1 (every batch a
+singleton) a request never waits for batch-mates and batched serving
+runs at about the unbatched rate.  The batching win appears as
+concurrency grows, and the caching win grows with the stream's skew.
+Latency percentiles are nearest-rank over every request in the cell.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py \
         [--circuits c17,comp,voter,alu] [--concurrency 1,4,16] \
-        [--requests-per-client 20] [--max-batch 16] [--linger-ms 5] \
+        [--requests-per-client 20] [--max-batch 16] [--linger-ms 2] \
         [--cached-workload zipf:1.1] [--result-cache-entries 4096] \
         [--quick] [--output BENCH_serving.json]
 
@@ -305,8 +305,8 @@ def main(argv=None) -> int:
         help="batched-mode scenario ceiling per propagation (default: 16)",
     )
     parser.add_argument(
-        "--linger-ms", type=float, default=5.0,
-        help="batched-mode linger window (default: 5.0)",
+        "--linger-ms", type=float, default=2.0,
+        help="batched-mode linger cap, the server's default (default: 2.0)",
     )
     parser.add_argument(
         "--workers", type=int, default=2,

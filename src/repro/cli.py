@@ -438,7 +438,6 @@ def _cmd_serve(args) -> None:
         backend=args.backend,
         cache=_resolve_cli_cache(args),
         max_models=args.max_models,
-        engines_per_model=args.engines_per_model,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
         workers=args.workers,
@@ -449,7 +448,6 @@ def _cmd_serve(args) -> None:
     print(
         f"repro-serve listening on {server.address} "
         f"(max_batch={config.max_batch}, linger={config.linger_ms}ms, "
-        f"engines/model={config.engines_per_model}, "
         f"result_cache={config.result_cache_entries})",
         flush=True,
     )
@@ -785,13 +783,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default backend for /estimate (default: auto)")
     pv.add_argument("--max-models", type=int, default=8,
                     help="LRU ceiling on resident compiled models (default: 8)")
-    pv.add_argument("--engines-per-model", type=int, default=2,
-                    help="engine replicas per model (default: 2)")
     pv.add_argument("--max-batch", type=int, default=16,
                     help="scenario ceiling per coalesced propagation "
                          "(1 = unbatched; default: 16)")
     pv.add_argument("--linger-ms", type=float, default=2.0,
-                    help="how long a non-full batch waits for company "
+                    help="cap on how long a lane waits for as many "
+                         "requests as its last batch had; a lane whose "
+                         "last batch was a single request drains at once "
                          "(default: 2.0)")
     pv.add_argument("--workers", type=int, default=2,
                     help="batch drain threads (default: 2)")

@@ -13,7 +13,7 @@ This module supplies the two halves of that reuse:
   correlated groups were listed in); any perturbed probability changes
   the digest.
 - :class:`ResultCache` -- a thread-safe LRU of ``(compile fingerprint,
-  scenario digest) -> stored marginal stacks``.  The fingerprint half
+  scenario digest) -> stored marginal table``.  The fingerprint half
   is the compile-cache content key (circuit + backend + options +
   artifact schema), so a cache entry can never survive anything that
   would have changed the compiled model.
@@ -25,12 +25,14 @@ input's CPD parents) that :func:`scenario_digest` combines.
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.states import N_STATES, TransitionState
 from repro.obs.metrics import get_metrics
 
 __all__ = [
@@ -112,15 +114,51 @@ def replay_estimate(payload: "Dict[str, Any]"):
     )
 
 
+class _Entry:
+    """One stored estimate, laid out compactly: the line names, one
+    ``(n, 4)`` float64 marginal table and one ``(n,)`` activity array
+    (row ``i`` of each belongs to ``lines[i]``), plus the replay
+    scalars.  ``nbytes`` is what the entry holds (:func:`sys.getsizeof`
+    of each object it owns); the line-name strings are the compiled
+    model's and are not counted."""
+
+    __slots__ = (
+        "lines", "table", "activities", "mean_activity", "method",
+        "segments", "refine_iterations", "refine_delta", "nbytes",
+    )
+
+    def __init__(self, estimate) -> None:
+        self.lines = tuple(estimate.distributions)
+        self.table = np.empty((len(self.lines), N_STATES))
+        self.table[...] = list(estimate.distributions.values())
+        # The same float64 sum ``switching_probability`` takes per line.
+        self.activities = (
+            self.table[:, TransitionState.X01] + self.table[:, TransitionState.X10]
+        )
+        self.mean_activity = float(np.mean(self.activities))
+        self.method = estimate.method
+        self.segments = estimate.segments
+        self.refine_iterations = estimate.refine_iterations
+        self.refine_delta = estimate.refine_delta
+        self.nbytes = (
+            sys.getsizeof(self)
+            + sys.getsizeof(self.lines)
+            + sys.getsizeof(self.table)
+            + sys.getsizeof(self.activities)
+            + sys.getsizeof(self.mean_activity)
+        )
+
+
 class ResultCache:
     """Thread-safe LRU of stored switching-estimate payloads.
 
     Keys are ``(compile fingerprint, scenario digest)`` tuples; values
-    are the stored ``(4,)`` per-line marginals plus the method fields a
-    replay needs.  Arrays are copied both into and out of the cache, so
-    neither the producer's engine buffers nor a consumer's mutations
-    can corrupt a stored result -- a hit replays the bitwise-identical
-    marginals of the propagation that filled it.
+    are compact entries (one marginal table and one activity array per
+    estimate) plus the method fields a replay needs.  Arrays are copied
+    both into and out of the cache, so neither the producer's engine
+    buffers nor a consumer's mutations can corrupt a stored result -- a
+    hit replays the bitwise-identical marginals of the propagation that
+    filled it.  ``bytes`` sums what the stored entries hold.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -128,7 +166,7 @@ class ResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str], Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, str], _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -141,76 +179,59 @@ class ResultCache:
     ) -> Optional[Dict[str, Any]]:
         """Stored payload for ``key`` (arrays copied), or ``None``.
 
-        ``need_arrays=False`` omits the per-line marginal copies and
-        returns only the precomputed scalar views (``activities``,
-        ``mean_activity``) -- the serving hot path for ``detail`` modes
-        that never touch the distributions.
+        The payload is a dict of per-line views: ``activities`` maps
+        each line to its float, and ``distributions`` (only when
+        ``need_arrays``) maps each line to a ``(4,)`` row of one fresh
+        copy of the stored table.  ``need_arrays=False`` is the serving
+        hot path for ``detail`` modes that never touch the
+        distributions.
         """
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self.misses += 1
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
         registry = get_metrics()
         if registry.enabled:
-            if payload is None:
+            if entry is None:
                 registry.counter("rcache.misses").inc(1)
             else:
                 registry.counter("rcache.hits").inc(1)
-        if payload is None:
+        if entry is None:
             return None
         view = {
-            "activities": dict(payload["activities"]),
-            "mean_activity": payload["mean_activity"],
-            "method": payload["method"],
-            "segments": payload["segments"],
-            "refine_iterations": payload["refine_iterations"],
-            "refine_delta": payload["refine_delta"],
+            "activities": dict(zip(entry.lines, entry.activities.tolist())),
+            "mean_activity": entry.mean_activity,
+            "method": entry.method,
+            "segments": entry.segments,
+            "refine_iterations": entry.refine_iterations,
+            "refine_delta": entry.refine_delta,
         }
         if need_arrays:
-            view["distributions"] = {
-                line: arr.copy()
-                for line, arr in payload["distributions"].items()
-            }
+            view["distributions"] = dict(zip(entry.lines, entry.table.copy()))
         return view
 
     def put(self, key: Tuple[str, str], estimate) -> None:
         """Store one :class:`SwitchingEstimate`'s replayable payload.
 
-        Alongside the bitwise marginal copies, the rendered scalars a
+        Alongside the bitwise marginal table, the rendered scalars a
         response needs (per-line switching activities, their mean) are
         computed once here so that every later hit replays stored
         floats instead of re-deriving them from the arrays.
         """
-        distributions = {
-            line: np.array(arr, copy=True)
-            for line, arr in estimate.distributions.items()
-        }
-        size = sum(arr.nbytes for arr in distributions.values())
-        payload = {
-            "distributions": distributions,
-            "activities": {
-                line: float(p) for line, p in estimate.activities.items()
-            },
-            "mean_activity": float(estimate.mean_activity()),
-            "method": estimate.method,
-            "segments": estimate.segments,
-            "refine_iterations": estimate.refine_iterations,
-            "refine_delta": estimate.refine_delta,
-            "nbytes": size,
-        }
+        entry = _Entry(estimate)
         evicted = 0
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
-                self.bytes -= old["nbytes"]
-            self._entries[key] = payload
-            self.bytes += size
+                self.bytes -= old.nbytes
+            self._entries[key] = entry
+            self.bytes += entry.nbytes
             while len(self._entries) > self.max_entries:
                 _, dropped = self._entries.popitem(last=False)
-                self.bytes -= dropped["nbytes"]
+                self.bytes -= dropped.nbytes
                 self.evictions += 1
                 evicted += 1
         registry = get_metrics()

@@ -7,12 +7,13 @@ re-propagate in milliseconds* bargain resident:
 
 - :mod:`repro.serve.pool` -- an LRU-managed in-memory pool of
   :class:`~repro.core.backend.base.CompiledModel` artifacts keyed by
-  the compile-cache fingerprint, each with a pool of *engine replicas*
-  so no two in-flight requests ever share propagation buffers.
-- :mod:`repro.serve.batcher` -- inference-server-style dynamic
-  batching: concurrent clients' scenarios for one model coalesce into
-  a single batched ``query_many`` propagation (configurable max batch
-  ``K`` and max linger).
+  the compile-cache fingerprint, one engine per model.
+- :mod:`repro.serve.batcher` -- work-conserving dynamic batching:
+  concurrent clients' scenarios for one model coalesce into a single
+  batched ``query_many`` propagation.  Each model's lane runs one
+  batch at a time (so no two in-flight batches ever share propagation
+  buffers) and lingers, up to a cap, only for as many requests as its
+  last batch had.
 - :mod:`repro.serve.server` -- a stdlib-only HTTP/JSON front end
   (``http.server``) with a ``/metrics`` endpoint exporting the
   ``repro.obs`` registry plus per-endpoint latency histograms.
@@ -29,13 +30,12 @@ from repro.serve.client import (
     run_load,
     workload_scenario_ids,
 )
-from repro.serve.pool import EnginePool, ModelPool, PooledModel
+from repro.serve.pool import ModelPool, PooledModel
 from repro.serve.server import EstimationServer, ServerConfig
 
 __all__ = [
     "BatchStats",
     "DynamicBatcher",
-    "EnginePool",
     "EstimationServer",
     "LoadReport",
     "ModelPool",

@@ -4,17 +4,21 @@ The engine's batched sweep is the whole win of serving resident models:
 PR 5 measured 2.3-12.3x scenarios/sec at K=64 versus looped single
 queries.  A server only harvests that if *concurrent clients'* requests
 -- each one scenario -- merge into one ``query_many`` call.  The
-classic inference-server recipe applies:
+inference-server recipe applies, made work-conserving:
 
 - Requests are grouped into *lanes*, one per pooled model (same
   compile-cache fingerprint => same lane => batchable).
-- A fixed worker pool drains lanes.  A worker claiming a non-empty
-  lane waits up to ``linger_seconds`` for it to fill to ``max_batch``
-  before propagating -- the latency-for-throughput knob.  The wait
-  ends early the moment the batch is full, and a lone request on an
-  otherwise idle server never waits longer than the linger.
-- At most one worker drains a given lane at a time, so batches stay
-  maximal instead of two workers splitting one burst.
+- A fixed worker pool drains lanes.  A worker keeps its lane claimed
+  until the batch's ``run_batch`` returns, so a lane runs at most one
+  batch at a time: requests that arrive during a propagation form the
+  lane's next batch, and a model's one engine is never entered by two
+  batches at once.
+- A worker claiming a lane lingers only for the company the lane's
+  last batch had: from the claim, for at most ``linger_seconds``, it
+  waits until the lane holds as many items as its last batch did
+  (capped at ``max_batch``).  A fresh lane, or one whose last batch was
+  a singleton, drains at once, so a lone request never waits for
+  batch-mates that are not coming.
 
 ``max_batch=1`` degenerates to unbatched request-at-a-time serving
 (the baseline ``bench_serving.py`` compares against).  The batcher
@@ -30,7 +34,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from repro.obs.metrics import get_metrics
 
@@ -79,44 +83,54 @@ class BatchStats:
 class _Slot:
     """One batch slot: an item plus every future waiting on its result."""
 
-    __slots__ = ("item", "dedup_key", "futures")
+    __slots__ = ("item", "dedup_key", "futures", "born")
 
     def __init__(self, item: Any, dedup_key: Any) -> None:
         self.item = item
         self.dedup_key = dedup_key
         self.futures: List[Future] = [Future()]
+        self.born = time.monotonic()
 
 
 class _Lane:
-    """Pending slots for one model key; drained by at most one worker."""
+    """Pending slots for one model key; drained by at most one worker.
 
-    __slots__ = ("items", "claimed", "oldest")
+    ``last_size`` is the size of the lane's last batch (1 for a fresh
+    lane): how much company the next claim lingers for.  ``company``
+    shares the batcher's lock and wakes the worker lingering on this
+    lane when a slot arrives.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("items", "claimed", "last_size", "company")
+
+    def __init__(self, lock: threading.Lock) -> None:
         self.items: Deque[_Slot] = deque()
         self.claimed = False
-        self.oldest = 0.0
+        self.last_size = 1
+        self.company = threading.Condition(lock)
 
 
 class DynamicBatcher:
-    """Worker pool + per-model lanes with a bounded linger window.
+    """Worker pool + per-model lanes, one batch in flight per lane.
 
     Parameters
     ----------
     run_batch:
         ``run_batch(key, items) -> list[result]`` -- must return one
         result per item, in order.  An exception fails every future in
-        the batch (each client sees the same typed error).
+        the batch (each client sees the same typed error).  Calls for
+        one key never overlap.
     max_batch:
         Scenario ceiling per propagation (engine memory scales with it).
     linger_seconds:
-        How long a claimed, non-full lane waits for company.  ``0``
-        batches only what has already queued up (pure opportunistic
-        coalescing -- under bursts batches still form because requests
-        queue while every worker is busy).
+        The longest a claimed lane waits for as many items as its last
+        batch had.  ``0`` batches only what has already queued up (under
+        load batches still form, because requests queue while the
+        lane's previous batch propagates).
     workers:
         Drain threads.  One is enough to saturate a single core with
-        batched propagation; more overlap pickle/IO with compute.
+        batched propagation; more overlap pickle/IO with compute and
+        drain different lanes at once.
     """
 
     def __init__(
@@ -136,7 +150,9 @@ class DynamicBatcher:
         self.linger_seconds = max(0.0, linger_seconds)
         self.stats = BatchStats()
         self._lanes: "OrderedDict[str, _Lane]" = OrderedDict()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: idle workers wait here for an unclaimed non-empty lane
+        self._idle = threading.Condition(self._lock)
         self._closed = False
         self._threads = [
             threading.Thread(
@@ -162,12 +178,12 @@ class DynamicBatcher:
         joined (their batch is in flight), so dedup only ever removes
         bitwise-identical duplicate work from a pending batch.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("batcher is closed")
             lane = self._lanes.get(key)
             if lane is None:
-                lane = self._lanes[key] = _Lane()
+                lane = self._lanes[key] = _Lane(self._lock)
             if dedup_key is not None:
                 for slot in lane.items:
                     if slot.dedup_key == dedup_key:
@@ -175,18 +191,21 @@ class DynamicBatcher:
                         slot.futures.append(future)
                         self.stats.record_dedup()
                         return future
-            if not lane.items:
-                lane.oldest = time.monotonic()
             slot = _Slot(item, dedup_key)
             lane.items.append(slot)
-            self._cond.notify()
+            # A claimed lane's worker is lingering on it (or propagating,
+            # and takes the slot when it returns); an unclaimed lane
+            # needs an idle worker.
+            (lane.company if lane.claimed else self._idle).notify()
             return slot.futures[0]
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop accepting work, drain pending lanes, join the workers."""
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._idle.notify_all()
+            for lane in self._lanes.values():
+                lane.company.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
 
@@ -199,7 +218,7 @@ class DynamicBatcher:
         best = None
         for key, lane in self._lanes.items():
             if lane.items and not lane.claimed:
-                if best is None or lane.oldest < best[1].oldest:
+                if best is None or lane.items[0].born < best[1].items[0].born:
                     best = (key, lane)
         if best is not None:
             best[1].claimed = True
@@ -207,33 +226,35 @@ class DynamicBatcher:
 
     def _worker(self) -> None:
         while True:
-            with self._cond:
+            with self._lock:
                 claimed = self._claim()
                 while claimed is None:
                     if self._closed:
                         return
-                    self._cond.wait(timeout=0.1)
+                    self._idle.wait(timeout=0.1)
                     claimed = self._claim()
                 key, lane = claimed
-                # Linger: wait (releasing the lock) for the lane to
-                # fill, but never past the oldest item's deadline.
-                deadline = lane.oldest + self.linger_seconds
-                while len(lane.items) < self.max_batch and not self._closed:
+                # Linger (releasing the lock) for as much company as the
+                # lane's last batch had, never past the cap.
+                want = min(lane.last_size, self.max_batch)
+                deadline = time.monotonic() + self.linger_seconds
+                while len(lane.items) < want and not self._closed:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
-                    self._cond.wait(timeout=remaining)
+                    lane.company.wait(timeout=remaining)
                 batch = [
                     lane.items.popleft()
                     for _ in range(min(self.max_batch, len(lane.items)))
                 ]
-                if lane.items:
-                    # Leftovers start a fresh linger window and another
-                    # worker may claim them while we propagate.
-                    lane.oldest = time.monotonic()
-                    self._cond.notify()
-                lane.claimed = False
-            self._process(key, batch)
+                lane.last_size = len(batch)
+            try:
+                self._process(key, batch)
+            finally:
+                # Only now may the lane's next batch start: what queued
+                # meanwhile is the next claim's batch.
+                with self._lock:
+                    lane.claimed = False
 
     def _process(self, key: str, batch: List[_Slot]) -> None:
         items = [slot.item for slot in batch]

@@ -1,28 +1,21 @@
-"""In-memory model pool with per-model engine replicas.
+"""In-memory pool of compiled models, one engine per model.
 
-Two layers, one invariant:
+:class:`ModelPool` keeps hot :class:`~repro.core.backend.base.
+CompiledModel` artifacts pinned in memory under an LRU policy, keyed by
+the *compile-cache fingerprint* (:meth:`CompileCache.key_for`: netlist
+hash + backend + options token + artifact schema version).  Reusing
+the cache key means the resident pool, the on-disk cache, and a cold
+``repro estimate`` all agree on what "the same compile" means.
 
-- :class:`ModelPool` keeps hot :class:`~repro.core.backend.base.
-  CompiledModel` artifacts pinned in memory under an LRU policy, keyed
-  by the *compile-cache fingerprint* (:meth:`CompileCache.key_for`:
-  netlist hash + backend + options token + artifact schema version).
-  Reusing the cache key means the resident pool, the on-disk cache,
-  and a cold ``repro estimate`` all agree on what "the same compile"
-  means.
+A compiled artifact's propagation engine mutates preallocated
+belief/message buffers in place, so two batches must never propagate
+through one model at once.  The batcher guarantees that by
+construction -- its lane key is the pool key and a lane runs one batch
+at a time -- so a pooled model needs no replicas; the engine's
+:class:`~repro.errors.ConcurrentPropagationError` guard is the
+tripwire.
 
-- :class:`EnginePool` hands out *engine replicas* of one pooled model.
-  A compiled artifact's propagation engine mutates preallocated
-  belief/message buffers in place, so a model checked out by one
-  request must never be visible to another
-  (:class:`~repro.errors.ConcurrentPropagationError` is the tripwire
-  for exactly that bug).  The master artifact is the first replica;
-  the others are deserialized from its pickled bytes -- the same
-  round-trip a compile-cache hit pays, a few ms, against tens of ms to
-  seconds for a recompile -- and created lazily up to
-  ``engines_per_model``; checkout blocks when all replicas are in
-  flight.
-
-Both layers publish ``serve.pool.*`` counters/gauges into the global
+The pool publishes ``serve.pool.*`` counters/gauges into the global
 ``repro.obs`` registry when it is enabled.
 """
 
@@ -30,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import CompiledModel
@@ -40,81 +33,30 @@ from repro.core.backend.registry import get_backend
 from repro.errors import ReproError
 from repro.obs.metrics import get_metrics
 
-__all__ = ["EnginePool", "ModelPool", "PooledModel", "PoolTimeout"]
+__all__ = ["ModelPool", "PooledModel", "PoolTimeout"]
 
 
 class PoolTimeout(ReproError, TimeoutError):
-    """An engine checkout (or model compile wait) exceeded its deadline."""
-
-
-class EnginePool:
-    """Replica checkout for one compiled model.
-
-    ``checkout()`` returns a private :class:`CompiledModel` replica; the
-    caller must ``checkin()`` it.  The master is the first replica (no
-    idle copy beside the replicas); the rest are materialized lazily
-    from its serialized bytes, never more than ``capacity`` at once.
-    Further checkouts block until a replica is returned.
-    """
-
-    def __init__(self, master: CompiledModel, capacity: int = 2):
-        if capacity < 1:
-            raise ValueError(f"engine pool capacity must be >= 1, got {capacity}")
-        self._master_bytes = master.to_bytes()
-        self.capacity = capacity
-        self._free: List[CompiledModel] = [master]
-        self._created = 1
-        self._cond = threading.Condition()
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("serve.pool.engines_created").inc(1)
-
-    def checkout(self, timeout: Optional[float] = None) -> CompiledModel:
-        with self._cond:
-            while True:
-                if self._free:
-                    return self._free.pop()
-                if self._created < self.capacity:
-                    self._created += 1
-                    break
-                if not self._cond.wait(timeout=timeout):
-                    raise PoolTimeout(
-                        f"no engine replica free after {timeout:.3f}s "
-                        f"(capacity {self.capacity}); raise "
-                        "--engines-per-model or lower concurrency"
-                    )
-        # Deserialize outside the lock: it can take milliseconds and
-        # other threads may be returning replicas meanwhile.
-        try:
-            replica = CompiledModel.from_bytes(self._master_bytes)
-        except BaseException:
-            with self._cond:
-                self._created -= 1
-                self._cond.notify()
-            raise
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("serve.pool.engines_created").inc(1)
-        return replica
-
-    def checkin(self, replica: CompiledModel) -> None:
-        with self._cond:
-            self._free.append(replica)
-            self._cond.notify()
-
-    @property
-    def created(self) -> int:
-        return self._created
+    """A wait for another thread's compile of the same model exceeded
+    its deadline."""
 
 
 class PooledModel:
-    """One resident compile: the master artifact plus its engine pool."""
+    """One resident compile: the model whose engine serves its lane.
 
-    def __init__(self, key: str, model: CompiledModel, engines: int):
+    The batcher runs at most one batch per lane (lane key == pool key),
+    so this one engine is never entered by two batches at once; the
+    engine's own :class:`~repro.errors.ConcurrentPropagationError`
+    guard is the tripwire should that ever break.
+    """
+
+    def __init__(self, key: str, model: CompiledModel):
         self.key = key
         self.model = model
-        self.engines = EnginePool(model, capacity=engines)
         self.hits = 0
+        registry = get_metrics()
+        if registry.enabled:
+            registry.counter("serve.pool.engines_created").inc(1)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -122,8 +64,7 @@ class PooledModel:
             "circuit": self.model.circuit.name,
             "backend": self.model.backend_name,
             "hits": self.hits,
-            "engines_created": self.engines.created,
-            "engine_capacity": self.engines.capacity,
+            "engines_created": 1,
         }
 
 
@@ -146,7 +87,6 @@ class ModelPool:
         self,
         cache: Optional[CompileCache] = None,
         max_models: int = 8,
-        engines_per_model: int = 2,
     ):
         if max_models < 1:
             raise ValueError(f"max_models must be >= 1, got {max_models}")
@@ -156,7 +96,6 @@ class ModelPool:
         #: instance still computes keys (it never touches the disk).
         self._keyer = cache if cache is not None else CompileCache()
         self.max_models = max_models
-        self.engines_per_model = engines_per_model
         self._entries: "OrderedDict[str, PooledModel]" = OrderedDict()
         self._pending: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
@@ -198,7 +137,7 @@ class ModelPool:
             model = compile_model(
                 circuit, backend=backend, cache=self.cache, **options
             )
-            entry = PooledModel(key, model, self.engines_per_model)
+            entry = PooledModel(key, model)
             with self._lock:
                 self._entries[key] = entry
                 self._entries.move_to_end(key)
@@ -227,7 +166,6 @@ class ModelPool:
             return {
                 "resident": len(self._entries),
                 "max_models": self.max_models,
-                "engines_per_model": self.engines_per_model,
                 "evictions": self.evictions,
                 "models": [e.describe() for e in self._entries.values()],
                 "cache": self.cache.stats() if self.cache is not None else None,

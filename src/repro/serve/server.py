@@ -19,7 +19,7 @@ Determinism contract: every engine propagation is a *full* pass, so
 each batch is a pure function of its scenario potentials.  Responses
 are therefore bitwise-identical to a cold ``facade.estimate`` no
 matter how requests interleave, which batches they share, or what the
-replica served before (the concurrency stress test pins this).  A
+model served before (the concurrency stress test pins this).  A
 ``ZeroBeliefError`` inside a shared batch triggers a per-scenario
 retry so one degenerate scenario fails alone, not its batch-mates.
 
@@ -70,7 +70,6 @@ class ServerConfig:
     backend: str = "auto"
     cache: Any = True
     max_models: int = 8
-    engines_per_model: int = 2
     max_batch: int = 16
     linger_ms: float = 2.0
     workers: int = 2
@@ -96,7 +95,6 @@ class EstimationServer:
         self.pool = ModelPool(
             cache=resolve_cache(self.config.cache),
             max_models=self.config.max_models,
-            engines_per_model=self.config.engines_per_model,
         )
         self.batcher = DynamicBatcher(
             self._run_batch,
@@ -418,30 +416,28 @@ class EstimationServer:
     def _run_batch(
         self, key: str, items: List[Tuple[PooledModel, InputModel]]
     ) -> List[Any]:
-        entry = items[0][0]
-        models = [model for _, model in items]
-        replica = entry.engines.checkout(timeout=self.config.request_timeout)
+        # The batcher runs one batch per lane (lane key == pool key), so
+        # no other thread is inside this model's engine.
+        model = items[0][0].model
+        scenarios = [scenario for _, scenario in items]
         try:
-            try:
-                return list(replica.query_many(models))
-            except Exception:
-                if len(models) == 1:
-                    raise
-                # One bad scenario (zero-mass belief, out-of-range
-                # probability -- the propagation path validates lazily)
-                # must not fail the batch it happened to share; re-run
-                # each scenario alone and hand the error only to its
-                # own requester.  Full passes are scenario-independent,
-                # so the survivors' results are unchanged.
-                results: List[Any] = []
-                for model in models:
-                    try:
-                        results.extend(replica.query_many([model]))
-                    except ReproError as exc:
-                        results.append(exc)
-                return results
-        finally:
-            entry.engines.checkin(replica)
+            return list(model.query_many(scenarios))
+        except Exception:
+            if len(scenarios) == 1:
+                raise
+            # One bad scenario (zero-mass belief, out-of-range
+            # probability -- the propagation path validates lazily)
+            # must not fail the batch it happened to share; re-run
+            # each scenario alone and hand the error only to its own
+            # requester.  Full passes are scenario-independent, so the
+            # survivors' results are unchanged.
+            results: List[Any] = []
+            for scenario in scenarios:
+                try:
+                    results.extend(model.query_many([scenario]))
+                except ReproError as exc:
+                    results.append(exc)
+            return results
 
     # ------------------------------------------------------------------
     # Introspection endpoints
@@ -458,7 +454,6 @@ class EstimationServer:
                     "linger_ms": self.config.linger_ms,
                     "workers": self.config.workers,
                     "max_models": self.config.max_models,
-                    "engines_per_model": self.config.engines_per_model,
                     "result_cache_entries": self.config.result_cache_entries,
                 },
                 "pool": self.pool.stats(),

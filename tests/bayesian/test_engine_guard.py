@@ -4,8 +4,9 @@ The engine's belief/message buffers are preallocated and mutated in
 place, so two threads propagating through one engine silently corrupt
 each other's results.  The guard turns that silent corruption into a
 typed :class:`~repro.errors.ConcurrentPropagationError`; the serving
-layer's engine pool is the sanctioned way to run concurrent queries
-(pinned by the bitwise regression test below).
+batcher, which runs one batch per model at a time, is the sanctioned
+way to run concurrent queries (pinned by the bitwise regression test
+below).
 """
 
 import pickle
@@ -121,13 +122,15 @@ class TestGuard:
 
 
 class TestEnginePoolBitwise:
-    """Two threads hammering one compiled artifact through the serving
-    engine pool must be bitwise-equal to running the same scenarios
-    serially on a fresh compile -- the regression the guard exposed."""
+    """Threads hammering compiled artifacts through the serving batcher
+    must be bitwise-equal to running the same scenarios serially on a
+    fresh compile -- the regression the guard exposed.  Each lane owns
+    one model and runs one batch at a time, so two submitters per lane
+    never put two threads inside one engine."""
 
     def test_two_threads_match_serial(self):
         from repro.circuits.examples import c17
-        from repro.serve.pool import EnginePool
+        from repro.serve.batcher import DynamicBatcher
 
         circuit = c17()
         scenarios = [IndependentInputs(0.05 + 0.09 * i) for i in range(10)]
@@ -137,30 +140,47 @@ class TestEnginePoolBitwise:
         for scenario in scenarios:
             serial.append(serial_model.query(scenario))
 
-        pool = EnginePool(
-            compile_model(circuit, backend="junction-tree"), capacity=2
+        models = {
+            lane: compile_model(circuit, backend="junction-tree")
+            for lane in ("a", "b")
+        }
+
+        def run_batch(lane, items):
+            return list(models[lane].query_many([scenarios[i] for i in items]))
+
+        batcher = DynamicBatcher(
+            run_batch, max_batch=2, linger_seconds=0.001, workers=2
         )
-        results = [None] * len(scenarios)
+        results = [None] * (8 * len(scenarios))
         failures = []
 
-        def worker(offset):
+        def submitter(offset):
             try:
-                for i in range(offset, len(scenarios), 2):
-                    replica = pool.checkout(timeout=30.0)
-                    try:
-                        results[i] = replica.query(scenarios[i])
-                    finally:
-                        pool.checkin(replica)
+                futures = []
+                for i in range(offset, len(results), 4):
+                    lane = "ab"[(i // 2) % 2]
+                    futures.append(
+                        (i, batcher.submit(lane, i % len(scenarios)))
+                    )
+                for i, future in futures:
+                    results[i] = future.result(timeout=30.0)
             except BaseException as exc:  # pragma: no cover - diagnostic
                 failures.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
+        threads = [
+            threading.Thread(target=submitter, args=(k,)) for k in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            batcher.close()
         assert not failures
-        for expect, got in zip(serial, results):
+        assert batcher.stats.items == len(results)
+        for i, got in enumerate(results):
+            expect = serial[i % len(scenarios)]
             assert got is not None
             for line, dist in expect.distributions.items():
                 assert np.array_equal(dist, got.distributions[line])

@@ -9,6 +9,9 @@ to the propagation that filled it, insulated from mutation on either
 side.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,9 +131,12 @@ class TestResultCacheLRU:
     def test_stats_and_byte_accounting(self, c17):
         cache = ResultCache(max_entries=1)
         result = self._estimate(c17, 0.3)
-        size = sum(arr.nbytes for arr in result.distributions.values())
+        lines = len(result.distributions)
         cache.put(("fp", "a"), result)
-        assert cache.bytes == size
+        size = cache.bytes
+        # One (n, 4) float64 table, one (n,) activity array and the
+        # line tuple -- 48 B per line -- plus fixed object headers.
+        assert 48 * lines < size <= 48 * lines + 512
         cache.put(("fp", "b"), result)  # evicts "a", same size
         assert cache.bytes == size
         cache.get(("fp", "b"))
@@ -142,9 +148,70 @@ class TestResultCacheLRU:
         assert stats["evictions"] == 1
         assert stats["hit_rate"] == 0.5
 
+    def test_bytes_match_traced_memory(self):
+        """``bytes`` counts what the entries hold: storing N entries
+        allocates about ``bytes`` (plus the LRU's own index)."""
+        comp = suite.load_circuit("comp")
+        result = estimate(comp, IndependentInputs(0.3), backend="auto",
+                          cache=None)
+        count = 200
+        keys = [("fp", f"digest-{i}") for i in range(count)]
+        cache = ResultCache(max_entries=count)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for key in keys:
+                cache.put(key, result)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_entry = cache.bytes / count
+        assert per_entry <= 48 * len(result.distributions) + 512
+        assert 0.95 * per_entry <= traced / count <= per_entry + 256
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
+
+
+class TestCompactRoundTrip:
+    """A hit rebuilt from the compact table equals the fresh estimate:
+    arrays bitwise, activity floats exactly."""
+
+    @pytest.mark.parametrize("name", ["c17", "comp", "c432s"])
+    def test_get_matches_fresh_estimate(self, name):
+        circuit = suite.load_circuit(name)
+        fresh = estimate(circuit, IndependentInputs(0.3), backend="auto",
+                         cache=None)
+        cache = ResultCache()
+        cache.put(("fp", "d"), fresh)
+        full = cache.get(("fp", "d"))
+        light = cache.get(("fp", "d"), need_arrays=False)
+        assert "distributions" not in light
+        assert list(full["distributions"]) == list(fresh.distributions)
+        for line, dist in fresh.distributions.items():
+            assert np.array_equal(full["distributions"][line], dist)
+            assert full["distributions"][line].dtype == dist.dtype
+        for payload in (full, light):
+            assert list(payload["activities"]) == list(fresh.activities)
+            assert payload["activities"] == fresh.activities
+            assert payload["mean_activity"] == fresh.mean_activity()
+            assert payload["method"] == fresh.method
+            assert payload["segments"] == fresh.segments
+
+    def test_facade_replay_is_bitwise(self):
+        circuit = suite.load_circuit("comp")
+        cache = ResultCache()
+        first = estimate(circuit, IndependentInputs(0.3), backend="auto",
+                         cache=None, result_cache=cache)
+        again = estimate(circuit, IndependentInputs(0.3), backend="auto",
+                         cache=None, result_cache=cache)
+        assert again.result_cache_hit is True
+        assert again.activities == first.activities
+        assert again.mean_activity() == first.mean_activity()
+        for line, dist in first.distributions.items():
+            assert np.array_equal(again.distributions[line], dist)
 
 
 class TestFacadeResultCache:

@@ -1,4 +1,4 @@
-"""Model-pool and engine-pool semantics (no HTTP involved)."""
+"""Model-pool semantics (no HTTP involved)."""
 
 import threading
 
@@ -9,69 +9,8 @@ from repro.circuits import suite
 from repro.circuits.examples import c17
 from repro.core.backend import compile_model
 from repro.core.inputs import IndependentInputs
-from repro.serve.pool import EnginePool, ModelPool, PoolTimeout
-
-
-class TestEnginePool:
-    def test_replicas_are_private_and_reusable(self):
-        pool = EnginePool(compile_model(c17(), backend="junction-tree"), capacity=2)
-        a = pool.checkout(timeout=5.0)
-        b = pool.checkout(timeout=5.0)
-        assert a is not b
-        assert pool.created == 2
-        pool.checkin(a)
-        c = pool.checkout(timeout=5.0)
-        assert c is a  # the freed replica is reused, not a third copy
-        assert pool.created == 2
-        pool.checkin(b)
-        pool.checkin(c)
-
-    def test_checkout_blocks_until_checkin(self):
-        pool = EnginePool(compile_model(c17(), backend="junction-tree"), capacity=1)
-        replica = pool.checkout(timeout=5.0)
-        got = []
-
-        def blocked():
-            got.append(pool.checkout(timeout=10.0))
-
-        thread = threading.Thread(target=blocked)
-        thread.start()
-        thread.join(timeout=0.2)
-        assert thread.is_alive() and not got  # still waiting
-        pool.checkin(replica)
-        thread.join(timeout=10.0)
-        assert got == [replica]
-        pool.checkin(got[0])
-
-    def test_checkout_timeout_raises_pool_timeout(self):
-        pool = EnginePool(compile_model(c17(), backend="junction-tree"), capacity=1)
-        replica = pool.checkout(timeout=5.0)
-        with pytest.raises(PoolTimeout):
-            pool.checkout(timeout=0.05)
-        pool.checkin(replica)
-
-    def test_replica_results_match_master(self):
-        """The master is the first replica; a deserialized one answers
-        bitwise like it."""
-        master = compile_model(c17(), backend="junction-tree")
-        pool = EnginePool(master, capacity=2)
-        assert pool.created == 1
-        assert pool.checkout(timeout=5.0) is master
-        replica = pool.checkout(timeout=5.0)
-        assert replica is not master
-        assert pool.created == 2
-        scenario = IndependentInputs(0.3)
-        expect = master.query(scenario)
-        got = replica.query(scenario)
-        for line, dist in expect.distributions.items():
-            assert np.array_equal(dist, got.distributions[line])
-        pool.checkin(replica)
-        pool.checkin(master)
-
-    def test_capacity_must_be_positive(self):
-        master = compile_model(c17(), backend="junction-tree")
-        with pytest.raises(ValueError):
-            EnginePool(master, capacity=0)
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.serve.pool import ModelPool, PoolTimeout
 
 
 class TestModelPool:
@@ -144,6 +83,53 @@ class TestModelPool:
             thread.join(timeout=30.0)
         assert not failures
         assert len({id(entry) for entry in results}) == 1
+
+    def test_one_engine_per_model(self):
+        """A pooled model is its compile: no replica is ever made, and
+        it answers bitwise like a fresh compile."""
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            pool = ModelPool(max_models=4)
+            entry = pool.get(c17(), backend="junction-tree")
+            pool.get(c17(), backend="junction-tree")  # a hit makes none
+        finally:
+            set_metrics(previous)
+        assert registry.counter("serve.pool.engines_created").value == 1
+        assert [m["engines_created"] for m in pool.stats()["models"]] == [1]
+        scenario = IndependentInputs(0.3)
+        expect = compile_model(c17(), backend="junction-tree").query(scenario)
+        got = entry.model.query(scenario)
+        for line, dist in expect.distributions.items():
+            assert np.array_equal(dist, got.distributions[line])
+
+    def test_compile_wait_timeout_raises_pool_timeout(self, monkeypatch):
+        """A thread waiting on another's compile of the same key gives
+        up with the typed timeout."""
+        import repro.serve.pool as pool_module
+
+        started, release = threading.Event(), threading.Event()
+        real_compile = pool_module.compile_model
+
+        def slow_compile(*args, **kwargs):
+            started.set()
+            release.wait(timeout=10.0)
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "compile_model", slow_compile)
+        pool = ModelPool(max_models=4)
+        circuit = c17()
+        first = threading.Thread(
+            target=pool.get, args=(circuit,), kwargs={"backend": "junction-tree"}
+        )
+        first.start()
+        try:
+            assert started.wait(timeout=10.0)
+            with pytest.raises(PoolTimeout):
+                pool.get(circuit, backend="junction-tree", timeout=0.05)
+        finally:
+            release.set()
+            first.join(timeout=30.0)
 
     def test_on_disk_cache_round_trip(self, tmp_path):
         from repro.core.backend.cache import CompileCache

@@ -1,11 +1,11 @@
 """Concurrency stress: batched serving must be bitwise-deterministic.
 
 The serving path's determinism contract: every propagation is a full
-pass over freshly-installed potentials (replicas are reset before each
-batch), so a scenario's result is a pure function of its potentials --
-regardless of which replica ran it, which batch it landed in, or what
-its batch-mates were.  N client threads hammering mixed circuits
-through a live server (compile cache ON) must therefore produce
+pass over freshly-installed potentials, so a scenario's result is a
+pure function of its potentials -- regardless of what the model ran
+before, which batch it landed in, or what its batch-mates were.  N
+client threads hammering mixed circuits through a live server
+(compile cache ON) must therefore produce
 results bitwise-equal to a single-threaded ``estimate`` oracle, with
 zero model-pool evictions.
 """
@@ -47,7 +47,6 @@ def test_stress_bitwise_vs_single_threaded(tmp_path, oracle):
         port=0,
         cache=str(tmp_path / "cache"),
         max_models=8,  # both circuits stay resident: no evictions
-        engines_per_model=2,
         max_batch=8,
         linger_ms=1.0,
         workers=2,
@@ -126,7 +125,6 @@ def test_stress_cached_bitwise_vs_single_threaded(tmp_path, oracle):
         port=0,
         cache=str(tmp_path / "cache"),
         max_models=8,
-        engines_per_model=2,
         max_batch=8,
         linger_ms=1.0,
         workers=2,
