@@ -9,9 +9,13 @@ metric keyed by ``refine``:
 
 - ``compile_seconds``              -- partition + per-segment compile
   (at ``refine > 0`` this includes glue-cone compilation),
-- ``repeat_estimate_min_seconds``  -- minimum over ``update_inputs`` +
-  ``estimate`` cycles (the primary regression metric; refinement cost
-  is inside the estimate),
+- ``repeat_estimate_min_seconds``  -- minimum over ``--repeats``
+  samples of the per-cycle time of ``update_inputs`` + ``estimate``
+  (the primary regression metric; refinement cost is inside the
+  estimate).  Each sample spans at least ``MIN_SAMPLE_SECONDS`` of
+  back-to-back cycles over salted scenarios, the protocol
+  ``bench_throughput.py`` uses, so millisecond points are not lost in
+  timer and scheduler noise,
 - ``max_abs_error``                -- worst per-line distribution entry
   vs. the exact enumeration oracle, on circuits whose input count fits
   the ``4^n`` budget (the ``refineA``/``refineB`` demo circuits),
@@ -41,9 +45,14 @@ import time
 from typing import Dict, List, Optional
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
-    from benchmarks.common import stage_rows, write_document
+    from benchmarks.common import (
+        MIN_SAMPLE_SECONDS,
+        per_call_samples,
+        stage_rows,
+        write_document,
+    )
 except ImportError:  # direct execution
-    from common import stage_rows, write_document
+    from common import MIN_SAMPLE_SECONDS, per_call_samples, stage_rows, write_document
 
 import numpy as np
 
@@ -51,7 +60,7 @@ from repro.circuits import suite
 from repro.core.estimator import exact_switching_by_enumeration
 from repro.core.inputs import IndependentInputs
 from repro.core.segments import SegmentedEstimator
-from repro.perf.collect import repeat_cycles
+from repro.perf.collect import salted_scenarios
 
 #: Pipeline stage of every per-point field, in emission order.
 STAGES = {
@@ -148,7 +157,13 @@ def bench_point(
     if oracle is not None:
         point["max_abs_error"] = _oracle_error(result, oracle)
 
-    cycle_seconds = repeat_cycles(estimator, repeats)
+    def cycle(model):
+        estimator.update_inputs(model)
+        estimator.estimate()
+
+    cycle_seconds = per_call_samples(
+        cycle, lambda salt: salted_scenarios(1, salt)[0], repeats
+    )
     point["repeat_estimate_min_seconds"] = min(cycle_seconds)
     err = (
         f"  err {point['max_abs_error']:.3e}" if "max_abs_error" in point else ""
@@ -234,6 +249,7 @@ def main(argv=None) -> int:
             )
 
     run_config = {"repeats": args.repeats, "p_one": P_ONE,
+                  "min_sample_seconds": MIN_SAMPLE_SECONDS,
                   "quick": args.quick, "full": args.full}
     write_document(args.output, "segmentation", rows, run_config)
     return 0

@@ -41,7 +41,8 @@ per-call time.  A sample times enough back-to-back calls to span at
 least ``MIN_SAMPLE_SECONDS`` (10 ms), so sub-millisecond calls are not
 lost in timer and scheduler noise; every call of every sample uses a
 *different* deterministic scenario set, so no call times work an
-earlier one already did.
+earlier one already did (``per_call_samples`` in ``common.py``, shared
+with ``bench_segmentation.py``).
 
 Usage::
 
@@ -58,29 +59,34 @@ K in {1, 64}, 2 repeats).  Each circuit also records the compile-time
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 from typing import Dict, List
 
 import numpy as np
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
-    from benchmarks.common import parse_csv_names, stage_rows, write_document
+    from benchmarks.common import (
+        MIN_SAMPLE_SECONDS,
+        parse_csv_names,
+        per_call_samples,
+        stage_rows,
+        write_document,
+    )
 except ImportError:  # direct execution: python benchmarks/bench_throughput.py
-    from common import parse_csv_names, stage_rows, write_document
+    from common import (
+        MIN_SAMPLE_SECONDS,
+        parse_csv_names,
+        per_call_samples,
+        stage_rows,
+        write_document,
+    )
 
 from repro.circuits import suite
 from repro.core.backend import compile_model
 from repro.core.inputs import IndependentInputs
-from repro.perf.collect import DEFAULT_CIRCUITS, salted_scenarios, timed
+from repro.perf.collect import DEFAULT_CIRCUITS, salted_scenarios
 
 DEFAULT_BATCH_SIZES = [1, 8, 64, 256]
-
-#: shortest timed sample: calls are repeated back to back up to this
-MIN_SAMPLE_SECONDS = 0.010
-#: salt stride between the calls of one sample (samples use salts 0..)
-_CALL_SALT_STRIDE = 1000
 
 #: Pipeline stage of every per-point field, in emission order.
 STAGES = {
@@ -98,27 +104,6 @@ STAGES = {
     "bitwise_equal": "accuracy",
     "max_abs_diff": "accuracy",
 }
-
-
-def per_call_seconds(fn, scenarios, repeats: int) -> float:
-    """Minimum over ``repeats`` samples of ``fn``'s per-call seconds.
-
-    ``scenarios(salt)`` builds one call's argument; a probe call sizes
-    every sample to at least ``MIN_SAMPLE_SECONDS`` of back-to-back
-    calls.  Call ``i`` of sample ``r`` uses salt
-    ``r + _CALL_SALT_STRIDE * i``, so one-call samples time exactly
-    salts ``0 .. repeats - 1``.
-    """
-    probe = timed(fn, scenarios(repeats + 3))
-    calls = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(probe, 1e-9)))
-    best = math.inf
-    for r in range(repeats):
-        args = [scenarios(r + _CALL_SALT_STRIDE * i) for i in range(calls)]
-        start = time.perf_counter()
-        for arg in args:
-            fn(arg)
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best
 
 
 def _loop_sweep(estimator, models) -> None:
@@ -199,14 +184,14 @@ def bench_circuit(
         _loop_sweep(estimator, salted_scenarios(k, salt=repeats + 1))
         model.query_many(salted_scenarios(k, salt=repeats + 2))
 
-        looped = per_call_seconds(
+        looped = min(per_call_samples(
             lambda models: _loop_sweep(estimator, models),
             lambda salt: salted_scenarios(k, salt=salt),
             repeats,
-        )
-        batched = per_call_seconds(
+        ))
+        batched = min(per_call_samples(
             model.query_many, lambda salt: salted_scenarios(k, salt=salt), repeats
-        )
+        ))
         point: Dict[str, object] = {
             "looped_seconds": looped,
             "batched_seconds": batched,
@@ -266,11 +251,11 @@ def bench_repeat_circuit(
     # Warm once (outside timing), same protocol as the batched rows.
     model.query_many(repeat_scenarios(circuit, k, salt=repeats + 1))
 
-    batched = per_call_seconds(
+    batched = min(per_call_samples(
         model.query_many,
         lambda salt: repeat_scenarios(circuit, k, salt=salt),
         repeats,
-    )
+    ))
     rate = k / batched
     point: Dict[str, object] = {
         "distinct_scenarios": max(1, k // 4),

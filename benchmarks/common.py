@@ -12,15 +12,46 @@ stores and ``repro perf diff`` gates.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import math
+import time
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.perf.collect import new_document
+from repro.perf.collect import new_document, timed
 from repro.perf.store import row
+
+#: shortest timed sample: calls are repeated back to back up to this
+MIN_SAMPLE_SECONDS = 0.010
+#: salt stride between the calls of one sample (samples use salts 0..)
+_CALL_SALT_STRIDE = 1000
 
 
 def engine_counters(estimator) -> Dict[str, int]:
     """Cumulative engine work counters of a compiled estimator."""
     return estimator.propagation_counters().as_dict()
+
+
+def per_call_samples(
+    fn: Callable[[Any], Any], scenarios: Callable[[int], Any], repeats: int
+) -> List[float]:
+    """``repeats`` samples of ``fn``'s per-call seconds.
+
+    ``scenarios(salt)`` builds one call's argument; a probe call sizes
+    every sample to at least ``MIN_SAMPLE_SECONDS`` of back-to-back
+    calls, so millisecond calls are not lost in timer and scheduler
+    noise.  Call ``i`` of sample ``r`` uses salt
+    ``r + _CALL_SALT_STRIDE * i``, so no call repeats another's work,
+    and one-call samples time exactly salts ``0 .. repeats - 1``.
+    """
+    probe = timed(fn, scenarios(repeats + 3))
+    calls = max(1, math.ceil(MIN_SAMPLE_SECONDS / max(probe, 1e-9)))
+    samples = []
+    for r in range(repeats):
+        args = [scenarios(r + _CALL_SALT_STRIDE * i) for i in range(calls)]
+        start = time.perf_counter()
+        for arg in args:
+            fn(arg)
+        samples.append((time.perf_counter() - start) / calls)
+    return samples
 
 
 def parse_csv_names(spec: str) -> List[str]:

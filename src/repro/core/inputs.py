@@ -22,8 +22,13 @@ future-work extension:
   on either temporal model.
 
 Batched sweeps read K models at once through :class:`InputStack`, which
-turns them into ``(K, ...)`` arrays: one vectorized call per in-repo
-model, stacking ``input_cpds_trusted`` tables for any other model.
+turns them into ``(K, ...)`` arrays: the scenarios are grouped by exact
+model class and each in-repo class builds all of its rows in one call
+(``_stack_arrays``); any other model falls back to its
+``marginal_distribution`` and ``input_cpds_trusted``.  A single query
+is the one-scenario case of the same build.  A row that fails
+validation raises :class:`~repro.errors.InputModelError` naming its
+scenario.
 """
 
 from __future__ import annotations
@@ -42,21 +47,29 @@ from repro.core.states import (
     markov_transition_distribution,
     previous_values,
 )
+from repro.errors import InputModelError
 
 ProbabilitySpec = Union[float, Mapping[str, float]]
 
 
 def _per_input(spec: ProbabilitySpec, name: str, default: float) -> float:
-    if isinstance(spec, Mapping):
+    if type(spec) is dict or isinstance(spec, Mapping):
         return float(spec.get(name, default))
     return float(spec)
 
 
-def _spec_vector(spec: ProbabilitySpec, names: Sequence[str]) -> np.ndarray:
-    """:func:`_per_input` (default 0.5) over ``names``, as a vector."""
-    if isinstance(spec, Mapping):
-        return np.array([float(spec.get(name, 0.5)) for name in names])
-    return np.full(len(names), float(spec))
+def _spec_matrix(specs: Sequence[ProbabilitySpec], names: Sequence[str]) -> np.ndarray:
+    """:func:`_per_input` (default 0.5) over ``specs`` x ``names``, as a
+    ``(K, n)`` matrix.  ``type(spec) is dict`` skips the ``Mapping``
+    ABC check for the common case."""
+    n = len(names)
+    rows = [
+        [float(spec.get(name, 0.5)) for name in names]
+        if type(spec) is dict or isinstance(spec, Mapping)
+        else [float(spec)] * n
+        for spec in specs
+    ]
+    return np.array(rows, dtype=np.float64).reshape(len(specs), n)
 
 
 def _prob_spec(value) -> ProbabilitySpec:
@@ -84,8 +97,6 @@ def input_model_from_spec(spec: Mapping) -> "InputModel":
     per-input mapping (missing names default to 0.5).  Raises
     :class:`~repro.errors.InputModelError` on an unknown ``kind``.
     """
-    from repro.errors import InputModelError
-
     kind = spec.get("kind")
     if kind == "independent":
         return IndependentInputs(_prob_spec(spec.get("p_one", 0.5)))
@@ -186,13 +197,16 @@ class IndependentInputs(InputModel):
             for name in input_names
         ]
 
-    def _input_arrays(self, input_names: Sequence[str]):
-        p = _spec_vector(self.p_one, input_names)
-        if not ((p >= 0.0) & (p <= 1.0)).all():
-            for name in input_names:
-                self._p(name)  # raises for the first bad name
+    @classmethod
+    def _stack_arrays(cls, models, input_names: Sequence[str]):
+        try:
+            p = _spec_matrix([m.p_one for m in models], input_names)
+        except (TypeError, ValueError):
+            _recheck(models, input_names, range(len(models)))
+            raise
+        _check(models, input_names, (p >= 0.0) & (p <= 1.0))
         q = 1.0 - p
-        return np.stack([q * q, q * p, p * q, p * p], axis=1), {}
+        return np.stack([q * q, q * p, p * q, p * p], axis=-1), [{}] * len(models)
 
     def sample_pairs(self, input_names, n_pairs, rng):
         probs = np.array([self._p(n) for n in input_names])
@@ -233,16 +247,20 @@ class TemporalInputs(InputModel):
             for name in input_names
         ]
 
-    def _input_arrays(self, input_names: Sequence[str]):
-        p = _spec_vector(self.p_one, input_names)
-        a = _spec_vector(self.activity, input_names)
+    @classmethod
+    def _stack_arrays(cls, models, input_names: Sequence[str]):
+        try:
+            p = _spec_matrix([m.p_one for m in models], input_names)
+            a = _spec_matrix([m.activity for m in models], input_names)
+        except (TypeError, ValueError):
+            _recheck(models, input_names, range(len(models)))
+            raise
         half = a / 2.0
         ok = (p >= 0.0) & (p <= 1.0) & (a >= 0.0) & (a <= 1.0)
-        if not (ok & (half <= np.minimum(p, 1.0 - p) + 1e-12)).all():
-            for name in input_names:
-                self.marginal_distribution(name)  # raises for the first bad name
-        rows = np.stack([1.0 - p - half, half, half, p - half], axis=1)
-        return rows.clip(min=0.0), {}
+        ok &= half <= np.minimum(p, 1.0 - p) + 1e-12
+        _check(models, input_names, ok)
+        rows = np.stack([1.0 - p - half, half, half, p - half], axis=-1)
+        return rows.clip(min=0.0), [{}] * len(models)
 
     def sample_pairs(self, input_names, n_pairs, rng):
         n = len(input_names)
@@ -319,9 +337,9 @@ class TraceInputs(InputModel):
             for name in input_names
         ]
 
-    def _input_arrays(self, input_names: Sequence[str]):
-        rows = [self.marginal_distribution(name) for name in input_names]
-        return np.array(rows, dtype=np.float64).reshape(-1, N_STATES), {}
+    @classmethod
+    def _stack_arrays(cls, models, input_names: Sequence[str]):
+        return _per_model(models, input_names, _plain_arrays)
 
     def sample_pairs(self, input_names, n_pairs, rng):
         columns = [self._names.index(name) for name in input_names]
@@ -415,7 +433,11 @@ class CorrelatedGroupInputs(InputModel):
                 cpds.append(TabularCPD(name, N_STATES, table, [parent]))
         return cpds
 
-    def _input_arrays(self, input_names: Sequence[str]):
+    @classmethod
+    def _stack_arrays(cls, models, input_names: Sequence[str]):
+        return _per_model(models, input_names, cls._model_arrays)
+
+    def _model_arrays(self, input_names: Sequence[str]):
         # Implied marginals need every chain ancestor of a name.
         needed = list(input_names)
         position = {name: i for i, name in enumerate(needed)}
@@ -425,7 +447,7 @@ class CorrelatedGroupInputs(InputModel):
                 position[parent] = len(needed)
                 needed.append(parent)
                 parent = self._predecessor.get(parent)
-        base = _marginal_rows(self.base, needed)
+        base = _stack_rows([self.base], needed)[0][0]
         implied = base.copy()
         # Chain members one depth at a time: a member's implied marginal
         # reads its predecessor's, one depth up.
@@ -482,32 +504,112 @@ class CorrelatedGroupInputs(InputModel):
         )
 
 
-#: Models whose ``_input_arrays`` builds, in one vectorized call, the
-#: tables their ``input_cpds`` would build one CPD at a time.
-#: Exact types only: a subclass may override any of the input methods.
+#: Models whose ``_stack_arrays`` builds, in one call over every
+#: scenario of the class, the tables their ``input_cpds`` would build
+#: one CPD at a time.  Exact types only: a subclass may override any of
+#: the input methods.
 _ARRAY_MODELS = frozenset(
     {IndependentInputs, TemporalInputs, TraceInputs, CorrelatedGroupInputs}
 )
 
 
-def _model_arrays(model: InputModel, names: Sequence[str]):
-    """``(marginals (n, 4), chains)`` of an in-repo model, else None.
+class _RowError(Exception):
+    """Row ``row`` of a class builder's ``models`` raised ``error``."""
 
-    ``chains`` maps each chained input among ``names`` to ``(parent,
-    P(input | parent))``; the table applies when the parent is present.
-    """
-    if type(model) not in _ARRAY_MODELS:
-        return None
-    return model._input_arrays(names)
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row = row
+        self.error = error
 
 
-def _marginal_rows(model: InputModel, names: Sequence[str]) -> np.ndarray:
-    """``model``'s 4-state marginals of ``names``, shape ``(n, 4)``."""
-    arrays = _model_arrays(model, names)
-    if arrays is not None:
-        return arrays[0]
+def _check(models, names: Sequence[str], ok: np.ndarray) -> None:
+    """:func:`_recheck` the rows of a ``(K, n)`` validity mask ``ok``
+    with an invalid entry."""
+    if not ok.all():
+        _recheck(models, names, np.flatnonzero(~ok.all(axis=1)))
+
+
+def _recheck(models, names: Sequence[str], rows) -> None:
+    """Run the scalar check (``marginal_distribution`` of every name) on
+    ``rows`` in order; raise :class:`_RowError` for the first that fails."""
+    for row in rows:
+        model = models[row]
+        try:
+            for name in names:
+                model.marginal_distribution(name)
+        except Exception as exc:
+            raise _RowError(int(row), exc) from None
+
+
+def _plain_arrays(model: InputModel, names: Sequence[str]):
+    """One row from ``model.marginal_distribution`` of ``names``, with
+    no chains."""
     rows = [model.marginal_distribution(name) for name in names]
-    return np.array(rows, dtype=np.float64).reshape(-1, N_STATES)
+    return np.array(rows, dtype=np.float64).reshape(-1, N_STATES), {}
+
+
+def _per_model(models, names: Sequence[str], build):
+    """A class builder that loops: ``build(model, names)`` is one row's
+    ``(marginals (n, 4), chains)``."""
+    marginals = np.empty((len(models), len(names), N_STATES))
+    chains = []
+    for row, model in enumerate(models):
+        try:
+            marginals[row], row_chains = build(model, names)
+        except Exception as exc:
+            raise _RowError(row, exc) from None
+        chains.append(row_chains)
+    return marginals, chains
+
+
+def _stack_rows(models: Sequence[InputModel], names: Sequence[str]):
+    """``(marginals (K, n, 4), chains)`` of ``models`` over ``names``.
+
+    The models are grouped by exact type; each class in
+    :data:`_ARRAY_MODELS` builds its rows in one ``_stack_arrays`` call,
+    any other model row by row from ``marginal_distribution``.
+    ``chains[k]`` maps each chained input among ``names`` to ``(parent,
+    P(input | parent))``; the table applies when the parent is present.
+
+    When rows are invalid, the first of them raises, as if the models
+    were built one at a time: a ``ValueError`` as
+    :class:`~repro.errors.InputModelError` with the same text, prefixed
+    ``scenario {k}: `` when K > 1; any other error unchanged.
+    """
+    groups: Dict[type, List[int]] = {}
+    for row, model in enumerate(models):
+        groups.setdefault(type(model), []).append(row)
+    marginals = None  # one class's block is the stack as built
+    if len(groups) > 1:
+        marginals = np.empty((len(models), len(names), N_STATES))
+    chains: List[dict] = [{}] * len(models)
+    first: Optional[Tuple[int, Exception]] = None
+    for cls, rows in groups.items():
+        members = [models[row] for row in rows]
+        try:
+            if cls in _ARRAY_MODELS:
+                block, maps = cls._stack_arrays(members, names)
+            else:
+                block, maps = _per_model(members, names, _plain_arrays)
+        except _RowError as failure:
+            if first is None or rows[failure.row] < first[0]:
+                first = (rows[failure.row], failure.error)
+            continue
+        if marginals is None:
+            marginals = block
+        else:
+            marginals[rows] = block
+        for row, row_chains in zip(rows, maps):
+            chains[row] = row_chains
+    if first is not None:
+        row, error = first
+        if not isinstance(error, ValueError):
+            if len(models) > 1:
+                error.add_note(f"raised by scenario {row}")
+            raise error
+        prefix = f"scenario {row}: " if len(models) > 1 else ""
+        raise InputModelError(f"{prefix}{error}") from error
+    return marginals, chains
 
 
 class InputStack:
@@ -516,9 +618,11 @@ class InputStack:
     Built once per batched call.  :attr:`marginals` is the ``(K, n,
     4)`` stack of every input's 4-state marginal; :meth:`tables`
     stacks, for any subset of the inputs, the CPD tables
-    ``input_cpds_trusted`` would build per scenario.  In-repo models
-    build both in one vectorized call each; any other model falls back
-    to its ``marginal_distribution`` and ``input_cpds_trusted``.
+    ``input_cpds_trusted`` would build per scenario.  The models are
+    grouped by exact class and each in-repo class builds its rows in one
+    call (:func:`_stack_rows`); when any other model is present the
+    stack falls back to every model's ``marginal_distribution`` (built
+    on first use) and ``input_cpds_trusted``.
     """
 
     def __init__(self, models: Sequence[InputModel], names: Sequence[str]):
@@ -527,14 +631,12 @@ class InputStack:
             raise ValueError("need at least one input model")
         self.names = list(names)
         self._index = {name: i for i, name in enumerate(self.names)}
-        arrays = [_model_arrays(model, self.names) for model in self.models]
         self._marginals: Optional[np.ndarray] = None
         #: per-model chain maps (None: some model has no array builder)
         self._chains: Optional[List[dict]] = None
         self._conditionals: Dict[str, np.ndarray] = {}
-        if all(a is not None for a in arrays):
-            self._marginals = np.stack([a[0] for a in arrays])
-            self._chains = [a[1] for a in arrays]
+        if all(type(model) in _ARRAY_MODELS for model in self.models):
+            self._marginals, self._chains = _stack_rows(self.models, self.names)
 
     def __len__(self) -> int:
         """K, the number of scenarios."""
@@ -544,9 +646,7 @@ class InputStack:
     def marginals(self) -> np.ndarray:
         """``(K, n, 4)`` marginals of every input, in :attr:`names` order."""
         if self._marginals is None:
-            self._marginals = np.stack(
-                [_marginal_rows(model, self.names) for model in self.models]
-            )
+            self._marginals = _stack_rows(self.models, self.names)[0]
         return self._marginals
 
     def marginal(self, name: str) -> np.ndarray:
@@ -567,17 +667,19 @@ class InputStack:
         """
         if self._chains is None:
             return self._stack_cpds(names)
-        present = set(names)
-        realized = [
-            {c: p for c, (p, _) in chains.items() if c in present and p in present}
-            for chains in self._chains
-        ]
-        parent_of = realized[0]
-        if any(other != parent_of for other in realized[1:]):
-            raise ValueError(
-                "every scenario must give the inputs the same correlation "
-                "structure (CPD parents); recompile instead"
-            )
+        parent_of: Dict[str, str] = {}
+        if any(self._chains):
+            present = set(names)
+            realized = [
+                {c: p for c, (p, _) in chains.items() if c in present and p in present}
+                for chains in self._chains
+            ]
+            parent_of = realized[0]
+            if any(other != parent_of for other in realized[1:]):
+                raise ValueError(
+                    "every scenario must give the inputs the same correlation "
+                    "structure (CPD parents); recompile instead"
+                )
         tables: Dict[str, np.ndarray] = {}
         for name in names:
             if name in parent_of:

@@ -51,7 +51,7 @@ from repro.circuits.netlist import Circuit
 from repro.core.backend.facade import check_options, resolve_cache
 from repro.core.estimator import SwitchingEstimate
 from repro.core.rcache import ResultCache, scenario_digest
-from repro.core.inputs import InputModel, input_model_from_spec
+from repro.core.inputs import InputModel, InputStack, input_model_from_spec
 from repro.errors import ReproError, UnknownCircuitError, ZeroBeliefError
 from repro.obs.metrics import enable_metrics, get_metrics
 from repro.obs.report import build_report
@@ -218,17 +218,20 @@ class EstimationServer:
             raise ReproError(f"scenario must be a spec object, got {type(spec).__name__}")
         try:
             model = input_model_from_spec(spec)
-            # Probe each input's marginal (a few tiny array builds, no
-            # CPD construction): bad values -- out-of-range p_one, a
-            # misshapen matrix -- fail admission with a 400 here
-            # instead of surfacing mid-propagation as a 500.
-            for name in circuit.inputs:
-                model.marginal_distribution(name)
-            return model
         except ReproError:
             raise
         except (TypeError, ValueError, KeyError) as exc:
             raise ReproError(f"malformed scenario spec: {exc}") from None
+        try:
+            # A one-scenario build of the stack every batch builds, so
+            # admission applies the batch's own validation: bad values
+            # -- out-of-range p_one, infeasible activity, a trace
+            # missing an input -- fail with a 400 here instead of
+            # surfacing mid-propagation as a 500.
+            InputStack([model], circuit.inputs)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ReproError(f"malformed scenario spec: {exc}") from None
+        return model
 
     def _scenario_key(
         self, entry: PooledModel, scenario: InputModel, raw: Any

@@ -101,6 +101,32 @@ class TestErrors:
             client.estimate("c17", {"kind": "independent", "p_one": 1.5})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "independent", "p_one": {"1": 0.5, "3": "high"}},
+             "could not convert string to float: 'high'"),
+            ({"kind": "independent", "p_one": {"3": 1.5}},
+             "p_one for '3' out of [0, 1]: 1.5"),
+            ({"kind": "temporal", "p_one": 0.05, "activity": 0.9},
+             "activity 0.9 infeasible for p_one 0.05: need activity/2 <= min(p, 1-p)"),
+            ({"kind": "trace", "trace": [[0, 1], [1, 1]], "input_names": ["1", "2"]},
+             "\"input '3' not in the trace\""),
+        ],
+    )
+    def test_admission_rejects_invalid_inputs(self, client, spec, message):
+        # Admission builds the scenario's one-row input stack, so values
+        # the batch build would reject fail with a 400 before batching.
+        with pytest.raises(ServeRequestError) as excinfo:
+            client.estimate("c17", spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.kind == "ReproError"
+        assert str(excinfo.value) == f"malformed scenario spec: {message}"
+
+    def test_admission_accepts_the_feasibility_edge(self, client):
+        spec = {"kind": "temporal", "p_one": 0.3, "activity": 0.6 + 1e-13}
+        assert "mean_activity" in client.estimate("c17", spec)
+
     def test_unknown_detail_is_400(self, client):
         with pytest.raises(ServeRequestError) as excinfo:
             client.estimate("c17", detail="everything")
