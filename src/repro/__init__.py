@@ -27,7 +27,7 @@ Packages
 --------
 - :mod:`repro.circuits` -- gate-level netlists, parsers, generators.
 - :mod:`repro.bayesian` -- the exact inference engine (factors, junction
-  trees, variable elimination, sampling).
+  trees, variable elimination).
 - :mod:`repro.core` -- the LIDAG switching model (the paper's
   contribution), multi-BN segmentation, and the backend layer
   (:mod:`repro.core.backend`) every estimate routes through.

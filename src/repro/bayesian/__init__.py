@@ -17,8 +17,6 @@ the HUGIN tool:
   Hugin-style two-phase message passing (the paper's Section 5).
 - :mod:`repro.bayesian.elimination` -- variable elimination, an
   independent exact engine used to cross-check the junction tree.
-- :mod:`repro.bayesian.sampling` -- forward sampling and likelihood
-  weighting.
 """
 
 from repro.bayesian.cpd import TabularCPD

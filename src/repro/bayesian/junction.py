@@ -24,7 +24,9 @@ Steps 4-5 run on one
 :class:`~repro.bayesian.propagation.PropagationEngine` per tree;
 the single-query surface (:meth:`~JunctionTree.update_cpds`,
 :meth:`~JunctionTree.calibrate`, :meth:`~JunctionTree.marginal`, ...)
-is a one-row view over the same install.
+is a one-row view over the same install of the network's own CPDs, for
+general networks; the circuit estimators read rows of the stacked
+install instead.
 """
 
 from __future__ import annotations
@@ -619,32 +621,6 @@ class JunctionTree:
             self._invalidate_compiled()
         self._install(tables, unique, scatter)
         return rows
-
-    def update_cpds_batch(self, cpd_sets: Sequence[Iterable[TabularCPD]]) -> int:
-        """:meth:`update_tables_batch` over K lists of CPDs.
-
-        ``cpd_sets[k]`` plays the role of :meth:`update_cpds`'s argument
-        for scenario ``k``; every scenario must update the same
-        variables, in the same order, with unchanged parents and
-        cardinality.  Returns K.
-        """
-        sets = [list(s) for s in cpd_sets]
-        if not sets:
-            raise ValueError("need at least one CPD set")
-        first = sets[0]
-        self._check_cpds(first)
-        for cpds in sets[1:]:
-            if [cpd.variable for cpd in cpds] != [cpd.variable for cpd in first]:
-                raise ValueError(
-                    "every scenario must update the same variables in the "
-                    "same order"
-                )
-            self._check_cpds(cpds)
-        tables = {
-            cpd.variable: np.stack([cpds[i].factor.values for cpds in sets])
-            for i, cpd in enumerate(first)
-        }
-        return self.update_tables_batch(tables, len(sets))
 
     def marginals_batch(
         self, variables: Sequence[str], skip_zero: bool = False

@@ -205,21 +205,6 @@ def is_chordal(graph: nx.Graph) -> bool:
     return nx.is_chordal(graph)
 
 
-def treewidth_of_order(graph: nx.Graph, order: Sequence[str]) -> int:
-    """Width (max eliminated-neighborhood size) of an elimination order."""
-    adjacency: Dict[str, Set[str]] = {n: set(graph.neighbors(n)) for n in graph.nodes}
-    width = 0
-    for node in order:
-        width = max(width, len(adjacency[node]))
-        for u, v in _fill_in_edges(adjacency, node):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        for neighbor in adjacency[node]:
-            adjacency[neighbor].discard(node)
-        del adjacency[node]
-    return width
-
-
 def max_clique_state_space(
     cliques: Iterable[frozenset], cardinalities: Dict[str, int]
 ) -> int:

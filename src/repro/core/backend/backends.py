@@ -61,7 +61,10 @@ class EstimatorCompiledModel(CompiledModel):
     ``estimate_many`` and ``row_bytes`` (single-BN, segmented,
     enumeration); the junction-tree structure, propagation schedules,
     and clique potentials pickle with the estimator, so a loaded
-    artifact re-propagates without paying the compile again.
+    artifact re-propagates without paying the compile again.  Every
+    estimator's ``update_inputs`` only records the model, and its
+    ``estimate`` is row 0 of ``estimate_many`` over it, so
+    :meth:`query` is the one-scenario case of :meth:`query_many`.
 
     ``row_bytes`` is recorded at compile: the bytes one scenario row of
     :meth:`query_many` needs.  A model whose single row exceeds

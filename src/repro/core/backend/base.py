@@ -141,8 +141,9 @@ class CompiledModel(ABC):
         """Estimate switching activity under ``inputs``.
 
         ``None`` re-queries with the statistics the model currently
-        holds (the repeat-propagation fast path); any other model is
-        swapped in without recompiling.
+        holds; any other model becomes the held one, without
+        recompiling.  The exact backends answer a query as the one row
+        of a one-scenario :meth:`query_many`.
         """
 
     def query_many(

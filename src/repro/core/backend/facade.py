@@ -43,6 +43,7 @@ from repro.core.backend.registry import get_backend
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.rcache import ResultCache, scenario_digest
 from repro.core.validate import validate as validate_pass
+from repro.core.validate import validate_many
 from repro.errors import UnknownOptionError
 from repro.obs.trace import get_tracer
 
@@ -273,8 +274,7 @@ def estimate_many(
         return []
     first = models[0]
     if validate:
-        for model in models:
-            validate_pass(circuit, model)
+        validate_many(circuit, models)
     rcache_obj = resolve_result_cache(result_cache)
     keys = None
     hits: dict = {}

@@ -5,12 +5,15 @@ single Bayesian network:
 
 - ``compile()`` -- build the LIDAG, moralize, triangulate, and build the
   junction tree (slow, once per circuit),
-- ``estimate()`` -- calibrate by message passing and read off every
-  line's 4-state marginal (fast),
-- ``update_inputs()`` -- swap input statistics without recompiling
-  (the paper's advantage #3: "repeated computation of switching activity
-  of the circuit with different input statistics does not require much
-  time").
+- ``estimate_many()`` -- stack K input models' tables into the compiled
+  tree, propagate them in one vectorized pass and read off every line's
+  4-state marginal per scenario (fast); ``estimate()``,
+  ``line_distribution()`` and ``conditional_distribution()`` are its
+  one-scenario rows,
+- ``update_inputs()`` -- record the input statistics the next query
+  answers for, without recompiling (the paper's advantage #3: "repeated
+  computation of switching activity of the circuit with different input
+  statistics does not require much time").
 
 :func:`exact_switching_by_enumeration` is the brute-force oracle used
 to prove exactness on small circuits.
@@ -162,40 +165,26 @@ class SwitchingActivityEstimator:
         return self._jt
 
     def update_inputs(self, input_model: InputModel) -> None:
-        """Swap input statistics without recompiling.
+        """Swap the input statistics the next query answers for.
 
-        Requires the new model to induce the same input-to-input edge
-        structure (e.g. independent -> temporal is fine; adding new
-        correlation groups needs a recompile).
+        Nothing is installed here: every query stacks the recorded
+        model's tables into the compiled tree.  The new model must
+        induce the same input-to-input edge structure (e.g. independent
+        -> temporal is fine; adding new correlation groups needs a
+        recompile).
         """
         self.compile()
-        new_cpds = input_model.input_cpds(self.circuit.inputs)
-        self._jt.update_cpds(new_cpds)
         self.input_model = input_model
 
     # ------------------------------------------------------------------
 
-    def estimate(self, lines=None) -> SwitchingEstimate:
-        """Calibrate and return every line's transition distribution.
+    def estimate(self) -> SwitchingEstimate:
+        """Every line's transition distribution under ``self.input_model``.
 
-        ``lines`` restricts which marginals are extracted (default: all
-        circuit lines).  A single query is a one-scenario batch: the
-        result is row 0 of :meth:`estimate_many_stacked` over
-        ``[self.input_model]``'s tables, so it is bitwise-identical to
-        ``estimate_many([self.input_model])[0]``.
+        A single query is a one-scenario batch: row 0 of
+        :meth:`estimate_many` over ``[self.input_model]``.
         """
-        wanted = list(self.circuit.lines) if lines is None else list(lines)
-        stack = InputStack([self.input_model], self.circuit.inputs)
-        tables, parents = stack.tables(self.circuit.inputs)
-        batched, _, seconds = self.estimate_many_stacked(
-            tables, wanted, parents=parents, rows=1
-        )
-        return SwitchingEstimate(
-            distributions={line: batched[line][0] for line in wanted},
-            compile_seconds=self.compile_seconds,
-            propagate_seconds=seconds,
-            method=Method.SINGLE_BN.value,
-        )
+        return self.estimate_many([self.input_model])[0]
 
     def estimate_many(self, input_models) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios in one batched pass.
@@ -305,9 +294,8 @@ class SwitchingActivityEstimator:
         return self._jt.support_stats()
 
     def line_distribution(self, line: str) -> np.ndarray:
-        """Convenience: one line's 4-state marginal."""
-        self.compile()
-        return self._jt.marginal(line)
+        """One line's 4-state marginal under ``self.input_model``."""
+        return self.conditional_distribution(line, {})
 
     def conditional_distribution(
         self, line: str, evidence: Mapping[str, int]
@@ -317,16 +305,22 @@ class SwitchingActivityEstimator:
         The Bayesian network answers *diagnostic* queries the classic
         propagation methods cannot: e.g. the switching of an internal
         line given that a primary output was observed to rise
-        (``evidence={"out": TransitionState.X01}``).  The evidence is
-        local to this call.
+        (``evidence={"out": TransitionState.X01}``).  The answer is row
+        0 of a one-scenario :meth:`estimate_many_stacked` over
+        ``self.input_model``'s tables, with the evidence multiplied
+        into that install; the evidence is local to this call.
         """
         self.compile()
+        stack = InputStack([self.input_model], self.circuit.inputs)
+        tables, parents = stack.tables(self.circuit.inputs)
         self._jt.set_evidence({k: int(v) for k, v in evidence.items()})
         try:
-            self._jt.calibrate()
-            return self._jt.marginal(line)
+            batched, _, _ = self.estimate_many_stacked(
+                tables, [line], parents=parents, rows=1
+            )
         finally:
             self._jt.clear_evidence()
+        return batched[line][0]
 
     def conditional_switching(self, line: str, evidence: Mapping[str, int]) -> float:
         """Switching activity of ``line`` given observed transitions."""

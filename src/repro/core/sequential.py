@@ -165,13 +165,18 @@ class SequentialSwitchingEstimator:
         return self
 
     def _next_state_conditionals(
-        self, state_dists: Dict[str, np.ndarray]
+        self, model: InputModel, state_dists: Dict[str, np.ndarray]
     ) -> Dict[str, np.ndarray]:
         """``P(next(child) | next(parent))`` per chain edge, by variable
-        elimination on the core's (freshly updated) network."""
+        elimination on the core's network with ``model``'s input CPDs."""
         from repro.bayesian.elimination import variable_elimination
+        from repro.bayesian.network import BayesianNetwork
 
-        bn = self._estimator._bn
+        core = self._estimator._bn
+        inputs = {cpd.variable: cpd for cpd in model.input_cpds(self.circuit.inputs)}
+        bn = BayesianNetwork(core.name)
+        for cpd in core.cpds():
+            bn.add_cpd(inputs.get(cpd.variable, cpd))
         conditionals: Dict[str, np.ndarray] = {}
         for child, parent in self._chain.items():
             next_child = self.state_map[child]
@@ -214,10 +219,7 @@ class SequentialSwitchingEstimator:
                 )
             else:
                 model = FixedMarginalInputs(priors)
-            if isinstance(self._estimator, SwitchingActivityEstimator):
-                self._estimator.update_inputs(model)
-            else:
-                self._estimator.input_model = model
+            self._estimator.update_inputs(model)
             result = self._estimator.estimate()
             residual = 0.0
             new_states: Dict[str, np.ndarray] = {}
@@ -229,7 +231,7 @@ class SequentialSwitchingEstimator:
                 new_states[present] = updated
             state_dists = new_states
             if self._chain:
-                new_conditionals = self._next_state_conditionals(state_dists)
+                new_conditionals = self._next_state_conditionals(model, state_dists)
                 for child, rows in new_conditionals.items():
                     if child in conditionals:
                         residual = max(

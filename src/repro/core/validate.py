@@ -11,8 +11,9 @@ pass is invoked from three places:
 - :func:`repro.circuits.bench.parse_bench` (declaration-level checks
   with ``.bench`` line numbers, before a :class:`Circuit` exists),
 - the backend facade (:func:`validate_circuit` /
-  :func:`validate_input_model` on every ``compile_model`` call, so
-  hand-built or mutated objects are caught too).
+  :func:`validate_input_model` on every ``compile_model`` call, and
+  :func:`validate_many` once per sweep, so hand-built or mutated
+  objects are caught too).
 
 Every rejection raises a typed exception from :mod:`repro.errors`.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "validate",
     "validate_circuit",
     "validate_input_model",
+    "validate_many",
 ]
 
 _ATOL = 1e-9  # tolerance for "marginal sums to one"
@@ -205,3 +207,33 @@ def validate(circuit: "Circuit", model: Optional["InputModel"] = None) -> None:
     validate_circuit(circuit)
     if model is not None:
         validate_input_model(circuit, model)
+
+
+def validate_many(circuit: "Circuit", models: Sequence["InputModel"]) -> None:
+    """Validate a circuit once and every model of a sweep against it.
+
+    The checks :func:`validate` runs per model, with one circuit pass:
+    the models' marginals are read through one
+    :class:`~repro.core.inputs.InputStack` (one vectorized build per
+    in-repo class, a bad row named by its scenario); any other model
+    also goes through :func:`validate_input_model`, which checks its
+    CPD coverage.
+    """
+    from repro.core.inputs import _ARRAY_MODELS, InputStack
+
+    validate_circuit(circuit)
+    if not models:
+        return
+    for model in models:
+        if type(model) not in _ARRAY_MODELS:
+            validate_input_model(circuit, model)
+    try:
+        marginals = InputStack(models, circuit.inputs).marginals
+    except KeyError as exc:
+        raise InputModelError(f"input model provides no statistics: {exc}") from exc
+    ok = np.isfinite(marginals).all(axis=-1) & (marginals >= 0).all(axis=-1)
+    ok &= np.abs(marginals.sum(axis=-1) - 1.0) <= _ATOL
+    for row in np.flatnonzero(~ok.all(axis=1)):
+        # An in-repo model over a malformed base: the scalar checks
+        # name the input and what is wrong with it.
+        validate_input_model(circuit, models[row])

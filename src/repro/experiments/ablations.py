@@ -113,10 +113,7 @@ def ablate_compile_vs_propagate(
         propagate_times = []
         for k in range(n_statistics):
             p = 0.2 + 0.6 * k / max(n_statistics - 1, 1)
-            if hasattr(estimator, "update_inputs"):
-                estimator.update_inputs(IndependentInputs(p))
-            else:
-                estimator.input_model = IndependentInputs(p)
+            estimator.update_inputs(IndependentInputs(p))
             with get_tracer().span(
                 "ablation.repropagate", circuit=name, p_one=p
             ) as span:

@@ -10,7 +10,6 @@ from repro.bayesian.triangulate import (
     find_elimination_order,
     is_chordal,
     max_clique_state_space,
-    treewidth_of_order,
     triangulate,
 )
 
@@ -126,12 +125,13 @@ class TestCliques:
             assert any({u, v} <= c for c in cliques)
 
 
-class TestMetrics:
-    def test_treewidth_of_cycle(self):
-        g = cycle_graph(6)
-        order = find_elimination_order(g)
-        assert treewidth_of_order(g, order) == 2
+def width_of_order(graph, order):
+    """Largest eliminated neighbourhood along ``order``."""
+    chordal, _, _ = triangulate(graph, order=order)
+    return max(len(c) for c in elimination_cliques(chordal, order)) - 1
 
+
+class TestMetrics:
     def test_max_clique_state_space(self):
         cliques = [frozenset({"a", "b"}), frozenset({"c"})]
         assert max_clique_state_space(cliques, {"a": 4, "b": 4, "c": 2}) == 16
@@ -142,8 +142,8 @@ class TestMetrics:
         total_fill, total_degree = 0, 0
         for seed in range(12):
             g = random_graph(12, 0.3, seed)
-            total_fill += treewidth_of_order(g, find_elimination_order(g, "min_fill"))
-            total_degree += treewidth_of_order(
+            total_fill += width_of_order(g, find_elimination_order(g, "min_fill"))
+            total_degree += width_of_order(
                 g, find_elimination_order(g, "min_degree")
             )
         assert total_fill <= total_degree + 2

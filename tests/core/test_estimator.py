@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.bayesian.cpd import TabularCPD
 from repro.circuits import examples, generate
 from repro.core import (
     IndependentInputs,
     SwitchingActivityEstimator,
     TemporalInputs,
     CorrelatedGroupInputs,
+    TransitionState,
     exact_switching_by_enumeration,
 )
+from repro.core.inputs import InputStack
 from repro.errors import CliqueBudgetExceeded
 
 
@@ -114,6 +117,46 @@ class TestApi:
         jt = estimator.junction_tree
         estimator.update_inputs(IndependentInputs(0.2))
         assert estimator.junction_tree is jt
+
+    def test_update_inputs_only_records_the_model(self, monkeypatch):
+        circuit = examples.c17()
+        estimator = SwitchingActivityEstimator(circuit).compile()
+        network = estimator.junction_tree._bn
+        before = {name: network.cpd(name) for name in circuit.inputs}
+
+        def no_cpd(*args, **kwargs):
+            raise AssertionError("update_inputs built a TabularCPD")
+
+        model = TemporalInputs(0.3, 0.2)
+        with monkeypatch.context() as patch:
+            patch.setattr(TabularCPD, "__init__", no_cpd)
+            patch.setattr(TabularCPD, "_trusted", no_cpd)
+            estimator.update_inputs(model)
+        assert estimator.input_model is model
+        for name in circuit.inputs:
+            assert network.cpd(name) is before[name]
+
+        # The one-line reads are rows of a one-scenario stacked pass.
+        tables, parents = InputStack([model], circuit.inputs).tables(circuit.inputs)
+        lines = list(circuit.lines)
+
+        def stacked_row():
+            rows, _, _ = estimator.estimate_many_stacked(
+                tables, lines, parents=parents, rows=1
+            )
+            return {line: rows[line][0] for line in lines}
+
+        plain = stacked_row()
+        evidence = {circuit.outputs[0]: TransitionState.X01}
+        estimator.junction_tree.set_evidence(evidence)
+        conditioned = stacked_row()
+        estimator.junction_tree.clear_evidence()
+        for line in lines:
+            assert np.array_equal(estimator.line_distribution(line), plain[line])
+            assert np.array_equal(
+                estimator.conditional_distribution(line, evidence), conditioned[line]
+            )
+        assert not np.array_equal(conditioned["22"], plain["22"])
 
     def test_line_distribution(self):
         estimator = SwitchingActivityEstimator(examples.c17())

@@ -235,11 +235,11 @@ class TestDedupAcrossChunks:
         assert max(propagated) == len(distinct) < len(sweep)
 
 
-def _sprinkler_cpds(p):
-    """sprinkler_bn root CPD sets; ``p=None`` puts zero mass on cloudy."""
-    if p is None:
-        return [TabularCPD._trusted("cloudy", np.zeros(2))]
-    return [TabularCPD.prior("cloudy", [p, 1.0 - p])]
+def _install_sprinkler_rows(jt, ps):
+    """One scenario per ``p`` of sprinkler_bn's root ``cloudy``;
+    ``p=None`` puts zero mass on it."""
+    rows = [np.zeros(2) if p is None else np.array([p, 1.0 - p]) for p in ps]
+    jt.update_tables_batch({"cloudy": np.stack(rows)}, len(rows))
 
 
 class _ZeroMassInputs(IndependentInputs):
@@ -257,9 +257,7 @@ class _ZeroMassInputs(IndependentInputs):
 class TestZeroBeliefAfterDedup:
     def test_every_scenario_sharing_a_zero_row_is_reported(self):
         jt = JunctionTree.from_network(sprinkler_bn())
-        jt.update_cpds_batch(
-            [_sprinkler_cpds(p) for p in (0.3, None, 0.6, None, 0.3)]
-        )
+        _install_sprinkler_rows(jt, (0.3, None, 0.6, None, 0.3))
         with pytest.raises(ZeroBeliefError) as excinfo:
             jt.marginals_batch(["cloudy"])
         assert excinfo.value.batch_indices == (1, 3)
@@ -267,9 +265,7 @@ class TestZeroBeliefAfterDedup:
 
     def test_skip_zero_nan_fills_every_sharing_scenario(self):
         jt = JunctionTree.from_network(sprinkler_bn())
-        jt.update_cpds_batch(
-            [_sprinkler_cpds(p) for p in (0.3, None, 0.6, None, 0.3)]
-        )
+        _install_sprinkler_rows(jt, (0.3, None, 0.6, None, 0.3))
         out = jt.marginals_batch(["cloudy", "wet"], skip_zero=True)
         for row in (1, 3):
             assert np.isnan(out["wet"][row]).all()

@@ -6,10 +6,21 @@ import pytest
 from repro.circuits.examples import c17
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit, Gate
-from repro.core.backend import compile_model
-from repro.core.inputs import IndependentInputs, InputModel
+from repro.core import validate as validate_module
+from repro.core.backend import compile_model, estimate_many
+from repro.core.inputs import (
+    CorrelatedGroupInputs,
+    IndependentInputs,
+    InputModel,
+    TraceInputs,
+)
 from repro.core.segments import FixedMarginalInputs
-from repro.core.validate import validate, validate_circuit, validate_input_model
+from repro.core.validate import (
+    validate,
+    validate_circuit,
+    validate_input_model,
+    validate_many,
+)
 from repro.errors import (
     CombinationalCycleError,
     DuplicateDefinitionError,
@@ -142,3 +153,57 @@ class TestValidateInputModel:
     def test_facade_rejects_bad_model(self):
         with pytest.raises(InputModelError):
             compile_model(c17(), {"not": "a model"}, backend="junction-tree")
+
+
+class TestValidateMany:
+    """A sweep validates its circuit once and its models as one stack."""
+
+    def test_circuit_checked_once_per_sweep(self, monkeypatch):
+        calls = []
+        check = validate_module.validate_circuit
+        monkeypatch.setattr(
+            validate_module, "validate_circuit", lambda c: calls.append(c) or check(c)
+        )
+        models = [IndependentInputs(0.1 * k) for k in range(1, 9)]
+        estimate_many(c17(), models, backend="junction-tree")
+        assert len(calls) == 1
+
+    def test_bad_row_is_named(self):
+        models = [IndependentInputs(0.3), IndependentInputs(0.5), IndependentInputs(1.5)]
+        with pytest.raises(InputModelError, match="scenario 2: p_one"):
+            estimate_many(c17(), models, backend="junction-tree")
+
+    def test_trace_missing_input_rejected(self):
+        circuit = c17()
+        trace = TraceInputs(np.zeros((4, 2), dtype=int), circuit.inputs[:2])
+        with pytest.raises(InputModelError, match="no statistics"):
+            validate_many(circuit, [IndependentInputs(0.5), trace])
+
+    def test_third_party_model_keeps_the_cpd_check(self):
+        circuit = c17()
+        quarter = np.full(4, 0.25)
+
+        class Bad(FixedMarginalInputs):
+            def input_cpds(self, input_names):
+                return super().input_cpds(list(input_names)[:-1])
+
+        models = [IndependentInputs(0.5), Bad({name: quarter for name in circuit.inputs})]
+        with pytest.raises(InputModelError, match="no CPD"):
+            estimate_many(circuit, models, backend="junction-tree")
+
+    def test_malformed_base_rejected(self):
+        circuit = c17()
+
+        class Half(InputModel):
+            def marginal_distribution(self, name):
+                return np.full(4, 0.125)
+
+            def input_cpds(self, input_names):
+                return []
+
+            def sample_pairs(self, input_names, n_pairs, rng):
+                raise NotImplementedError
+
+        model = CorrelatedGroupInputs([circuit.inputs[:2]], 0.5, base=Half())
+        with pytest.raises(InputModelError, match="sums to"):
+            validate_many(circuit, [IndependentInputs(0.5), model])
