@@ -24,7 +24,9 @@ itself -- by driving a live server with closed-loop clients:
   scenario is compared byte-for-byte against a fresh, uncached
   in-process propagation.
 - ``speedup`` (batched rows) -- batched over unbatched scenarios/sec
-  at the same concurrency.
+  at the same concurrency: the median of the ratios of runs made back
+  to back, one pair per repeat, with the ratios as the row's
+  ``samples`` (its spread).
 - ``cached_speedup`` (cached rows) -- cached over *batched*
   scenarios/sec at the same concurrency: the reuse win on top of the
   batching win.
@@ -32,7 +34,9 @@ itself -- by driving a live server with closed-loop clients:
 The batcher is work-conserving: a lane lingers only for as many
 requests as its last batch had, so at concurrency 1 (every batch a
 singleton) a request never waits for batch-mates and batched serving
-runs at about the unbatched rate.  The batching win appears as
+runs at about the unbatched rate: its ``speedup`` reads 1.00 within
+its samples' spread, which is why every cell issues at least
+:data:`MIN_CELL_REQUESTS` requests.  The batching win appears as
 concurrency grows, and the caching win grows with the stream's skew.
 Latency percentiles are nearest-rank over every request in the cell.
 
@@ -45,12 +49,15 @@ Usage::
         [--quick] [--output BENCH_serving.json]
 
 ``--quick`` shrinks the run to the CI smoke configuration (c17 only,
-concurrency {1, 4}, 8 requests per client).
+concurrency {1, 4}, 8 requests per client, so every cell holds the
+:data:`MIN_CELL_REQUESTS` floor).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import statistics
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -69,6 +76,11 @@ DEFAULT_CONCURRENCY = [1, 4, 16]
 
 #: the three server configurations a report covers
 MODES = ("unbatched", "batched", "cached")
+
+#: Fewest requests a cell issues, whatever its concurrency: with 20
+#: requests, c=1 cells of two modes running identical code read
+#: 0.96-1.03x of each other; 150-200 read 0.97-1.02x.
+MIN_CELL_REQUESTS = 160
 
 #: Per-run salt step (sqrt(2) - 1).  ``scenario_spec`` keeps only the
 #: fractional part of ``index * PHI + salt``, so a whole-number salt
@@ -142,8 +154,41 @@ def _verify_cached_bitwise(
     return payload["distributions"] == oracle
 
 
-def bench_mode(
-    mode: str,
+def _config(
+    mode: str, max_batch: int, linger_ms: float, workers: int, result_cache_entries: int
+) -> ServerConfig:
+    """The server configuration of one mode (see the module docstring)."""
+    if mode == "unbatched":
+        return ServerConfig(port=0, cache=None, max_batch=1, linger_ms=0.0,
+                            workers=workers, result_cache_entries=0)
+    return ServerConfig(
+        port=0, cache=None, max_batch=max_batch, linger_ms=linger_ms,
+        workers=workers,
+        result_cache_entries=result_cache_entries if mode == "cached" else 0,
+    )
+
+
+def _run(server, mode, name, concurrency, requests, salt, workload):
+    """One closed-loop load run: ``(report, (items, batches, deduped),
+    hit rate)``, the counters being this run's own deltas."""
+    hits0, misses0 = _cache_counts(server)
+    batcher0 = _batcher_counts(server)
+    report = run_load(
+        server.address, name, mode="closed", concurrency=concurrency,
+        requests=requests, salt=salt, workload=workload,
+    )
+    batcher = tuple(
+        after - before for after, before in zip(_batcher_counts(server), batcher0)
+    )
+    hit_rate = None
+    if mode == "cached":
+        hits1, misses1 = _cache_counts(server)
+        lookups = (hits1 - hits0) + (misses1 - misses0)
+        hit_rate = (hits1 - hits0) / lookups if lookups else 0.0
+    return report, batcher, hit_rate
+
+
+def bench_cells(
     circuits: List[str],
     concurrency_levels: List[int],
     requests_per_client: int,
@@ -153,130 +198,123 @@ def bench_mode(
     repeats: int,
     cached_workload: str,
     result_cache_entries: int,
-) -> List[Dict[str, object]]:
-    """One server lifetime per mode; every (circuit, concurrency) cell
-    runs against it so the model pool stays warm across cells."""
-    if mode == "unbatched":
-        config = ServerConfig(port=0, cache=None, max_batch=1, linger_ms=0.0,
-                              workers=workers, result_cache_entries=0)
-    elif mode == "batched":
-        config = ServerConfig(port=0, cache=None, max_batch=max_batch,
-                              linger_ms=linger_ms, workers=workers,
-                              result_cache_entries=0)
-    else:
-        config = ServerConfig(port=0, cache=None, max_batch=max_batch,
-                              linger_ms=linger_ms, workers=workers,
-                              result_cache_entries=result_cache_entries)
-    workload = cached_workload if mode == "cached" else "uniform"
+) -> "Tuple[List[Dict[str, object]], Dict[Tuple[str, int], List[float]]]":
+    """Every (circuit, concurrency) cell against one server per mode,
+    all up for the whole report so their model pools stay warm.
+
+    Each repeat runs the three modes back to back on one salt, in
+    alternating order, so machine drift between repeats hits every mode
+    alike; each server compiles a circuit's model before its first
+    timed run.  A cell
+    reports each mode's best run (the repo-wide min-over-repeats idiom:
+    closed-loop throughput on a shared box is one-sided noise).  Each
+    repeat's salt changes every scenario, so a cached run never rides
+    an earlier run's entries; its hit rate and batcher rows come from
+    the counter deltas it contributed itself.  Also returns each cell's
+    per-repeat batched/unbatched rate ratios, for ``speedup``.
+    """
     rows: List[Dict[str, object]] = []
+    ratios: Dict[Tuple[str, int], List[float]] = {}
     run = 0
-    with EstimationServer(config) as server:
+    with contextlib.ExitStack() as stack:
+        servers = {
+            mode: stack.enter_context(EstimationServer(_config(
+                mode, max_batch, linger_ms, workers, result_cache_entries
+            )))
+            for mode in MODES
+        }
         for name in circuits:
+            for server in servers.values():
+                # Compile the model before any timed run.
+                ServeClient(server.address).estimate(name, detail="mean")
             for concurrency in concurrency_levels:
-                # Best of ``repeats`` runs per cell (the repo-wide
-                # min-over-repeats idiom): closed-loop throughput on a
-                # shared box is one-sided noise -- interference only
-                # ever slows it down.  Each run's salt changes every
-                # scenario, so a cached run never rides an earlier
-                # run's entries; its hit rate comes from the
-                # hits/misses counter deltas it contributed itself, and
-                # its batcher rows likewise come from its own deltas.
-                best = None
-                best_hit_rate: Optional[float] = None
-                best_batcher = (0, 0, 0)
-                best_salt = 0.0
-                for _ in range(repeats):
+                requests = max(concurrency * requests_per_client, MIN_CELL_REQUESTS)
+                best: Dict[str, tuple] = {}
+                cell_ratios = ratios[(name, concurrency)] = []
+                for repeat in range(repeats):
                     salt = (run * SALT_STEP) % 1.0
                     run += 1
-                    hits0, misses0 = _cache_counts(server)
-                    batcher0 = _batcher_counts(server)
-                    report = run_load(
-                        server.address,
-                        name,
-                        mode="closed",
-                        concurrency=concurrency,
-                        requests=concurrency * requests_per_client,
-                        salt=salt,
-                        workload=workload,
-                    )
-                    if best is None or report.scenarios_per_sec > best.scenarios_per_sec:
-                        best = report
-                        best_salt = salt
-                        best_batcher = tuple(
-                            after - before
-                            for after, before in zip(
-                                _batcher_counts(server), batcher0
-                            )
+                    rates = {}
+                    for mode in MODES if repeat % 2 == 0 else MODES[::-1]:
+                        workload = cached_workload if mode == "cached" else "uniform"
+                        result = _run(
+                            servers[mode], mode, name, concurrency, requests,
+                            salt, workload,
                         )
-                        if mode == "cached":
-                            hits1, misses1 = _cache_counts(server)
-                            lookups = (hits1 - hits0) + (misses1 - misses0)
-                            best_hit_rate = (
-                                (hits1 - hits0) / lookups if lookups else 0.0
-                            )
-                report = best
-                row: Dict[str, object] = {
-                    "circuit": name,
-                    "mode": mode,
-                    "concurrency": concurrency,
-                    "requests": report.requests,
-                    "errors": report.errors,
-                    "scenarios_per_sec": report.scenarios_per_sec,
-                    "p50_latency_seconds": report.p50_latency_seconds,
-                    "p99_latency_seconds": report.p99_latency_seconds,
-                }
-                items, batches, deduped = best_batcher
-                if mode in ("batched", "cached"):
-                    row["batches"] = batches
-                    row["mean_batch_size"] = items / batches if batches else 0.0
-                if mode == "cached":
-                    row["deduped_requests"] = deduped
-                    row["workload"] = workload
-                    row["cache_hit_rate"] = best_hit_rate
-                    row["bitwise_equal"] = _verify_cached_bitwise(
-                        server, name, best_salt
-                    )
-                rows.append(row)
-                hit_note = (
-                    f"  hit_rate {best_hit_rate:5.2f}"
-                    if best_hit_rate is not None
-                    else ""
-                )
-                print(
-                    f"{name:>10s}  {mode:>9s}  c={concurrency:<3d} "
-                    f"{report.scenarios_per_sec:9.1f}/s  "
-                    f"p50 {report.p50_latency_seconds * 1e3:7.1f}ms  "
-                    f"p99 {report.p99_latency_seconds * 1e3:7.1f}ms"
-                    + hit_note
-                    + (f"  errors={report.errors}" if report.errors else "")
-                )
-    return rows
+                        rates[mode] = result[0].scenarios_per_sec
+                        if mode not in best or rates[mode] > best[mode][0].scenarios_per_sec:
+                            best[mode] = result + (salt,)
+                    cell_ratios.append(rates["batched"] / rates["unbatched"])
+                for mode in MODES:
+                    report, batcher, hit_rate, salt = best[mode]
+                    rows.append(_cell_row(
+                        servers[mode], mode, name, concurrency, report,
+                        batcher, hit_rate, salt, cached_workload,
+                    ))
+    return rows, ratios
 
 
-def annotate_speedups(rows: List[Dict[str, object]]) -> None:
-    """Attach ``speedup`` to batched rows (batched / unbatched rate)
-    and ``cached_speedup`` to cached rows (cached / batched rate)."""
-    unbatched = {
-        (row["circuit"], row["concurrency"]): row["scenarios_per_sec"]
-        for row in rows
-        if row["mode"] == "unbatched"
+def _cell_row(
+    server, mode, name, concurrency, report, batcher, hit_rate, salt, workload
+) -> Dict[str, object]:
+    """One cell's row from its best run, printed as it is built."""
+    row: Dict[str, object] = {
+        "circuit": name,
+        "mode": mode,
+        "concurrency": concurrency,
+        "requests": report.requests,
+        "errors": report.errors,
+        "scenarios_per_sec": report.scenarios_per_sec,
+        "p50_latency_seconds": report.p50_latency_seconds,
+        "p99_latency_seconds": report.p99_latency_seconds,
     }
+    items, batches, deduped = batcher
+    if mode in ("batched", "cached"):
+        row["batches"] = batches
+        row["mean_batch_size"] = items / batches if batches else 0.0
+    if mode == "cached":
+        row["deduped_requests"] = deduped
+        row["workload"] = workload
+        row["cache_hit_rate"] = hit_rate
+        row["bitwise_equal"] = _verify_cached_bitwise(server, name, salt)
+    hit_note = f"  hit_rate {hit_rate:5.2f}" if hit_rate is not None else ""
+    print(
+        f"{name:>10s}  {mode:>9s}  c={concurrency:<3d} "
+        f"{report.scenarios_per_sec:9.1f}/s  "
+        f"p50 {report.p50_latency_seconds * 1e3:7.1f}ms  "
+        f"p99 {report.p99_latency_seconds * 1e3:7.1f}ms"
+        + hit_note
+        + (f"  errors={report.errors}" if report.errors else "")
+    )
+    return row
+
+
+def annotate_speedups(
+    rows: List[Dict[str, object]], ratios: Dict[Tuple[str, int], List[float]]
+) -> None:
+    """Attach ``speedup`` to batched rows -- the median of the cell's
+    per-repeat batched/unbatched ratios, which ride along as the row's
+    samples so it reports its own spread -- and ``cached_speedup`` to
+    cached rows (cached / batched best rate)."""
     batched = {
         (row["circuit"], row["concurrency"]): row["scenarios_per_sec"]
         for row in rows
         if row["mode"] == "batched"
     }
     for row in rows:
+        cell = (row["circuit"], row["concurrency"])
         if row["mode"] == "batched":
-            base = unbatched.get((row["circuit"], row["concurrency"]))
-            if base:
-                row["speedup"] = row["scenarios_per_sec"] / base
-                print(
-                    f"{row['circuit']:>10s}  c={row['concurrency']:<3d} "
-                    f"batching speedup {row['speedup']:5.2f}x"
-                )
+            samples = ratios[cell]
+            row["speedup"] = float(statistics.median(samples))
+            row["samples"] = {"speedup": samples}
+            print(
+                f"{row['circuit']:>10s}  c={row['concurrency']:<3d} "
+                f"batching speedup {row['speedup']:5.2f}x "
+                f"({min(samples):.2f}-{max(samples):.2f} over "
+                f"{len(samples)} paired runs)"
+            )
         elif row["mode"] == "cached":
-            base = batched.get((row["circuit"], row["concurrency"]))
+            base = batched.get(cell)
             if base:
                 row["cached_speedup"] = row["scenarios_per_sec"] / base
                 print(
@@ -298,7 +336,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--requests-per-client", type=int, default=20,
-        help="requests each client issues per cell (default: 20)",
+        help="requests each client issues per cell (default: 20; a "
+             f"cell issues at least {MIN_CELL_REQUESTS})",
     )
     parser.add_argument(
         "--max-batch", type=int, default=16,
@@ -353,23 +392,21 @@ def main(argv=None) -> int:
         parser.error("--result-cache-entries must be >= 1 (cached mode "
                      "needs a result cache)")
 
-    cells: List[Dict[str, object]] = []
-    for mode in MODES:
-        cells.extend(
-            bench_mode(
-                mode, circuits, concurrency_levels, requests_per_client,
-                args.max_batch, args.linger_ms, args.workers, repeats,
-                args.cached_workload, args.result_cache_entries,
-            )
-        )
-    annotate_speedups(cells)
+    cells, ratios = bench_cells(
+        circuits, concurrency_levels, requests_per_client,
+        args.max_batch, args.linger_ms, args.workers, repeats,
+        args.cached_workload, args.result_cache_entries,
+    )
+    annotate_speedups(cells, ratios)
 
     rows = []
     for cell in cells:
         key = {"mode": cell["mode"], "concurrency": cell["concurrency"]}
         if cell.get("workload"):
             key["workload"] = cell["workload"]
-        rows += stage_rows(cell["circuit"], cell, STAGES, **key)
+        rows += stage_rows(
+            cell["circuit"], cell, STAGES, samples=cell.get("samples"), **key
+        )
     config = {
         "circuits": circuits,
         "concurrency": concurrency_levels,

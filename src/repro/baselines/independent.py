@@ -24,25 +24,12 @@ from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.core.cpt import _decode_flat, _transition_function
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.states import N_STATES, signal_probability, switching_probability
+from repro.core.states import N_STATES, LineResult, signal_probability, switching_probability
 
 
 @dataclass
-class IndependenceResult:
+class IndependenceResult(LineResult):
     """Per-line transition distributions under the independence assumption."""
-
-    distributions: Dict[str, np.ndarray]
-
-    def switching(self, line: str) -> float:
-        return switching_probability(self.distributions[line])
-
-    @property
-    def activities(self) -> Dict[str, float]:
-        return {ln: self.switching(ln) for ln in self.distributions}
-
-    def mean_activity(self) -> float:
-        acts = self.activities
-        return float(np.mean(list(acts.values()))) if acts else 0.0
 
 
 def independence_switching(

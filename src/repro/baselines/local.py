@@ -23,27 +23,15 @@ import numpy as np
 from repro.circuits.netlist import Circuit
 from repro.core.cpt import _transition_function
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.states import N_STATES, switching_probability
+from repro.core.states import N_STATES, LineResult
 
 
 @dataclass
-class LocalConeResult:
+class LocalConeResult(LineResult):
     """Per-line 4-state distributions from depth-bounded cones."""
 
-    distributions: Dict[str, np.ndarray]
     #: actual cone depth used per line (after input-budget shrinking)
     depths: Dict[str, int]
-
-    def switching(self, line: str) -> float:
-        return switching_probability(self.distributions[line])
-
-    @property
-    def activities(self) -> Dict[str, float]:
-        return {ln: self.switching(ln) for ln in self.distributions}
-
-    def mean_activity(self) -> float:
-        acts = self.activities
-        return float(np.mean(list(acts.values()))) if acts else 0.0
 
 
 def _bounded_cone(

@@ -17,26 +17,16 @@ import numpy as np
 from repro.baselines.simulation import simulate_switching
 from repro.circuits.netlist import Circuit
 from repro.core.inputs import InputModel
-from repro.core.states import N_STATES
+from repro.core.states import N_STATES, LineResult
 
 
 @dataclass
-class MonteCarloResult:
+class MonteCarloResult(LineResult):
     """Adaptive Monte-Carlo estimate with convergence metadata."""
 
-    distributions: Dict[str, np.ndarray]
     n_pairs: int
     converged: bool
     half_width: float
-
-    def switching(self, line: str) -> float:
-        dist = self.distributions[line]
-        return float(dist[1] + dist[2])
-
-    def mean_activity(self) -> float:
-        return float(
-            np.mean([self.switching(line) for line in self.distributions])
-        )
 
 
 def monte_carlo_switching(

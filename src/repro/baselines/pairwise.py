@@ -33,24 +33,19 @@ import numpy as np
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.states import signal_probability
+from repro.core.states import LineResult, signal_probability
 
 _EPS = 1e-12
 
 
 @dataclass
-class PairwiseResult:
-    """Signal probabilities and switching activities from pairwise
-    correlation propagation."""
+class PairwiseResult(LineResult):
+    """Signal probabilities from pairwise correlation propagation, and
+    the 4-state distribution each line's ``(p, a)`` pins down, where
+    ``a = 2 p (1 - p)``: ``P(x01) = P(x10) = a / 2``, the rest split by
+    ``p``."""
 
     signal_probabilities: Dict[str, float]
-    activities: Dict[str, float]
-
-    def switching(self, line: str) -> float:
-        return self.activities[line]
-
-    def mean_activity(self) -> float:
-        return float(np.mean(list(self.activities.values())))
 
 
 class _PairwiseState:
@@ -230,5 +225,9 @@ def pairwise_switching(
         index[line] = state.add_line(p_y, row_y)
 
     probabilities = {name: float(state.p[idx]) for name, idx in index.items()}
-    activities = {name: 2.0 * p * (1.0 - p) for name, p in probabilities.items()}
-    return PairwiseResult(signal_probabilities=probabilities, activities=activities)
+    p = np.array(list(probabilities.values()))
+    half = p * (1.0 - p)
+    table = np.clip(np.stack([1.0 - p - half, half, half, p - half], axis=1), 0.0, 1.0)
+    return PairwiseResult(
+        distributions=dict(zip(probabilities, table)), signal_probabilities=probabilities
+    )

@@ -12,34 +12,21 @@ processed in batches to bound memory on multi-thousand-line circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.circuits.netlist import Circuit
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.states import N_STATES, switching_probability
+from repro.core.states import N_STATES, LineResult
 
 
 @dataclass
-class SimulationResult:
+class SimulationResult(LineResult):
     """Empirical transition statistics from logic simulation."""
 
-    #: empirical 4-state distribution per line
-    distributions: Dict[str, np.ndarray]
     #: number of vector pairs simulated
     n_pairs: int
-
-    def switching(self, line: str) -> float:
-        return switching_probability(self.distributions[line])
-
-    @property
-    def activities(self) -> Dict[str, float]:
-        return {ln: self.switching(ln) for ln in self.distributions}
-
-    def mean_activity(self) -> float:
-        acts = self.activities
-        return float(np.mean(list(acts.values()))) if acts else 0.0
 
 
 def simulate_switching(

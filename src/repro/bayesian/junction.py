@@ -634,17 +634,31 @@ class JunctionTree:
         NaN-fills rows of zero-mass scenarios instead of raising,
         isolating them from their batch-mates.
         """
+        return self._read_rows(
+            lambda engine, rows: engine.marginals(variables, skip_zero, rows)
+        )
+
+    def marginal_rows_batch(
+        self, variables: Sequence[str], skip_zero: bool = False
+    ) -> np.ndarray:
+        """:meth:`marginals_batch` of variables of one cardinality as one
+        fresh ``(K, len(variables), card)`` block: row ``k`` holds
+        scenario ``k``'s marginals in the order of ``variables``, and a
+        duplicate scenario's row is its own copy."""
+        return self._read_rows(
+            lambda engine, rows: engine.marginal_rows(variables, skip_zero, rows)
+        )
+
+    def _read_rows(self, read):
+        """Propagate, then ``read(engine, scatter)`` (the duplicate
+        collapse's scatter, gathered in one indexing step)."""
         engine = self._require_engine()
         engine.propagate()
         try:
-            rows = engine.marginals(variables, skip_zero=skip_zero)
+            return read(engine, self._batch_scatter)
         except ZeroBeliefError as err:
             self._scatter_zero_error(err)
             raise
-        scatter = self._batch_scatter
-        if scatter is None:
-            return rows
-        return {var: values[scatter] for var, values in rows.items()}
 
     def joint_marginal_batch(self, variables: Sequence[str]) -> np.ndarray:
         """Batched joint posterior of variables sharing a clique: a

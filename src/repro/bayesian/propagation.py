@@ -1349,7 +1349,10 @@ class PropagationEngine:
 
     @_exclusive
     def marginals(
-        self, variables: Sequence[str], skip_zero: bool = False
+        self,
+        variables: Sequence[str],
+        skip_zero: bool = False,
+        rows: Optional[np.ndarray] = None,
     ) -> Dict[str, np.ndarray]:
         """Normalized single-variable marginals, ``{var: (K, card)}``.
 
@@ -1357,42 +1360,59 @@ class PropagationEngine:
         by its compiled read plan -- a ``(K, nnz) -> (K, card)`` sparse
         reduction of a packed clique, a BLAS chain of a dense one -- so
         no clique or joint table is materialized; every result is then
-        divided by its own row sums.  Row ``k`` is scenario ``k``'s
-        marginal, bitwise what a one-row engine computes.  Zero-mass
-        beliefs raise :class:`ZeroBeliefError` carrying a
+        divided by its own row sums.  The results are views of one
+        fresh ``(members, K, card)`` block per cardinality; ``rows``, an
+        index array over the engine's rows, gathers each block's
+        scenario rows once (``block[:, rows]``).  Row ``k`` is scenario
+        ``k``'s marginal, bitwise what a one-row engine computes.
+        Zero-mass beliefs raise :class:`ZeroBeliefError` carrying a
         ``batch_indices`` tuple that names the offending rows;
         ``skip_zero=True`` instead fills their rows with NaN so the
         remaining scenarios are unaffected.
         """
-        schedule = self.schedule
-        by_card: Dict[int, List[Tuple[str, int, int]]] = {}
+        by_card: Dict[int, List[str]] = {}
         for var in variables:
-            location = schedule.variable_axis.get(var)
-            if location is None:
-                raise KeyError(f"unknown variable {var!r}")
-            idx, axis = location
-            by_card.setdefault(schedule.shapes[idx][axis], []).append(
-                (var, idx, axis)
-            )
+            idx, axis = self.schedule.variable_axis[var]
+            by_card.setdefault(self.schedule.shapes[idx][axis], []).append(var)
         out: Dict[str, np.ndarray] = {}
-        for card, members in by_card.items():
-            block = np.empty((len(members), self.batch_size, card))
-            for result, (_, idx, axis) in zip(block, members):
-                plan = schedule.read_plan(idx, (axis,))
-                if schedule.sparse[idx]:
-                    _sparse_reduce(
-                        self._beta[idx], plan, result, self._gather_views[idx]
-                    )
-                else:
-                    _reduce_sum(self._beta[idx], plan, result, self._kernel_scratch)
-            totals = block.sum(axis=2)
-            zero = totals <= 0
-            if zero.any() and not skip_zero:
-                raise ZeroBeliefError.for_rows(np.flatnonzero(zero.any(axis=0)))
-            block /= np.where(zero, 1.0, totals)[..., None]
-            block[zero] = np.nan
-            out.update(zip((var for var, _, _ in members), block))
+        for members in by_card.values():
+            block = self._marginal_block(members, skip_zero)
+            out.update(zip(members, block if rows is None else block[:, rows]))
         return out
+
+    @_exclusive
+    def marginal_rows(
+        self,
+        variables: Sequence[str],
+        skip_zero: bool = False,
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`marginals` of variables of one cardinality as one fresh
+        scenario-major ``(K, len(variables), card)`` block, row ``k``
+        in the order of ``variables``; no two rows share memory."""
+        block = self._marginal_block(variables, skip_zero).transpose(1, 0, 2)
+        return np.ascontiguousarray(block) if rows is None else block[rows]
+
+    def _marginal_block(self, variables: Sequence[str], skip_zero: bool) -> np.ndarray:
+        """Normalized marginals of variables of one cardinality, one
+        fresh ``(len(variables), K, card)`` block."""
+        schedule = self.schedule
+        members = [schedule.variable_axis[var] for var in variables]
+        idx, axis = members[0]
+        block = np.empty((len(members), self.batch_size, schedule.shapes[idx][axis]))
+        for result, (idx, axis) in zip(block, members):
+            plan = schedule.read_plan(idx, (axis,))
+            if schedule.sparse[idx]:
+                _sparse_reduce(self._beta[idx], plan, result, self._gather_views[idx])
+            else:
+                _reduce_sum(self._beta[idx], plan, result, self._kernel_scratch)
+        totals = block.sum(axis=2)
+        zero = totals <= 0
+        if zero.any() and not skip_zero:
+            raise ZeroBeliefError.for_rows(np.flatnonzero(zero.any(axis=0)))
+        block /= np.where(zero, 1.0, totals)[..., None]
+        block[zero] = np.nan
+        return block
 
     def joint_marginal(
         self, idx: int, variables: Sequence[str], normalize: bool = True

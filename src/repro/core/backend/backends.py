@@ -105,9 +105,12 @@ class EstimatorCompiledModel(CompiledModel):
         become one :class:`~repro.core.inputs.InputStack`, duplicate
         scenarios (bytewise-equal input tables) are collapsed over the
         whole call first, the distinct ones are split into near-equal
-        chunks of at most :attr:`rows_per_pass` rows, and the results
-        are scattered back.  Every chunk is a full pass, so the split
-        is bitwise-transparent.
+        chunks of at most :attr:`rows_per_pass` rows, and the chunks'
+        result tables are gathered back into one ``(K, n, 4)`` block,
+        one row per scenario (a duplicate's row is its own copy).  Every
+        chunk is a full pass, so the split is bitwise-transparent.
+        Either way the results are rows of a block allocated for this
+        call: a later call never writes into them.
 
         A :class:`ZeroBeliefError` escaping a chunk names the caller's
         scenario indices: every scenario a failing row served.
@@ -139,21 +142,11 @@ class EstimatorCompiledModel(CompiledModel):
                 except ZeroBeliefError as err:
                     err.rescatter([int(row) - start for row in scatter])
                     raise
-        served = set()
-        results = []
-        for row in scatter:
-            result = rows[row]
-            if row in served:
-                result = replace(
-                    result,
-                    distributions={
-                        line: dist.copy()
-                        for line, dist in result.distributions.items()
-                    },
-                )
-            served.add(row)
-            results.append(result)
-        return results
+            block = np.stack([rows[row].table for row in scatter])
+        return [
+            replace(rows[row], distributions=rows[row].distributions.over(table))
+            for row, table in zip(scatter, block)
+        ]
 
     @property
     def compile_seconds(self) -> float:
@@ -305,18 +298,7 @@ class AutoBackend(Backend):
 def _pairwise_runner(circuit, model, options):
     from repro.baselines.pairwise import pairwise_switching
 
-    result = pairwise_switching(circuit, model)
-    # The pairwise model reports (p, activity) per line; reconstruct the
-    # 4-state distribution they pin down: P(x01) = P(x10) = a/2, with
-    # the remaining mass split by the signal probability.
-    distributions = {}
-    for line, activity in result.activities.items():
-        p = result.signal_probabilities[line]
-        half = activity / 2.0
-        distributions[line] = np.clip(
-            np.array([1.0 - p - half, half, half, p - half]), 0.0, 1.0
-        )
-    return distributions
+    return pairwise_switching(circuit, model).distributions
 
 
 def _local_cone_runner(circuit, model, options):
@@ -386,10 +368,7 @@ class BaselineCompiledModel(CompiledModel):
             distributions = runner(self.circuit, model, self.options)
             elapsed = time.perf_counter() - start
         return SwitchingEstimate(
-            distributions={
-                line: np.asarray(dist, dtype=np.float64)
-                for line, dist in distributions.items()
-            },
+            distributions=distributions,
             compile_seconds=0.0,
             propagate_seconds=elapsed,
             method=self.method.value,

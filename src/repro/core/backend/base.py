@@ -75,7 +75,9 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: v13: an edge touching a packed clique stores only its live separator
 #: entries (messages carry their index arrays, packed cliques gather by
 #: position in them), and dense broadcasts carry compiled plans.
-ARTIFACT_SCHEMA_VERSION = 13
+#: v14: a result row is a row of the call's ``(K, n, 4)`` block, so
+#: ``row_bytes`` counts 64 B per line instead of 192.
+ARTIFACT_SCHEMA_VERSION = 14
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"
@@ -156,7 +158,8 @@ class CompiledModel(ABC):
         segmented) override this with a vectorized pass that propagates
         each distinct scenario once (bitwise-equal to propagating each
         copy) and splits the rows into passes that fit the memory
-        budget.
+        budget; their results are rows of one ``(K, n, 4)`` block
+        allocated for the call.
         """
         return [self.query(model) for model in inputs_list]
 

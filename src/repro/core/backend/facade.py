@@ -106,15 +106,6 @@ def _result_key(
     return fingerprint, scenario_digest(circuit, query_inputs)
 
 
-def _replay_result(payload: dict, compiled_cache_hit: Optional[bool] = None):
-    """Materialize a cached payload as a fresh :class:`SwitchingEstimate`."""
-    from repro.core.rcache import replay_estimate
-
-    result = replay_estimate(payload)
-    result.cache_hit = compiled_cache_hit
-    return result
-
-
 def _compile_options(backend_name: str) -> Optional[frozenset]:
     """Option names a backend's ``compile`` accepts (None: any name)."""
     sig = inspect.signature(get_backend(backend_name).compile)
@@ -229,9 +220,9 @@ def estimate(
     rkey = None
     if rcache_obj is not None:
         rkey = _result_key(circuit, backend, inputs, options, query_inputs)
-        payload = rcache_obj.get(rkey)
-        if payload is not None:
-            return _replay_result(payload)
+        replay = rcache_obj.get(rkey)
+        if replay is not None:
+            return replay
     model = compile_model(
         circuit, inputs, backend=backend, cache=cache, validate=False, **options
     )
@@ -288,9 +279,9 @@ def estimate_many(
         )
         keys = [(fingerprint, scenario_digest(circuit, m)) for m in models]
         for index, key in enumerate(keys):
-            payload = rcache_obj.get(key)
-            if payload is not None:
-                hits[index] = _replay_result(payload)
+            replay = rcache_obj.get(key)
+            if replay is not None:
+                hits[index] = replay
         if len(hits) == len(models):
             return [hits[index] for index in range(len(models))]
     miss_indices = [i for i in range(len(models)) if i not in hits]

@@ -33,9 +33,9 @@ import numpy as np
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import Method
 from repro.core.cpt import _transition_function
-from repro.core.estimator import SwitchingEstimate, result_row_bytes
+from repro.core.estimator import SwitchingEstimate, estimate_rows, result_row_bytes
 from repro.core.inputs import InputModel, as_input_stack
-from repro.core.states import N_STATES
+from repro.core.states import N_STATES, line_rows
 from repro.errors import SegmentTooWide
 
 __all__ = ["EnumerationSegment", "SegmentTooWide"]
@@ -106,19 +106,18 @@ class EnumerationSegment:
         if stack is None:
             return []
         tables, parents = stack.tables(self.circuit.inputs)
-        lines = list(self._states)
+        lines, index = line_rows(tuple(self._states))
         stacks, _, seconds = self.estimate_many_stacked(
             tables, lines, parents=parents, rows=len(stack)
         )
-        return [
-            SwitchingEstimate(
-                distributions={line: stacks[line][j] for line in lines},
-                compile_seconds=self.compile_seconds,
-                propagate_seconds=seconds,
-                method=Method.ENUMERATION.value,
-            )
-            for j in range(len(stack))
-        ]
+        return estimate_rows(
+            np.stack([stacks[line] for line in lines], axis=1),
+            lines,
+            index,
+            compile_seconds=self.compile_seconds,
+            propagate_seconds=seconds,
+            method=Method.ENUMERATION.value,
+        )
 
     def estimate_many_stacked(
         self,

@@ -34,18 +34,27 @@ from repro.core.backend.base import Method
 from repro.core.cpt import output_transition
 from repro.core.inputs import IndependentInputs, InputModel, InputStack, as_input_stack
 from repro.core.lidag import build_lidag
-from repro.core.states import N_STATES, switching_probability
+from repro.core.states import (
+    N_STATES,
+    LineDistributions,
+    LineResult,
+    line_rows,
+    switching_probability,
+)
 from repro.obs.trace import get_tracer
 
 
 #: Bytes one circuit line adds to one result row: its ``(4,)`` float64
-#: marginal (32 B), the 112 B array view that holds it and its entry in
-#: the row's dict.  ``tracemalloc`` reads 173-185 B per line of a held
-#: K=64 result on pcler8, alu and c432s.
-RESULT_LINE_BYTES = 192
+#: marginal in the call's result block (32 B), and the same again while
+#: the engine's variable-major block is copied into it.
+RESULT_LINE_BYTES = 64
 #: Bytes one result row holds besides its lines: the
-#: :class:`SwitchingEstimate` and its attribute dict (344 B).
-RESULT_ROW_BYTES = 512
+#: :class:`SwitchingEstimate`, its attribute dict, its
+#: :class:`LineDistributions` and the row's array view, plus its share
+#: of the call's per-segment state.  ``tracemalloc`` reads 355-373 B
+#: per held row of a K=64 answer on c17, alu, comp, voter and pcler8,
+#: and 783-1,124 B on c432s (15 segments).
+RESULT_ROW_BYTES = 1152
 
 
 def result_row_bytes(circuit: Circuit) -> int:
@@ -54,11 +63,14 @@ def result_row_bytes(circuit: Circuit) -> int:
 
 
 @dataclass
-class SwitchingEstimate:
-    """Per-line switching estimates plus timing breakdown."""
+class SwitchingEstimate(LineResult):
+    """Per-line switching estimates plus timing breakdown.
 
-    #: 4-state transition distribution per line name.
-    distributions: Dict[str, np.ndarray]
+    A batched query's results are rows of one ``(K, n, 4)`` block
+    allocated per call (:func:`estimate_rows`), so a held result keeps
+    that block alive, and no later call writes into it.
+    """
+
     #: seconds spent building LIDAG + junction tree (the compile phase)
     compile_seconds: float
     #: seconds spent calibrating + reading marginals (the update phase)
@@ -80,23 +92,18 @@ class SwitchingEstimate:
     #: max boundary-belief delta at the last refinement iteration
     refine_delta: float = 0.0
 
-    def switching(self, line: str) -> float:
-        """Switching activity of one line: P(x01) + P(x10)."""
-        return switching_probability(self.distributions[line])
-
-    @property
-    def activities(self) -> Dict[str, float]:
-        """Switching activity of every line."""
-        return {ln: self.switching(ln) for ln in self.distributions}
-
-    def mean_activity(self) -> float:
-        """Average switching activity over all lines."""
-        acts = self.activities
-        return float(np.mean(list(acts.values()))) if acts else 0.0
-
     @property
     def total_seconds(self) -> float:
         return self.compile_seconds + self.propagate_seconds
+
+
+def estimate_rows(block: np.ndarray, lines, index, **fields) -> "list[SwitchingEstimate]":
+    """One :class:`SwitchingEstimate` per row of a ``(K, n, 4)`` result
+    block whose line axis follows ``lines``; ``fields`` are shared."""
+    return [
+        SwitchingEstimate(LineDistributions(lines, index, table), **fields)
+        for table in block
+    ]
 
 
 class SwitchingActivityEstimator:
@@ -197,10 +204,13 @@ class SwitchingActivityEstimator:
         collect/distribute sweep, so the per-query Python overhead
         (schedule walking, kernel dispatch, marginal extraction) is paid
         once instead of K times.  Scenarios with equal input tables are
-        propagated once and share a result row
-        (:meth:`JunctionTree.update_tables_batch`).  Result ``k`` is
-        bitwise-identical to an independent ``estimate()`` with
-        scenario ``k``'s model.
+        propagated once (:meth:`JunctionTree.update_tables_batch`).  The
+        engine reads every line's marginal into one ``(K, n, 4)`` block
+        (:meth:`JunctionTree.marginal_rows_batch`), allocated for this
+        call, and result ``k`` is row ``k`` of it in circuit-line order:
+        no per-line object is built, and duplicates get their own rows.
+        Result ``k`` is bitwise-identical to an independent
+        ``estimate()`` with scenario ``k``'s model.
 
         Every model must induce the same input-to-input edge structure
         as the compiled one (same rule as :meth:`update_inputs`).
@@ -212,40 +222,51 @@ class SwitchingActivityEstimator:
         stack = as_input_stack(input_models, self.circuit.inputs)
         if stack is None:
             return []
-        lines = list(self.circuit.lines)
         tables, parents = stack.tables(self.circuit.inputs)
-        batched, _, per_scenario = self.estimate_many_stacked(
-            tables, lines, parents=parents, rows=len(stack)
+        lines, index = line_rows(tuple(self.circuit.lines))
+        block, per_scenario = self._stacked_pass(
+            tables, parents, len(stack), lambda jt: jt.marginal_rows_batch(lines)
         )
-        return [
-            SwitchingEstimate(
-                distributions={line: batched[line][k] for line in lines},
-                compile_seconds=self.compile_seconds,
-                propagate_seconds=per_scenario,
-                method=Method.SINGLE_BN.value,
-            )
-            for k in range(len(stack))
-        ]
+        return estimate_rows(
+            block,
+            lines,
+            index,
+            compile_seconds=self.compile_seconds,
+            propagate_seconds=per_scenario,
+            method=Method.SINGLE_BN.value,
+        )
 
     def estimate_many_stacked(self, tables, lines, pairs=(), parents=None, rows=None):
         """Batched sweep over stacked input tables.
 
-        The workhorse behind :meth:`estimate_many` and the segmented
-        pipeline.  ``tables`` maps input lines to ``(K, *table)`` CPD
-        table stacks (a ``(K, 4)`` prior, or a ``(K, 4, 4)``
-        conditional on the parent named by ``parents``), as
-        :meth:`~repro.core.inputs.InputStack.tables` builds them;
+        The segmented pipeline's call.  ``tables`` maps input lines to
+        ``(K, *table)`` CPD table stacks (a ``(K, 4)`` prior, or a
+        ``(K, 4, 4)`` conditional on the parent named by ``parents``),
+        as :meth:`~repro.core.inputs.InputStack.tables` builds them;
         ``rows`` is K (default: the stacks' length).  Restricting
         ``lines`` (e.g. to a segment's owned internal lines) skips
-        marginal extraction for everything else, and the stacked layout
-        avoids building K per-scenario dicts that a segmented caller
-        would immediately re-stack.  Returns ``(stacks, joints,
-        per_scenario_seconds)``: ``{line: (K, 4)}`` and, for each
-        ``(a, b)`` of ``pairs`` (which must share a clique), ``{(a, b):
-        (K, 4, 4)}`` from :meth:`JunctionTree.joint_marginal_batch`.
+        marginal extraction for everything else.  Returns ``(stacks,
+        joints, per_scenario_seconds)``: ``{line: (K, 4)}`` and, for
+        each ``(a, b)`` of ``pairs`` (which must share a clique),
+        ``{(a, b): (K, 4, 4)}`` from
+        :meth:`JunctionTree.joint_marginal_batch`.
         """
         if rows is None:
             rows = len(next(iter(tables.values())))
+        (stacks, joints), per_scenario = self._stacked_pass(
+            tables,
+            parents,
+            rows,
+            lambda jt: (
+                jt.marginals_batch(list(lines)),
+                {(a, b): jt.joint_marginal_batch([a, b]) for a, b in pairs},
+            ),
+        )
+        return stacks, joints, per_scenario
+
+    def _stacked_pass(self, tables, parents, rows, read):
+        """Install ``rows`` scenarios' stacked tables, propagate and
+        return ``(read(tree), per-scenario seconds)``."""
         self.compile()
         tracer = get_tracer()
         with tracer.span(
@@ -257,11 +278,8 @@ class SwitchingActivityEstimator:
             with tracer.span("propagate.update_batch"):
                 self._jt.update_tables_batch(tables, rows, parents or {})
             with tracer.span("propagate.calibrate", scenarios=rows):
-                batched = self._jt.marginals_batch(list(lines))
-                joints = {
-                    (a, b): self._jt.joint_marginal_batch([a, b]) for a, b in pairs
-                }
-        return batched, joints, span.duration / rows
+                result = read(self._jt)
+        return result, span.duration / rows
 
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""

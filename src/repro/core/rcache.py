@@ -32,13 +32,12 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.states import N_STATES, TransitionState
+from repro.core.estimator import SwitchingEstimate
 from repro.obs.metrics import get_metrics
 
 __all__ = [
     "ResultCache",
     "input_cpd_signatures",
-    "replay_estimate",
     "scenario_digest",
 ]
 
@@ -94,71 +93,43 @@ def scenario_digest(circuit, input_model) -> str:
     return h.hexdigest()
 
 
-def replay_estimate(payload: "Dict[str, Any]"):
-    """Materialize a stored cache payload as a fresh
-    :class:`~repro.core.estimator.SwitchingEstimate` marked
-    ``result_cache_hit=True`` (imported lazily to keep this module
-    import-light under the estimator)."""
-    from repro.core.estimator import SwitchingEstimate
-
-    return SwitchingEstimate(
-        distributions=payload["distributions"],
-        compile_seconds=0.0,
-        propagate_seconds=0.0,
-        method=payload["method"],
-        segments=payload["segments"],
-        cache_hit=None,
-        result_cache_hit=True,
-        refine_iterations=payload["refine_iterations"],
-        refine_delta=payload["refine_delta"],
-    )
-
-
 class _Entry:
-    """One stored estimate, laid out compactly: the line names, one
-    ``(n, 4)`` float64 marginal table and one ``(n,)`` activity array
-    (row ``i`` of each belongs to ``lines[i]``), plus the replay
-    scalars.  ``nbytes`` is what the entry holds (:func:`sys.getsizeof`
-    of each object it owns); the line-name strings are the compiled
-    model's and are not counted."""
+    """One stored estimate, laid out compactly: its distributions over a
+    copy of its ``(n, 4)`` float64 table, plus the replay scalars.  The
+    copy is the entry's own, so a stored row does not keep the
+    ``(K, n, 4)`` block of the call that produced it alive.  ``nbytes``
+    is what the entry holds (:func:`sys.getsizeof` of each object it
+    owns); the line tuple and the row index are shared by every result
+    over the same lines (:func:`~repro.core.states.line_rows`) and are
+    not counted."""
 
     __slots__ = (
-        "lines", "table", "activities", "mean_activity", "method",
-        "segments", "refine_iterations", "refine_delta", "nbytes",
+        "rows", "method", "segments", "refine_iterations", "refine_delta", "nbytes",
     )
 
     def __init__(self, estimate) -> None:
-        self.lines = tuple(estimate.distributions)
-        self.table = np.empty((len(self.lines), N_STATES))
-        self.table[...] = list(estimate.distributions.values())
-        # The same float64 sum ``switching_probability`` takes per line.
-        self.activities = (
-            self.table[:, TransitionState.X01] + self.table[:, TransitionState.X10]
-        )
-        self.mean_activity = float(np.mean(self.activities))
+        self.rows = estimate.distributions.over(estimate.table.copy())
         self.method = estimate.method
         self.segments = estimate.segments
         self.refine_iterations = estimate.refine_iterations
         self.refine_delta = estimate.refine_delta
         self.nbytes = (
             sys.getsizeof(self)
-            + sys.getsizeof(self.lines)
-            + sys.getsizeof(self.table)
-            + sys.getsizeof(self.activities)
-            + sys.getsizeof(self.mean_activity)
+            + sys.getsizeof(self.rows)
+            + sys.getsizeof(self.rows.table)
         )
 
 
 class ResultCache:
-    """Thread-safe LRU of stored switching-estimate payloads.
+    """Thread-safe LRU of stored switching estimates.
 
     Keys are ``(compile fingerprint, scenario digest)`` tuples; values
-    are compact entries (one marginal table and one activity array per
-    estimate) plus the method fields a replay needs.  Arrays are copied
-    both into and out of the cache, so neither the producer's engine
-    buffers nor a consumer's mutations can corrupt a stored result -- a
-    hit replays the bitwise-identical marginals of the propagation that
-    filled it.  ``bytes`` sums what the stored entries hold.
+    are compact entries (one marginal table per estimate) plus the
+    method fields a replay needs.  Tables are copied both into and out
+    of the cache, so neither the producer's result block nor a
+    consumer's mutations can corrupt a stored result -- a hit replays
+    the bitwise-identical marginals of the propagation that filled it.
+    ``bytes`` sums what the stored entries hold.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -174,18 +145,11 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def get(
-        self, key: Tuple[str, str], need_arrays: bool = True
-    ) -> Optional[Dict[str, Any]]:
-        """Stored payload for ``key`` (arrays copied), or ``None``.
-
-        The payload is a dict of per-line views: ``activities`` maps
-        each line to its float, and ``distributions`` (only when
-        ``need_arrays``) maps each line to a ``(4,)`` row of one fresh
-        copy of the stored table.  ``need_arrays=False`` is the serving
-        hot path for ``detail`` modes that never touch the
-        distributions.
-        """
+    def get(self, key: Tuple[str, str]) -> Optional[SwitchingEstimate]:
+        """The stored estimate for ``key``, replayed as a fresh
+        :class:`~repro.core.estimator.SwitchingEstimate` over its own
+        copy of the table and marked ``result_cache_hit=True``, or
+        ``None``."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -201,26 +165,20 @@ class ResultCache:
                 registry.counter("rcache.hits").inc(1)
         if entry is None:
             return None
-        view = {
-            "activities": dict(zip(entry.lines, entry.activities.tolist())),
-            "mean_activity": entry.mean_activity,
-            "method": entry.method,
-            "segments": entry.segments,
-            "refine_iterations": entry.refine_iterations,
-            "refine_delta": entry.refine_delta,
-        }
-        if need_arrays:
-            view["distributions"] = dict(zip(entry.lines, entry.table.copy()))
-        return view
+        return SwitchingEstimate(
+            distributions=entry.rows.over(entry.rows.table.copy()),
+            compile_seconds=0.0,
+            propagate_seconds=0.0,
+            method=entry.method,
+            segments=entry.segments,
+            result_cache_hit=True,
+            refine_iterations=entry.refine_iterations,
+            refine_delta=entry.refine_delta,
+        )
 
     def put(self, key: Tuple[str, str], estimate) -> None:
-        """Store one :class:`SwitchingEstimate`'s replayable payload.
-
-        Alongside the bitwise marginal table, the rendered scalars a
-        response needs (per-line switching activities, their mean) are
-        computed once here so that every later hit replays stored
-        floats instead of re-deriving them from the arrays.
-        """
+        """Store a copy of one :class:`SwitchingEstimate`'s table and
+        the fields its replay needs."""
         entry = _Entry(estimate)
         evicted = 0
         with self._lock:

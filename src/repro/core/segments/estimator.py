@@ -35,7 +35,7 @@ from repro.core.estimator import (
     result_row_bytes,
 )
 from repro.core.inputs import IndependentInputs, InputModel, InputStack, as_input_stack
-from repro.core.states import N_STATES
+from repro.core.states import N_STATES, LineDistributions, line_rows
 from repro.errors import SegmentBoundaryError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -447,7 +447,11 @@ class SegmentedEstimator:
         Duplicates collapse per segment: a junction-tree segment
         propagates one row per distinct set of input tables it
         receives, so repeated scenarios -- and every scenario, in a
-        segment outside a sweep's change cone -- share a row.
+        segment outside a sweep's change cone -- share a row.  The
+        results are rows of one ``(K, n, 4)`` block stacked from the
+        published marginals once, after refinement, with lines in
+        publication order (the inputs, then each segment's owned
+        lines).
         """
         stack = as_input_stack(input_models, self.circuit.inputs)
         if stack is None:
@@ -479,9 +483,11 @@ class SegmentedEstimator:
             if len(self.graph) > 1
             else Method.SINGLE_BN.value
         )
+        lines, index = line_rows(tuple(known))
+        block = np.stack([known[line] for line in lines], axis=1)
         return [
             SwitchingEstimate(
-                distributions={line: known[line][j] for line in known},
+                LineDistributions(lines, index, table),
                 compile_seconds=self.compile_seconds,
                 propagate_seconds=per_scenario,
                 method=method,
@@ -489,7 +495,7 @@ class SegmentedEstimator:
                 refine_iterations=int(iterations[j]),
                 refine_delta=float(deltas[j]),
             )
-            for j in range(k)
+            for j, table in enumerate(block)
         ]
 
     def _propagate_segment_batch(

@@ -46,30 +46,18 @@ from repro.core.segments import (
     SegmentedEstimator,
     TreeBoundaryInputs,
 )
-from repro.core.states import N_STATES, switching_probability
+from repro.core.states import N_STATES, LineResult
 
 
 @dataclass
-class SequentialEstimate:
+class SequentialEstimate(LineResult):
     """Fixpoint result: line distributions plus convergence metadata."""
 
-    distributions: Dict[str, np.ndarray]
     iterations: int
     converged: bool
     residual: float
     compile_seconds: float
     propagate_seconds: float
-
-    def switching(self, line: str) -> float:
-        return switching_probability(self.distributions[line])
-
-    @property
-    def activities(self) -> Dict[str, float]:
-        return {ln: self.switching(ln) for ln in self.distributions}
-
-    def mean_activity(self) -> float:
-        acts = self.activities
-        return float(np.mean(list(acts.values()))) if acts else 0.0
 
 
 class SequentialSwitchingEstimator:
@@ -248,7 +236,7 @@ class SequentialSwitchingEstimator:
                 break
         propagate_seconds = time.perf_counter() - start
         return SequentialEstimate(
-            distributions=dict(result.distributions),
+            distributions=result.distributions,
             iterations=iterations,
             converged=converged,
             residual=residual,

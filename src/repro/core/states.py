@@ -13,8 +13,10 @@ a line is ``P(x01) + P(x10)``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from functools import lru_cache
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +82,98 @@ def switching_probability(distribution: Sequence[float]) -> float:
     if dist.shape != (N_STATES,):
         raise ValueError(f"expected a length-{N_STATES} distribution, got {dist.shape}")
     return float(dist[TransitionState.X01] + dist[TransitionState.X10])
+
+
+def switching_activities(tables: np.ndarray) -> np.ndarray:
+    """P(x01) + P(x10) over the last axis of ``(..., 4)`` tables: the
+    float64 sum :func:`switching_probability` takes, one vector op."""
+    return tables[..., TransitionState.X01] + tables[..., TransitionState.X10]
+
+
+@lru_cache(maxsize=64)
+def line_rows(lines: Tuple[str, ...]) -> Tuple[Tuple[str, ...], Dict[str, int]]:
+    """The shared ``(lines, {line: row})`` of tables whose rows follow
+    ``lines``: equal line sequences get the same tuple and dict back
+    (the 64 most recently used are kept), so results over one circuit's
+    lines hold no per-result line index."""
+    return lines, {line: row for row, line in enumerate(lines)}
+
+
+class LineDistributions(Mapping):
+    """Read-only ``{line: (4,) distribution}`` over one ``(n, 4)`` table.
+
+    Row ``i`` of ``table`` belongs to ``lines[i]``; ``index`` maps each
+    line to its row.  Results over the same lines share one ``lines``
+    tuple and one ``index`` dict (:func:`line_rows`), so a row costs its
+    table view and nothing per line.
+    """
+
+    __slots__ = ("lines", "index", "table")
+
+    def __init__(self, lines: Tuple[str, ...], index: Dict[str, int], table: np.ndarray):
+        self.lines = lines
+        self.index = index
+        self.table = table
+
+    @classmethod
+    def from_dict(cls, distributions: Mapping[str, np.ndarray]) -> "LineDistributions":
+        """Copy a ``{line: (4,)}`` mapping into one table."""
+        if isinstance(distributions, LineDistributions):
+            return distributions
+        lines, index = line_rows(tuple(distributions))
+        table = np.array(
+            [distributions[line] for line in lines], dtype=np.float64
+        ).reshape(len(lines), N_STATES)
+        return cls(lines, index, table)
+
+    def over(self, table: np.ndarray) -> "LineDistributions":
+        """The same lines over another ``(n, 4)`` table."""
+        return LineDistributions(self.lines, self.index, table)
+
+    def __getitem__(self, line: str) -> np.ndarray:
+        return self.table[self.index[line]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.lines)
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+@dataclass
+class LineResult:
+    """Per-line transition distributions, the base of every estimator's
+    result: one ``(n, 4)`` float64 :attr:`table`, row ``i`` for
+    ``lines[i]``.  A ``{line: (4,)}`` dict passed as ``distributions``
+    is copied into a table once, at construction."""
+
+    #: 4-state transition distribution per line name (a read-only
+    #: mapping over :attr:`table`)
+    distributions: Mapping[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        self.distributions = LineDistributions.from_dict(self.distributions)
+
+    @property
+    def lines(self) -> Tuple[str, ...]:
+        return self.distributions.lines
+
+    @property
+    def table(self) -> np.ndarray:
+        return self.distributions.table
+
+    def switching(self, line: str) -> float:
+        """Switching activity of one line: P(x01) + P(x10)."""
+        return switching_probability(self.distributions[line])
+
+    @property
+    def activities(self) -> Dict[str, float]:
+        """Switching activity of every line."""
+        return dict(zip(self.lines, switching_activities(self.table).tolist()))
+
+    def mean_activity(self) -> float:
+        """Average switching activity over all lines."""
+        return float(np.mean(switching_activities(self.table))) if self.lines else 0.0
 
 
 def signal_probability(distribution: Sequence[float], at: str = "current") -> float:

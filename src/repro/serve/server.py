@@ -266,22 +266,20 @@ class EstimationServer:
         return (entry.key, digest)
 
     def _lookup(
-        self, entry: PooledModel, scenario: InputModel, raw: Any, detail: str
-    ) -> "Tuple[Optional[Tuple[str, str]], Optional[Dict[str, Any]]]":
+        self, entry: PooledModel, scenario: InputModel, raw: Any
+    ) -> "Tuple[Optional[Tuple[str, str]], Optional[SwitchingEstimate]]":
         """Result-cache probe for one admitted scenario.
 
-        Returns ``(key, stored payload)``; the key is ``None`` when
-        result caching is off, the payload is ``None`` on a miss.  The
+        Returns ``(key, replayed estimate)``; the key is ``None`` when
+        result caching is off, the estimate is ``None`` on a miss.  The
         key's fingerprint half is the pool entry's compile-cache key,
         so a cached result can never outlive anything that would have
-        changed the compiled model.  Marginal arrays are only copied
-        out when ``detail`` actually renders them.
+        changed the compiled model.
         """
         if self.rcache is None:
             return None, None
         key = self._scenario_key(entry, scenario, raw)
-        payload = self.rcache.get(key, need_arrays=(detail == "distributions"))
-        return key, payload
+        return key, self.rcache.get(key)
 
     def _store(
         self, key: Optional[Tuple[str, str]], result: SwitchingEstimate
@@ -292,9 +290,9 @@ class EstimationServer:
 
     def handle_estimate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         entry, scenarios, raw, detail = self._admit(payload, one=True)
-        key, cached = self._lookup(entry, scenarios[0], raw[0], detail)
+        key, cached = self._lookup(entry, scenarios[0], raw[0])
         if cached is not None:
-            return self._cached_payload(entry, cached, detail)
+            return self._estimate_payload(entry, cached, detail)
         future = self.batcher.submit(
             entry.key,
             (entry, scenarios[0]),
@@ -310,7 +308,7 @@ class EstimationServer:
         entry, scenarios, raw, detail = self._admit(payload, one=False)
         slots: List[Tuple[Optional[Tuple[str, str]], Any, Any]] = []
         for scenario, raw_spec in zip(scenarios, raw):
-            key, cached = self._lookup(entry, scenario, raw_spec, detail)
+            key, cached = self._lookup(entry, scenario, raw_spec)
             if cached is not None:
                 slots.append((key, None, cached))
             else:
@@ -324,7 +322,7 @@ class EstimationServer:
         results = []
         for key, future, cached in slots:
             if cached is not None:
-                results.append(self._cached_payload(entry, cached, detail))
+                results.append(self._estimate_payload(entry, cached, detail))
                 continue
             result = future.result(timeout=max(0.0, deadline - time.monotonic()))
             if isinstance(result, BaseException):
@@ -369,47 +367,26 @@ class EstimationServer:
         )
         return entry, scenarios, raw, detail
 
-    def _cached_payload(
-        self, entry: PooledModel, payload: Dict[str, Any], detail: str
-    ) -> Dict[str, Any]:
-        """Response for a result-cache hit, rendered from the stored
-        floats (no estimate materialization, no activity recompute)."""
-        response = {
-            "circuit": entry.model.circuit.name,
-            "backend": entry.model.backend_name,
-            "method": payload["method"],
-            "mean_activity": payload["mean_activity"],
-            "result_cache_hit": True,
-        }
-        if detail in ("activities", "distributions"):
-            response["activities"] = payload["activities"]
-        if detail == "distributions":
-            response["distributions"] = {
-                line: [float(v) for v in dist]
-                for line, dist in payload["distributions"].items()
-            }
-        return response
-
     def _estimate_payload(
         self, entry: PooledModel, estimate: SwitchingEstimate, detail: str
     ) -> Dict[str, Any]:
+        """Response for a propagated or replayed estimate, rendered from
+        its table: one vector op for the activities and one ``tolist``
+        per field."""
         payload = {
             "circuit": entry.model.circuit.name,
             "backend": entry.model.backend_name,
             "method": estimate.method,
-            "mean_activity": float(estimate.mean_activity()),
+            "mean_activity": estimate.mean_activity(),
         }
         if estimate.result_cache_hit is not None:
             payload["result_cache_hit"] = estimate.result_cache_hit
         if detail in ("activities", "distributions"):
-            payload["activities"] = {
-                line: float(p) for line, p in estimate.activities.items()
-            }
+            payload["activities"] = estimate.activities
         if detail == "distributions":
-            payload["distributions"] = {
-                line: [float(v) for v in dist]
-                for line, dist in estimate.distributions.items()
-            }
+            payload["distributions"] = dict(
+                zip(estimate.lines, estimate.table.tolist())
+            )
         return payload
 
     # ------------------------------------------------------------------

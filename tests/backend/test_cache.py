@@ -198,3 +198,33 @@ def test_v12_artifact_misses_under_current_schema(tmp_path, monkeypatch):
     got = model.query()
     for line in circuit.lines:
         assert np.array_equal(got.distributions[line], fresh.distributions[line])
+
+
+def test_v13_artifact_misses_under_current_schema(tmp_path, monkeypatch):
+    """A v13 artifact recorded ``row_bytes`` for results held as per-line
+    dicts; under the current schema it must miss and recompile."""
+    import numpy as np
+
+    from repro.core.backend import cache as cache_module
+    from repro.core.backend.base import ARTIFACT_SCHEMA_VERSION
+    from repro.core.backend.registry import get_backend
+
+    assert ARTIFACT_SCHEMA_VERSION >= 14
+    circuit = suite.load_circuit("alu")
+    cache = CompileCache(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache_module, "ARTIFACT_SCHEMA", "repro.compiled/v13")
+        stale_key = cache.key_for(
+            circuit, "auto", None, get_backend("auto").cache_token()
+        )
+    stale = compile_model(circuit, cache=None)
+    stale.row_bytes += 128 * len(circuit.lines)  # 192 B per result line
+    cache.put(stale_key, stale)
+
+    model = compile_model(circuit, cache=cache)
+    assert model.cache_hit is False
+    assert model.row_bytes == compile_model(circuit, cache=None).row_bytes
+    fresh = compile_model(circuit, cache=None).query()
+    got = model.query()
+    assert got.lines == tuple(circuit.lines)
+    assert np.array_equal(got.table, fresh.table)

@@ -18,6 +18,7 @@ import pytest
 from repro.bayesian.cpd import TabularCPD
 from repro.circuits import suite
 from repro.core.backend import estimate, estimate_many
+from repro.core.estimator import SwitchingEstimate
 from repro.core.inputs import CorrelatedGroupInputs, IndependentInputs
 from repro.core.rcache import (
     ResultCache,
@@ -99,10 +100,10 @@ class TestResultCacheLRU:
         cache = ResultCache(max_entries=4)
         result = self._estimate(c17, 0.3)
         cache.put(("fp", "digest"), result)
-        payload = cache.get(("fp", "digest"))
-        assert payload is not None
+        replay = cache.get(("fp", "digest"))
+        assert replay is not None
         for line, dist in result.distributions.items():
-            assert np.array_equal(payload["distributions"][line], dist)
+            assert np.array_equal(replay.distributions[line], dist)
 
     def test_copies_insulate_both_sides(self, c17):
         cache = ResultCache(max_entries=4)
@@ -112,9 +113,9 @@ class TestResultCacheLRU:
         cache.put(("fp", "digest"), result)
         result.distributions[line][:] = -1.0  # producer mutates after put
         first = cache.get(("fp", "digest"))
-        first["distributions"][line][:] = -2.0  # consumer mutates a hit
+        first.distributions[line][:] = -2.0  # consumer mutates a hit
         second = cache.get(("fp", "digest"))
-        assert np.array_equal(second["distributions"][line], expect)
+        assert np.array_equal(second.distributions[line], expect)
 
     def test_lru_evicts_least_recently_used(self, c17):
         cache = ResultCache(max_entries=2)
@@ -134,9 +135,10 @@ class TestResultCacheLRU:
         lines = len(result.distributions)
         cache.put(("fp", "a"), result)
         size = cache.bytes
-        # One (n, 4) float64 table, one (n,) activity array and the
-        # line tuple -- 48 B per line -- plus fixed object headers.
-        assert 48 * lines < size <= 48 * lines + 512
+        # One (n, 4) float64 table -- 32 B per line -- plus fixed object
+        # headers; the line tuple and row index are shared by every
+        # result over the same lines.
+        assert 32 * lines < size <= 32 * lines + 512
         cache.put(("fp", "b"), result)  # evicts "a", same size
         assert cache.bytes == size
         cache.get(("fp", "b"))
@@ -167,8 +169,36 @@ class TestResultCacheLRU:
         finally:
             tracemalloc.stop()
         per_entry = cache.bytes / count
-        assert per_entry <= 48 * len(result.distributions) + 512
+        assert per_entry <= 32 * len(result.distributions) + 512
         assert 0.95 * per_entry <= traced / count <= per_entry + 256
+
+    def test_dict_built_results_hold_no_uncounted_line_index(self):
+        """A result built from a ``{line: (4,)}`` dict, as the baseline
+        backends build one per query, shares the line tuple and row
+        index of every other result over the same lines, so storing it
+        allocates no more than ``bytes`` counts."""
+        comp = suite.load_circuit("comp")
+        result = estimate(comp, IndependentInputs(0.3), backend="auto",
+                          cache=None)
+        count = 200
+        dicts = [
+            {line: dist.copy() for line, dist in result.distributions.items()}
+            for _ in range(count)
+        ]
+        cache = ResultCache(max_entries=count)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, distributions in enumerate(dicts):
+                cache.put(("fp", f"digest-{i}"), SwitchingEstimate(
+                    distributions=distributions, compile_seconds=0.0,
+                    propagate_seconds=0.0, method="independent",
+                ))
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert traced / count <= cache.bytes / count + 256
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -176,7 +206,7 @@ class TestResultCacheLRU:
 
 
 class TestCompactRoundTrip:
-    """A hit rebuilt from the compact table equals the fresh estimate:
+    """A hit replayed from the compact table equals the fresh estimate:
     arrays bitwise, activity floats exactly."""
 
     @pytest.mark.parametrize("name", ["c17", "comp", "c432s"])
@@ -186,19 +216,17 @@ class TestCompactRoundTrip:
                          cache=None)
         cache = ResultCache()
         cache.put(("fp", "d"), fresh)
-        full = cache.get(("fp", "d"))
-        light = cache.get(("fp", "d"), need_arrays=False)
-        assert "distributions" not in light
-        assert list(full["distributions"]) == list(fresh.distributions)
+        replay = cache.get(("fp", "d"))
+        assert replay.result_cache_hit is True
+        assert list(replay.distributions) == list(fresh.distributions)
         for line, dist in fresh.distributions.items():
-            assert np.array_equal(full["distributions"][line], dist)
-            assert full["distributions"][line].dtype == dist.dtype
-        for payload in (full, light):
-            assert list(payload["activities"]) == list(fresh.activities)
-            assert payload["activities"] == fresh.activities
-            assert payload["mean_activity"] == fresh.mean_activity()
-            assert payload["method"] == fresh.method
-            assert payload["segments"] == fresh.segments
+            assert np.array_equal(replay.distributions[line], dist)
+            assert replay.distributions[line].dtype == dist.dtype
+        assert list(replay.activities) == list(fresh.activities)
+        assert replay.activities == fresh.activities
+        assert replay.mean_activity() == fresh.mean_activity()
+        assert replay.method == fresh.method
+        assert replay.segments == fresh.segments
 
     def test_facade_replay_is_bitwise(self):
         circuit = suite.load_circuit("comp")
